@@ -8,8 +8,8 @@ Three file kinds share one lexer:
 
 Model files may declare a normality block of rank entries and world-pattern
 pairs.  A pattern constrains only the variables it mentions; in a pair, any
-variable mentioned on neither side must take equal values on both sides of
-every generated pair.
+variable mentioned on neither side takes equal values in both worlds it
+relates.  Patterns are kept as declared, never expanded into worlds.
 
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
@@ -32,6 +32,7 @@ from .formula import (
 )
 from .model import (
     Arith,
+    Assignment,
     CausalModel,
     Cmp,
     Cond,
@@ -49,7 +50,7 @@ from .model import (
     TotalityError,
     Var,
 )
-from .normality import NormalityOrder, expand_pattern_pair, expand_rank_pattern
+from .normality import NormalityOrder
 
 
 @dataclass(frozen=True)
@@ -481,14 +482,13 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
         if _validate_pattern(left, signature, origin, diags) and _validate_pattern(
             right, signature, origin, diags
         ):
-            pairs.extend(expand_pattern_pair(model, left.as_dict(), right.as_dict()))
+            pairs.append((Assignment(left.as_dict()), Assignment(right.as_dict())))
     for patt, rank, _tok in raw.rank_decls:
         if _validate_pattern(patt, signature, origin, diags):
-            ranks.extend(expand_rank_pattern(model, patt.as_dict(), rank))
+            ranks.append((Assignment(patt.as_dict()), rank))
     if diags:
         raise DslError(diags)
-    order = NormalityOrder(tuple(pairs), tuple(ranks))
-    return model, order
+    return model, NormalityOrder(tuple(pairs), tuple(ranks))
 
 
 def parse_model_file(path) -> tuple[CausalModel, NormalityOrder | None]:
@@ -841,8 +841,8 @@ def print_model(model: CausalModel, order: NormalityOrder | None = None) -> str:
         lines.append(f"  endogenous {name} : {_render_range(values)} = {body};")
     if order is not None and not order.is_empty:
         lines.append("  normality {")
-        for world, rank in order.ranks:
-            lines.append(f"    rank {_render_world_items(world.items_sorted())} = {rank};")
+        for pattern, rank in order.ranks:
+            lines.append(f"    rank {_render_world_items(pattern.items_sorted())} = {rank};")
         for left, right in order.pairs:
             lines.append(
                 f"    {_render_world_items(left.items_sorted())} >="

@@ -1,10 +1,19 @@
 """Partial preorders on worlds and extended causal models.
 
 A normality order declares that some worlds are at least as normal as others,
-either through explicit ordered pairs or through integer ranks (lower rank =
-more normal).  Queries run against the reflexive-transitive closure of the
-declared pairs plus all rank-induced pairs.  Antisymmetry is deliberately not
-enforced: two distinct worlds may each be at least as normal as the other.
+either through ordered pattern pairs or through integer ranks on patterns
+(lower rank = more normal).  A pattern is a partial assignment to endogenous
+variables and stands for every world that agrees with it; a `World` entry is
+the one-world pattern.  In a pair, a variable mentioned on neither side takes
+equal values in both worlds it relates, and a variable mentioned on one side
+only is free on the other.  Queries run against the reflexive-transitive
+closure of the pair-induced and rank-induced relations.  Antisymmetry is
+deliberately not enforced: two distinct worlds may each be at least as normal
+as the other.
+
+The closure is never materialised.  The worlds at least as normal as a world
+`t` form a union of patterns, found by searching backwards from `t` over the
+declared patterns (never over worlds) and memoised per `t`.
 
 With no order declared, an extended model falls back to the flat order under
 which every world is as normal as every other; the extended cause definition
@@ -17,20 +26,20 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .model import CausalModel, ModelError, World
+from .model import Assignment, CausalModel, ModelError, Signature, World
 
 
 @dataclass(frozen=True)
 class NormalityOrder:
-    """Declared world pairs (more-normal, less-normal) and optional ranks."""
+    """Declared pattern pairs (more normal, less normal) and ranked patterns."""
 
-    pairs: tuple[tuple[World, World], ...] = ()
-    ranks: tuple[tuple[World, int], ...] = ()
-    _closure: Mapping[World, frozenset[World]] | None = field(default=None, compare=False)
+    pairs: tuple[tuple[Assignment, Assignment], ...] = ()
+    ranks: tuple[tuple[Assignment, int], ...] = ()
+    _upsets: dict[World, tuple[dict[str, int], ...]] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_closed(self) -> bool:
-        return self._closure is not None
+        return self._upsets is not None
 
     @property
     def is_empty(self) -> bool:
@@ -38,107 +47,90 @@ class NormalityOrder:
 
     def at_least_as_normal(self, s: World, t: World) -> bool:
         """Membership test s >= t in the closed relation."""
-        if self._closure is None:
+        if self._upsets is None:
             raise ModelError("order must be closed before querying")
         if s == t:
             return True
-        return t in self._closure.get(s, frozenset())
+        # The memo caches a pure function of t: threads racing to fill an
+        # entry store equal values, so a shared order stays safe to query.
+        up = self._upsets.get(t)
+        if up is None:
+            up = self._upsets[t] = _up_set(self, t)
+        return any(_subsumes(p, s) for p in up)
 
-    def downset(self, s: World) -> frozenset[World]:
-        """Worlds t with s >= t (excluding s unless declared)."""
-        if self._closure is None:
-            raise ModelError("order must be closed before querying")
-        return self._closure.get(s, frozenset())
+
+def _consistent(p: Mapping[str, int], q: Mapping[str, int]) -> bool:
+    """Whether some world matches both patterns."""
+    return all(p.get(k, v) == v for k, v in q.items())
 
 
-def close(order: NormalityOrder, model: CausalModel) -> NormalityOrder:
-    """Reflexive-transitive closure of declared plus rank-induced pairs.
+def _subsumes(general: Mapping[str, int], specific: Mapping[str, int]) -> bool:
+    """Whether every world matching `specific` matches `general`."""
+    return all(specific.get(k) == v for k, v in general.items())
 
-    Idempotent: closing a closed order returns an equal order.
+
+def _up_set(order: NormalityOrder, t: World) -> tuple[dict[str, int], ...]:
+    """Patterns whose union is the set of worlds at least as normal as t.
+
+    Backward search from t.  Under a pair L >= R, the worlds at least as
+    normal as some world of pattern Q form the pattern L plus Q's values on
+    the variables neither side mentions; it exists only when Q and R are
+    consistent.  Under ranks, they are the ranked patterns whose rank is at
+    most the highest rank of a ranked pattern consistent with Q.  Both steps
+    are monotone, so a pattern covered by one already found adds nothing.
     """
-    for s, t in order.pairs:
-        model.signature.check_world(s)
-        model.signature.check_world(t)
-    rank_map: dict[World, int] = {}
-    for w, r in order.ranks:
-        model.signature.check_world(w)
-        if rank_map.get(w, r) != r:
-            raise ModelError(f"world ranked twice with different ranks: {w!r}")
-        rank_map[w] = r
-
-    # Successor sets: declared edges plus rank-induced edges
-    # (rank(s) <= rank(t) means s is at least as normal as t).
-    succ: dict[World, set[World]] = {}
-    for s, t in order.pairs:
-        succ.setdefault(s, set()).add(t)
-    ranked = sorted(rank_map.items(), key=lambda wr: (wr[1], wr[0].items_sorted()))
-    for s, rs in ranked:
-        for t, rt in ranked:
-            if rs <= rt and s != t:
-                succ.setdefault(s, set()).add(t)
-
-    closure: dict[World, frozenset[World]] = {}
-    for start in succ:
-        seen: set[World] = set()
-        stack = list(succ[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(succ.get(node, ()))
-        seen.add(start)
-        closure[start] = frozenset(seen)
-    return NormalityOrder(order.pairs, order.ranks, closure)
+    pairs = [(left.as_dict(), right.as_dict(), set(left) | set(right)) for left, right in order.pairs]
+    ranks = [(p.as_dict(), r) for p, r in order.ranks]
+    found: list[dict[str, int]] = []
+    frontier = [t.as_dict()]
+    reached = None  # highest rank whose ranked patterns are all queued
+    while frontier:
+        q = frontier.pop()
+        if any(_subsumes(p, q) for p in found):
+            continue
+        found = [p for p in found if not _subsumes(q, p)]
+        found.append(q)
+        for left, right, mentioned in pairs:
+            if _consistent(q, right):
+                pred = dict(left)
+                pred.update((k, v) for k, v in q.items() if k not in mentioned)
+                frontier.append(pred)
+        top = max((r for p, r in ranks if _consistent(q, p)), default=None)
+        if top is not None and (reached is None or top > reached):
+            reached = top
+            frontier.extend(dict(p) for p, r in ranks if r <= top)
+    return tuple(found)
 
 
-def _check_pattern(model: CausalModel, pattern: Mapping[str, int]) -> None:
-    sig = model.signature
-    for name, value in pattern.items():
+def _check_pattern(sig: Signature, pattern: Assignment) -> None:
+    if isinstance(pattern, World):
+        sig.check_world(pattern)
+        return
+    for name, value in pattern.items_sorted():
         if not sig.is_endogenous(name):
             raise ModelError(f"pattern variable {name!r} is not endogenous")
         sig.check_value(name, value)
 
 
-def expand_pattern_pair(
-    model: CausalModel,
-    left: Mapping[str, int],
-    right: Mapping[str, int],
-) -> list[tuple[World, World]]:
-    """Expand a partial-pattern pair declaration into world pairs.
+def close(order: NormalityOrder, model: CausalModel) -> NormalityOrder:
+    """Validate the declared patterns against the model, ready for queries.
 
-    Each side constrains only its mentioned variables.  A variable mentioned
-    on neither side must take the same value in both worlds of a generated
-    pair; a variable mentioned on one side only is unconstrained on the other.
+    A `World` entry must be total; any other entry is a pattern over
+    endogenous variables.  Two ranked patterns with different ranks must not
+    share a world.  Idempotent: closing a closed order returns an equal order.
     """
-    _check_pattern(model, left)
-    _check_pattern(model, right)
     sig = model.signature
-    ranges = dict(sig.endogenous)
-    shared = [v for v in sig.endogenous_names if v not in left and v not in right]
-    left_free = [v for v in sig.endogenous_names if v in right and v not in left]
-    right_free = [v for v in sig.endogenous_names if v in left and v not in right]
-    pairs: list[tuple[World, World]] = []
-    for shared_combo in itertools.product(*(ranges[v] for v in shared)):
-        base = dict(zip(shared, shared_combo))
-        for lf_combo in itertools.product(*(ranges[v] for v in left_free)):
-            world_l = World({**base, **dict(zip(left_free, lf_combo)), **left})
-            for rf_combo in itertools.product(*(ranges[v] for v in right_free)):
-                world_r = World({**base, **dict(zip(right_free, rf_combo)), **right})
-                pairs.append((world_l, world_r))
-    return pairs
-
-
-def expand_rank_pattern(model: CausalModel, pattern: Mapping[str, int], rank: int) -> list[tuple[World, int]]:
-    """All worlds matching a partial pattern, at the given rank."""
-    _check_pattern(model, pattern)
-    sig = model.signature
-    ranges = dict(sig.endogenous)
-    free = [v for v in sig.endogenous_names if v not in pattern]
-    return [
-        (World({**dict(zip(free, combo)), **pattern}), rank)
-        for combo in itertools.product(*(ranges[v] for v in free))
-    ]
+    for left, right in order.pairs:
+        _check_pattern(sig, left)
+        _check_pattern(sig, right)
+    for pattern, _ in order.ranks:
+        _check_pattern(sig, pattern)
+    for (p, rp), (q, rq) in itertools.combinations(order.ranks, 2):
+        if rp != rq and _consistent(p, q):
+            merged = {**p, **q}
+            shared = World(merged) if len(merged) == len(sig.endogenous) else Assignment(merged)
+            raise ModelError(f"world ranked twice with different ranks: {shared!r}")
+    return NormalityOrder(order.pairs, order.ranks, {})
 
 
 class ExtendedModel:

@@ -2,9 +2,11 @@
 
 These re-derive cause verdicts and responsibility scores by enumerating every
 partition, every setting, and every subset pair literally, with no memoization
-and no search-order shortcuts.  They share only the model and formula layers
-with the main engine, so agreement between the two is evidence rather than
-tautology.
+and no search-order shortcuts.  The normality relation is re-derived the same
+way: every declared pattern is expanded over the world space and the result is
+closed under reflexivity and transitivity.  They share only the model and
+formula layers with the main engine, so agreement between the two is evidence
+rather than tautology.
 
 A hard guard keeps the enumeration at toy scale.
 """
@@ -12,13 +14,14 @@ A hard guard keeps the enumeration at toy scale.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import CausalFormula, EventFormula, NotF, holds
 from .hp import CandidateCause
-from .model import Context, Intervention
-from .normality import ExtendedModel
+from .model import CausalModel, Context, Intervention, ModelError, World
+from .normality import ExtendedModel, NormalityOrder
 
 ORACLE_MAX_VARS = 5
 
@@ -43,6 +46,52 @@ class OracleVerdict:
     failed_condition: str | None = None
 
 
+def _matches(world: World, pattern: Mapping[str, int]) -> bool:
+    return all(world[k] == v for k, v in pattern.items())
+
+
+def reference_normality(
+    model: CausalModel, order: NormalityOrder | None
+) -> Callable[[World, World], bool]:
+    """The relation s >= t of an order, built over the whole world space.
+
+    A pair L >= R relates every world matching L to every world matching R
+    that agrees with it on the variables neither side mentions; ranked worlds
+    are related by rank (lower is more normal).  The reflexive-transitive
+    closure is taken over bitsets indexed by world.  No order is the flat one.
+    """
+    if order is None:
+        return lambda s, t: True
+    worlds = list(model.world_space())
+    index = {w: i for i, w in enumerate(worlds)}
+    below = [1 << i for i in range(len(worlds))]  # bit j of below[i]: worlds[i] >= worlds[j]
+    endo = model.signature.endogenous_names
+    for left, right in order.pairs:
+        shared = [v for v in endo if v not in left and v not in right]
+        by_shared: dict[tuple[int, ...], int] = {}
+        for t in worlds:
+            if _matches(t, right):
+                key = tuple(t[v] for v in shared)
+                by_shared[key] = by_shared.get(key, 0) | 1 << index[t]
+        for s in worlds:
+            if _matches(s, left):
+                below[index[s]] |= by_shared.get(tuple(s[v] for v in shared), 0)
+    rank: dict[World, int] = {}
+    for pattern, r in order.ranks:
+        for w in worlds:
+            if _matches(w, pattern) and rank.setdefault(w, r) != r:
+                raise ModelError(f"world ranked twice with different ranks: {w!r}")
+    for s, rs in rank.items():
+        for t, rt in rank.items():
+            if rs <= rt:
+                below[index[s]] |= 1 << index[t]
+    for k in range(len(worlds)):
+        for i in range(len(worlds)):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    return lambda s, t: bool(below[index[s]] >> index[t] & 1)
+
+
 def _ac1(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome: EventFormula) -> bool:
     model = ext.model
     empty = Intervention()
@@ -56,6 +105,7 @@ def _all_witnesses(
     context: Context,
     cause: CandidateCause,
     outcome: EventFormula,
+    at_least_as_normal: Callable[[World, World], bool],
 ) -> list[OracleWitness]:
     model = ext.model
     ranges = model.signature.ranges
@@ -78,7 +128,7 @@ def _all_witnesses(
                     if not holds(model, context, CausalFormula(pins_a, not_outcome)):
                         continue
                     world = model.intervene(pins_a).solve(context)
-                    if not ext.at_least_as_normal(world, actual):
+                    if not at_least_as_normal(world, actual):
                         continue
                     ok = True
                     for wr in range(len(w_vars) + 1):
@@ -131,11 +181,12 @@ def oracle_cause(
     outcome.validate(ext.model)
     if not _ac1(ext, context, cause, outcome):
         return OracleVerdict(False, None, (), "AC1")
-    witnesses = _all_witnesses(ext, context, cause, outcome)
+    normal = reference_normality(ext.model, ext.order)
+    witnesses = _all_witnesses(ext, context, cause, outcome, normal)
     if not witnesses:
         return OracleVerdict(False, None, (), "AC2")
     for sub in cause.strict_subsets():
-        if _ac1(ext, context, sub, outcome) and _all_witnesses(ext, context, sub, outcome):
+        if _ac1(ext, context, sub, outcome) and _all_witnesses(ext, context, sub, outcome, normal):
             return OracleVerdict(False, None, (), "AC3")
     return OracleVerdict(True, witnesses[0].changes, tuple(witnesses))
 

@@ -13,6 +13,7 @@ import random
 from causelab.formula import AndF, Atom, EventFormula, NotF, OrF, PrimitiveEvent
 from causelab.model import (
     Arith,
+    Assignment,
     CausalModel,
     Cmp,
     Cond,
@@ -27,6 +28,7 @@ from causelab.model import (
     Signature,
     Var,
 )
+from causelab.normality import NormalityOrder
 
 
 def _clamp(expr: Expr, lo: int, hi: int) -> Expr:
@@ -133,3 +135,40 @@ def random_event_formula(rng: random.Random, model: CausalModel, depth: int = 2)
         random_event_formula(rng, model, depth - 1),
         random_event_formula(rng, model, depth - 1),
     )
+
+
+def random_pattern(rng: random.Random, model: CausalModel) -> Assignment:
+    """A partial assignment to one or more endogenous variables."""
+    endo = model.signature.endogenous
+    chosen = rng.sample(endo, rng.randint(1, len(endo)))
+    return Assignment({name: rng.choice(values) for name, values in chosen})
+
+
+def random_pattern_order(
+    rng: random.Random,
+    model: CausalModel,
+    max_pairs: int = 4,
+    max_ranks: int = 3,
+    allow_conflicts: bool = False,
+) -> NormalityOrder:
+    """Random pattern pairs, with one-sided variables wherever the two sides
+    mention different variables, plus overlapping rank patterns.
+
+    Unless conflicts are allowed, a rank pattern that shares a world with an
+    earlier one takes that one's rank, and one that would need two different
+    ranks is dropped, so no world is ranked twice with different ranks.
+    """
+    pairs = tuple(
+        (random_pattern(rng, model), random_pattern(rng, model))
+        for _ in range(rng.randint(0, max_pairs))
+    )
+    ranks: list[tuple[Assignment, int]] = []
+    for _ in range(rng.randint(0, max_ranks)):
+        pattern, rank = random_pattern(rng, model), rng.randint(0, 2)
+        if not allow_conflicts:
+            shared = {r for p, r in ranks if all(p.get(k, v) == v for k, v in pattern.items())}
+            if len(shared) > 1:
+                continue
+            rank = shared.pop() if shared else rank
+        ranks.append((pattern, rank))
+    return NormalityOrder(pairs, tuple(ranks))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -233,10 +234,10 @@ def test_cross_process_determinism():
     ]
     outputs = []
     for seed in ("0", "12345"):
-        proc = subprocess.run(
-            argv, capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
-        )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed}
+        if "PYTHONPATH" in os.environ:  # the package may be importable only from src/
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         report.pop("timing")

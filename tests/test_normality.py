@@ -1,18 +1,32 @@
+import random
+
 import pytest
 
-from causelab.model import Context, ModelError, World
+from causelab.model import Assignment, Context, ModelError, World
 from causelab.normality import (
     ExtendedModel,
     NormalityOrder,
     at_least_as_normal,
     close,
-    expand_pattern_pair,
 )
+from causelab.oracle import reference_normality
+from randmodels import random_model, random_pattern_order
 from test_model import forest_fire
 
 
 def w(**kwargs) -> World:
     return World(kwargs)
+
+
+def p(**kwargs) -> Assignment:
+    return Assignment(kwargs)
+
+
+def strict_pairs(model, order) -> set[tuple[World, World]]:
+    """Every (s, t) with s != t and s at least as normal as t."""
+    ext = ExtendedModel(model, order)
+    worlds = list(model.world_space())
+    return {(s, t) for s in worlds for t in worlds if s != t and ext.at_least_as_normal(s, t)}
 
 
 class TestClose:
@@ -124,30 +138,89 @@ class TestExtendedModel:
 
 
 class TestPatternExpansion:
+    """Which world pairs a declared pattern stands for, read off the relation."""
+
     def test_symmetric_patterns_agree_on_omitted(self):
         model = forest_fire()
-        pairs = expand_pattern_pair(model, {"L": 1, "ML": 0}, {"L": 1, "ML": 1})
-        assert len(pairs) == 2  # F agrees across each pair
-        for left, right in pairs:
-            assert left["F"] == right["F"]
-            assert (left["L"], left["ML"], right["L"], right["ML"]) == (1, 0, 1, 1)
+        order = NormalityOrder(pairs=((p(L=1, ML=0), p(L=1, ML=1)),))
+        # F is mentioned on neither side, so it agrees across each related pair.
+        assert strict_pairs(model, order) == {
+            (w(L=1, ML=0, F=f), w(L=1, ML=1, F=f)) for f in (0, 1)
+        }
 
     def test_full_patterns_expand_to_single_pair(self):
         model = forest_fire()
-        pairs = expand_pattern_pair(
-            model, {"L": 1, "ML": 1, "F": 1}, {"L": 0, "ML": 0, "F": 0}
-        )
-        assert pairs == [(w(L=1, ML=1, F=1), w(L=0, ML=0, F=0))]
+        order = NormalityOrder(pairs=((p(L=1, ML=1, F=1), p(L=0, ML=0, F=0)),))
+        assert strict_pairs(model, order) == {(w(L=1, ML=1, F=1), w(L=0, ML=0, F=0))}
 
     def test_one_sided_variable_is_free_on_the_other(self):
         model = forest_fire()
-        pairs = expand_pattern_pair(model, {"L": 1, "ML": 1, "F": 1}, {"F": 0})
-        assert len(pairs) == 4  # right side free over L, ML
-        assert {((r["L"], r["ML"])) for _, r in pairs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        order = NormalityOrder(pairs=((p(L=1, ML=1, F=1), p(F=0)),))
+        # The right side is free over L and ML.
+        assert strict_pairs(model, order) == {
+            (w(L=1, ML=1, F=1), w(L=l, ML=ml, F=0)) for l in (0, 1) for ml in (0, 1)
+        }
 
     def test_bad_pattern_rejected(self):
         model = forest_fire()
         with pytest.raises(ModelError):
-            expand_pattern_pair(model, {"NOPE": 1}, {"F": 0})
+            close(NormalityOrder(pairs=((p(NOPE=1), p(F=0)),)), model)
         with pytest.raises(ModelError):
-            expand_pattern_pair(model, {"F": 7}, {"F": 0})
+            close(NormalityOrder(pairs=((p(F=7), p(F=0)),)), model)
+        with pytest.raises(ModelError):
+            close(NormalityOrder(ranks=((p(L=2), 0),)), model)
+
+    def test_rank_pattern_covers_every_matching_world(self):
+        model = forest_fire()
+        order = NormalityOrder(ranks=((p(F=0), 0), (p(F=1), 1)))
+        assert strict_pairs(model, order) == {
+            (s, t) for s in model.world_space() for t in model.world_space()
+            if s != t and s["F"] <= t["F"]
+        }
+
+    def test_overlapping_rank_patterns_conflict_only_on_different_ranks(self):
+        model = forest_fire()
+        close(NormalityOrder(ranks=((p(L=1), 2), (p(ML=0), 2))), model)
+        close(NormalityOrder(ranks=((p(L=1, F=1), 0), (p(L=0), 3))), model)
+        with pytest.raises(ModelError, match="ranked twice"):
+            close(NormalityOrder(ranks=((p(L=1), 0), (p(ML=0), 1))), model)
+
+    def test_rank_step_then_pair_step(self):
+        model = forest_fire()
+        order = NormalityOrder(pairs=((p(L=0), p(L=1)),), ranks=((p(ML=1), 0), (p(L=0, ML=0), 1)))
+        ext = ExtendedModel(model, order)
+        s, x, t = w(L=1, ML=1, F=0), w(L=0, ML=0, F=1), w(L=1, ML=0, F=1)
+        assert ext.at_least_as_normal(s, x)  # by rank
+        assert ext.at_least_as_normal(x, t)  # by the pair, ML and F agreeing
+        assert ext.at_least_as_normal(s, t)  # only through x
+        assert not ext.at_least_as_normal(t, s)
+
+
+def run_relation_batch(n_models: int = 90, seed: int = 31) -> tuple[int, int]:
+    """The pattern search against the oracle's expanded closure, on every
+    world pair of random models with random pattern orders.  Returns the
+    number of orders compared and the number rejected by both sides."""
+    rng = random.Random(seed)
+    compared = rejected = 0
+    for i in range(n_models):
+        model = random_model(rng, max_endo=4, max_exo=1, allow_ternary=True, name=f"rel{i}")
+        order = random_pattern_order(rng, model, allow_conflicts=True)
+        try:
+            reference = reference_normality(model, order)
+        except ModelError:
+            with pytest.raises(ModelError, match="ranked twice"):
+                ExtendedModel(model, order)
+            rejected += 1
+            continue
+        ext = ExtendedModel(model, order)
+        worlds = list(model.world_space())
+        for t in worlds:
+            for s in worlds:
+                assert ext.at_least_as_normal(s, t) == reference(s, t), (order, s, t)
+        compared += 1
+    return compared, rejected
+
+
+def test_random_relation_batch_matches_oracle_closure():
+    compared, rejected = run_relation_batch()
+    assert compared >= 60 and rejected >= 5

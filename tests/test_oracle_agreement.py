@@ -23,7 +23,7 @@ from causelab.model import (
 )
 from causelab.normality import ExtendedModel
 from causelab.oracle import oracle_cause, oracle_responsibility
-from randmodels import random_context, random_model
+from randmodels import random_context, random_model, random_pattern_order
 
 # (model name, context, fixed outcome variable) corpus probes; every
 # endogenous variable other than the outcome is tried as a singleton cause
@@ -119,6 +119,18 @@ def run_random_extended_agreement(n_models: int = 120, seed: int = 17) -> int:
                 continue
             agree_on(ext, context, CandidateCause.of({var: world[var]}), outcome)
             checked += 1
+    # Pattern orders: partial and one-sided pairs chained with overlapping ranks.
+    for i in range(n_models):
+        model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"patt{i}")
+        ext = ExtendedModel(model, random_pattern_order(rng, model))
+        context = random_context(rng, model)
+        world = model.solve(context)
+        endo = model.signature.endogenous_names
+        outcome_var = endo[-1]
+        outcome = atom(outcome_var, world[outcome_var])
+        for var in endo[:-1]:
+            agree_on(ext, context, CandidateCause.of({var: world[var]}), outcome)
+            checked += 1
     return checked
 
 
@@ -147,7 +159,7 @@ def test_corpus_models_agree(corpus):
 
 
 def test_random_extended_batch_agrees():
-    assert run_random_extended_agreement() >= 120
+    assert run_random_extended_agreement() >= 400
 
 
 def test_random_pair_batch_agrees():
