@@ -117,26 +117,25 @@ def _ways_fraction(
     the outcome; the actual setting itself is not counted as a change.
     """
     search = _Search(ext, context, cause, outcome, stats)
-    side = [v for v in search.others if v not in outcome.variables()]
+    outcome_vars = outcome.variables()
+    side = [i for i in search.others if search.names[i] not in outcome_vars]
     if not side:
         return Fraction(1)
     ranges = ext.model.signature.ranges
-    actual_combo = tuple(search.actual[v] for v in side)
+    actual_combo = tuple(search.actual[i] for i in side)
     x_alts = search._x_alternatives()
     total = 0
     critical = 0
-    for combo in product(*(ranges[v] for v in side)):
+    for combo in product(*(ranges[search.names[i]] for i in side)):
         if combo == actual_combo:
             continue
         total += 1
-        pins = dict(zip(side, combo))
-        pins.update(search.x_actual)
-        if not outcome.satisfied_by(search._solve(pins)):
+        pins = search._pins(zip(side, combo), zip(search.x_vars, search.x_actual))
+        if not search.holds(search._solve(tuple(pins))):
             continue
         for x_prime in x_alts:
-            alt = dict(zip(side, combo))
-            alt.update(x_prime)
-            if not outcome.satisfied_by(search._solve(alt)):
+            alt = search._pins(zip(side, combo), zip(search.x_vars, x_prime))
+            if not search.holds(search._solve(tuple(alt))):
                 critical += 1
                 break
     if total == 0:

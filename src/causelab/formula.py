@@ -7,10 +7,16 @@ evaluates it in a model and context by solving the intervened model.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 
 from .model import CausalModel, Context, Intervention, World
+
+# A formula compiled against a model's endogenous declaration order: it reads
+# a tuple of endogenous values, as `CausalModel.solve_unchecked` returns.
+Predicate = Callable[[tuple[int, ...]], bool]
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,10 @@ class EventFormula:
     __slots__ = ()
 
     def satisfied_by(self, world: World) -> bool:
+        raise NotImplementedError
+
+    def predicate(self, index: Mapping[str, int]) -> Predicate:
+        """`satisfied_by` over value tuples; `index` maps names to positions."""
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
@@ -52,6 +62,10 @@ class Atom(EventFormula):
     def satisfied_by(self, world: World) -> bool:
         return world[self.event.variable] == self.event.value
 
+    def predicate(self, index: Mapping[str, int]) -> Predicate:
+        i, value = index[self.event.variable], self.event.value
+        return lambda values: values[i] == value
+
     def variables(self) -> frozenset[str]:
         return frozenset((self.event.variable,))
 
@@ -65,6 +79,10 @@ class NotF(EventFormula):
 
     def satisfied_by(self, world: World) -> bool:
         return not self.child.satisfied_by(world)
+
+    def predicate(self, index: Mapping[str, int]) -> Predicate:
+        child = self.child.predicate(index)
+        return lambda values: not child(values)
 
     def variables(self) -> frozenset[str]:
         return self.child.variables()
@@ -81,6 +99,10 @@ class AndF(EventFormula):
     def satisfied_by(self, world: World) -> bool:
         return self.left.satisfied_by(world) and self.right.satisfied_by(world)
 
+    def predicate(self, index: Mapping[str, int]) -> Predicate:
+        left, right = self.left.predicate(index), self.right.predicate(index)
+        return lambda values: left(values) and right(values)
+
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
 
@@ -95,6 +117,10 @@ class OrF(EventFormula):
 
     def satisfied_by(self, world: World) -> bool:
         return self.left.satisfied_by(world) or self.right.satisfied_by(world)
+
+    def predicate(self, index: Mapping[str, int]) -> Predicate:
+        left, right = self.left.predicate(index), self.right.predicate(index)
+        return lambda values: left(values) or right(values)
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -137,8 +163,10 @@ def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula)
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
-    world = model.intervene(f.prefix).solve(context)
-    return f.matrix.satisfied_by(world)
+    sig = model.signature
+    sig.check_context(context)
+    values = model.solve_unchecked(sig.context_values(context), sig.pin_values(f.prefix))
+    return f.matrix.predicate(sig.endogenous_index)(values)
 
 
 def valid(model: CausalModel, f: CausalFormula | EventFormula) -> bool:
@@ -146,7 +174,8 @@ def valid(model: CausalModel, f: CausalFormula | EventFormula) -> bool:
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
-    intervened = model.intervene(f.prefix)
-    return all(
-        f.matrix.satisfied_by(intervened.solve(u)) for u in model.enumerate_contexts()
-    )
+    sig = model.signature
+    pins = sig.pin_values(f.prefix)
+    matrix = f.matrix.predicate(sig.endogenous_index)
+    contexts = itertools.product(*(values for _, values in sig.exogenous))
+    return all(matrix(model.solve_unchecked(u, pins)) for u in contexts)

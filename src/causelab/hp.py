@@ -30,11 +30,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import AndF, Atom, EventFormula, PrimitiveEvent
-from .model import Assignment, CausalModel, Context, Intervention, World
+from .model import Assignment, CausalModel, Context, World
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -130,14 +130,20 @@ class CauseVerdict:
 _AC2B_FAILURE_CAP = 32
 
 
-def _subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
+def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All subsets, increasing size, lexicographic by position within size."""
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
 
 
 class _Search:
-    """Witness search for one (extended model, context, cause, outcome)."""
+    """Witness search for one (extended model, context, cause, outcome).
+
+    The context is validated once, here; inside the search every variable is
+    its endogenous declaration position, pins are tuples with None for
+    "unpinned" and solutions are value tuples.  Names and `World`s appear
+    only for a non-flat normality lookup and in reported results.
+    """
 
     def __init__(
         self,
@@ -149,97 +155,124 @@ class _Search:
     ):
         self.ext = ext
         self.model = ext.model
-        self.context = context
-        self.cause = cause
-        self.outcome = outcome
-        self.stats = stats
-        self._cache: dict[frozenset, World] = {}
-        self.actual = self._solve({})
         sig = self.model.signature
-        self.decl_index = sig.endogenous_index
-        self.x_vars = sorted(cause.variables(), key=self.decl_index.__getitem__)
-        self.others = [v for v in sig.endogenous_names if v not in cause.variables()]
-        self.x_actual = {v: cause.settings[v] for v in self.x_vars}
+        sig.check_context(context)
+        self.context = sig.context_values(context)
+        self.holds = outcome.predicate(sig.endogenous_index)
+        self.stats = stats
+        self.names = sig.endogenous_names
+        self.n = len(self.names)
+        self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
+        self.actual = self._solve((None,) * self.n)
+        self._actual_world: World | None = None
+        cause_ix = {sig.endogenous_index[v] for v in cause.variables()}
+        self.x_vars = sorted(cause_ix)
+        self.others = [i for i in range(self.n) if i not in cause_ix]
+        self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
         self.ac2b_failures: list[Ac2bFailure] = []
 
     # -- solving ------------------------------------------------------------
 
-    def _solve(self, pins: Mapping[str, int]) -> World:
-        key = frozenset(pins.items())
-        world = self._cache.get(key)
-        if world is None:
-            world = self.model.solve_pinned(self.context, pins)
-            self._cache[key] = world
+    def _solve(self, pins: tuple[int | None, ...]) -> tuple[int, ...]:
+        values = self._cache.get(pins)
+        if values is None:
+            values = self.model.solve_unchecked(self.context, pins)
+            self._cache[pins] = values
             self.stats.solves += 1
-        return world
+        return values
+
+    def _pins(self, *settings: Iterable[tuple[int, int]]) -> list[int | None]:
+        """A pin list (None = unpinned) from (index, value) pairs."""
+        pins: list[int | None] = [None] * self.n
+        for pairs in settings:
+            for i, value in pairs:
+                pins[i] = value
+        return pins
+
+    def _normal(self, values: tuple[int, ...]) -> bool:
+        """Whether the world is at least as normal as the actual one."""
+        if self.ext.is_flat:
+            return True
+        if self._actual_world is None:
+            self._actual_world = self.model.signature.world(self.actual)
+        return self.ext.at_least_as_normal(self.model.signature.world(values), self._actual_world)
+
+    def _named(self, pairs: Iterable[tuple[int, int]]) -> Assignment:
+        return Assignment({self.names[i]: value for i, value in pairs})
 
     # -- pruning helper -----------------------------------------------------
 
-    def _relevant_fixpoint(self, base_pins: dict[str, int], candidates: list[str]) -> list[str]:
-        """Variables whose actual-value pins can matter on top of base_pins.
+    def _relevant_fixpoint(self, base: list[int | None], candidates: list[int]) -> list[int]:
+        """Variables whose actual-value pins can matter on top of `base`.
 
         A candidate enters the set once it deviates from its actual value in
         any world reachable by pinning a subset of the set so far; pins of
         never-deviating variables are provably no-ops.
         """
-        relevant: list[str] = []
+        actual = self.actual
+        relevant: list[int] = []
         while True:
-            new: set[str] = set()
+            new: set[int] = set()
             for sub in _subsets(relevant):
-                pins = dict(base_pins)
-                for v in sub:
-                    pins[v] = self.actual[v]
-                world = self._solve(pins)
-                for v in candidates:
-                    if v not in relevant and world[v] != self.actual[v]:
-                        new.add(v)
+                pins = base.copy()
+                for i in sub:
+                    pins[i] = actual[i]
+                values = self._solve(tuple(pins))
+                for i in candidates:
+                    if values[i] != actual[i] and i not in relevant:
+                        new.add(i)
             if not new:
                 return relevant
-            relevant = sorted(set(relevant) | new, key=self.decl_index.__getitem__)
+            relevant = sorted(set(relevant) | new)
 
     # -- AC2 ----------------------------------------------------------------
 
-    def ac2b(self, w_set: Sequence[str], w_setting: Mapping[str, int]):
-        """Check AC2(b); return None if it holds, else the first failing (W', Z')."""
-        w_sorted = sorted(w_set, key=self.decl_index.__getitem__)
-        z_minus_x = [v for v in self.others if v not in w_set]
-        for w_prime in _subsets(w_sorted):
-            base = dict(self.x_actual)
-            for v in w_prime:
-                base[v] = w_setting[v]
+    def ac2b(self, w_set: Sequence[int], w_setting: Mapping[int, int]):
+        """Check AC2(b); return None if it holds, else the first failing (W', Z').
+
+        `w_set` lists positions in increasing order.
+        """
+        actual = self.actual
+        z_minus_x = [i for i in self.others if i not in w_set]
+        x_pins = self._pins(zip(self.x_vars, self.x_actual))
+        for w_prime in _subsets(w_set):
+            base = x_pins.copy()
+            for i in w_prime:
+                base[i] = w_setting[i]
             relevant = self._relevant_fixpoint(base, z_minus_x)
             for z_prime in _subsets(relevant):
-                pins = dict(base)
-                for v in z_prime:
-                    pins[v] = self.actual[v]
+                pins = base.copy()
+                for i in z_prime:
+                    pins[i] = actual[i]
                 self.stats.subset_checks += 1
-                if not self.outcome.satisfied_by(self._solve(pins)):
-                    return frozenset(w_prime), frozenset(z_prime)
+                if not self.holds(self._solve(tuple(pins))):
+                    return w_prime, z_prime
         return None
 
-    def check_witness(self, w_set: Iterable[str], w_setting: Mapping[str, int], x_prime: Mapping[str, int]):
-        """Full AC2 check of an explicit witness; returns (ok, ac2b_failure)."""
-        w_set = frozenset(w_set)
-        pins = dict(x_prime)
-        pins.update({v: w_setting[v] for v in w_set})
-        world = self._solve(pins)
-        if self.outcome.satisfied_by(world):
+    def check_witness(self, w_set: list[int], w_setting: dict[int, int], x_prime: tuple[int, ...]):
+        """Full AC2 check of an explicit witness; returns (ok, ac2b_failure).
+
+        `w_set` lists positions in increasing order and `x_prime` follows
+        `x_vars`; the settings must already be valid for the model.
+        """
+        values = self._solve(tuple(self._pins(zip(self.x_vars, x_prime), w_setting.items())))
+        if self.holds(values):
             return False, None  # AC2(a) fails
-        if not self.ext.at_least_as_normal(world, self.actual):
+        if not self._normal(values):
             return False, None  # witness world is not admissible
-        failure = self.ac2b(sorted(w_set, key=self.decl_index.__getitem__), w_setting)
+        failure = self.ac2b(w_set, w_setting)
         return failure is None, failure
 
     # -- witness enumeration --------------------------------------------------
 
-    def _x_alternatives(self) -> list[dict[str, int]]:
+    def _x_alternatives(self) -> list[tuple[int, ...]]:
+        """Settings of the cause variables, in position order, other than the actual one."""
         ranges = self.model.signature.ranges
-        actual_combo = tuple(self.x_actual[v] for v in self.x_vars)
-        out = []
-        for combo in itertools.product(*(ranges[v] for v in self.x_vars)):
-            if combo != actual_combo:
-                out.append(dict(zip(self.x_vars, combo)))
-        return out
+        return [
+            combo
+            for combo in itertools.product(*(ranges[self.names[i]] for i in self.x_vars))
+            if combo != self.x_actual
+        ]
 
     def _change_assignments(self, weights: Mapping[str, Fraction] | None):
         """(measure, C, c) triples sorted by measure, then size, then position."""
@@ -249,16 +282,15 @@ class _Search:
             if weights is None:
                 measure: Fraction | int = len(c_vars)
             else:
-                measure = sum((weights[v] for v in c_vars), Fraction(0))
+                measure = sum((weights[self.names[i]] for i in c_vars), Fraction(0))
             alt_values = [
-                [val for val in ranges[v] if val != self.actual[v]] for v in c_vars
+                [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in c_vars
             ]
-            key = (measure, len(c_vars), tuple(self.decl_index[v] for v in c_vars))
-            triples.append((key, c_vars, alt_values))
+            triples.append(((measure, len(c_vars), c_vars), alt_values))
         triples.sort(key=lambda t: t[0])
-        for key, c_vars, alt_values in triples:
+        for (measure, _, c_vars), alt_values in triples:
             for combo in itertools.product(*alt_values):
-                yield key[0], c_vars, dict(zip(c_vars, combo))
+                yield measure, c_vars, combo
 
     def find_minimal_witnesses(
         self,
@@ -289,45 +321,45 @@ class _Search:
 
     def _first_witness_for(
         self,
-        c_vars: tuple[str, ...],
-        c: dict[str, int],
-        x_prime: dict[str, int],
+        c_vars: tuple[int, ...],
+        c: tuple[int, ...],
+        x_prime: tuple[int, ...],
         record_failures: bool,
     ) -> Witness | None:
         """Smallest-W witness for a fixed change assignment, or None."""
-        base = dict(x_prime)
-        base.update(c)
-        e_candidates = [v for v in self.others if v not in c]
+        actual = self.actual
+        base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
+        e_candidates = [i for i in self.others if i not in c_vars]
         relevant = self._relevant_fixpoint(base, e_candidates)
         for e_sub in _subsets(relevant):
-            pins = dict(base)
-            for v in e_sub:
-                pins[v] = self.actual[v]
-            world = self._solve(pins)
-            if self.outcome.satisfied_by(world):
+            pins = base.copy()
+            for i in e_sub:
+                pins[i] = actual[i]
+            values = self._solve(tuple(pins))
+            if self.holds(values):
                 continue  # AC2(a) fails for this W
-            if not self.ext.at_least_as_normal(world, self.actual):
+            if not self._normal(values):
                 continue  # inadmissible contingency under the normality order
-            w_set = frozenset(c_vars) | frozenset(e_sub)
-            w_setting = dict(c)
-            for v in e_sub:
-                w_setting[v] = self.actual[v]
-            failure = self.ac2b(sorted(w_set, key=self.decl_index.__getitem__), w_setting)
+            w_setting = dict(zip(c_vars, c))
+            for i in e_sub:
+                w_setting[i] = actual[i]
+            failure = self.ac2b(sorted(w_setting), w_setting)
             if failure is None:
                 return Witness(
-                    w_set=w_set,
-                    w_setting=Assignment(w_setting),
-                    x_prime=Assignment(x_prime),
+                    w_set=frozenset(self.names[i] for i in w_setting),
+                    w_setting=self._named(w_setting.items()),
+                    x_prime=self._named(zip(self.x_vars, x_prime)),
                     changes=len(c_vars),
                 )
             if record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP:
+                w_prime, z_prime = failure
                 self.ac2b_failures.append(
                     Ac2bFailure(
-                        w_set=w_set,
-                        w_setting=Assignment(w_setting),
-                        x_prime=Assignment(x_prime),
-                        w_prime=failure[0],
-                        z_prime=failure[1],
+                        w_set=frozenset(self.names[i] for i in w_setting),
+                        w_setting=self._named(w_setting.items()),
+                        x_prime=self._named(zip(self.x_vars, x_prime)),
+                        w_prime=frozenset(self.names[i] for i in w_prime),
+                        z_prime=frozenset(self.names[i] for i in z_prime),
                     )
                 )
         return None
@@ -345,13 +377,18 @@ class _Search:
             return None, ()
         best: Witness | None = None
         for _ in range(options.samples):
-            w_vars = tuple(v for v in self.others if rng.random() < 0.5)
-            w_setting = {v: rng.choice(ranges[v]) for v in w_vars}
+            w_vars = [i for i in self.others if rng.random() < 0.5]
+            w_setting = {i: rng.choice(ranges[self.names[i]]) for i in w_vars}
             x_prime = rng.choice(x_alts)
             ok, _failure = self.check_witness(w_vars, w_setting, x_prime)
             if ok:
-                changes = sum(1 for v in w_vars if w_setting[v] != self.actual[v])
-                witness = Witness(frozenset(w_vars), Assignment(w_setting), Assignment(x_prime), changes)
+                changes = sum(1 for i in w_vars if w_setting[i] != self.actual[i])
+                witness = Witness(
+                    frozenset(self.names[i] for i in w_vars),
+                    self._named(w_setting.items()),
+                    self._named(zip(self.x_vars, x_prime)),
+                    changes,
+                )
                 if best is None or witness.changes < best.changes:
                     best = witness
         if best is None:
@@ -395,8 +432,19 @@ def check_ac2(
         raise ValueError("witness setting must cover its W set")
     if set(witness.x_prime) != cause.variables():
         raise ValueError("witness x' must set exactly the cause variables")
+    # The search solves unchecked, so its input is validated here.
+    cause.validate(ext.model)
+    outcome.validate(ext.model)
+    pins = witness.x_prime.as_dict()
+    pins.update({v: witness.w_setting[v] for v in witness.w_set})
+    ext.model.signature.check_intervention(pins)
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
-    ok, _ = search.check_witness(witness.w_set, witness.w_setting, witness.x_prime)
+    w_set = sorted(ext.model.signature.endogenous_index[v] for v in witness.w_set)
+    ok, _ = search.check_witness(
+        w_set,
+        {i: witness.w_setting[search.names[i]] for i in w_set},
+        tuple(witness.x_prime[search.names[i]] for i in search.x_vars),
+    )
     return ok
 
 

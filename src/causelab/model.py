@@ -15,6 +15,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class ModelError(ValueError):
@@ -150,37 +151,44 @@ class Not(Cond):
         return self.inner.references()
 
 
-def _emit(node: Expr | Cond) -> str:
-    """Render a node as a Python expression over an environment dict `e`."""
+def _emit(node: Expr | Cond, key) -> str:
+    """Render a node as a Python expression over an environment `e`.
+
+    `key` maps a variable name to its key in `e`.
+    """
     if isinstance(node, Lit):
         return repr(node.value)
     if isinstance(node, Var):
-        return f"e[{node.name!r}]"
+        return f"e[{key(node.name)!r}]"
     if isinstance(node, Arith):
-        return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
+        return f"({_emit(node.left, key)} {node.op} {_emit(node.right, key)})"
     if isinstance(node, MinMax):
-        return f"{node.which}({_emit(node.left)}, {_emit(node.right)})"
+        return f"{node.which}({_emit(node.left, key)}, {_emit(node.right, key)})"
     if isinstance(node, If):
-        return f"({_emit(node.then)} if {_emit(node.cond)} else {_emit(node.other)})"
+        return f"({_emit(node.then, key)} if {_emit(node.cond, key)} else {_emit(node.other, key)})"
     if isinstance(node, Cmp):
-        return f"({_emit(node.left)} {node.op.replace('&&', 'and')} {_emit(node.right)})"
+        return f"({_emit(node.left, key)} {node.op} {_emit(node.right, key)})"
     if isinstance(node, BoolOp):
         py = "and" if node.op == "&&" else "or"
-        return f"({_emit(node.left)} {py} {_emit(node.right)})"
+        return f"({_emit(node.left, key)} {py} {_emit(node.right, key)})"
     if isinstance(node, Not):
-        return f"(not {_emit(node.inner)})"
+        return f"(not {_emit(node.inner, key)})"
     raise ModelError(f"unknown expression node {node!r}")
 
 
-def compile_body(body: Expr):
-    """Compile an expression tree to a fast callable env -> int."""
+def compile_body(body: Expr, positions: Mapping[str, int] | None = None):
+    """Compile an expression tree to a fast callable env -> int.
+
+    Without `positions` the environment is a dict keyed by variable name;
+    with it, a sequence indexed by `positions[name]`.
+    """
+    key = (lambda name: name) if positions is None else positions.__getitem__
     if isinstance(body, Lit):
         value = body.value
         return lambda e: value
     if isinstance(body, Var):
-        name = body.name
-        return lambda e: e[name]
-    source = f"lambda e: {_emit(body)}"
+        return itemgetter(key(body.name))
+    source = f"lambda e: {_emit(body, key)}"
     return eval(source, {"__builtins__": {}, "min": min, "max": max})
 
 
@@ -204,7 +212,7 @@ class Assignment(Mapping):
         return self._data[key]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._data))
+        return (name for name, _ in self._items)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -282,8 +290,18 @@ class Signature:
         return tuple(name for name, _ in self.endogenous)
 
     @cached_property
+    def _exogenous_set(self) -> frozenset[str]:
+        return frozenset(self.exogenous_names)
+
+    @cached_property
     def endogenous_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.endogenous_names)}
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Index of each variable in a solving environment: exogenous
+        variables first, then endogenous ones, each in declaration order."""
+        return {name: i for i, name in enumerate(self.exogenous_names + self.endogenous_names)}
 
     def is_endogenous(self, name: str) -> bool:
         return name in self.endogenous_index
@@ -306,9 +324,26 @@ class Signature:
             if name not in context:
                 raise ModelError(f"context is missing exogenous variable {name!r}")
             self.check_value(name, context[name])
+        exogenous = self._exogenous_set
         for name in context:
-            if name not in dict(self.exogenous):
+            if name not in exogenous:
                 raise ModelError(f"context assigns non-exogenous variable {name!r}")
+
+    # -- positional form ----------------------------------------------------
+    # Inside a query, contexts and worlds are tuples in declaration order and
+    # pins are tuples over the endogenous variables with None for "unpinned".
+    # These conversions do not validate: check at the query boundary first.
+
+    def context_values(self, context: Mapping[str, int]) -> tuple[int, ...]:
+        return tuple(context[name] for name in self.exogenous_names)
+
+    def pin_values(self, pins: Mapping[str, int] | None) -> tuple[int | None, ...]:
+        if not pins:
+            return (None,) * len(self.endogenous)
+        return tuple(pins.get(name) for name in self.endogenous_names)
+
+    def world(self, values: Iterable[int]) -> World:
+        return World(zip(self.endogenous_names, values))
 
     def check_world(self, world: Mapping[str, int]) -> None:
         for name in self.endogenous_names:
@@ -338,7 +373,7 @@ class CausalModel:
         "signature",
         "equations",
         "name",
-        "_compiled",
+        "_steps",
         "_topo_order",
         "__weakref__",
     )
@@ -364,7 +399,12 @@ class CausalModel:
             raise ModelError(f"equation for non-endogenous variable {sorted(extra)}")
         self._check_references()
         self._topo_order = self._toposort()
-        self._compiled = {v: compile_body(eq.body) for v, eq in self.equations.items()}
+        # One (environment position, compiled body) step per endogenous
+        # variable, in solve order; bodies read the positional environment.
+        positions = signature.positions
+        self._steps = tuple(
+            (positions[v], compile_body(self.equations[v].body, positions)) for v in self._topo_order
+        )
         if not _validated:
             self._check_totality()
 
@@ -421,12 +461,18 @@ class CausalModel:
         # step outside its target range is a construction error, never a
         # runtime surprise.
         ranges = self.signature.ranges
+        positions = self.signature.positions
+        compiled = {v: fn for v, (_, fn) in zip(self._topo_order, self._steps)}
+        env = [0] * len(positions)
         for v, eq in self.equations.items():
             refs = sorted(eq.references())
+            slots = [positions[r] for r in refs]
             target_range = ranges[v]
-            fn = self._compiled[v]
+            fn = compiled[v]
             for combo in itertools.product(*(ranges[r] for r in refs)):
-                value = fn(dict(zip(refs, combo)))
+                for slot, ref_value in zip(slots, combo):
+                    env[slot] = ref_value
+                value = fn(env)
                 if value not in target_range:
                     binding = ", ".join(f"{r}={c}" for r, c in zip(refs, combo))
                     raise TotalityError(
@@ -446,18 +492,26 @@ class CausalModel:
         Equivalent to intervening with `pins` and solving, without building
         the intervened model.
         """
-        self.signature.check_context(context)
-        env = dict(context)
+        sig = self.signature
+        sig.check_context(context)
         if pins:
-            self.signature.check_intervention(pins)
-            compiled = self._compiled
-            for v in self._topo_order:
-                env[v] = pins[v] if v in pins else compiled[v](env)
-        else:
-            compiled = self._compiled
-            for v in self._topo_order:
-                env[v] = compiled[v](env)
-        return World({v: env[v] for v in self.signature.endogenous_names})
+            sig.check_intervention(pins)
+        return sig.world(self.solve_unchecked(sig.context_values(context), sig.pin_values(pins)))
+
+    def solve_unchecked(
+        self, context: tuple[int, ...], pins: tuple[int | None, ...]
+    ) -> tuple[int, ...]:
+        """Endogenous values, in declaration order, with the pinned ones fixed.
+
+        `context` holds the exogenous values in declaration order and `pins`
+        one entry per endogenous variable, None where unpinned.  Nothing is
+        validated: callers check both once, at the query boundary.
+        """
+        env = [*context, *pins]
+        for pos, fn in self._steps:
+            if env[pos] is None:
+                env[pos] = fn(env)
+        return tuple(env[len(context):])
 
     def intervene(self, iv: Mapping[str, int]) -> CausalModel:
         """Replace each targeted variable's equation by the assigned constant."""
@@ -473,23 +527,23 @@ class CausalModel:
         }
         out.name = self.name
         out._topo_order = self._topo_order
-        out._compiled = {
-            v: compile_body(Lit(iv[v])) if v in iv else self._compiled[v]
-            for v in self.equations
-        }
+        out._steps = tuple(
+            (pos, compile_body(Lit(iv[v])) if v in iv else fn)
+            for v, (pos, fn) in zip(self._topo_order, self._steps)
+        )
         return out
 
     def enumerate_contexts(self) -> Iterator[Context]:
         """All total exogenous assignments, lexicographic by declaration order."""
         names = self.signature.exogenous_names
-        ranges = [dict(self.signature.exogenous)[n] for n in names]
+        ranges = [self.signature.ranges[n] for n in names]
         for combo in itertools.product(*ranges):
             yield Context(dict(zip(names, combo)))
 
     def world_space(self) -> Iterator[World]:
         """All endogenous assignments (not only solutions)."""
         names = self.signature.endogenous_names
-        ranges = [dict(self.signature.endogenous)[n] for n in names]
+        ranges = [self.signature.ranges[n] for n in names]
         for combo in itertools.product(*ranges):
             yield World(dict(zip(names, combo)))
 

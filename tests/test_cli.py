@@ -212,6 +212,29 @@ class TestCorpusCommand:
         assert "FAIL broken" in text
 
 
+class TestWorkCounters:
+    """Golden `stats` of the slowest corpus entries: the memoised search
+    must solve exactly the same distinct pin sets and subset checks."""
+
+    def test_vote11_landslide_cause(self):
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        code, lines = run_json("cause", "-m", model_arg("vote11.cm"), "-q", f"cause V1=0 of W=0 in ctx({ctx})")
+        assert code == EXIT_OK
+        assert lines[0]["result"]["min_changes"] == 5
+        assert lines[0]["stats"] == {"solves": 1916, "subset_checks": 10136}
+
+    def test_firing_squad_blame_tenth(self):
+        code, lines = run_json(
+            "blame",
+            "-m", model_arg("firing_squad.cm"),
+            "-s", model_arg("firing_squad.ce"),
+            "-q", "blame action M1<-1 of D=1 over state firing_uniform",
+        )
+        assert code == EXIT_OK
+        assert lines[0]["result"]["score"] == "1/10"
+        assert lines[0]["stats"] == {"solves": 11641, "subset_checks": 32257}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "causelab", "corpus", "list"],

@@ -1,6 +1,6 @@
 import pytest
 
-from causelab.formula import atom, disj
+from causelab.formula import CausalFormula, atom, disj, holds, valid
 from causelab.hp import (
     CandidateCause,
     CapExceededError,
@@ -20,6 +20,7 @@ from causelab.model import (
     Context,
     Equation,
     If,
+    Intervention,
     Lit,
     MinMax,
     BoolOp,
@@ -103,6 +104,68 @@ class TestCheckAc2:
             check_ac2(
                 ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness
             )
+
+
+class TestBoundaryValidation:
+    """The search solves without checks, so bad input must fail at entry."""
+
+    def _check(self, witness: Witness) -> bool:
+        return check_ac2(
+            ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness
+        )
+
+    def test_out_of_range_w_setting_rejected(self):
+        witness = Witness(
+            w_set=frozenset({"ML"}),
+            w_setting=Assignment({"ML": 5}),
+            x_prime=Assignment({"L": 0}),
+            changes=1,
+        )
+        with pytest.raises(ValueError, match="outside the range"):
+            self._check(witness)
+
+    def test_non_endogenous_w_variable_rejected(self):
+        witness = Witness(
+            w_set=frozenset({"U1"}),
+            w_setting=Assignment({"U1": 0}),
+            x_prime=Assignment({"L": 0}),
+            changes=1,
+        )
+        with pytest.raises(ValueError, match="not endogenous"):
+            self._check(witness)
+
+    def test_out_of_range_x_prime_rejected(self):
+        witness = Witness(
+            w_set=frozenset({"ML"}),
+            w_setting=Assignment({"ML": 0}),
+            x_prime=Assignment({"L": 2}),
+            changes=1,
+        )
+        with pytest.raises(ValueError, match="outside the range"):
+            self._check(witness)
+
+    def test_non_endogenous_outcome_rejected(self):
+        witness = Witness(
+            w_set=frozenset({"ML"}),
+            w_setting=Assignment({"ML": 0}),
+            x_prime=Assignment({"L": 0}),
+            changes=1,
+        )
+        with pytest.raises(ValueError, match="not endogenous"):
+            check_ac2(
+                ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("U1", 1), witness
+            )
+
+    def test_out_of_range_prefix_rejected_by_holds_and_valid(self):
+        formula = CausalFormula(Intervention({"ML": 3}), atom("F", 1))
+        with pytest.raises(ValueError, match="outside the range"):
+            holds(forest_fire(), u_ff(1, 1, 1), formula)
+        with pytest.raises(ValueError, match="outside the range"):
+            valid(forest_fire(), formula)
+
+    def test_bad_context_rejected_by_search_entry(self):
+        with pytest.raises(ValueError, match="outside the range"):
+            is_actual_cause(ext_of(forest_fire()), u_ff(1, 1, 7), CandidateCause.of({"L": 1}), atom("F", 1))
 
 
 class TestIsActualCause:

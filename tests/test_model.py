@@ -198,3 +198,48 @@ class TestInvariants:
                 if rng.random() < 0.4
             }
             assert model.solve_pinned(u, pins) == model.intervene(pins).solve(u)
+
+
+class TestPositionalSolve:
+    """The unchecked positional solve against the validated public ones."""
+
+    @staticmethod
+    def _random_pins(rng: random.Random, model: CausalModel, p: float) -> dict[str, int]:
+        sig = model.signature
+        return {v: rng.choice(sig.ranges[v]) for v in sig.endogenous_names if rng.random() < p}
+
+    def test_matches_solve_pinned_and_intervene(self):
+        rng = random.Random(3)
+        checks = 0
+        for i in range(200):
+            model = random_model(rng, max_endo=5, allow_ternary=True, name=f"pos{i}")
+            sig = model.signature
+            endo = sig.endogenous_names
+            u = random_context(rng, model)
+            ctx = sig.context_values(u)
+            for inner_pins in ({}, self._random_pins(rng, model, 0.3)):
+                # pins applied to an intervened model stack on its own pins
+                inner = model.intervene(inner_pins)
+                pins = self._random_pins(rng, model, 0.4)
+                values = inner.solve_unchecked(ctx, sig.pin_values(pins))
+                world = inner.solve_pinned(u, pins)
+                assert values == tuple(world[v] for v in endo)
+                assert sig.world(values) == world
+                assert world == inner.intervene(pins).solve(u)
+                assert world == model.intervene({**inner_pins, **pins}).solve(u)
+                checks += 1
+        assert checks == 400
+
+    def test_unpinned_solve_is_plain_solve(self):
+        model = forest_fire()
+        sig = model.signature
+        for u in model.enumerate_contexts():
+            values = model.solve_unchecked(sig.context_values(u), sig.pin_values(None))
+            assert sig.world(values) == model.solve(u)
+
+    def test_intervention_reuses_compiled_bodies(self):
+        model = forest_fire()
+        pinned = model.intervene({"ML": 0})
+        for v, (pos, fn), (parent_pos, parent_fn) in zip(model._topo_order, pinned._steps, model._steps):
+            assert pos == parent_pos
+            assert (fn is parent_fn) == (v != "ML")
