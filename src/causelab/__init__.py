@@ -39,6 +39,7 @@ from .hp import (
     check_ac2,
     find_all_causes,
     is_actual_cause,
+    ways_fraction,
     witness_world,
 )
 from .model import (
@@ -114,5 +115,6 @@ __all__ = [
     "is_sufficient",
     "solve",
     "valid",
+    "ways_fraction",
     "witness_world",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .formula import EventFormula
 from .hp import (
@@ -27,8 +26,8 @@ from .hp import (
     EngineOptions,
     EngineStats,
     Witness,
-    _Search,
     is_actual_cause,
+    ways_fraction,
 )
 from .model import Assignment, Context, Intervention
 from .normality import ExtendedModel
@@ -72,8 +71,9 @@ class ScoringStrategy:
     def ways_fraction(cls) -> ScoringStrategy:
         return cls("ways")
 
-    def weight_map(self) -> dict[str, Fraction]:
-        return dict(self.weights or ())
+    def weight_map(self) -> dict[str, Fraction] | None:
+        """The search measure: per-variable weights, or None to count changes."""
+        return dict(self.weights) if self.weights is not None else None
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ class Responsibility:
 
     value: Fraction
     achieving_witness: Witness | None = None
+    sampled: bool = False  # from a sampled verdict, so not necessarily exact
 
 
 @dataclass(frozen=True)
@@ -102,47 +103,6 @@ class EpistemicState:
             raise ValueError("probabilities must sum exactly to 1")
 
 
-def _ways_fraction(
-    ext: ExtendedModel,
-    context: Context,
-    cause: CandidateCause,
-    outcome: EventFormula,
-    stats: EngineStats,
-) -> Fraction:
-    """Fraction of non-actual settings of the side variables under which the
-    cause alone is critical: the outcome holds with the cause pinned at its
-    actual value and fails for some alternative.
-
-    Side variables are the endogenous variables outside the cause and outside
-    the outcome; the actual setting itself is not counted as a change.
-    """
-    search = _Search(ext, context, cause, outcome, stats)
-    outcome_vars = outcome.variables()
-    side = [i for i in search.others if search.names[i] not in outcome_vars]
-    if not side:
-        return Fraction(1)
-    ranges = ext.model.signature.ranges
-    actual_combo = tuple(search.actual[i] for i in side)
-    x_alts = search._x_alternatives()
-    total = 0
-    critical = 0
-    for combo in product(*(ranges[search.names[i]] for i in side)):
-        if combo == actual_combo:
-            continue
-        total += 1
-        pins = search._pins(zip(side, combo), zip(search.x_vars, search.x_actual))
-        if not search.holds(search._solve(tuple(pins))):
-            continue
-        for x_prime in x_alts:
-            alt = search._pins(zip(side, combo), zip(search.x_vars, x_prime))
-            if not search.holds(search._solve(tuple(alt))):
-                critical += 1
-                break
-    if total == 0:
-        return Fraction(1)
-    return Fraction(critical, total)
-
-
 def degree_of_responsibility(
     ext: ExtendedModel,
     context: Context,
@@ -152,30 +112,22 @@ def degree_of_responsibility(
     options: EngineOptions = EngineOptions(),
     stats: EngineStats | None = None,
 ) -> Responsibility:
-    """Score the cause by its minimal admissible contingency."""
+    """Score the cause by its minimal admissible contingency; for the weighted
+    strategy that is the one of least summed weight, not of fewest changes."""
     stats = stats if stats is not None else EngineStats()
-    verdict = is_actual_cause(ext, context, cause, outcome, options, stats)
+    verdict = is_actual_cause(
+        ext, context, cause, outcome, options, stats, strategy.weight_map()
+    )
     if not verdict.is_cause:
-        return Responsibility(Fraction(0), None)
+        return Responsibility(Fraction(0), None, verdict.sampled)
     best = verdict.witnesses[0]
-    if strategy.kind == "reciprocal":
-        return Responsibility(Fraction(1, best.changes + 1), best)
     if strategy.kind == "exponential":
-        return Responsibility(Fraction(1, 2**best.changes), best)
-    if strategy.kind == "ways":
-        return Responsibility(_ways_fraction(ext, context, cause, outcome, stats), best)
-    # weighted: minimize the summed weights of changed contingency variables,
-    # which need not coincide with minimizing their count
-    weights = strategy.weight_map()
-    missing = [
-        v for v in ext.model.signature.endogenous_names if v not in weights
-    ]
-    if missing:
-        raise ValueError(f"weighted strategy is missing weights for {missing}")
-    search = _Search(ext, context, cause, outcome, stats)
-    measure, witnesses = search.find_minimal_witnesses(weights=weights)
-    assert measure is not None  # the cause verdict guarantees a witness
-    return Responsibility(Fraction(1) / (1 + measure), witnesses[0])
+        value = Fraction(1, 2**best.changes)
+    elif strategy.kind == "ways":
+        value = ways_fraction(ext, context, cause, outcome, stats)
+    else:  # reciprocal: the measure counts changes; weighted: it sums weights
+        value = Fraction(1) / (1 + verdict.measure)
+    return Responsibility(value, best, verdict.sampled)
 
 
 def degree_of_blame(

@@ -234,6 +234,8 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
                     else None
                 ),
             }
+            if resp.sampled:
+                result["sampled_unsound"] = True
             return result, stats, [model.name]
 
         if isinstance(query, BlameQuery):

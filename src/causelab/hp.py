@@ -14,9 +14,10 @@ cause of an outcome when three conditions hold:
              are the actual solved values;
   AC3  no strict nonempty sub-conjunction satisfies AC1 and AC2.
 
-The search enumerates contingencies by increasing change count (the number of
-W variables whose setting differs from the actual world), so the witnesses it
-reports are exactly the minimal-change ones that responsibility scoring needs.
+The search enumerates contingencies by increasing measure (the number of W
+variables whose setting differs from the actual world, or their summed
+weights), so the witnesses it reports are exactly the minimal ones that
+responsibility scoring needs.
 
 Two pruning devices keep desk-scale queries fast without giving up exactness:
 solve results are memoized per intervention, and pins of variables that never
@@ -27,6 +28,7 @@ the witness search and inside the AC2(b) subset sweep).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -125,6 +127,7 @@ class CauseVerdict:
     failed_condition: str | None = None  # "AC1" | "AC2" | "AC3" when not a cause
     ac2b_failures: tuple[Ac2bFailure, ...] = ()
     sampled: bool = False
+    measure: Fraction | int | None = None  # the witnesses' measure, for a cause
 
 
 _AC2B_FAILURE_CAP = 32
@@ -139,10 +142,12 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 class _Search:
     """Witness search for one (extended model, context, cause, outcome).
 
-    The context is validated once, here; inside the search every variable is
-    its endogenous declaration position, pins are tuples with None for
-    "unpinned" and solutions are value tuples.  Names and `World`s appear
-    only for a non-flat normality lookup and in reported results.
+    The cause, outcome and context are validated once, here, since the
+    search solves unchecked; inside it every variable is its endogenous
+    declaration position, pins are tuples with None for "unpinned" and
+    solutions are value tuples.  Names and `World`s appear only for a
+    non-flat normality lookup and in reported results.  `for_cause` reuses
+    all cause-independent state, the memo included.
     """
 
     def __init__(
@@ -156,6 +161,8 @@ class _Search:
         self.ext = ext
         self.model = ext.model
         sig = self.model.signature
+        cause.validate(self.model)
+        outcome.validate(self.model)
         sig.check_context(context)
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
@@ -164,12 +171,27 @@ class _Search:
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
         self.actual = self._solve((None,) * self.n)
-        self._actual_world: World | None = None
-        cause_ix = {sig.endogenous_index[v] for v in cause.variables()}
+        self._actual_world = None if ext.is_flat else sig.world(self.actual)
+        self._aim(cause)
+
+    def _aim(self, cause: CandidateCause) -> None:
+        cause_ix = {self.model.signature.endogenous_index[v] for v in cause.variables()}
         self.x_vars = sorted(cause_ix)
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
         self.ac2b_failures: list[Ac2bFailure] = []
+
+    def for_cause(self, cause: CandidateCause) -> _Search:
+        """This search aimed at another cause; the shallow copy shares the memo,
+        whose keys are full pin tuples of the same model and context."""
+        search = copy.copy(self)
+        search._aim(cause)
+        return search
+
+    def ac1(self) -> bool:
+        """AC1 on the solved actual world: the cause and the outcome both hold."""
+        actual = self.actual
+        return all(actual[i] == x for i, x in zip(self.x_vars, self.x_actual)) and self.holds(actual)
 
     # -- solving ------------------------------------------------------------
 
@@ -193,12 +215,15 @@ class _Search:
         """Whether the world is at least as normal as the actual one."""
         if self.ext.is_flat:
             return True
-        if self._actual_world is None:
-            self._actual_world = self.model.signature.world(self.actual)
         return self.ext.at_least_as_normal(self.model.signature.world(values), self._actual_world)
 
     def _named(self, pairs: Iterable[tuple[int, int]]) -> Assignment:
         return Assignment({self.names[i]: value for i, value in pairs})
+
+    def _named_contingency(self, w_setting: Mapping[int, int], x_prime: tuple[int, ...]):
+        """(W, its setting, x') by name; the keys of `w_setting` are W."""
+        w_set = frozenset(self.names[i] for i in w_setting)
+        return w_set, self._named(w_setting.items()), self._named(zip(self.x_vars, x_prime))
 
     # -- pruning helper -----------------------------------------------------
 
@@ -274,19 +299,21 @@ class _Search:
             if combo != self.x_actual
         ]
 
+    def _measure(self, changed: Sequence[int], weights: Mapping[str, Fraction] | None):
+        """The change count, or the summed weights of the changed variables."""
+        if weights is None:
+            return len(changed)
+        return sum((weights[self.names[i]] for i in changed), Fraction(0))
+
     def _change_assignments(self, weights: Mapping[str, Fraction] | None):
         """(measure, C, c) triples sorted by measure, then size, then position."""
         ranges = self.model.signature.ranges
         triples = []
         for c_vars in _subsets(self.others):
-            if weights is None:
-                measure: Fraction | int = len(c_vars)
-            else:
-                measure = sum((weights[self.names[i]] for i in c_vars), Fraction(0))
             alt_values = [
                 [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in c_vars
             ]
-            triples.append(((measure, len(c_vars), c_vars), alt_values))
+            triples.append(((self._measure(c_vars, weights), len(c_vars), c_vars), alt_values))
         triples.sort(key=lambda t: t[0])
         for (measure, _, c_vars), alt_values in triples:
             for combo in itertools.product(*alt_values):
@@ -301,7 +328,7 @@ class _Search:
         """Minimal-measure admissible witnesses.
 
         Returns (measure, witnesses); (None, ()) when AC2 is unsatisfiable.
-        With uniform weights the measure is the change count k.
+        Without weights the measure is the change count k.
         """
         x_alts = self._x_alternatives()
         found: list[Witness] = []
@@ -345,30 +372,24 @@ class _Search:
                 w_setting[i] = actual[i]
             failure = self.ac2b(sorted(w_setting), w_setting)
             if failure is None:
-                return Witness(
-                    w_set=frozenset(self.names[i] for i in w_setting),
-                    w_setting=self._named(w_setting.items()),
-                    x_prime=self._named(zip(self.x_vars, x_prime)),
-                    changes=len(c_vars),
-                )
+                return Witness(*self._named_contingency(w_setting, x_prime), len(c_vars))
             if record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP:
                 w_prime, z_prime = failure
                 self.ac2b_failures.append(
                     Ac2bFailure(
-                        w_set=frozenset(self.names[i] for i in w_setting),
-                        w_setting=self._named(w_setting.items()),
-                        x_prime=self._named(zip(self.x_vars, x_prime)),
+                        *self._named_contingency(w_setting, x_prime),
                         w_prime=frozenset(self.names[i] for i in w_prime),
                         z_prime=frozenset(self.names[i] for i in z_prime),
                     )
                 )
         return None
 
-    def sampled_witnesses(self, options: EngineOptions):
+    def sampled_witnesses(self, options: EngineOptions, weights: Mapping[str, Fraction] | None = None):
         """Randomized witness sampling for models above the cap.
 
-        Unsound for negative verdicts: a miss does not prove there is no
-        witness.  Found witnesses are still fully verified.
+        Keeps the best sample by the measure.  Unsound: a miss does not prove
+        there is no witness, and the best sample need not be minimal.  Found
+        witnesses are still fully verified.
         """
         rng = random.Random(options.seed)
         ranges = self.model.signature.ranges
@@ -376,24 +397,21 @@ class _Search:
         if not x_alts:
             return None, ()
         best: Witness | None = None
+        best_measure = None
         for _ in range(options.samples):
             w_vars = [i for i in self.others if rng.random() < 0.5]
             w_setting = {i: rng.choice(ranges[self.names[i]]) for i in w_vars}
             x_prime = rng.choice(x_alts)
             ok, _failure = self.check_witness(w_vars, w_setting, x_prime)
             if ok:
-                changes = sum(1 for i in w_vars if w_setting[i] != self.actual[i])
-                witness = Witness(
-                    frozenset(self.names[i] for i in w_vars),
-                    self._named(w_setting.items()),
-                    self._named(zip(self.x_vars, x_prime)),
-                    changes,
-                )
-                if best is None or witness.changes < best.changes:
-                    best = witness
+                changed = [i for i in w_vars if w_setting[i] != self.actual[i]]
+                measure = self._measure(changed, weights)
+                if best_measure is None or measure < best_measure:
+                    best_measure = measure
+                    best = Witness(*self._named_contingency(w_setting, x_prime), len(changed))
         if best is None:
             return None, ()
-        return best.changes, (best,)
+        return best_measure, (best,)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +426,7 @@ def check_ac1(
     outcome: EventFormula,
 ) -> bool:
     """AC1: the candidate conjunction and the outcome both actually hold."""
-    cause.validate(model)
-    outcome.validate(model)
-    world = model.solve(context)
-    return (
-        all(world[v] == x for v, x in cause.settings.items())
-        and outcome.satisfied_by(world)
-    )
+    return _Search(ExtendedModel(model, None), context, cause, outcome, EngineStats()).ac1()
 
 
 def check_ac2(
@@ -432,13 +444,10 @@ def check_ac2(
         raise ValueError("witness setting must cover its W set")
     if set(witness.x_prime) != cause.variables():
         raise ValueError("witness x' must set exactly the cause variables")
-    # The search solves unchecked, so its input is validated here.
-    cause.validate(ext.model)
-    outcome.validate(ext.model)
+    search = _Search(ext, context, cause, outcome, stats or EngineStats())
     pins = witness.x_prime.as_dict()
     pins.update({v: witness.w_setting[v] for v in witness.w_set})
-    ext.model.signature.check_intervention(pins)
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    ext.model.signature.check_intervention(pins)  # the search solves unchecked
     w_set = sorted(ext.model.signature.endogenous_index[v] for v in witness.w_set)
     ok, _ = search.check_witness(
         w_set,
@@ -448,15 +457,6 @@ def check_ac2(
     return ok
 
 
-def _enforce_cap(ext: ExtendedModel, options: EngineOptions) -> None:
-    n = len(ext.model.signature.endogenous_names)
-    if n > options.max_vars and not options.sampled:
-        raise CapExceededError(
-            f"model has {n} endogenous variables, above the exact-mode cap of"
-            f" {options.max_vars}; raise --max-vars or use sampled mode"
-        )
-
-
 def is_actual_cause(
     ext: ExtendedModel,
     context: Context,
@@ -464,22 +464,31 @@ def is_actual_cause(
     outcome: EventFormula,
     options: EngineOptions = EngineOptions(),
     stats: EngineStats | None = None,
+    weights: Mapping[str, Fraction] | None = None,
 ) -> CauseVerdict:
-    """Decide actual causation, reporting minimal-change witnesses."""
-    stats = stats if stats is not None else EngineStats()
-    cause.validate(ext.model)
-    outcome.validate(ext.model)
-    _enforce_cap(ext, options)
-    over_cap = len(ext.model.signature.endogenous_names) > options.max_vars
+    """Decide actual causation, reporting minimal-measure witnesses.
 
-    if not check_ac1(ext.model, context, cause, outcome):
+    The measure is the change count, or with `weights` (one per endogenous
+    variable) the summed weights of the changed contingency variables.
+    """
+    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    names = search.names
+    if weights is not None and (missing := [v for v in names if v not in weights]):
+        raise ValueError(f"missing weights for {missing}")
+    over_cap = len(names) > options.max_vars
+    if over_cap and not options.sampled:
+        raise CapExceededError(
+            f"model has {len(names)} endogenous variables, above the exact-mode cap of"
+            f" {options.max_vars}; raise --max-vars or use sampled mode"
+        )
+
+    if not search.ac1():
         return CauseVerdict(False, failed_condition="AC1", sampled=over_cap)
 
-    search = _Search(ext, context, cause, outcome, stats)
     if over_cap:
-        measure, witnesses = search.sampled_witnesses(options)
+        measure, witnesses = search.sampled_witnesses(options, weights)
     else:
-        measure, witnesses = search.find_minimal_witnesses(record_failures=True)
+        measure, witnesses = search.find_minimal_witnesses(weights, record_failures=True)
     if measure is None:
         return CauseVerdict(
             False,
@@ -490,9 +499,10 @@ def is_actual_cause(
 
     # AC3: a strict nonempty sub-conjunction passing AC1 and AC2 disqualifies
     # the candidate.  AC1 holds for every sub-conjunction whenever it holds
-    # for the whole, so only AC2 needs searching.
+    # for the whole, so only AC2 needs searching, and the measure does not
+    # matter for existence.
     for sub in cause.strict_subsets():
-        sub_search = _Search(ext, context, sub, outcome, stats)
+        sub_search = search.for_cause(sub)
         if over_cap:
             sub_measure, _ = sub_search.sampled_witnesses(options)
         else:
@@ -500,7 +510,41 @@ def is_actual_cause(
         if sub_measure is not None:
             return CauseVerdict(False, failed_condition="AC3", sampled=over_cap)
 
-    return CauseVerdict(True, witnesses=witnesses, sampled=over_cap)
+    return CauseVerdict(True, witnesses=witnesses, sampled=over_cap, measure=measure)
+
+
+def ways_fraction(
+    ext: ExtendedModel,
+    context: Context,
+    cause: CandidateCause,
+    outcome: EventFormula,
+    stats: EngineStats | None = None,
+) -> Fraction:
+    """Fraction of non-actual settings of the side variables under which the
+    cause alone is critical: the outcome holds with the cause pinned at its
+    actual value and fails for some alternative.
+
+    Side variables are the endogenous variables outside the cause and outside
+    the outcome; the actual setting itself is not counted as a change.
+    """
+    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    side = [i for i in search.others if search.names[i] not in outcome.variables()]
+    ranges = ext.model.signature.ranges
+    combos = list(itertools.product(*(ranges[search.names[i]] for i in side)))
+    combos.remove(tuple(search.actual[i] for i in side))
+    if not combos:
+        return Fraction(1)
+
+    def holds_with(combo: tuple[int, ...], x: tuple[int, ...]) -> bool:
+        pins = search._pins(zip(side, combo), zip(search.x_vars, x))
+        return search.holds(search._solve(tuple(pins)))
+
+    x_alts = search._x_alternatives()
+    critical = sum(
+        holds_with(combo, search.x_actual) and not all(holds_with(combo, x) for x in x_alts)
+        for combo in combos
+    )
+    return Fraction(critical, len(combos))
 
 
 def find_all_causes(

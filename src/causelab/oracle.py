@@ -204,3 +204,65 @@ def oracle_responsibility(
         return Fraction(0)
     assert verdict.min_changes is not None
     return Fraction(1, verdict.min_changes + 1)
+
+
+def oracle_weighted_responsibility(
+    ext: ExtendedModel,
+    context: Context,
+    cause: CandidateCause,
+    outcome: EventFormula,
+    weights: Mapping[str, Fraction],
+    max_vars: int = ORACLE_MAX_VARS,
+) -> Fraction:
+    """Literal 1/(1 + w) responsibility, where w is the least summed weight of
+    the W variables set off their actual values over every witness."""
+    verdict = oracle_cause(ext, context, cause, outcome, max_vars)
+    if not verdict.is_cause:
+        return Fraction(0)
+    actual = ext.model.solve(context)
+    least = min(
+        sum((weights[v] for v, x in wt.w_setting if x != actual[v]), Fraction(0))
+        for wt in verdict.witnesses
+    )
+    return Fraction(1) / (1 + least)
+
+
+def oracle_ways_fraction(
+    ext: ExtendedModel,
+    context: Context,
+    cause: CandidateCause,
+    outcome: EventFormula,
+    max_vars: int = ORACLE_MAX_VARS,
+) -> Fraction:
+    """Literal ways fraction: over every non-actual setting of the variables
+    outside the cause and the outcome, the share under which the outcome holds
+    with the cause at its actual value and fails for some other cause setting.
+    With no such setting the fraction is 1."""
+    _guard(ext, max_vars)
+    model = ext.model
+    ranges = model.signature.ranges
+    actual = model.solve(context)
+    x_vars = sorted(cause.variables())
+    side = [
+        v
+        for v in model.signature.endogenous_names
+        if v not in cause.variables() and v not in outcome.variables()
+    ]
+    total = critical = 0
+    for combo in itertools.product(*(ranges[v] for v in side)):
+        setting = dict(zip(side, combo))
+        if all(actual[v] == x for v, x in setting.items()):
+            continue
+        total += 1
+        with_cause = Intervention({**setting, **cause.settings.as_dict()})
+        if not holds(model, context, CausalFormula(with_cause, outcome)):
+            continue
+        for x_combo in itertools.product(*(ranges[v] for v in x_vars)):
+            xp = dict(zip(x_vars, x_combo))
+            if xp == cause.settings.as_dict():
+                continue
+            f = CausalFormula(Intervention({**setting, **xp}), NotF(outcome))
+            if holds(model, context, f):
+                critical += 1
+                break
+    return Fraction(critical, total) if total else Fraction(1)

@@ -116,6 +116,29 @@ def random_model(
     return CausalModel(signature, equations, name=name)
 
 
+def random_threshold_model(rng: random.Random, name: str = "threshold") -> CausalModel:
+    """Votes V1..Vn (n of 3 or 4) and an outcome O = 1 iff at least t votes are 1.
+
+    Each vote copies its own exogenous variable or, sometimes, an earlier
+    vote.  A vote is then often a cause only under a contingency of several
+    flips, with several equally short ones to choose from: the cases in which
+    a weighted measure and the change count pick different witnesses.
+    """
+    n = rng.randint(3, 4)
+    exo = tuple((f"U{i}", (0, 1)) for i in range(1, n + 1))
+    endo = tuple((f"V{i}", (0, 1)) for i in range(1, n + 1)) + (("O", (0, 1)),)
+    equations = []
+    for i in range(1, n + 1):
+        source = f"V{rng.randint(1, i - 1)}" if i > 1 and rng.random() < 0.25 else f"U{i}"
+        equations.append(Equation(f"V{i}", Var(source)))
+    total: Expr = Var("V1")
+    for i in range(2, n + 1):
+        total = Arith("+", total, Var(f"V{i}"))
+    threshold = rng.randint(1, n)
+    equations.append(Equation("O", If(Cmp("<", total, Lit(threshold)), Lit(0), Lit(1))))
+    return CausalModel(Signature(exo, endo), equations, name=name)
+
+
 def random_context(rng: random.Random, model: CausalModel) -> Context:
     return Context(
         {name: rng.choice(values) for name, values in model.signature.exogenous}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,44 @@ class TestExitCodes:
         assert report["result"]["sampled_unsound"] is True
         assert report["result"]["verdict"] is True
 
+    def test_sampled_resp_is_marked(self):
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        query = f"resp V1=0 of W=0 in ctx({ctx})"
+        code, [sampled] = run_json(
+            "resp", "-m", model_arg("vote11.cm"), "--max-vars", "5", "--sampled",
+            "--samples", "300", "-q", query,
+        )
+        assert code == EXIT_OK
+        assert sampled["result"]["sampled_unsound"] is True
+        code, [exact] = run_json("resp", "-m", model_arg("vote11.cm"), "-q", query)
+        assert code == EXIT_OK
+        assert "sampled_unsound" not in exact["result"]
+
+    def test_sampled_weighted_resp_respects_cap(self):
+        # Above the cap, weighted scoring keeps the best sampled witness by
+        # weight: the same samples as the sampled cause query, no exact search.
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
+        sampled = ("-m", model_arg("vote11.cm"), "--max-vars", "5", "--sampled", "--samples", "300")
+        code, [resp] = run_json(
+            "resp", *sampled, "--strategy", "weighted", "--weights", weights,
+            "-q", f"resp V1=0 of W=0 in ctx({ctx})",
+        )
+        assert code == EXIT_OK
+        _, [cause] = run_json("cause", *sampled, "-q", f"cause V1=0 of W=0 in ctx({ctx})")
+        assert resp["result"]["sampled_unsound"] is True
+        assert resp["stats"] == cause["stats"]
+        assert 0 < Fraction(resp["result"]["score"]) <= Fraction(1, 21)  # exact: 1/21
+
+    def test_missing_weights_fail_before_search(self):
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        code, [payload] = run_json(
+            "resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1",
+            "-q", f"resp V1=1 of W=0 in ctx({ctx})",
+        )
+        assert code == EXIT_DIAGNOSTICS
+        assert "missing weights" in payload["diagnostics"][0]["message"]
+
     def test_kind_mismatch_exits_one(self):
         code, [payload] = run_json(
             "cause", "-m", model_arg("forest_fire.cm"),
@@ -213,8 +252,9 @@ class TestCorpusCommand:
 
 
 class TestWorkCounters:
-    """Golden `stats` of the slowest corpus entries: the memoised search
-    must solve exactly the same distinct pin sets and subset checks."""
+    """Golden `stats` of the slowest corpus entries and of queries whose
+    counts the shared search changed: the memoised search must solve
+    exactly these distinct pin sets and make these subset checks."""
 
     def test_vote11_landslide_cause(self):
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
@@ -233,6 +273,30 @@ class TestWorkCounters:
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/10"
         assert lines[0]["stats"] == {"solves": 11641, "subset_checks": 32257}
+
+    def test_vote11_weighted_resp_is_one_search(self):
+        # One search whose measure is the weight sum (2,241 solves and 10,780
+        # subset checks when a count search ran first).
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
+        code, lines = run_json(
+            "resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", weights,
+            "-q", f"resp V1=0 of W=0 in ctx({ctx})",
+        )
+        assert code == EXIT_OK
+        assert lines[0]["result"]["score"] == "1/21"
+        assert lines[0]["stats"] == {"solves": 325, "subset_checks": 644}
+
+    def test_conjunction_shares_the_ac3_memo(self):
+        # The AC3 sub-searches reuse the memo of the whole conjunction's
+        # search (10 solves when each built its own).
+        code, lines = run_json(
+            "cause", "-m", model_arg("forest_fire_disj.cm"),
+            "-q", "cause L=1 & ML=1 of F=1 in ctx(U1=1,U2=1)",
+        )
+        assert code == EXIT_OK
+        assert lines[0]["result"]["failed_condition"] == "AC3"
+        assert lines[0]["stats"] == {"solves": 7, "subset_checks": 3}
 
 
 def test_module_entry_point():

@@ -7,9 +7,9 @@ here certifies that the engine's search shortcuts are lossless.
 import random
 from fractions import Fraction
 
-from causelab.attribution import degree_of_responsibility
+from causelab.attribution import ScoringStrategy, degree_of_responsibility
 from causelab.formula import atom
-from causelab.hp import CandidateCause, is_actual_cause
+from causelab.hp import CandidateCause, is_actual_cause, ways_fraction
 from causelab.model import (
     Arith,
     CausalModel,
@@ -22,8 +22,13 @@ from causelab.model import (
     Var,
 )
 from causelab.normality import ExtendedModel
-from causelab.oracle import oracle_cause, oracle_responsibility
-from randmodels import random_context, random_model, random_pattern_order
+from causelab.oracle import (
+    oracle_cause,
+    oracle_responsibility,
+    oracle_ways_fraction,
+    oracle_weighted_responsibility,
+)
+from randmodels import random_context, random_model, random_pattern_order, random_threshold_model
 
 # (model name, context, fixed outcome variable) corpus probes; every
 # endogenous variable other than the outcome is tried as a singleton cause
@@ -238,3 +243,48 @@ def test_oracle_guard_trips(corpus):
     u = Context({f"UV{i}": 0 for i in range(1, 12)})
     with pytest.raises(OracleGuardError):
         oracle_cause(ext, u, CandidateCause.of({"V1": 0}), atom("W", 0))
+
+
+def agree_on_scoring(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome, weights) -> None:
+    """Weighted and ways scores against their literal oracle definitions."""
+    oracle_weighted = oracle_weighted_responsibility(ext, context, cause, outcome, weights)
+    weighted = ScoringStrategy.weighted(weights)
+    engine_weighted = degree_of_responsibility(ext, context, cause, outcome, weighted).value
+    assert engine_weighted == oracle_weighted, (ext.model.name, cause)
+    ways = oracle_ways_fraction(ext, context, cause, outcome)
+    assert ways_fraction(ext, context, cause, outcome) == ways, (ext.model.name, cause)
+    # A weighted score is 0 exactly for a non-cause, which scores 0 here too.
+    scored = degree_of_responsibility(ext, context, cause, outcome, ScoringStrategy.ways_fraction())
+    assert scored.value == (ways if oracle_weighted else 0), (ext.model.name, cause)
+
+
+def run_random_scoring_agreement(n_models: int = 140, seed: int = 41) -> int:
+    """Random positive rational weights, so that the least-weight contingency
+    can differ from the fewest-change one.  Threshold models supply causes
+    that need contingencies; general random models add pattern orders and
+    two-conjunct candidates."""
+    rng = random.Random(seed)
+    checked = 0
+    for i in range(n_models):
+        if i % 2 == 0:
+            model = random_threshold_model(rng, name=f"vote{i}")
+            ext = ExtendedModel(model, None)
+        else:
+            model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"score{i}", min_endo=3)
+            ext = ExtendedModel(model, random_pattern_order(rng, model) if i % 4 == 1 else None)
+        context = random_context(rng, model)
+        world = model.solve(context)
+        endo = model.signature.endogenous_names
+        outcome = atom(endo[-1], world[endo[-1]])
+        weights = {v: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for v in endo}
+        pool = endo[:-1]
+        causes = [CandidateCause.of({v: world[v]}) for v in pool]
+        causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
+        for cause in causes:
+            agree_on_scoring(ext, context, cause, outcome, weights)
+            checked += 1
+    return checked
+
+
+def test_random_scoring_batch_agrees():
+    assert run_random_scoring_agreement() >= 520
