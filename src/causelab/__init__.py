@@ -50,8 +50,10 @@ from .model import (
     Equation,
     Intervention,
     ModelError,
+    RangeViolationError,
     Signature,
     TotalityError,
+    UnknownVariableError,
     World,
     enumerate_contexts,
     intervene,
@@ -90,11 +92,13 @@ __all__ = [
     "NotF",
     "OrF",
     "PrimitiveEvent",
+    "RangeViolationError",
     "Responsibility",
     "ScoringStrategy",
     "Signature",
     "SufficientSet",
     "TotalityError",
+    "UnknownVariableError",
     "Witness",
     "World",
     "at_least_as_normal",

@@ -29,7 +29,7 @@ from .hp import (
     is_actual_cause,
     ways_fraction,
 )
-from .model import Assignment, Context, Intervention
+from .model import Assignment, Context, Intervention, ModelError
 from .normality import ExtendedModel
 
 _KINDS = ("reciprocal", "exponential", "weighted", "ways")
@@ -82,7 +82,6 @@ class Responsibility:
 
     value: Fraction
     achieving_witness: Witness | None = None
-    sampled: bool = False  # from a sampled verdict, so not necessarily exact
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def degree_of_responsibility(
         ext, context, cause, outcome, options, stats, strategy.weight_map()
     )
     if not verdict.is_cause:
-        return Responsibility(Fraction(0), None, verdict.sampled)
+        return Responsibility(Fraction(0))
     best = verdict.witnesses[0]
     if strategy.kind == "exponential":
         value = Fraction(1, 2**best.changes)
@@ -127,7 +126,7 @@ def degree_of_responsibility(
         value = ways_fraction(ext, context, cause, outcome, stats)
     else:  # reciprocal: the measure counts changes; weighted: it sums weights
         value = Fraction(1) / (1 + verdict.measure)
-    return Responsibility(value, best, verdict.sampled)
+    return Responsibility(value, best)
 
 
 def degree_of_blame(
@@ -154,8 +153,8 @@ def degree_of_blame(
         try:
             cause.validate(ext.model)
             outcome.validate(ext.model)
-        except ValueError as exc:
-            raise ValueError(f"signature mismatch across situations: {exc}") from exc
+        except ModelError as exc:  # the wrapper keeps the error's class, so its category
+            raise type(exc)(f"signature mismatch across situations: {exc}") from exc
         pre_world = ext.model.solve(context)
         if any(pre_world[v] != x for v, x in action.items()):
             continue

@@ -33,9 +33,7 @@ from .dsl import (
     Query,
     RespQuery,
     StateDecl,
-    parse_model,
     parse_query,
-    parse_states,
     print_model,
 )
 from .formula import holds
@@ -124,14 +122,9 @@ def _plain_diag(category: str, message: str) -> Diagnostic:
     return Diagnostic(category, message, 1, 1, "<run>")
 
 
-def _classify_model_error(exc: Exception) -> Diagnostic:
-    text = str(exc)
-    category = "semantic"
-    if "unknown variable" in text or "not endogenous" in text or "undeclared" in text:
-        category = "unknown variable"
-    elif "range" in text:
-        category = "range violation"
-    return _plain_diag(category, text)
+def _error_diag(exc: ValueError) -> Diagnostic:
+    """A model error carries its category; any other ValueError is semantic."""
+    return _plain_diag(exc.category if isinstance(exc, ModelError) else "semantic", str(exc))
 
 
 def _extended(model: CausalModel, order: NormalityOrder | None, options: RunOptions) -> ExtendedModel:
@@ -158,7 +151,7 @@ def _witness_dict(ext: ExtendedModel, context: Context, cause: CandidateCause, w
 
 
 def _cause_result(ext, context, cause, verdict: hp.CauseVerdict) -> dict:
-    result = {
+    return {
         "verdict": verdict.is_cause,
         "failed_condition": verdict.failed_condition,
         "min_changes": verdict.witnesses[0].changes if verdict.witnesses else None,
@@ -174,9 +167,6 @@ def _cause_result(ext, context, cause, verdict: hp.CauseVerdict) -> dict:
             for f in verdict.ac2b_failures
         ],
     }
-    if verdict.sampled:
-        result["sampled_unsound"] = True
-    return result
 
 
 def _resolve_state(loaded: LoadedSet, name: str, options: RunOptions) -> attribution.EpistemicState:
@@ -184,24 +174,14 @@ def _resolve_state(loaded: LoadedSet, name: str, options: RunOptions) -> attribu
         raise RunError([_plain_diag("unknown variable", f"no loaded state named {name!r}")])
     decl = loaded.states[name]
     situations = []
-    probabilities = []
     for sit in decl.situations:
         if sit.model_name not in loaded.models:
             raise RunError(
                 [_plain_diag("unknown variable", f"state {name!r} references unloaded model {sit.model_name!r}")]
             )
         model, order = loaded.models[sit.model_name]
-        ext = _extended(model, order, options)
-        try:
-            context = _context(model, sit.context)
-        except ModelError as exc:
-            raise RunError([_classify_model_error(exc)]) from None
-        situations.append((ext, context))
-        probabilities.append(sit.probability)
-    try:
-        return attribution.EpistemicState(tuple(situations), tuple(probabilities))
-    except ValueError as exc:
-        raise RunError([_plain_diag("semantic", str(exc))]) from None
+        situations.append((_extended(model, order, options), _context(model, sit.context)))
+    return attribution.EpistemicState(tuple(situations), tuple(sit.probability for sit in decl.situations))
 
 
 def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dict, EngineStats, list[str]]:
@@ -211,43 +191,43 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
         if isinstance(query, EvalQuery):
             model, _ = loaded.pick_model(options.model_name)
             context = _context(model, query.context)
-            return {"kind": "eval", "holds": holds(model, context, query.formula)}, stats, [model.name]
+            result = {"kind": "eval", "holds": holds(model, context, query.formula)}
+            used = [model.name]
 
-        if isinstance(query, (CauseQuery, RespQuery)):
+        elif isinstance(query, (CauseQuery, RespQuery)):
             model, order = loaded.pick_model(options.model_name)
             ext = _extended(model, order, options)
             context = _context(model, query.context)
             cause = CandidateCause.of(dict(query.cause))
             if isinstance(query, CauseQuery):
                 verdict = hp.is_actual_cause(ext, context, cause, query.outcome, options.engine(), stats)
-                return {"kind": "cause", **_cause_result(ext, context, cause, verdict)}, stats, [model.name]
-            resp = attribution.degree_of_responsibility(
-                ext, context, cause, query.outcome, options.scoring(), options.engine(), stats
-            )
-            result = {
-                "kind": "resp",
-                "score": str(resp.value),
-                "strategy": options.strategy,
-                "witness": (
-                    _witness_dict(ext, context, cause, resp.achieving_witness)
-                    if resp.achieving_witness is not None
-                    else None
-                ),
-            }
-            if resp.sampled:
-                result["sampled_unsound"] = True
-            return result, stats, [model.name]
+                result = {"kind": "cause", **_cause_result(ext, context, cause, verdict)}
+            else:
+                resp = attribution.degree_of_responsibility(
+                    ext, context, cause, query.outcome, options.scoring(), options.engine(), stats
+                )
+                result = {
+                    "kind": "resp",
+                    "score": str(resp.value),
+                    "strategy": options.strategy,
+                    "witness": (
+                        _witness_dict(ext, context, cause, resp.achieving_witness)
+                        if resp.achieving_witness is not None
+                        else None
+                    ),
+                }
+            used = [model.name]
 
-        if isinstance(query, BlameQuery):
+        elif isinstance(query, BlameQuery):
             state = _resolve_state(loaded, query.state_name, options)
             action = Intervention(dict(query.action))
             score = attribution.degree_of_blame(
                 state, action, query.outcome, options.scoring(), options.engine(), stats
             )
+            result = {"kind": "blame", "score": str(score), "state": query.state_name}
             used = sorted({ext.model.name for ext, _ in state.situations})
-            return {"kind": "blame", "score": str(score), "state": query.state_name}, stats, used
 
-        if isinstance(query, NessQuery):
+        elif isinstance(query, NessQuery):
             model, _ = loaded.pick_model(options.model_name)
             context = _context(model, query.context)
             found = ness.is_ness_cause(model, context, query.event, query.outcome)
@@ -258,12 +238,17 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
                     {ev.variable: ev.value for ev in found.events} if found is not None else None
                 ),
             }
-            return result, stats, [model.name]
+            used = [model.name]
+
+        else:
+            raise RunError([_plain_diag("syntax", f"unsupported query {query!r}")])
     except CapExceededError as exc:
         raise RunError([_plain_diag("resource-cap", str(exc))], EXIT_CAP) from None
-    except (ModelError, ValueError) as exc:
-        raise RunError([_classify_model_error(exc)]) from None
-    raise RunError([_plain_diag("syntax", f"unsupported query {query!r}")])
+    except ValueError as exc:
+        raise RunError([_error_diag(exc)]) from None
+    if stats.sampled:  # some verdict was sampled: cause, resp, or a blame situation
+        result["sampled_unsound"] = True
+    return result, stats, used
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +322,10 @@ def corpus_dir():
 def _load_files(model_files, state_files) -> LoadedSet:
     loaded = LoadedSet()
     for path in model_files or []:
-        with open(path, encoding="utf-8") as fh:
-            model, order = parse_model(fh.read(), origin=str(path))
-        loaded.add_model(model, order)
+        loaded.add_model(*dsl.parse_model_file(path))
     for path in state_files or []:
-        with open(path, encoding="utf-8") as fh:
-            for decl in parse_states(fh.read(), origin=str(path)):
-                loaded.states[decl.name] = decl
+        for decl in dsl.parse_state_file(path):
+            loaded.states[decl.name] = decl
     return loaded
 
 
@@ -424,16 +406,6 @@ def _parse_weights(text: str) -> dict[str, Fraction]:
     return out
 
 
-def _default_max_vars() -> int:
-    env = os.environ.get("CAUSELAB_MAX_VARS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return hp.DEFAULT_MAX_VARS
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causelab",
@@ -449,7 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--extended", action="store_true", help="use normality declarations (default)")
     common.add_argument("--strategy", choices=["reciprocal", "exponential", "weighted", "ways"], default="reciprocal")
     common.add_argument("--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted")
-    common.add_argument("--max-vars", type=int, default=_default_max_vars(), help="exact-mode endogenous variable cap")
+    # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
+    max_vars = os.environ.get("CAUSELAB_MAX_VARS") or hp.DEFAULT_MAX_VARS
+    common.add_argument("--max-vars", type=int, default=max_vars, help="exact-mode endogenous variable cap")
     common.add_argument("--sampled", action="store_true", help="sample witnesses above the cap (unsound)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=5000)
@@ -545,8 +519,8 @@ def main(argv=None, out=None) -> int:
         except RunError as exc:
             _emit_diagnostics(exc.diagnostics, args.pretty, out)
             return exc.exit_code
-        except (ModelError, ValueError) as exc:
-            _emit_diagnostics([_classify_model_error(exc)], args.pretty, out)
+        except ValueError as exc:
+            _emit_diagnostics([_error_diag(exc)], args.pretty, out)
             return EXIT_DIAGNOSTICS
 
     # query-bearing subcommands

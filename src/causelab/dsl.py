@@ -36,7 +36,6 @@ from .model import (
     CausalModel,
     Cmp,
     Cond,
-    CycleError,
     Equation,
     Expr,
     If,
@@ -47,7 +46,6 @@ from .model import (
     BoolOp,
     Not,
     Signature,
-    TotalityError,
     Var,
 )
 from .normality import NormalityOrder
@@ -55,7 +53,9 @@ from .normality import NormalityOrder
 
 @dataclass(frozen=True)
 class Diagnostic:
-    category: str  # syntax | unknown variable | range violation | cycle | non-total equation
+    # syntax | unknown variable | range violation | cycle | non-total equation from
+    # the parsers; the CLI adds semantic and resource-cap for query-time errors
+    category: str
     message: str
     line: int
     col: int
@@ -463,15 +463,9 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
     target_tok = {name: tok for name, _, tok, _, _ in raw.endo}
     try:
         model = CausalModel(signature, equations, name=raw.name)
-    except CycleError as exc:
-        tok = target_tok.get(exc.cycle[0] if exc.cycle else "", p.tokens[0])
-        raise DslError([Diagnostic("cycle", str(exc), tok.line, tok.col, origin)]) from None
-    except TotalityError as exc:
-        bad = next((v for v in signature.endogenous_names if f"{v!r}" in str(exc)), None)
-        tok = target_tok.get(bad, p.tokens[0])
-        raise DslError([Diagnostic("non-total equation", str(exc), tok.line, tok.col, origin)]) from None
     except ModelError as exc:
-        raise DslError([Diagnostic("syntax", str(exc), 1, 1, origin)]) from None
+        tok = target_tok.get(exc.variable, p.tokens[0])
+        raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
 
     if not raw.pair_decls and not raw.rank_decls:
         return model, None

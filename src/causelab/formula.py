@@ -47,9 +47,7 @@ class EventFormula:
 
     def validate(self, model: CausalModel) -> None:
         for atom in self.atoms():
-            if not model.signature.is_endogenous(atom.variable):
-                raise ValueError(f"formula variable {atom.variable!r} is not endogenous")
-            model.signature.check_value(atom.variable, atom.value)
+            model.signature.check_endogenous("formula variable", atom.variable, atom.value)
 
     def atoms(self) -> tuple[PrimitiveEvent, ...]:
         raise NotImplementedError

@@ -52,6 +52,7 @@ class EngineStats:
 
     solves: int = 0
     subset_checks: int = 0
+    sampled: bool = False  # some verdict was sampled, so need not be exact
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,7 @@ class CandidateCause:
 
     def validate(self, model: CausalModel) -> None:
         for name, value in self.settings.items():
-            if not model.signature.is_endogenous(name):
-                raise ValueError(f"cause variable {name!r} is not endogenous")
-            model.signature.check_value(name, value)
+            model.signature.check_endogenous("cause variable", name, value)
 
     def variables(self) -> frozenset[str]:
         return frozenset(self.settings)
@@ -481,6 +480,7 @@ def is_actual_cause(
             f"model has {len(names)} endogenous variables, above the exact-mode cap of"
             f" {options.max_vars}; raise --max-vars or use sampled mode"
         )
+    search.stats.sampled |= over_cap
 
     if not search.ac1():
         return CauseVerdict(False, failed_condition="AC1", sampled=over_cap)

@@ -19,19 +19,47 @@ from operator import itemgetter
 
 
 class ModelError(ValueError):
-    """Raised when a model, context, or intervention is ill-formed."""
+    """Raised when a model, context, or intervention is ill-formed.
+
+    `category` is the diagnostic category the error is reported under;
+    `variable` names the equation target it is about, where there is one.
+    """
+
+    category = "semantic"
+    variable: str | None = None
+
+
+class UnknownVariableError(ModelError):
+    """A variable that is not declared, or not of the kind required."""
+
+    category = "unknown variable"
+
+
+class RangeViolationError(ModelError):
+    """A value outside its variable's range, or an ill-formed range."""
+
+    category = "range violation"
 
 
 class CycleError(ModelError):
     """The endogenous dependency graph contains a cycle."""
 
+    category = "cycle"
+
     def __init__(self, message: str, cycle: tuple[str, ...] = ()):
         super().__init__(message)
         self.cycle = cycle
+        self.variable = cycle[0] if cycle else None
 
 
 class TotalityError(ModelError):
     """An equation body can evaluate outside its target's range."""
+
+    category = "non-total equation"
+
+    def __init__(self, message: str, variable: str):
+        super().__init__(message)
+        self.variable = variable
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +299,9 @@ class Signature:
                 raise ModelError(f"duplicate variable name {name!r}")
             seen.add(name)
             if not values:
-                raise ModelError(f"variable {name!r} has an empty range")
+                raise RangeViolationError(f"variable {name!r} has an empty range")
             if tuple(sorted(set(values))) != values:
-                raise ModelError(f"range of {name!r} must be sorted and duplicate-free")
+                raise RangeViolationError(f"range of {name!r} must be sorted and duplicate-free")
 
     @cached_property
     def ranges(self) -> dict[str, tuple[int, ...]]:
@@ -309,15 +337,19 @@ class Signature:
     def check_value(self, name: str, value: int) -> None:
         values = self.ranges.get(name)
         if values is None:
-            raise ModelError(f"unknown variable {name!r}")
+            raise UnknownVariableError(f"unknown variable {name!r}")
         if value not in values:
-            raise ModelError(f"value {value} outside the range of {name!r}")
+            raise RangeViolationError(f"value {value} outside the range of {name!r}")
+
+    def check_endogenous(self, role: str, name: str, value: int) -> None:
+        """Check `name = value` for an endogenous variable; `role` names it in the error."""
+        if not self.is_endogenous(name):
+            raise UnknownVariableError(f"{role} {name!r} is not endogenous")
+        self.check_value(name, value)
 
     def check_intervention(self, iv: Mapping[str, int]) -> None:
         for name, value in iv.items():
-            if not self.is_endogenous(name):
-                raise ModelError(f"intervention target {name!r} is not endogenous")
-            self.check_value(name, value)
+            self.check_endogenous("intervention target", name, value)
 
     def check_context(self, context: Mapping[str, int]) -> None:
         for name in self.exogenous_names:
@@ -383,7 +415,6 @@ class CausalModel:
         signature: Signature,
         equations: Iterable[Equation],
         name: str = "model",
-        _validated: bool = False,
     ):
         eq_map = {eq.target: eq for eq in equations}
         self.signature = signature
@@ -405,8 +436,7 @@ class CausalModel:
         self._steps = tuple(
             (positions[v], compile_body(self.equations[v].body, positions)) for v in self._topo_order
         )
-        if not _validated:
-            self._check_totality()
+        self._check_totality()
 
     # -- validation --------------------------------------------------------
 
@@ -415,11 +445,11 @@ class CausalModel:
         for eq in self.equations.values():
             for ref in eq.references():
                 if ref not in known:
-                    raise ModelError(
+                    raise UnknownVariableError(
                         f"equation for {eq.target!r} references unknown variable {ref!r}"
                     )
                 if ref == eq.target:
-                    raise ModelError(f"equation for {eq.target!r} references itself")
+                    raise CycleError(f"equation for {eq.target!r} references itself", (ref, ref))
 
     def _toposort(self) -> tuple[str, ...]:
         """Topological order of endogenous variables, declaration order as tie-break."""
@@ -477,7 +507,8 @@ class CausalModel:
                     binding = ", ".join(f"{r}={c}" for r, c in zip(refs, combo))
                     raise TotalityError(
                         f"equation for {v!r} yields {value} outside its range"
-                        f" at {binding or 'the empty binding'}"
+                        f" at {binding or 'the empty binding'}",
+                        v,
                     )
 
     # -- core operations ----------------------------------------------------

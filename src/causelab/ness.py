@@ -61,9 +61,7 @@ def is_ness_cause(
     solved world that contains the queried event.
     """
     outcome.validate(model)
-    if not model.signature.is_endogenous(event.variable):
-        raise ValueError(f"event variable {event.variable!r} is not endogenous")
-    model.signature.check_value(event.variable, event.value)
+    model.signature.check_endogenous("event variable", event.variable, event.value)
     world = model.solve(context)
     if world[event.variable] != event.value:
         return None  # only actually occurring events qualify

@@ -107,9 +107,7 @@ def _check_pattern(sig: Signature, pattern: Assignment) -> None:
         sig.check_world(pattern)
         return
     for name, value in pattern.items_sorted():
-        if not sig.is_endogenous(name):
-            raise ModelError(f"pattern variable {name!r} is not endogenous")
-        sig.check_value(name, value)
+        sig.check_endogenous("pattern variable", name, value)
 
 
 def close(order: NormalityOrder, model: CausalModel) -> NormalityOrder:
@@ -162,9 +160,6 @@ class ExtendedModel:
         out.model = model
         out.order = self.order
         return out
-
-    def flattened(self) -> ExtendedModel:
-        return ExtendedModel(self.model, None)
 
 
 def at_least_as_normal(ext: ExtendedModel, s: World, t: World) -> bool:

@@ -10,7 +10,7 @@ from causelab.attribution import (
 )
 from causelab.formula import atom
 from causelab.hp import CandidateCause
-from causelab.model import Context, Intervention
+from causelab.model import Context, Intervention, UnknownVariableError
 from causelab.normality import ExtendedModel
 from test_model import forest_fire
 
@@ -203,5 +203,6 @@ class TestBlame:
             ((ff_ext, ctx({"U1": 1, "U2": 1, "U3": 1})), (ExtendedModel(model, None), ctx({"UM": 1}))),
             (Fraction(1, 2), Fraction(1, 2)),
         )
-        with pytest.raises(ValueError, match="signature mismatch"):
+        # the wrapper keeps the class, and so the category, of the error it wraps
+        with pytest.raises(UnknownVariableError, match="signature mismatch across situations: cause variable"):
             degree_of_blame(state, Intervention({"ML": 1}), atom("F", 1))

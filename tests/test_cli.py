@@ -223,6 +223,129 @@ class TestExitCodes:
         assert payload["diagnostics"][0]["category"] == "unknown variable"
 
 
+    def test_bad_env_cap_is_a_usage_error(self, monkeypatch, capsys):
+        # Fails like `--max-vars abc`, instead of silently running with 12.
+        monkeypatch.setenv("CAUSELAB_MAX_VARS", "abc")
+        argv = ["cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)"]
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*argv)
+        assert exc_info.value.code == 2
+        assert "argument --max-vars: invalid int value: 'abc'" in capsys.readouterr().err
+        code, [report] = run_json(*argv, "--max-vars", "7")  # the flag still wins
+        assert code == EXIT_OK and report["options"]["max_vars"] == 7
+
+    def test_sampled_blame_is_marked(self):
+        argv = (
+            "blame", "-m", model_arg("firing_squad.cm"), "-s", model_arg("firing_squad.ce"),
+            "-q", "blame action M1<-1 of D=1 over state firing_uniform",
+        )
+        code, [sampled] = run_json(*argv, "--max-vars", "3", "--sampled", "--samples", "200")
+        assert code == EXIT_OK
+        assert sampled["result"]["sampled_unsound"] is True
+        assert sampled["stats"] == {"solves": 3786, "subset_checks": 7361}
+        code, [exact] = run_json(*argv)
+        assert code == EXIT_OK
+        assert "sampled_unsound" not in exact["result"]
+
+
+_V11_CTX = "ctx(" + ",".join(f"UV{i}=0" for i in range(1, 12)) + ")"
+_FF_CTX = "ctx(U1=1,U2=1,U3=1)"
+_ONE_X = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = %s;\n}\n"
+_TWO_EXO = "model m {\n  exogenous %s : {0,1};\n  exogenous V : {0,1};\n  endogenous X : {0,1} = V;\n}\n"
+_ORDERED = (
+    "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U;\n  endogenous Y : {0,1} = X;\n"
+    "  normality {\n    %s\n  }\n}\n"
+)
+_CAUSE_X = ("-q", "cause X=1 of X=1 in ctx(U=1)")
+_CAUSE_X_BY_V = ("-q", "cause X=1 of X=1 in ctx(V=1)")
+_FOREST2 = "model forest2 {\n  exogenous U : {0,1};\n  endogenous F : {0,1} = U;\n}\n"
+_FOREST3 = "model forest3 {\n  exogenous U : {0,1};\n  endogenous L : {0,1} = U;\n  endogenous F : {0} = 0;\n}\n"
+_TWO_SITUATIONS = (
+    "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/2;\n"
+    "  situation model=%s ctx(U=1) prob=1/2;\n}\n"
+)
+
+# (row, files written to a scratch directory, argv with "@name" for those
+# files, expected (category, line, col)).  Query-time errors point at 1:1.
+DIAGNOSTIC_TABLE = [
+    ("query syntax", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 of F=1 in ctx(U1=1"),
+     ("syntax", 1, 29)),
+    ("model syntax", {"m.cm": "model m {\n  exogenous U : {0,1;\n}\n"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 21)),
+    ("undeclared reference", {"m.cm": _ONE_X % "Z"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("unknown variable", 3, 26)),
+    ("unknown pattern variable", {"m.cm": _ORDERED % "[QQ=1] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("unknown variable", 6, 6)),
+    ("unknown cause variable", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause NOPE=1 of F=1 in {_FF_CTX}"),
+     ("unknown variable", 1, 1)),
+    ("unknown state", {}, ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1 of F=1 over state nope"),
+     ("unknown variable", 1, 1)),
+    ("blame action missing from a situation's model", {"m.cm": _FOREST2, "s.ce": _TWO_SITUATIONS % "forest2"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-s", "@s.ce",
+      "-q", "blame action L<-1 of F=1 over state s"),
+     ("unknown variable", 1, 1)),
+    ("pattern value out of range", {"m.cm": _ORDERED % "[X=7] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("range violation", 6, 8)),
+    ("cause value out of range", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause L=2 of F=1 in {_FF_CTX}"),
+     ("range violation", 1, 1)),
+    ("context value out of range", {}, ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval F=1 in ctx(U1=1,U2=1,U3=7)"),
+     ("range violation", 1, 1)),
+    ("blame outcome outside a situation's range", {"m.cm": _FOREST3, "s.ce": _TWO_SITUATIONS % "forest3"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-s", "@s.ce",
+      "-q", "blame action L<-1 of F=1 over state s"),
+     ("range violation", 1, 1)),
+    ("two-variable cycle",
+     {"m.cm": "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = Y;\n  endogenous Y : {0,1} = X;\n}\n"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("cycle", 3, 14)),
+    ("self-reference", {"m.cm": _ONE_X % "X"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("cycle", 3, 14)),
+    ("non-total equation", {"m.cm": _ONE_X % "U + 1"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("non-total equation", 3, 14)),
+    ("missing context variable", {"m.cm": _TWO_EXO % "U"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
+     ("semantic", 1, 1)),
+    # The variable's name must not change the category.
+    ("missing context variable named Urange", {"m.cm": _TWO_EXO % "Urange"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
+     ("semantic", 1, 1)),
+    ("missing context variable named Uundeclared", {"m.cm": _TWO_EXO % "Uundeclared"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
+     ("semantic", 1, 1)),
+    ("rank conflict", {"m.cm": _ORDERED % "rank [X=1] = 0;\n    rank [Y=1] = 1;"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("semantic", 1, 1)),
+    ("missing weights", {},
+     ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1",
+      "-q", f"resp V1=1 of W=0 in {_V11_CTX}"),
+     ("semantic", 1, 1)),
+    ("probabilities not summing to 1",
+     {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/2;\n}\n"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("semantic", 1, 1)),
+    ("solve with a non-integer context value", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=x"),
+     ("semantic", 1, 1)),
+    ("variable cap", {}, ("cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-q", f"cause V1=0 of W=0 in {_V11_CTX}"),
+     ("resource-cap", 1, 1)),
+]
+
+
+class TestDiagnosticsTable:
+    @pytest.mark.parametrize("files, argv, expected", [row[1:] for row in DIAGNOSTIC_TABLE],
+                             ids=[row[0] for row in DIAGNOSTIC_TABLE])
+    def test_category_and_position(self, tmp_path, files, argv, expected):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        code, [payload] = run_json(*argv)
+        [diag] = payload["diagnostics"]
+        assert (diag["category"], diag["line"], diag["col"]) == expected
+        assert code == (EXIT_CAP if expected[0] == "resource-cap" else EXIT_DIAGNOSTICS)
+
+    def test_every_category_is_covered(self):
+        assert {row[-1][0] for row in DIAGNOSTIC_TABLE} == {
+            "syntax", "unknown variable", "range violation", "cycle",
+            "non-total equation", "semantic", "resource-cap",
+        }
+
+
 class TestCorpusCommand:
     def test_corpus_run_all_pass(self):
         code, text = run_cli("corpus", "run")

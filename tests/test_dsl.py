@@ -79,6 +79,12 @@ class TestModelDiagnostics:
         assert diag.category == "cycle"
         assert "X" in diag.message and "Y" in diag.message
 
+    def test_self_reference_is_a_cycle_at_its_target(self):
+        text = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = X;\n}"
+        diag = _single_diag(text)
+        assert (diag.category, diag.line, diag.col) == ("cycle", 3, 14)
+        assert text.splitlines()[diag.line - 1][diag.col - 1] == "X"
+
     def test_non_total_equation(self):
         text = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U + 1;\n}"
         diag = _single_diag(text)

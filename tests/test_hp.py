@@ -23,8 +23,11 @@ from causelab.model import (
     Intervention,
     Lit,
     MinMax,
+    ModelError,
     BoolOp,
+    RangeViolationError,
     Signature,
+    UnknownVariableError,
     Var,
 )
 from causelab.normality import ExtendedModel
@@ -121,7 +124,7 @@ class TestBoundaryValidation:
             x_prime=Assignment({"L": 0}),
             changes=1,
         )
-        with pytest.raises(ValueError, match="outside the range"):
+        with pytest.raises(RangeViolationError, match="outside the range"):
             self._check(witness)
 
     def test_non_endogenous_w_variable_rejected(self):
@@ -131,7 +134,7 @@ class TestBoundaryValidation:
             x_prime=Assignment({"L": 0}),
             changes=1,
         )
-        with pytest.raises(ValueError, match="not endogenous"):
+        with pytest.raises(UnknownVariableError, match="not endogenous"):
             self._check(witness)
 
     def test_out_of_range_x_prime_rejected(self):
@@ -141,7 +144,7 @@ class TestBoundaryValidation:
             x_prime=Assignment({"L": 2}),
             changes=1,
         )
-        with pytest.raises(ValueError, match="outside the range"):
+        with pytest.raises(RangeViolationError, match="outside the range"):
             self._check(witness)
 
     def test_non_endogenous_outcome_rejected(self):
@@ -151,21 +154,48 @@ class TestBoundaryValidation:
             x_prime=Assignment({"L": 0}),
             changes=1,
         )
-        with pytest.raises(ValueError, match="not endogenous"):
+        with pytest.raises(UnknownVariableError, match="not endogenous"):
             check_ac2(
                 ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("U1", 1), witness
             )
 
     def test_out_of_range_prefix_rejected_by_holds_and_valid(self):
         formula = CausalFormula(Intervention({"ML": 3}), atom("F", 1))
-        with pytest.raises(ValueError, match="outside the range"):
+        with pytest.raises(RangeViolationError, match="outside the range"):
             holds(forest_fire(), u_ff(1, 1, 1), formula)
-        with pytest.raises(ValueError, match="outside the range"):
+        with pytest.raises(RangeViolationError, match="outside the range"):
             valid(forest_fire(), formula)
 
     def test_bad_context_rejected_by_search_entry(self):
-        with pytest.raises(ValueError, match="outside the range"):
+        with pytest.raises(RangeViolationError, match="outside the range"):
             is_actual_cause(ext_of(forest_fire()), u_ff(1, 1, 7), CandidateCause.of({"L": 1}), atom("F", 1))
+
+
+class TestErrorClasses:
+    """The class of an input error carries its diagnostic category."""
+
+    def _cause(self, cause, outcome, u=None, **kwargs):
+        return is_actual_cause(ext_of(forest_fire()), u or u_ff(1, 1, 1), CandidateCause.of(cause), outcome, **kwargs)
+
+    def test_non_endogenous_or_out_of_range_cause(self):
+        with pytest.raises(UnknownVariableError, match="cause variable 'U1' is not endogenous"):
+            self._cause({"U1": 1}, atom("F", 1))
+        with pytest.raises(RangeViolationError, match="value 2 outside the range of 'L'"):
+            self._cause({"L": 2}, atom("F", 1))
+
+    def test_missing_context_variable_is_semantic(self):
+        with pytest.raises(ModelError) as exc_info:
+            self._cause({"L": 1}, atom("F", 1), Context({"U1": 1, "U2": 1}))
+        assert exc_info.value.category == "semantic"
+
+    def test_query_shape_errors_are_plain_value_errors(self):
+        with pytest.raises(ValueError, match="missing weights") as exc_info:
+            self._cause({"L": 1}, atom("F", 1), weights={"L": 1})
+        assert not isinstance(exc_info.value, ModelError)
+        witness = Witness(frozenset({"L"}), Assignment({"L": 0}), Assignment({"L": 0}), 1)
+        with pytest.raises(ValueError, match="overlaps") as exc_info:
+            check_ac2(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness)
+        assert not isinstance(exc_info.value, ModelError)
 
 
 class TestIsActualCause:

@@ -15,8 +15,10 @@ from causelab.model import (
     Lit,
     MinMax,
     ModelError,
+    RangeViolationError,
     Signature,
     TotalityError,
+    UnknownVariableError,
     Var,
     World,
 )
@@ -66,9 +68,10 @@ class TestSolve:
         assert model.solve(u) == model.solve(u)
 
     def test_context_validation(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="missing exogenous variable 'U3'") as exc_info:
             forest_fire().solve(Context({"U1": 1, "U2": 1}))
-        with pytest.raises(ModelError):
+        assert exc_info.value.category == "semantic"
+        with pytest.raises(RangeViolationError):
             forest_fire().solve(Context({"U1": 1, "U2": 1, "U3": 7}))
 
 
@@ -90,11 +93,11 @@ class TestIntervene:
 
     def test_unknown_and_out_of_range(self):
         model = forest_fire()
-        with pytest.raises(ModelError):
+        with pytest.raises(UnknownVariableError):
             model.intervene({"XX": 0})
-        with pytest.raises(ModelError):
+        with pytest.raises(RangeViolationError):
             model.intervene({"ML": 9})
-        with pytest.raises(ModelError):
+        with pytest.raises(UnknownVariableError, match="'U1' is not endogenous"):
             model.intervene({"U1": 0})  # exogenous targets are rejected
 
 
@@ -124,22 +127,27 @@ class TestEnumerateContexts:
 class TestValidation:
     def test_cycle_detected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError) as exc_info:
             CausalModel(sig, [Equation("X", Var("Y")), Equation("Y", Var("X"))])
+        assert exc_info.value.cycle == ("X", "Y", "X")
+        assert exc_info.value.variable == "X"
 
     def test_self_reference_is_a_cycle_or_error(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)),))
-        with pytest.raises(ModelError):
+        with pytest.raises(CycleError, match="equation for 'X' references itself") as exc_info:
             CausalModel(sig, [Equation("X", Var("X"))])
+        assert exc_info.value.cycle == ("X", "X")
+        assert exc_info.value.variable == "X"
 
     def test_non_total_equation_rejected(self):
-        sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)),))
-        with pytest.raises(TotalityError):
-            CausalModel(sig, [Equation("X", Arith("+", Var("U"), Lit(1)))])
+        sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
+        with pytest.raises(TotalityError) as exc_info:
+            CausalModel(sig, [Equation("X", Var("U")), Equation("Y", Arith("+", Var("X"), Lit(1)))])
+        assert exc_info.value.variable == "Y"
 
     def test_unknown_reference_rejected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)),))
-        with pytest.raises(ModelError):
+        with pytest.raises(UnknownVariableError):
             CausalModel(sig, [Equation("X", Var("Z"))])
 
     def test_duplicate_names_rejected(self):
@@ -147,8 +155,30 @@ class TestValidation:
             Signature(exogenous=(("U", (0, 1)),), endogenous=(("U", (0, 1)),))
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(RangeViolationError):
             Signature(exogenous=(("U", ()),), endogenous=())
+
+
+class TestErrorClasses:
+    """Each raise site picks the class, and so the diagnostic category."""
+
+    def test_categories(self):
+        assert ModelError.category == "semantic"
+        assert UnknownVariableError.category == "unknown variable"
+        assert RangeViolationError.category == "range violation"
+        assert CycleError.category == "cycle"
+        assert TotalityError.category == "non-total equation"
+
+    def test_check_value(self):
+        sig = forest_fire().signature
+        with pytest.raises(UnknownVariableError, match="unknown variable 'XX'"):
+            sig.check_value("XX", 0)
+        with pytest.raises(RangeViolationError, match="outside the range of 'U3'"):
+            sig.check_value("U3", 3)
+
+    def test_unsorted_range(self):
+        with pytest.raises(RangeViolationError, match="must be sorted"):
+            Signature(exogenous=(("U", (1, 0)),), endogenous=())
 
 
 class TestInvariants:
