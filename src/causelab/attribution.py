@@ -115,7 +115,7 @@ def degree_of_responsibility(
     strategy that is the one of least summed weight, not of fewest changes."""
     stats = stats if stats is not None else EngineStats()
     verdict = is_actual_cause(
-        ext, context, cause, outcome, options, stats, strategy.weight_map()
+        ext, context, cause, outcome, options, stats, strategy.weight_map(), first_witness=True
     )
     if not verdict.is_cause:
         return Responsibility(Fraction(0))

@@ -9,7 +9,9 @@ Three file kinds share one lexer:
 Model files may declare a normality block of rank entries and world-pattern
 pairs.  A pattern constrains only the variables it mentions; in a pair, any
 variable mentioned on neither side takes equal values in both worlds it
-relates.  Patterns are kept as declared, never expanded into worlds.
+relates.  Patterns are kept as declared, never expanded into worlds, and the
+order is closed at parse time, so conflicting ranks are reported at the rank
+declaration that conflicts with an earlier one.
 
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
@@ -48,7 +50,8 @@ from .model import (
     Signature,
     Var,
 )
-from .normality import NormalityOrder
+from . import normality
+from .normality import NormalityOrder, RankConflictError
 
 
 @dataclass(frozen=True)
@@ -482,7 +485,11 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
             ranks.append((Assignment(patt.as_dict()), rank))
     if diags:
         raise DslError(diags)
-    return model, NormalityOrder(tuple(pairs), tuple(ranks))
+    try:
+        return model, normality.close(NormalityOrder(tuple(pairs), tuple(ranks)), model)
+    except RankConflictError as exc:
+        tok = raw.rank_decls[exc.index][2]
+        raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
 
 
 def parse_model_file(path) -> tuple[CausalModel, NormalityOrder | None]:

@@ -19,24 +19,59 @@ variables whose setting differs from the actual world, or their summed
 weights), so the witnesses it reports are exactly the minimal ones that
 responsibility scoring needs.
 
-Two pruning devices keep desk-scale queries fast without giving up exactness:
-solve results are memoized per intervention, and pins of variables that never
-deviate from their actual values are skipped (pinning a variable at the value
-it already takes cannot change any solution, so such pins are no-ops both in
-the witness search and inside the AC2(b) subset sweep).
+Every shortcut below is exact: verdicts, witnesses and reported AC2(b)
+failures are those of the plain enumeration, and only the work counters fall.
+
+- Solve results are memoized per intervention, and pins of variables that
+  never deviate from their actual values are skipped (pinning a variable at
+  the value it already takes cannot change any solution, so such pins are
+  no-ops both in the witness search and inside the AC2(b) subset sweep).
+- Non-causes are decided by context folding.  The context is substituted
+  into the equation bodies and constant-folded (`fold`), and the search walks
+  back from the outcome's variables over the references that remain.  If no
+  cause variable is reached, no witness exists: pins only replace equations
+  by constants, so the outcome under [x', w] equals the outcome under [x, w],
+  and AC2(a) then contradicts AC2(b) at W' = W, Z' = {}.  Such a search stops
+  at once, or, when it reports AC2(b) failures, as soon as it has the first
+  `_AC2B_FAILURE_CAP` of them, which are the ones the full search reports.
+- Scoring reads only the first minimal witness and its measure, and the
+  first witness found is minimal because the order is by measure, so
+  `is_actual_cause(first_witness=True)` stops there.
+- Change sets are generated lazily in the order of (measure, size,
+  positions): for the change count, `_subsets` yields that order directly;
+  for weights, a heap pops them best first.  With no negative weight every
+  successor of a change set comes after it in that order, so the pops are
+  exactly the sorted sequence, and a search that ends at measure m never
+  builds a change set beyond it.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
+import operator
 import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import AndF, Atom, EventFormula, PrimitiveEvent
-from .model import Assignment, CausalModel, Context, World
+from .model import (
+    Assignment,
+    BoolOp,
+    CausalModel,
+    Cond,
+    Context,
+    Expr,
+    If,
+    Lit,
+    MinMax,
+    ModelError,
+    Not,
+    Var,
+    World,
+)
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -138,6 +173,57 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(items, r)
 
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "min": min,
+    "max": max,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+}
+
+
+def fold(node: Expr | Cond, context: Mapping[str, int]) -> int | bool | frozenset[str]:
+    """The node's value when the exogenous `context` alone decides it, else
+    the endogenous variables it still references after constant folding.
+
+    Folds an `If` with a constant condition to its branch, absorbs `&&` and
+    `||` with a constant side, and evaluates `Not`, `Cmp`, `Arith` and
+    `MinMax` over constant operands; any other node keeps the references of
+    its folded children.
+    """
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        value = context.get(node.name)
+        return frozenset((node.name,)) if value is None else value
+    if isinstance(node, If):
+        cond = fold(node.cond, context)
+        if not isinstance(cond, frozenset):
+            return fold(node.then if cond else node.other, context)
+        return _references(cond, fold(node.then, context), fold(node.other, context))
+    if isinstance(node, Not):
+        inner = fold(node.inner, context)
+        return inner if isinstance(inner, frozenset) else not inner
+    left, right = fold(node.left, context), fold(node.right, context)
+    if isinstance(node, BoolOp):
+        absorbing = node.op == "||"  # true decides ||, false decides &&
+        for side, other in ((left, right), (right, left)):
+            if not isinstance(side, frozenset):
+                return absorbing if side == absorbing else other
+        return left | right
+    if isinstance(left, frozenset) or isinstance(right, frozenset):
+        return _references(left, right)
+    return _BINARY[node.which if isinstance(node, MinMax) else node.op](left, right)
+
+
+def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
+    return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
+
+
 class _Search:
     """Witness search for one (extended model, context, cause, outcome).
 
@@ -165,10 +251,13 @@ class _Search:
         sig.check_context(context)
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
+        self.outcome_vars = [sig.endogenous_index[v] for v in outcome.variables()]
         self.stats = stats
         self.names = sig.endogenous_names
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
+        self._exogenous = dict(zip(sig.exogenous_names, self.context))
+        self._folded: dict[int, tuple[int, ...]] = {}  # position -> folded references
         self.actual = self._solve((None,) * self.n)
         self._actual_world = None if ext.is_flat else sig.world(self.actual)
         self._aim(cause)
@@ -191,6 +280,32 @@ class _Search:
         """AC1 on the solved actual world: the cause and the outcome both hold."""
         actual = self.actual
         return all(actual[i] == x for i, x in zip(self.x_vars, self.x_actual)) and self.holds(actual)
+
+    def outcome_reaches_cause(self) -> bool:
+        """Whether some outcome variable depends on a cause variable once the
+        context is folded into the equations.  When none does, AC2 fails (see
+        the module docstring).  Folds only the equations the walk reaches."""
+        cause = set(self.x_vars)
+        stack = list(self.outcome_vars)
+        seen = set(stack)
+        while stack:
+            i = stack.pop()
+            if i in cause:
+                return True
+            for j in self._folded_references(i):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return False
+
+    def _folded_references(self, i: int) -> tuple[int, ...]:
+        refs = self._folded.get(i)
+        if refs is None:
+            folded = fold(self.model.equations[self.names[i]].body, self._exogenous)
+            index = self.model.signature.endogenous_index
+            refs = tuple(index[v] for v in folded) if isinstance(folded, frozenset) else ()
+            self._folded[i] = refs
+        return refs
 
     # -- solving ------------------------------------------------------------
 
@@ -304,17 +419,44 @@ class _Search:
             return len(changed)
         return sum((weights[self.names[i]] for i in changed), Fraction(0))
 
+    def _change_sets(self, weights: Mapping[str, Fraction] | None) -> Iterator[tuple]:
+        """(measure, C) for every change set C of positions, sorted by
+        measure, then size, then position, and generated lazily."""
+        if weights is None:
+            for c_vars in _subsets(self.others):
+                yield len(c_vars), c_vars
+            return
+        # Best first over the variables sorted by (weight, position); a set is
+        # the increasing indices it takes from that list, and its successors
+        # append the next index or replace its last index by the next one.
+        order = sorted(self.others, key=lambda i: (weights[self.names[i]], i))
+        w = [weights[self.names[i]] for i in order]
+        heap: list[tuple] = [(Fraction(0), 0, (), ())]
+        while heap:
+            measure, size, c_vars, taken = heapq.heappop(heap)
+            yield measure, c_vars
+            nxt = taken[-1] + 1 if taken else 0
+            if nxt == len(order):
+                continue
+            grown = taken + (nxt,)
+            heapq.heappush(heap, (measure + w[nxt], size + 1, self._sorted_at(order, grown), grown))
+            if taken:
+                moved = taken[:-1] + (nxt,)
+                swapped = measure - w[taken[-1]] + w[nxt]
+                heapq.heappush(heap, (swapped, size, self._sorted_at(order, moved), moved))
+
+    @staticmethod
+    def _sorted_at(order: list[int], taken: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(order[k] for k in taken))
+
     def _change_assignments(self, weights: Mapping[str, Fraction] | None):
-        """(measure, C, c) triples sorted by measure, then size, then position."""
+        """(measure, C, c) triples: the settings c off the actual values of
+        each change set C, in the order of `_change_sets`."""
         ranges = self.model.signature.ranges
-        triples = []
-        for c_vars in _subsets(self.others):
+        for measure, c_vars in self._change_sets(weights):
             alt_values = [
                 [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in c_vars
             ]
-            triples.append(((self._measure(c_vars, weights), len(c_vars), c_vars), alt_values))
-        triples.sort(key=lambda t: t[0])
-        for (measure, _, c_vars), alt_values in triples:
             for combo in itertools.product(*alt_values):
                 yield measure, c_vars, combo
 
@@ -329,6 +471,11 @@ class _Search:
         Returns (measure, witnesses); (None, ()) when AC2 is unsatisfiable.
         Without weights the measure is the change count k.
         """
+        # A search the outcome cannot reach from the cause finds no witness;
+        # it runs only to record the AC2(b) failures it reports.
+        hopeless = not self.outcome_reaches_cause()
+        if hopeless and not record_failures:
+            return None, ()
         x_alts = self._x_alternatives()
         found: list[Witness] = []
         found_measure = None
@@ -336,13 +483,15 @@ class _Search:
             if found_measure is not None and measure > found_measure:
                 break
             for x_prime in x_alts:
-                witness = self._first_witness_for(c_vars, c, x_prime, record_failures)
+                witness = self._first_witness_for(c_vars, c, x_prime, record_failures, hopeless)
                 if witness is not None:
                     found.append(witness)
                     found_measure = measure
                     if existence_only:
                         return found_measure, tuple(found)
                     break  # one canonical witness per change assignment
+                if hopeless and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
+                    return None, ()
         return found_measure, tuple(found)
 
     def _first_witness_for(
@@ -351,8 +500,10 @@ class _Search:
         c: tuple[int, ...],
         x_prime: tuple[int, ...],
         record_failures: bool,
+        stop_at_cap: bool,
     ) -> Witness | None:
-        """Smallest-W witness for a fixed change assignment, or None."""
+        """Smallest-W witness for a fixed change assignment, or None; with
+        `stop_at_cap`, None as soon as the failure record is full."""
         actual = self.actual
         base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         e_candidates = [i for i in self.others if i not in c_vars]
@@ -381,6 +532,8 @@ class _Search:
                         z_prime=frozenset(self.names[i] for i in z_prime),
                     )
                 )
+                if stop_at_cap and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
+                    return None
         return None
 
     def sampled_witnesses(self, options: EngineOptions, weights: Mapping[str, Fraction] | None = None):
@@ -464,16 +617,23 @@ def is_actual_cause(
     options: EngineOptions = EngineOptions(),
     stats: EngineStats | None = None,
     weights: Mapping[str, Fraction] | None = None,
+    first_witness: bool = False,
 ) -> CauseVerdict:
     """Decide actual causation, reporting minimal-measure witnesses.
 
-    The measure is the change count, or with `weights` (one per endogenous
-    variable) the summed weights of the changed contingency variables.
+    The measure is the change count, or with `weights` (one positive weight
+    per endogenous variable) the summed weights of the changed contingency
+    variables.  With `first_witness`, a cause reports only its first minimal
+    witness and a non-cause no AC2(b) failures: all that scoring reads.
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
     names = search.names
-    if weights is not None and (missing := [v for v in names if v not in weights]):
-        raise ValueError(f"missing weights for {missing}")
+    if weights is not None:
+        if missing := [v for v in names if v not in weights]:
+            raise ValueError(f"missing weights for {missing}")
+        for v in names:
+            if weights[v] <= 0:
+                raise ModelError(f"weight for {v!r} must be positive")
     over_cap = len(names) > options.max_vars
     if over_cap and not options.sampled:
         raise CapExceededError(
@@ -488,7 +648,9 @@ def is_actual_cause(
     if over_cap:
         measure, witnesses = search.sampled_witnesses(options, weights)
     else:
-        measure, witnesses = search.find_minimal_witnesses(weights, record_failures=True)
+        measure, witnesses = search.find_minimal_witnesses(
+            weights, existence_only=first_witness, record_failures=not first_witness
+        )
     if measure is None:
         return CauseVerdict(
             False,

@@ -38,10 +38,6 @@ class NormalityOrder:
     _upsets: dict[World, tuple[dict[str, int], ...]] | None = field(default=None, compare=False, repr=False)
 
     @property
-    def is_closed(self) -> bool:
-        return self._upsets is not None
-
-    @property
     def is_empty(self) -> bool:
         return not self.pairs and not self.ranks
 
@@ -102,6 +98,15 @@ def _up_set(order: NormalityOrder, t: World) -> tuple[dict[str, int], ...]:
     return tuple(found)
 
 
+class RankConflictError(ModelError):
+    """Two ranked patterns with different ranks share a world; `index` is the
+    position of the later of the two in the order's ranks."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def _check_pattern(sig: Signature, pattern: Assignment) -> None:
     if isinstance(pattern, World):
         sig.check_world(pattern)
@@ -123,11 +128,11 @@ def close(order: NormalityOrder, model: CausalModel) -> NormalityOrder:
         _check_pattern(sig, right)
     for pattern, _ in order.ranks:
         _check_pattern(sig, pattern)
-    for (p, rp), (q, rq) in itertools.combinations(order.ranks, 2):
+    for (_, (p, rp)), (j, (q, rq)) in itertools.combinations(enumerate(order.ranks), 2):
         if rp != rq and _consistent(p, q):
             merged = {**p, **q}
             shared = World(merged) if len(merged) == len(sig.endogenous) else Assignment(merged)
-            raise ModelError(f"world ranked twice with different ranks: {shared!r}")
+            raise RankConflictError(f"world ranked twice with different ranks: {shared!r}", j)
     return NormalityOrder(order.pairs, order.ranks, {})
 
 
@@ -138,10 +143,9 @@ class ExtendedModel:
 
     def __init__(self, model: CausalModel, order: NormalityOrder | None = None):
         self.model = model
-        if order is None:
-            self.order = None  # flat: every world as normal as every other
-        else:
-            self.order = order if order.is_closed else close(order, model)
+        # None is the flat order.  `dsl.parse_model` returns closed orders, so
+        # only an order built directly, never closed, is closed here.
+        self.order = order if order is None or order._upsets is not None else close(order, model)
 
     @property
     def is_flat(self) -> bool:

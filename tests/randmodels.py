@@ -139,6 +139,58 @@ def random_threshold_model(rng: random.Random, name: str = "threshold") -> Causa
     return CausalModel(Signature(exo, endo), equations, name=name)
 
 
+def random_selector_model(rng: random.Random, name: str = "selector") -> CausalModel:
+    """A context decides which parent matters, as the live rifle does in the
+    firing squad: an exogenous selector S picks the parent P1..Pk (k of 2 or
+    3) that the outcome O follows, so under any one context the other
+    parents are cut off from O once S is folded in.
+
+    Each parent copies its own exogenous variable or, sometimes, an earlier
+    parent; O is a conditional chain over S or a disjunction of
+    `S == i && Pi == 1` terms.  At most 4 endogenous variables.
+    """
+    k = rng.randint(2, 3)
+    exo = (("S", tuple(range(k))),) + tuple((f"U{i}", (0, 1)) for i in range(1, k + 1))
+    parents = [f"P{i}" for i in range(1, k + 1)]
+    endo = tuple((p, (0, 1)) for p in parents) + (("O", (0, 1)),)
+    equations = []
+    for i, p in enumerate(parents, start=1):
+        source = rng.choice(parents[: i - 1]) if i > 1 and rng.random() < 0.3 else f"U{i}"
+        equations.append(Equation(p, Var(source)))
+    if rng.random() < 0.5:
+        body: Expr = Var(parents[-1])
+        for i in reversed(range(k - 1)):
+            body = If(Cmp("==", Var("S"), Lit(i)), Var(parents[i]), body)
+    else:
+        terms = [
+            BoolOp("&&", Cmp("==", Var("S"), Lit(i)), Cmp("==", Var(p), Lit(1)))
+            for i, p in enumerate(parents)
+        ]
+        cond: Cond = terms[0]
+        for term in terms[1:]:
+            cond = BoolOp("||", cond, term)
+        body = If(cond, Lit(1), Lit(0))
+    equations.append(Equation("O", body))
+    return CausalModel(Signature(exo, endo), equations, name=name)
+
+
+def random_dangling_model(rng: random.Random, name: str = "dangling") -> CausalModel:
+    """A random model of 2 or 3 endogenous variables plus 1 or 2 binary
+    dangling ones, declared at random positions, that read the others but
+    that no equation reads.  Outcomes over the first variables cannot depend on
+    them, so as causes they are decided without a search."""
+    core = random_model(rng, max_endo=3, max_exo=2, allow_ternary=True, name=name)
+    endo = list(core.signature.endogenous)
+    equations = list(core.equations.values())
+    available = list(core.signature.exogenous) + endo
+    for j in range(rng.randint(1, 2)):
+        values = (0, 1)
+        var = f"D{j}"
+        equations.append(Equation(var, _body(rng, available, values[0], values[-1], depth=2)))
+        endo.insert(rng.randint(0, len(endo)), (var, values))
+    return CausalModel(Signature(core.signature.exogenous, tuple(endo)), equations, name=name)
+
+
 def random_context(rng: random.Random, model: CausalModel) -> Context:
     return Context(
         {name: rng.choice(values) for name, values in model.signature.exogenous}

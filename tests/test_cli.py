@@ -311,7 +311,7 @@ DIAGNOSTIC_TABLE = [
      ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
      ("semantic", 1, 1)),
     ("rank conflict", {"m.cm": _ORDERED % "rank [X=1] = 0;\n    rank [Y=1] = 1;"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("semantic", 1, 1)),
+     ("semantic", 7, 5)),
     ("missing weights", {},
      ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1",
       "-q", f"resp V1=1 of W=0 in {_V11_CTX}"),
@@ -395,11 +395,14 @@ class TestWorkCounters:
         )
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/10"
-        assert lines[0]["stats"] == {"solves": 11641, "subset_checks": 32257}
+        # 11,641 solves and 32,257 subset checks when each of the nine
+        # situations with a blank rifle 1 searched its whole contingency space.
+        assert lines[0]["stats"] == {"solves": 13, "subset_checks": 1}
 
     def test_vote11_weighted_resp_is_one_search(self):
-        # One search whose measure is the weight sum (2,241 solves and 10,780
-        # subset checks when a count search ran first).
+        # One search whose measure is the weight sum, stopped at its first
+        # minimal witness (2,241 solves and 10,780 subset checks when a count
+        # search ran first; 325 and 644 when it listed every minimal witness).
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
         code, lines = run_json(
@@ -408,7 +411,16 @@ class TestWorkCounters:
         )
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/21"
-        assert lines[0]["stats"] == {"solves": 325, "subset_checks": 644}
+        assert lines[0]["stats"] == {"solves": 319, "subset_checks": 608}
+
+    def test_vote11_landslide_resp(self):
+        # Scoring reads only the first minimal witness; listing all 252 of
+        # them, as `cause` does, took 1,916 solves and 10,136 subset checks.
+        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+        code, lines = run_json("resp", "-m", model_arg("vote11.cm"), "-q", f"resp V1=0 of W=0 in ctx({ctx})")
+        assert code == EXIT_OK
+        assert lines[0]["result"]["score"] == "1/6"
+        assert lines[0]["stats"] == {"solves": 603, "subset_checks": 844}
 
     def test_conjunction_shares_the_ac3_memo(self):
         # The AC3 sub-searches reuse the memo of the whole conjunction's

@@ -1,3 +1,8 @@
+import itertools
+import random
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 
 from causelab.formula import CausalFormula, atom, disj, holds, valid
@@ -7,13 +12,16 @@ from causelab.hp import (
     EngineOptions,
     EngineStats,
     Witness,
+    _Search,
     check_ac1,
     check_ac2,
     find_all_causes,
+    fold,
     is_actual_cause,
     witness_world,
 )
 from causelab.model import (
+    Arith,
     Assignment,
     CausalModel,
     Cmp,
@@ -25,12 +33,14 @@ from causelab.model import (
     MinMax,
     ModelError,
     BoolOp,
+    Not,
     RangeViolationError,
     Signature,
     UnknownVariableError,
     Var,
 )
 from causelab.normality import ExtendedModel
+from randmodels import random_context, random_dangling_model, random_model, random_selector_model
 from test_model import forest_fire
 
 
@@ -365,3 +375,135 @@ class TestStats:
             EngineOptions(), stats,
         )
         assert stats.solves > 0 and stats.subset_checks > 0
+
+
+def _vote3() -> CausalModel:
+    sig = Signature(
+        exogenous=tuple((f"U{i}", (0, 1)) for i in range(1, 4)),
+        endogenous=tuple((f"V{i}", (0, 1)) for i in range(1, 4)) + (("W", (0, 1)),),
+    )
+    eqs = [Equation(f"V{i}", Var(f"U{i}")) for i in range(1, 4)]
+    total = Arith("+", Arith("+", Var("V1"), Var("V2")), Var("V3"))
+    eqs.append(Equation("W", If(Cmp("<=", total, Lit(1)), Lit(0), Lit(1))))
+    return CausalModel(sig, eqs, name="vote3")
+
+
+class TestWeights:
+    def test_non_positive_weight_rejected(self):
+        # The measure would read -5 for a contingency flipping V2, and the
+        # lazy change-set order assumes no weight is negative.
+        u = Context({"U1": 1, "U2": 1, "U3": 0})
+        for bad in (Fraction(-5), Fraction(0)):
+            weights = {"V1": Fraction(1), "V2": bad, "V3": Fraction(1), "W": Fraction(1)}
+            with pytest.raises(ModelError, match="weight for 'V2' must be positive") as info:
+                is_actual_cause(ext_of(_vote3()), u, CandidateCause.of({"V1": 1}), atom("W", 1), weights=weights)
+            assert info.value.category == "semantic"
+
+    def test_change_sets_follow_the_sorted_order(self):
+        # The lazy enumeration must equal sorting every change set by
+        # (measure, size, positions), ties in weight included.
+        rng = random.Random(5)
+        model = random_model(rng, max_endo=7, max_exo=1, min_endo=7, name="order")
+        u = random_context(rng, model)
+        world = model.solve(u)
+        names = model.signature.endogenous_names
+        cause = CandidateCause.of({names[0]: world[names[0]]})
+        search = _Search(ext_of(model), u, cause, atom(names[-1], world[names[-1]]), EngineStats())
+        subsets = [c for r in range(len(search.others) + 1) for c in itertools.combinations(search.others, r)]
+        counted = sorted((len(c), len(c), c) for c in subsets)
+        assert list(search._change_sets(None)) == [(m, c) for m, _, c in counted]
+        for _ in range(20):
+            weights = {v: Fraction(rng.randint(1, 3), rng.choice([1, 2])) for v in names}
+            keyed = sorted((sum((weights[names[i]] for i in c), Fraction(0)), len(c), c) for c in subsets)
+            assert list(search._change_sets(weights)) == [(m, c) for m, _, c in keyed]
+
+
+class TestContextFold:
+    def test_live_rifle_alone_reaches_death(self, corpus):
+        model, _ = corpus["models"]["firing_squad"]
+        body = model.equations["D"].body
+        assert fold(body, {"UL": 2}) == frozenset({"M2"})
+        assert fold(body, {"UL": 1}) == frozenset({"M1"})
+
+    def test_constant_condition_picks_its_branch(self):
+        node = If(Cmp("==", Var("U"), Lit(1)), Var("A"), MinMax("max", Var("B"), Lit(0)))
+        assert fold(node, {"U": 1}) == frozenset({"A"})
+        assert fold(node, {"U": 0}) == frozenset({"B"})
+        live = If(Cmp("==", Var("A"), Var("U")), Lit(0), Var("B"))
+        assert fold(live, {"U": 0}) == frozenset({"A", "B"})
+
+    def test_and_or_absorb(self):
+        u_is_1 = Cmp("==", Var("U"), Lit(1))
+        a_is_1 = Cmp("==", Var("A"), Lit(1))
+        assert fold(BoolOp("&&", u_is_1, a_is_1), {"U": 0}) is False
+        assert fold(BoolOp("&&", a_is_1, u_is_1), {"U": 0}) is False
+        assert fold(BoolOp("&&", u_is_1, a_is_1), {"U": 1}) == frozenset({"A"})
+        assert fold(BoolOp("||", a_is_1, u_is_1), {"U": 1}) is True
+        assert fold(BoolOp("||", u_is_1, a_is_1), {"U": 0}) == frozenset({"A"})
+        assert fold(Not(BoolOp("||", u_is_1, a_is_1)), {"U": 1}) is False
+
+    def test_constant_operands_evaluate(self):
+        assert fold(Arith("*", Arith("-", Var("U"), Lit(3)), Lit(2)), {"U": 1}) == -4
+        assert fold(MinMax("min", Var("U"), Lit(0)), {"U": 1}) == 0
+        assert fold(Cmp("<=", Var("U"), Lit(0)), {"U": 1}) is False
+        assert fold(Arith("+", Var("U"), Var("A")), {"U": 1}) == frozenset({"A"})
+
+    def test_non_cause_is_decided_without_a_search(self, corpus):
+        model, _ = corpus["models"]["firing_squad"]
+        u = Context({"UL": 2})
+        cause, death = CandidateCause.of({"M1": 1}), atom("D", 1)
+        stats = EngineStats()
+        verdict = is_actual_cause(ext_of(model), u, cause, death, stats=stats, first_witness=True)
+        assert verdict == is_actual_cause(ext_of(model), u, cause, death, first_witness=True)
+        assert not verdict.is_cause and verdict.failed_condition == "AC2"
+        assert stats.solves == 1 and stats.subset_checks == 0  # the actual world only
+
+    def test_cause_query_stops_once_its_failures_are_recorded(self, corpus):
+        model, _ = corpus["models"]["firing_squad"]
+        u = Context({"UL": 2})
+        cause, death = CandidateCause.of({"M1": 1}), atom("D", 1)
+        short, full = EngineStats(), EngineStats()
+        verdict = is_actual_cause(ext_of(model), u, cause, death, stats=short)
+        with mock.patch.object(_Search, "outcome_reaches_cause", return_value=True):
+            exhaustive = is_actual_cause(ext_of(model), u, cause, death, stats=full)
+        assert len(verdict.ac2b_failures) == 32
+        assert verdict == exhaustive
+        assert short.solves < full.solves and short.subset_checks < full.subset_checks
+
+
+def run_fold_soundness(n_models: int = 150, seed: int = 61) -> int:
+    """Pins of a variable the outcome cannot reach once the context is folded
+    in never change the outcome's variables, whatever else is pinned."""
+    rng = random.Random(seed)
+    unreached = 0
+    for i in range(n_models):
+        kind = i % 3
+        if kind == 0:
+            model = random_model(rng, max_endo=5, max_exo=2, allow_ternary=True, name=f"fold{i}")
+        elif kind == 1:
+            model = random_selector_model(rng, name=f"fold{i}")
+        else:
+            model = random_dangling_model(rng, name=f"fold{i}")
+        sig = model.signature
+        names = sig.endogenous_names
+        u = random_context(rng, model)
+        world = model.solve(u)
+        outcome_var = rng.choice(names)
+        outcome = atom(outcome_var, world[outcome_var])
+        search = _Search(ext_of(model), u, CandidateCause.of({names[0]: world[names[0]]}), outcome, EngineStats())
+        for v in names:  # the copies share the search's folded references
+            if search.for_cause(CandidateCause.of({v: world[v]})).outcome_reaches_cause():
+                continue
+            unreached += 1
+            for _ in range(4):
+                pins = {w: rng.choice(sig.ranges[w]) for w in names if w != v and rng.random() < 0.4}
+                seen = {
+                    model.solve_pinned(u, {**pins, v: value})[outcome_var] for value in sig.ranges[v]
+                }
+                seen.add(model.solve_pinned(u, pins)[outcome_var])
+                assert len(seen) == 1, (model.name, v, pins)
+    return unreached
+
+
+def test_fold_soundness_batch():
+    assert run_fold_soundness() >= 250
