@@ -35,7 +35,6 @@ from .hp import (
     EngineOptions,
     EngineStats,
     Witness,
-    check_ac1,
     check_ac2,
     find_all_causes,
     is_actual_cause,
@@ -63,7 +62,6 @@ from .ness import SufficientSet, is_ness_cause, is_sufficient
 from .normality import (
     ExtendedModel,
     NormalityOrder,
-    at_least_as_normal,
     close,
 )
 
@@ -101,9 +99,7 @@ __all__ = [
     "UnknownVariableError",
     "Witness",
     "World",
-    "at_least_as_normal",
     "atom",
-    "check_ac1",
     "check_ac2",
     "close",
     "conj",

@@ -43,6 +43,18 @@ failures are those of the plain enumeration, and only the work counters fall.
   successor of a change set comes after it in that order, so the pops are
   exactly the sorted sequence, and a search that ends at measure m never
   builds a change set beyond it.
+- Normality admissibility is decided from the pins, before any solve.  The
+  worlds at least as normal as the actual world are exactly those matching
+  some pattern of its up-set (`NormalityOrder.up_set`), which always covers
+  the actual world itself, and a world solved under pins takes the pinned
+  values.  So a pin set that contradicts every up-set pattern admits no
+  normal world: an alternative x' that does is dropped (with none left
+  there is no witness), change sets range only over the variables that some
+  pattern consistent with a remaining x' lets leave their actual values,
+  and a change assignment whose pins contradict every pattern is skipped
+  before its relevance fixpoint.  None of these contingencies could reach
+  AC2(b), so no witness or reported failure is lost.  Flat models skip all
+  of this.
 """
 
 from __future__ import annotations
@@ -230,9 +242,10 @@ class _Search:
     The cause, outcome and context are validated once, here, since the
     search solves unchecked; inside it every variable is its endogenous
     declaration position, pins are tuples with None for "unpinned" and
-    solutions are value tuples.  Names and `World`s appear only for a
-    non-flat normality lookup and in reported results.  `for_cause` reuses
-    all cause-independent state, the memo included.
+    solutions are value tuples.  Names and `World`s appear only in reported
+    results and in the one up-set lookup of a non-flat order, whose patterns
+    are kept by position.  `for_cause` reuses all cause-independent state,
+    the memo and the patterns included.
     """
 
     def __init__(
@@ -243,7 +256,6 @@ class _Search:
         outcome: EventFormula,
         stats: EngineStats,
     ):
-        self.ext = ext
         self.model = ext.model
         sig = self.model.signature
         cause.validate(self.model)
@@ -259,7 +271,11 @@ class _Search:
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
         self._folded: dict[int, tuple[int, ...]] = {}  # position -> folded references
         self.actual = self._solve((None,) * self.n)
-        self._actual_world = None if ext.is_flat else sig.world(self.actual)
+        # The actual world's up-set as {position: value} patterns; None when flat.
+        self._patterns = None if ext.is_flat else tuple(
+            {sig.endogenous_index[v]: value for v, value in pattern.items()}
+            for pattern in ext.order.up_set(sig.world(self.actual))
+        )
         self._aim(cause)
 
     def _aim(self, cause: CandidateCause) -> None:
@@ -327,9 +343,16 @@ class _Search:
 
     def _normal(self, values: tuple[int, ...]) -> bool:
         """Whether the world is at least as normal as the actual one."""
-        if self.ext.is_flat:
+        if self._patterns is None:
             return True
-        return self.ext.at_least_as_normal(self.model.signature.world(values), self._actual_world)
+        return any(all(values[i] == v for i, v in p.items()) for p in self._patterns)
+
+    def _admits(self, pins: Sequence[tuple[int, int]]) -> bool:
+        """Whether some world at least as normal as the actual one takes the
+        pinned (position, value) pairs, i.e. some up-set pattern is consistent
+        with them.  When not, no world solved under these pins, or under more,
+        passes `_normal`.  Only called on a non-flat order."""
+        return any(all(p.get(i, v) == v for i, v in pins) for p in self._patterns)
 
     def _named(self, pairs: Iterable[tuple[int, int]]) -> Assignment:
         return Assignment({self.names[i]: value for i, value in pairs})
@@ -419,17 +442,21 @@ class _Search:
             return len(changed)
         return sum((weights[self.names[i]] for i in changed), Fraction(0))
 
-    def _change_sets(self, weights: Mapping[str, Fraction] | None) -> Iterator[tuple]:
-        """(measure, C) for every change set C of positions, sorted by
-        measure, then size, then position, and generated lazily."""
+    def _change_sets(
+        self, weights: Mapping[str, Fraction] | None, movable: Sequence[int] | None = None
+    ) -> Iterator[tuple]:
+        """(measure, C) for every change set C of the `movable` positions (by
+        default all of `others`), sorted by measure, then size, then
+        position, and generated lazily."""
+        movable = self.others if movable is None else movable
         if weights is None:
-            for c_vars in _subsets(self.others):
+            for c_vars in _subsets(movable):
                 yield len(c_vars), c_vars
             return
         # Best first over the variables sorted by (weight, position); a set is
         # the increasing indices it takes from that list, and its successors
         # append the next index or replace its last index by the next one.
-        order = sorted(self.others, key=lambda i: (weights[self.names[i]], i))
+        order = sorted(movable, key=lambda i: (weights[self.names[i]], i))
         w = [weights[self.names[i]] for i in order]
         heap: list[tuple] = [(Fraction(0), 0, (), ())]
         while heap:
@@ -449,11 +476,11 @@ class _Search:
     def _sorted_at(order: list[int], taken: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(order[k] for k in taken))
 
-    def _change_assignments(self, weights: Mapping[str, Fraction] | None):
+    def _change_assignments(self, weights: Mapping[str, Fraction] | None, movable: Sequence[int]):
         """(measure, C, c) triples: the settings c off the actual values of
         each change set C, in the order of `_change_sets`."""
         ranges = self.model.signature.ranges
-        for measure, c_vars in self._change_sets(weights):
+        for measure, c_vars in self._change_sets(weights, movable):
             alt_values = [
                 [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in c_vars
             ]
@@ -477,9 +504,15 @@ class _Search:
         if hopeless and not record_failures:
             return None, ()
         x_alts = self._x_alternatives()
+        movable = self.others
+        if self._patterns is not None:
+            x_alts = [x for x in x_alts if self._admits(tuple(zip(self.x_vars, x)))]
+            if not x_alts:
+                return None, ()  # every contingency fails the normality gate
+            movable = self._movable(x_alts)
         found: list[Witness] = []
         found_measure = None
-        for measure, c_vars, c in self._change_assignments(weights):
+        for measure, c_vars, c in self._change_assignments(weights, movable):
             if found_measure is not None and measure > found_measure:
                 break
             for x_prime in x_alts:
@@ -494,6 +527,17 @@ class _Search:
                     return None, ()
         return found_measure, tuple(found)
 
+    def _movable(self, x_alts: list[tuple[int, ...]]) -> list[int]:
+        """The variables of `others` that a normal contingency under some
+        alternative in `x_alts` can set off their actual values."""
+        ranges = self.model.signature.ranges
+        movable = []
+        for i in self.others:
+            offs = [v for v in ranges[self.names[i]] if v != self.actual[i]]
+            if any(self._admits((*zip(self.x_vars, x), (i, v))) for x in x_alts for v in offs):
+                movable.append(i)
+        return movable
+
     def _first_witness_for(
         self,
         c_vars: tuple[int, ...],
@@ -504,6 +548,8 @@ class _Search:
     ) -> Witness | None:
         """Smallest-W witness for a fixed change assignment, or None; with
         `stop_at_cap`, None as soon as the failure record is full."""
+        if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
+            return None  # no normal world takes these pins
         actual = self.actual
         base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         e_candidates = [i for i in self.others if i not in c_vars]
@@ -569,16 +615,6 @@ class _Search:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def check_ac1(
-    model: CausalModel,
-    context: Context,
-    cause: CandidateCause,
-    outcome: EventFormula,
-) -> bool:
-    """AC1: the candidate conjunction and the outcome both actually hold."""
-    return _Search(ExtendedModel(model, None), context, cause, outcome, EngineStats()).ac1()
 
 
 def check_ac2(

@@ -13,7 +13,8 @@ as the other.
 
 The closure is never materialised.  The worlds at least as normal as a world
 `t` form a union of patterns, found by searching backwards from `t` over the
-declared patterns (never over worlds) and memoised per `t`.
+declared patterns (never over worlds) and memoised per `t`
+(`NormalityOrder.up_set`).
 
 With no order declared, an extended model falls back to the flat order under
 which every world is as normal as every other; the extended cause definition
@@ -41,18 +42,22 @@ class NormalityOrder:
     def is_empty(self) -> bool:
         return not self.pairs and not self.ranks
 
-    def at_least_as_normal(self, s: World, t: World) -> bool:
-        """Membership test s >= t in the closed relation."""
+    def up_set(self, t: World) -> tuple[dict[str, int], ...]:
+        """Patterns whose union is the set of worlds at least as normal as t;
+        one of them always matches t itself."""
         if self._upsets is None:
             raise ModelError("order must be closed before querying")
-        if s == t:
-            return True
         # The memo caches a pure function of t: threads racing to fill an
         # entry store equal values, so a shared order stays safe to query.
         up = self._upsets.get(t)
         if up is None:
             up = self._upsets[t] = _up_set(self, t)
-        return any(_subsumes(p, s) for p in up)
+        return up
+
+    def at_least_as_normal(self, s: World, t: World) -> bool:
+        """Membership test s >= t in the closed relation."""
+        up = self.up_set(t)
+        return s == t or any(_subsumes(p, s) for p in up)
 
 
 def _consistent(p: Mapping[str, int], q: Mapping[str, int]) -> bool:
@@ -164,8 +169,3 @@ class ExtendedModel:
         out.model = model
         out.order = self.order
         return out
-
-
-def at_least_as_normal(ext: ExtendedModel, s: World, t: World) -> bool:
-    """Whether world s is at least as normal as world t."""
-    return ext.at_least_as_normal(s, t)

@@ -247,3 +247,35 @@ def random_pattern_order(
             rank = shared.pop() if shared else rank
         ranks.append((pattern, rank))
     return NormalityOrder(pairs, tuple(ranks))
+
+
+def random_doctors_model(rng: random.Random, name: str = "doctors") -> tuple[CausalModel, NormalityOrder]:
+    """The five-doctors story with n doctors (n of 2 to 4): S = 1 until some
+    doctor treats, and a typicality chain per assigned doctor (nobody
+    assigned or treating; i assigned and treating; i assigned, nobody
+    treating; i assigned, another doctor treating).  Each declared pair is
+    kept with probability 0.8, so chains are sometimes broken."""
+    n = rng.randint(2, 4)
+    a = [f"A{i}" for i in range(1, n + 1)]
+    t = [f"T{i}" for i in range(1, n + 1)]
+    exo = tuple((f"U{v}", (0, 1)) for v in a + t)
+    endo = tuple((v, (0, 1)) for v in a + t) + (("S", (0, 1)),)
+    equations = [Equation(v, Var(f"U{v}")) for v in a + t]
+    treated: Expr = Var(t[-1])
+    for v in reversed(t[:-1]):
+        treated = MinMax("max", Var(v), treated)
+    equations.append(Equation("S", Arith("-", Lit(1), treated)))
+    zeros = {v: 0 for v in a + t}
+    pairs = [
+        (Assignment({**zeros, "S": 1}), Assignment({**zeros, a[i]: 1, t[i]: 1, "S": 0}))
+        for i in range(n)
+    ]
+    pairs += [(Assignment({a[i]: 1, t[i]: 1, "S": 0}), Assignment({a[i]: 1, t[i]: 0, "S": 1})) for i in range(n)]
+    pairs += [
+        (Assignment({a[i]: 1, t[j]: 0, "S": 1}), Assignment({a[i]: 1, t[j]: 1, "S": 0}))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    kept = tuple(pair for pair in pairs if rng.random() < 0.8)
+    return CausalModel(Signature(exo, endo), equations, name=name), NormalityOrder(pairs=kept)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from causelab.cli import EXIT_CAP, EXIT_DIAGNOSTICS, EXIT_OK, corpus_dir, main
+from causelab.cli import EXIT_CAP, EXIT_DIAGNOSTICS, EXIT_OK, corpus_dir, load_corpus_entries, main
 
 CORPUS = corpus_dir()
 
@@ -432,6 +432,29 @@ class TestWorkCounters:
         assert code == EXIT_OK
         assert lines[0]["result"]["failed_condition"] == "AC3"
         assert lines[0]["stats"] == {"solves": 7, "subset_checks": 3}
+
+    @pytest.mark.parametrize(
+        "entry_id, stats",
+        [
+            # The assigned doctor's omission keeps the work it did before the
+            # normality gate moved ahead of solving.
+            ("five_doctors/assigned_omission_is_cause", {"solves": 4, "subset_checks": 1}),
+            # No world at least as normal as the actual one has another doctor
+            # treating, so T2=1 or T5=1 admits none: the actual world is the
+            # only solve (1,537 when every contingency was solved first).
+            ("five_doctors/other_omission_not_cause", {"solves": 1, "subset_checks": 0}),
+            ("five_doctors/fifth_omission_not_cause", {"solves": 1, "subset_checks": 0}),
+            # Only the all-zero world admits A1=0, and it moves no other
+            # variable: one change set, one solve for it (1,521 before).
+            ("five_doctors/assignment_not_cause", {"solves": 2, "subset_checks": 0}),
+        ],
+    )
+    def test_five_doctors(self, entry_id, stats):
+        entry = next(e for e in load_corpus_entries() if e["id"] == entry_id)
+        code, lines = run_json("cause", "-m", model_arg(entry["models"][0]), "-q", entry["query"])
+        assert code == EXIT_OK
+        assert all(lines[0]["result"][k] == v for k, v in entry["expect"].items())
+        assert lines[0]["stats"] == stats
 
 
 def test_module_entry_point():

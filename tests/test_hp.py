@@ -13,7 +13,6 @@ from causelab.hp import (
     EngineStats,
     Witness,
     _Search,
-    check_ac1,
     check_ac2,
     find_all_causes,
     fold,
@@ -52,15 +51,19 @@ def u_ff(u1, u2, u3) -> Context:
     return Context({"U1": u1, "U2": u2, "U3": u3})
 
 
+def ac1(model, context, cause, outcome) -> bool:
+    return _Search(ext_of(model), context, cause, outcome, EngineStats()).ac1()
+
+
 class TestAc1:
     def test_lightning_and_fire_hold(self):
-        assert check_ac1(forest_fire(), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1))
+        assert ac1(forest_fire(), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1))
 
     def test_match_fails_when_not_dropped(self):
-        assert not check_ac1(forest_fire(), u_ff(1, 0, 2), CandidateCause.of({"ML": 1}), atom("F", 1))
+        assert not ac1(forest_fire(), u_ff(1, 0, 2), CandidateCause.of({"ML": 1}), atom("F", 1))
 
     def test_value_disagreeing_with_solution_fails(self):
-        assert not check_ac1(forest_fire(), u_ff(1, 1, 1), CandidateCause.of({"L": 0}), atom("F", 1))
+        assert not ac1(forest_fire(), u_ff(1, 1, 1), CandidateCause.of({"L": 0}), atom("F", 1))
 
 
 class TestCheckAc2:

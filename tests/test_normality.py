@@ -6,7 +6,6 @@ from causelab.model import Assignment, Context, ModelError, World
 from causelab.normality import (
     ExtendedModel,
     NormalityOrder,
-    at_least_as_normal,
     close,
 )
 from causelab.oracle import reference_normality
@@ -97,22 +96,22 @@ class TestExtendedModel:
     def test_flat_order_compares_everything(self):
         ext = ExtendedModel(forest_fire(), None)
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
-        assert at_least_as_normal(ext, a, b) and at_least_as_normal(ext, b, a)
+        assert ext.at_least_as_normal(a, b) and ext.at_least_as_normal(b, a)
 
     def test_reflexive(self):
         model = forest_fire()
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
         ext = ExtendedModel(model, NormalityOrder(pairs=((a, b),)))
         for s in model.world_space():
-            assert at_least_as_normal(ext, s, s)
+            assert ext.at_least_as_normal(s, s)
 
     def test_assassin_corner_worlds_incomparable(self, corpus):
         model, order = corpus["models"]["assassin"]
         ext = ExtendedModel(model, order)
         actual = w(A=1, B=1, VS=1)
         witness = w(A=0, B=0, VS=0)
-        assert not at_least_as_normal(ext, witness, actual)
-        assert not at_least_as_normal(ext, actual, witness)
+        assert not ext.at_least_as_normal(witness, actual)
+        assert not ext.at_least_as_normal(actual, witness)
 
     def test_five_doctors_chain(self, corpus):
         model, order = corpus["models"]["five_doctors"]
@@ -123,11 +122,11 @@ class TestExtendedModel:
         treats = World({**zeros, "A1": 1, "T1": 1, "S": 0})
         untreated = World({**zeros, "A1": 1, "S": 1})
         wrong_doctor = World({**zeros, "A1": 1, "T2": 1, "S": 0})
-        assert at_least_as_normal(ext, nobody, treats)
-        assert at_least_as_normal(ext, treats, untreated)
-        assert at_least_as_normal(ext, untreated, wrong_doctor)
-        assert at_least_as_normal(ext, nobody, wrong_doctor)  # transitive
-        assert not at_least_as_normal(ext, wrong_doctor, untreated)
+        assert ext.at_least_as_normal(nobody, treats)
+        assert ext.at_least_as_normal(treats, untreated)
+        assert ext.at_least_as_normal(untreated, wrong_doctor)
+        assert ext.at_least_as_normal(nobody, wrong_doctor)  # transitive
+        assert not ext.at_least_as_normal(wrong_doctor, untreated)
 
     def test_order_survives_intervention_carry(self):
         model = forest_fire()

@@ -37,6 +37,7 @@ from causelab.oracle import (
 from randmodels import (
     random_context,
     random_dangling_model,
+    random_doctors_model,
     random_model,
     random_pattern_order,
     random_selector_model,
@@ -430,3 +431,73 @@ def test_shrinking_random_model_agreement(rng):
     ext = ExtendedModel(model, random_pattern_order(rng, model) if rng.random() < 0.25 else None)
     note(print_model(model, ext.order))
     check_family_model(rng, ext, model.signature.endogenous_names[-1])
+
+
+# -- Normality decided from the pins -----------------------------------------
+# The engine drops alternatives, change variables and change assignments whose
+# pins no world at least as normal as the actual one takes.  With every pin
+# set admitted, only the solved-world gate rejects, and the verdicts of the
+# three query shapes must be exactly the same.
+
+
+def agree_unpruned(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome, weights) -> bool:
+    """Pruned and unpruned verdicts agree; returns whether pruning saved a solve."""
+    pruned_stats, full_stats = EngineStats(), EngineStats()
+
+    def verdicts(stats: EngineStats):
+        return (
+            is_actual_cause(ext, context, cause, outcome, stats=stats),
+            is_actual_cause(ext, context, cause, outcome, stats=stats, first_witness=True),
+            is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights),
+        )
+
+    pruned = verdicts(pruned_stats)
+    with mock.patch.object(_Search, "_admits", return_value=True):
+        full = verdicts(full_stats)
+    assert pruned == full, (ext.model.name, cause)
+    assert pruned_stats.solves <= full_stats.solves, (ext.model.name, cause)
+    return pruned_stats.solves < full_stats.solves
+
+
+def covers(ext: ExtendedModel, world) -> bool:
+    return any(all(world[k] == v for k, v in p.items()) for p in ext.order.up_set(world))
+
+
+def run_pin_pruning_agreement(n_models: int = 60, seed: int = 71) -> tuple[int, int]:
+    """Pattern orders (pairs and ranks) on random and threshold models, and
+    doctors-style chains; every singleton cause and one pair, for `cause`, first-witness
+    and weighted queries.  Returns (candidates checked, candidates whose
+    search the pins cut short)."""
+    rng = random.Random(seed)
+    checked = cut = 0
+    for i in range(n_models):
+        if i % 3 == 0:
+            model, order = random_doctors_model(rng, name=f"doctors{i}")
+        else:
+            if i % 3 == 1:
+                model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"pins{i}", min_endo=3)
+            else:
+                model = random_threshold_model(rng, name=f"pins{i}")
+            order = random_pattern_order(rng, model, max_pairs=5, max_ranks=4)
+        outcome_var = model.signature.endogenous_names[-1]
+        ext = ExtendedModel(model, order)
+        if len(model.signature.endogenous) <= 4:
+            assert all(covers(ext, t) for t in model.world_space()), model.name
+        context = random_context(rng, model)
+        world = model.solve(context)
+        assert covers(ext, world), model.name
+        outcome = atom(outcome_var, world[outcome_var])
+        endo = model.signature.endogenous_names
+        weights = {v: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in endo}
+        pool = [v for v in endo if v != outcome_var]
+        causes = [CandidateCause.of({v: world[v]}) for v in pool]
+        causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
+        for cause in causes:
+            cut += agree_unpruned(ext, context, cause, outcome, weights)
+            checked += 1
+    return checked, cut
+
+
+def test_pin_pruning_batch_agrees():
+    checked, cut = run_pin_pruning_agreement()
+    assert checked >= 250 and cut >= 200
