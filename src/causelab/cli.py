@@ -230,7 +230,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
         elif isinstance(query, NessQuery):
             model, _ = loaded.pick_model(options.model_name)
             context = _context(model, query.context)
-            found = ness.is_ness_cause(model, context, query.event, query.outcome)
+            found = ness.is_ness_cause(model, context, query.event, query.outcome, stats)
             result = {
                 "kind": "ness",
                 "verdict": found is not None,

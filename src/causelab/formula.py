@@ -11,8 +11,12 @@ import itertools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 from .model import CausalModel, Context, Intervention, World
+
+if TYPE_CHECKING:
+    from .hp import EngineStats
 
 # A formula compiled against a model's endogenous declaration order: it reads
 # a tuple of endogenous values, as `CausalModel.solve_unchecked` returns.
@@ -167,13 +171,18 @@ def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula)
     return f.matrix.predicate(sig.endogenous_index)(values)
 
 
-def valid(model: CausalModel, f: CausalFormula | EventFormula) -> bool:
-    """Truth of a causal formula in every context of the model."""
+def valid(model: CausalModel, f: CausalFormula | EventFormula, stats: EngineStats | None = None) -> bool:
+    """Truth of a causal formula in every context of the model; stops at the
+    first context that falsifies it.  `stats` counts the solves made."""
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
     sig = model.signature
     pins = sig.pin_values(f.prefix)
     matrix = f.matrix.predicate(sig.endogenous_index)
-    contexts = itertools.product(*(values for _, values in sig.exogenous))
-    return all(matrix(model.solve_unchecked(u, pins)) for u in contexts)
+    for u in itertools.product(*(values for _, values in sig.exogenous)):
+        if stats is not None:
+            stats.solves += 1
+        if not matrix(model.solve_unchecked(u, pins)):
+            return False
+    return True

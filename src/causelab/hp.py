@@ -55,6 +55,24 @@ failures are those of the plain enumeration, and only the work counters fall.
   before its relevance fixpoint.  None of these contingencies could reach
   AC2(b), so no witness or reported failure is lost.  Flat models skip all
   of this.
+- AC2(b) is decided once per change assignment.  Split W into C (the
+  variables set off their actual values, to c) and E (those pinned at their
+  actual values).  The AC2(b) instances pin C' subset of C to c and E' and
+  Z' at actual values, and E' | Z' ranges over every subset of the variables
+  outside the cause and C.  So the verdict depends on (C, c) alone, not on E
+  or x', and is kept by the pin tuple that sets the cause at its actual
+  values and C to c.  Those pins identify the cause too, so the memo is
+  shared by `for_cause` copies.  A verdict comes from the verdicts of its
+  one-smaller sub-assignments, whose instances include every C' short of C:
+  it fails when the outcome fails with some C' subset of C pinned and nothing
+  else (an instance with E' | Z' empty); it holds when every one-smaller
+  sub-assignment holds and the outcome holds under (C, c) plus every
+  actual-value pin set over the unpinned variables (the C' = C instances,
+  pruned by the relevance fixpoint); otherwise, as when a sub-assignment
+  fails only under a pin of the variable it leaves out, the per-W' sweep
+  (`ac2b`) decides it.  A `cause` query names the failing instance of each
+  failure it reports, so until its record is full, or a witness makes the
+  record moot, it still runs the sweep per contingency.
 """
 
 from __future__ import annotations
@@ -178,6 +196,20 @@ class CauseVerdict:
 
 _AC2B_FAILURE_CAP = 32
 
+# Shared AC2(b) decisions of change assignments (see `_Search._ac2b_state`):
+# the verdict holds, fails by an instance that pins only cause and change
+# variables, or fails otherwise.
+_HOLDS, _FAILS_BARE, _FAILS = "holds", "fails bare", "fails"
+
+
+def _ac2b_state_of(failure: tuple | None, c_vars: Sequence[int]) -> str:
+    """The state of (C, c) from the sweep's answer under any W that contains
+    C: its first failing (W', Z'), or None when AC2(b) holds."""
+    if failure is None:
+        return _HOLDS
+    w_prime, z_prime = failure
+    return _FAILS_BARE if not z_prime and set(w_prime) <= set(c_vars) else _FAILS
+
 
 def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All subsets, increasing size, lexicographic by position within size."""
@@ -245,7 +277,7 @@ class _Search:
     solutions are value tuples.  Names and `World`s appear only in reported
     results and in the one up-set lookup of a non-flat order, whose patterns
     are kept by position.  `for_cause` reuses all cause-independent state,
-    the memo and the patterns included.
+    the memos and the patterns included.
     """
 
     def __init__(
@@ -270,6 +302,7 @@ class _Search:
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
         self._folded: dict[int, tuple[int, ...]] = {}  # position -> folded references
+        self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
         self.actual = self._solve((None,) * self.n)
         # The actual world's up-set as {position: value} patterns; None when flat.
         self._patterns = None if ext.is_flat else tuple(
@@ -286,8 +319,8 @@ class _Search:
         self.ac2b_failures: list[Ac2bFailure] = []
 
     def for_cause(self, cause: CandidateCause) -> _Search:
-        """This search aimed at another cause; the shallow copy shares the memo,
-        whose keys are full pin tuples of the same model and context."""
+        """This search aimed at another cause; the shallow copy shares the
+        memos, whose keys are full pin tuples of the same model and context."""
         search = copy.copy(self)
         search._aim(cause)
         return search
@@ -411,6 +444,46 @@ class _Search:
                     return w_prime, z_prime
         return None
 
+    def _ac2b_state(self, pins: tuple[int | None, ...], c_vars: Sequence[int]) -> str:
+        """AC2(b) for the change assignment that `pins` sets: the cause at its
+        actual values and the increasing positions `c_vars` off theirs.  The
+        same for every E and x' (see the module docstring)."""
+        state = self._ac2b_states.get(pins)
+        if state is None:
+            state = self._decide_ac2b(pins, c_vars)
+            if state is None:
+                state = _ac2b_state_of(self.ac2b(c_vars, {i: pins[i] for i in c_vars}), c_vars)
+            self._ac2b_states[pins] = state
+        return state
+
+    def _decide_ac2b(self, pins: tuple[int | None, ...], c_vars: Sequence[int]) -> str | None:
+        """The state from the one-smaller sub-assignments, or None when they
+        leave it open.  Depth first, so a failing instance is found at the
+        smallest C' the sub-assignments reach."""
+        for k, i in enumerate(c_vars):
+            sub = list(pins)
+            sub[i] = None
+            state = self._ac2b_state(tuple(sub), c_vars[:k] + c_vars[k + 1:])
+            if state is not _HOLDS:
+                return state if state is _FAILS_BARE else None
+        # Every instance with C' short of C holds; the C' = C ones are left.
+        self.stats.subset_checks += 1
+        if not self.holds(self._solve(pins)):
+            return _FAILS_BARE
+        actual = self.actual
+        base = list(pins)
+        relevant = self._relevant_fixpoint(base, [i for i in range(self.n) if pins[i] is None])
+        for z_prime in _subsets(relevant):
+            if not z_prime:
+                continue  # the bare instance, checked above
+            pins_z = base.copy()
+            for i in z_prime:
+                pins_z[i] = actual[i]
+            self.stats.subset_checks += 1
+            if not self.holds(self._solve(tuple(pins_z))):
+                return _FAILS
+        return _HOLDS
+
     def check_witness(self, w_set: list[int], w_setting: dict[int, int], x_prime: tuple[int, ...]):
         """Full AC2 check of an explicit witness; returns (ok, ac2b_failure).
 
@@ -516,7 +589,9 @@ class _Search:
             if found_measure is not None and measure > found_measure:
                 break
             for x_prime in x_alts:
-                witness = self._first_witness_for(c_vars, c, x_prime, record_failures, hopeless)
+                # Failures recorded after a witness is found are never reported.
+                record = record_failures and not found
+                witness = self._first_witness_for(c_vars, c, x_prime, record, hopeless)
                 if witness is not None:
                     found.append(witness)
                     found_measure = measure
@@ -547,9 +622,16 @@ class _Search:
         stop_at_cap: bool,
     ) -> Witness | None:
         """Smallest-W witness for a fixed change assignment, or None; with
-        `stop_at_cap`, None as soon as the failure record is full."""
+        `stop_at_cap`, None as soon as the failure record is full.
+
+        AC2(b) is the shared decision of (C, c) unless failures are still
+        being recorded, in which case the sweep names each failing instance.
+        """
         if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
             return None  # no normal world takes these pins
+        key = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
+        if self._ac2b_states.get(key, _HOLDS) is not _HOLDS and not self._recording(record_failures):
+            return None  # AC2(b) fails for every W with this change assignment
         actual = self.actual
         base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         e_candidates = [i for i in self.others if i not in c_vars]
@@ -566,21 +648,28 @@ class _Search:
             w_setting = dict(zip(c_vars, c))
             for i in e_sub:
                 w_setting[i] = actual[i]
+            if self._ac2b_states.get(key) is _HOLDS or not self._recording(record_failures):
+                if self._ac2b_state(key, c_vars) is not _HOLDS:
+                    return None  # the same verdict for every W
+                return Witness(*self._named_contingency(w_setting, x_prime), len(c_vars))
             failure = self.ac2b(sorted(w_setting), w_setting)
+            self._ac2b_states.setdefault(key, _ac2b_state_of(failure, c_vars))
             if failure is None:
                 return Witness(*self._named_contingency(w_setting, x_prime), len(c_vars))
-            if record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP:
-                w_prime, z_prime = failure
-                self.ac2b_failures.append(
-                    Ac2bFailure(
-                        *self._named_contingency(w_setting, x_prime),
-                        w_prime=frozenset(self.names[i] for i in w_prime),
-                        z_prime=frozenset(self.names[i] for i in z_prime),
-                    )
+            w_prime, z_prime = failure
+            self.ac2b_failures.append(
+                Ac2bFailure(
+                    *self._named_contingency(w_setting, x_prime),
+                    w_prime=frozenset(self.names[i] for i in w_prime),
+                    z_prime=frozenset(self.names[i] for i in z_prime),
                 )
-                if stop_at_cap and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
-                    return None
+            )
+            if stop_at_cap and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
+                return None
         return None
+
+    def _recording(self, record_failures: bool) -> bool:
+        return record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP
 
     def sampled_witnesses(self, options: EngineOptions, weights: Mapping[str, Fraction] | None = None):
         """Randomized witness sampling for models above the cap.
@@ -663,13 +752,24 @@ def is_actual_cause(
     witness and a non-cause no AC2(b) failures: all that scoring reads.
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
-    names = search.names
     if weights is not None:
-        if missing := [v for v in names if v not in weights]:
+        if missing := [v for v in search.names if v not in weights]:
             raise ValueError(f"missing weights for {missing}")
-        for v in names:
+        for v in search.names:
             if weights[v] <= 0:
                 raise ModelError(f"weight for {v!r} must be positive")
+    return _verdict(search, cause, options, weights, first_witness)
+
+
+def _verdict(
+    search: _Search,
+    cause: CandidateCause,
+    options: EngineOptions,
+    weights: Mapping[str, Fraction] | None = None,
+    first_witness: bool = False,
+) -> CauseVerdict:
+    """`is_actual_cause` on a search aimed at `cause`."""
+    names = search.names
     over_cap = len(names) > options.max_vars
     if over_cap and not options.sampled:
         raise CapExceededError(
@@ -757,7 +857,8 @@ def find_all_causes(
 
     Candidates sharing a variable with the outcome are skipped: with finite
     ranges any true event trivially certifies itself, which the sweep is not
-    meant to report.
+    meant to report.  All candidates share one search, and with it the solve
+    and AC2(b) memos.
     """
     if max_conjuncts < 1:
         raise ValueError("max_conjuncts must be at least 1")
@@ -770,11 +871,15 @@ def find_all_causes(
         if v not in skip
     ]
     results: list[tuple[CandidateCause, CauseVerdict]] = []
+    search = None
     for r in range(1, max_conjuncts + 1):
         for combo in itertools.combinations(events, r):
             cand = CandidateCause(Assignment(dict(combo)))
-            verdict = is_actual_cause(ext, context, cand, outcome, options, stats)
-            results.append((cand, verdict))
+            if search is None:
+                search = _Search(ext, context, cand, outcome, stats or EngineStats())
+            else:
+                search = search.for_cause(cand)
+            results.append((cand, _verdict(search, cand, options)))
     return results
 
 

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .formula import CausalFormula, EventFormula, PrimitiveEvent, valid
 from .model import CausalModel, Context, Intervention
+
+if TYPE_CHECKING:
+    from .hp import EngineStats
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,11 @@ class SufficientSet:
         return SufficientSet(tuple(ev for ev in self.events if ev != event))
 
 
-def is_sufficient(model: CausalModel, s: SufficientSet, outcome: EventFormula) -> bool:
+def is_sufficient(
+    model: CausalModel, s: SufficientSet, outcome: EventFormula, stats: EngineStats | None = None
+) -> bool:
     """Whether forcing the set by intervention yields the outcome in every context."""
-    return valid(model, CausalFormula(s.as_intervention(), outcome))
+    return valid(model, CausalFormula(s.as_intervention(), outcome), stats)
 
 
 def is_ness_cause(
@@ -54,15 +60,19 @@ def is_ness_cause(
     context: Context,
     event: PrimitiveEvent,
     outcome: EventFormula,
+    stats: EngineStats | None = None,
 ) -> SufficientSet | None:
     """Search for a certifying set, smallest first; None when there is none.
 
     The search space is every consistent set of primitive events true in the
-    solved world that contains the queried event.
+    solved world that contains the queried event.  `stats` counts the solves
+    made: the actual world's and each validity check's, one per context.
     """
     outcome.validate(model)
     model.signature.check_endogenous("event variable", event.variable, event.value)
     world = model.solve(context)
+    if stats is not None:
+        stats.solves += 1
     if world[event.variable] != event.value:
         return None  # only actually occurring events qualify
     others = [
@@ -75,7 +85,7 @@ def is_ness_cause(
     def sufficient(events: tuple[PrimitiveEvent, ...]) -> bool:
         key = frozenset(events)
         if key not in cache:
-            cache[key] = is_sufficient(model, SufficientSet(events), outcome)
+            cache[key] = is_sufficient(model, SufficientSet(events), outcome, stats)
         return cache[key]
 
     for r in range(len(others) + 1):

@@ -116,15 +116,16 @@ def random_model(
     return CausalModel(signature, equations, name=name)
 
 
-def random_threshold_model(rng: random.Random, name: str = "threshold") -> CausalModel:
-    """Votes V1..Vn (n of 3 or 4) and an outcome O = 1 iff at least t votes are 1.
+def random_threshold_model(rng: random.Random, name: str = "threshold", max_votes: int = 4) -> CausalModel:
+    """Votes V1..Vn (n from 3 to `max_votes`) and an outcome O = 1 iff at
+    least t votes are 1.
 
     Each vote copies its own exogenous variable or, sometimes, an earlier
     vote.  A vote is then often a cause only under a contingency of several
     flips, with several equally short ones to choose from: the cases in which
     a weighted measure and the change count pick different witnesses.
     """
-    n = rng.randint(3, 4)
+    n = rng.randint(3, max_votes)
     exo = tuple((f"U{i}", (0, 1)) for i in range(1, n + 1))
     endo = tuple((f"V{i}", (0, 1)) for i in range(1, n + 1)) + (("O", (0, 1)),)
     equations = []

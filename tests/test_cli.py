@@ -384,7 +384,9 @@ class TestWorkCounters:
         code, lines = run_json("cause", "-m", model_arg("vote11.cm"), "-q", f"cause V1=0 of W=0 in ctx({ctx})")
         assert code == EXIT_OK
         assert lines[0]["result"]["min_changes"] == 5
-        assert lines[0]["stats"] == {"solves": 1916, "subset_checks": 10136}
+        # 10,136 subset checks when each of the 252 witnesses swept its own
+        # AC2(b) instances; the change assignments now share their verdicts.
+        assert lines[0]["stats"] == {"solves": 1916, "subset_checks": 754}
 
     def test_firing_squad_blame_tenth(self):
         code, lines = run_json(
@@ -402,7 +404,8 @@ class TestWorkCounters:
     def test_vote11_weighted_resp_is_one_search(self):
         # One search whose measure is the weight sum, stopped at its first
         # minimal witness (2,241 solves and 10,780 subset checks when a count
-        # search ran first; 325 and 644 when it listed every minimal witness).
+        # search ran first; 325 and 644 when it listed every minimal witness;
+        # 319 and 608 when each contingency swept its own AC2(b) instances).
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
         code, lines = run_json(
@@ -411,16 +414,17 @@ class TestWorkCounters:
         )
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/21"
-        assert lines[0]["stats"] == {"solves": 319, "subset_checks": 608}
+        assert lines[0]["stats"] == {"solves": 314, "subset_checks": 33}
 
     def test_vote11_landslide_resp(self):
         # Scoring reads only the first minimal witness; listing all 252 of
-        # them, as `cause` does, took 1,916 solves and 10,136 subset checks.
+        # them, as `cause` does, took 1,916 solves and 10,136 subset checks;
+        # 603 and 844 when each contingency swept its own AC2(b) instances.
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         code, lines = run_json("resp", "-m", model_arg("vote11.cm"), "-q", f"resp V1=0 of W=0 in ctx({ctx})")
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/6"
-        assert lines[0]["stats"] == {"solves": 603, "subset_checks": 844}
+        assert lines[0]["stats"] == {"solves": 598, "subset_checks": 33}
 
     def test_conjunction_shares_the_ac3_memo(self):
         # The AC3 sub-searches reuse the memo of the whole conjunction's
@@ -432,6 +436,16 @@ class TestWorkCounters:
         assert code == EXIT_OK
         assert lines[0]["result"]["failed_condition"] == "AC3"
         assert lines[0]["stats"] == {"solves": 7, "subset_checks": 3}
+
+    def test_ness_counts_its_solves(self):
+        # The actual world plus one solve per context of each validity check
+        # (reported as 0 before NESS passed the query's counters down).
+        code, lines = run_json(
+            "ness", "-m", model_arg("poisoned_tea.cm"), "-q", "ness CP=1 of PD=1 in ctx(UC=1,UD=1,UR=1)"
+        )
+        assert code == EXIT_OK
+        assert lines[0]["result"]["sufficient_set"] == {"CP": 1, "DR": 1}
+        assert lines[0]["stats"] == {"solves": 27, "subset_checks": 0}
 
     @pytest.mark.parametrize(
         "entry_id, stats",

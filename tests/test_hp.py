@@ -332,6 +332,36 @@ class TestFindAllCauses:
         with pytest.raises(ValueError):
             find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 1), atom("F", 1), 0)
 
+    def test_candidates_share_one_search(self):
+        # Seven voters, four for G: each of the four is a cause of G's win
+        # and no pair is.  One search serves every candidate, so verdicts are
+        # those of separate queries and the shared memos save solves.
+        votes = [1, 1, 0, 1, 0, 1, 0]
+        model = CausalModel(
+            Signature(
+                exogenous=tuple((f"U{i}", (0, 1)) for i in range(1, 8)),
+                endogenous=tuple((f"V{i}", (0, 1)) for i in range(1, 8)) + (("W", (0, 1)),),
+            ),
+            [Equation(f"V{i}", Var(f"U{i}")) for i in range(1, 8)]
+            + [Equation("W", If(Cmp("<=", _sum([Var(f"V{i}") for i in range(1, 8)]), Lit(3)), Lit(0), Lit(1)))],
+            name="vote7",
+        )
+        ext, u, outcome = ext_of(model), Context({f"U{i}": v for i, v in enumerate(votes, 1)}), atom("W", 1)
+        shared = EngineStats()
+        results = find_all_causes(ext, u, outcome, 2, stats=shared)
+        separate = EngineStats()
+        for cause, verdict in results:
+            assert is_actual_cause(ext, u, cause, outcome, stats=separate) == verdict, cause
+        assert [c.settings.as_dict() for c, v in results if v.is_cause] == [{"V1": 1}, {"V2": 1}, {"V4": 1}, {"V6": 1}]
+        assert shared.solves < separate.solves
+
+
+def _sum(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = Arith("+", total, term)
+    return total
+
 
 class TestCap:
     def test_exact_mode_raises_above_cap(self, corpus):

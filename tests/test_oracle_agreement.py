@@ -4,6 +4,7 @@ The oracle enumerates the definition literally with no pruning, so agreement
 here certifies that the engine's search shortcuts are lossless.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -14,7 +15,16 @@ from hypothesis import strategies as st
 from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
 from causelab.dsl import print_model
 from causelab.formula import atom
-from causelab.hp import CandidateCause, EngineStats, _Search, is_actual_cause, ways_fraction
+from causelab.hp import (
+    _AC2B_FAILURE_CAP,
+    _HOLDS,
+    CandidateCause,
+    EngineStats,
+    _Search,
+    _subsets,
+    is_actual_cause,
+    ways_fraction,
+)
 from causelab.model import (
     Arith,
     CausalModel,
@@ -501,3 +511,128 @@ def run_pin_pruning_agreement(n_models: int = 60, seed: int = 71) -> tuple[int, 
 def test_pin_pruning_batch_agrees():
     checked, cut = run_pin_pruning_agreement()
     assert checked >= 250 and cut >= 200
+
+
+# -- AC2(b) decided once per change assignment --------------------------------
+# The engine decides AC2(b) once per change assignment (C, c), from the
+# verdicts of its one-smaller sub-assignments, and shares the verdict across
+# the E and x' of every contingency that extends it.  With the shared decision
+# left undecided, the per-W' sweep decides every change assignment, and the
+# three query shapes must give exactly the same verdicts.
+
+
+def agree_undecided(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome, weights) -> bool:
+    """Shared and swept verdicts agree; returns whether the `cause` query
+    filled its failure record and then searched on."""
+
+    def verdicts():
+        return (
+            is_actual_cause(ext, context, cause, outcome),
+            is_actual_cause(ext, context, cause, outcome, first_witness=True),
+            is_actual_cause(ext, context, cause, outcome, weights=weights),
+        )
+
+    shared = verdicts()
+    with mock.patch.object(_Search, "_decide_ac2b", return_value=None):
+        swept = verdicts()
+    assert shared == swept, (ext.model.name, cause)
+    reaches = _Search(ext, context, cause, outcome, EngineStats()).outcome_reaches_cause()
+    return reaches and len(shared[0].ac2b_failures) == _AC2B_FAILURE_CAP
+
+
+def run_shared_ac2b_agreement(corpus, n_models: int = 60, seed: int = 83) -> tuple[int, int]:
+    """The corpus probe models, then threshold models of up to 7 votes (whose
+    non-causes fill the failure record), selector and pattern-order models;
+    every singleton cause and one pair (every pair on corpus models), so that
+    the AC3 sub-searches share the memo.  Returns (candidates checked,
+    candidates that filled the failure record)."""
+    rng = random.Random(seed)
+    checked = filled = 0
+    for name, ctx, outcome_var in CORPUS_PROBES:
+        model, order = corpus["models"][name]
+        ext, context = ExtendedModel(model, order), Context(ctx)
+        world = model.solve(context)
+        pool = [v for v in model.signature.endogenous_names if v != outcome_var]
+        weights = {v: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in model.signature.endogenous_names}
+        for vs in itertools.chain(itertools.combinations(pool, 1), itertools.combinations(pool, 2)):
+            cause = CandidateCause.of({v: world[v] for v in vs})
+            filled += agree_undecided(ext, context, cause, atom(outcome_var, world[outcome_var]), weights)
+            checked += 1
+    for i in range(n_models):
+        if i % 3 == 0:
+            model, outcome_var, order = random_threshold_model(rng, f"shared{i}", max_votes=7), None, None
+        elif i % 3 == 1:
+            model, outcome_var, order = random_selector_model(rng, name=f"shared{i}"), "O", None
+        else:
+            model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"shared{i}", min_endo=3)
+            outcome_var, order = None, random_pattern_order(rng, model)
+        endo = model.signature.endogenous_names
+        outcome_var = outcome_var or endo[-1]
+        ext = ExtendedModel(model, order)
+        context = random_context(rng, model)
+        world = model.solve(context)
+        outcome = atom(outcome_var, world[outcome_var])
+        weights = {v: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in endo}
+        pool = [v for v in endo if v != outcome_var]
+        causes = [CandidateCause.of({v: world[v]}) for v in pool]
+        causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
+        for cause in causes:
+            filled += agree_undecided(ext, context, cause, outcome, weights)
+            checked += 1
+    return checked, filled
+
+
+def test_shared_ac2b_batch_agrees(corpus):
+    checked, filled = run_shared_ac2b_agreement(corpus)
+    assert checked >= 330 and filled >= 20
+
+
+def check_verdict_lemma(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome) -> None:
+    """For each change assignment (C, c), the sweep's verdict is the same for
+    every E outside the cause and C, every witness check under any x' that
+    passes AC2(a) and normality reports that verdict, and the shared
+    decision returns it."""
+    search = _Search(ext, context, cause, outcome, EngineStats())
+    if not search.ac1():
+        return
+    ranges, names = ext.model.signature.ranges, search.names
+    for c_vars in _subsets(search.others):
+        rest = [i for i in search.others if i not in c_vars]
+        offs = [[v for v in ranges[names[i]] if v != search.actual[i]] for i in c_vars]
+        for c in itertools.product(*offs):
+            verdicts = set()
+            for e_vars in _subsets(rest):
+                w_setting = dict(zip(c_vars, c)) | {i: search.actual[i] for i in e_vars}
+                w_set = sorted(w_setting)
+                verdict = search.ac2b(w_set, w_setting) is None
+                verdicts.add(verdict)
+                for x_prime in search._x_alternatives():
+                    ok, failure = search.check_witness(w_set, w_setting, x_prime)
+                    if ok or failure is not None:  # AC2(a) and normality passed
+                        assert ok == verdict
+            assert len(verdicts) == 1, (ext.model.name, cause, c_vars, c)
+            key = tuple(search._pins(zip(search.x_vars, search.x_actual), zip(c_vars, c)))
+            assert (search._ac2b_state(key, c_vars) == _HOLDS) == verdicts.pop(), (ext.model.name, cause, c_vars, c)
+
+
+def test_verdict_lemma_on_corpus_models(corpus):
+    for name, ctx, outcome_var in CORPUS_PROBES:
+        model, order = corpus["models"][name]
+        ext, context = ExtendedModel(model, order), Context(ctx)
+        world = model.solve(context)
+        outcome = atom(outcome_var, world[outcome_var])
+        for var in model.signature.endogenous_names:
+            if var != outcome_var:
+                check_verdict_lemma(ext, context, CandidateCause.of({var: world[var]}), outcome)
+
+
+@_SHRINKING
+@given(rng=st.randoms(use_true_random=False))
+def test_verdict_lemma_on_random_models(rng):
+    model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name="lemma", min_endo=3)
+    ext = ExtendedModel(model, random_pattern_order(rng, model) if rng.random() < 0.25 else None)
+    note(print_model(model, ext.order))
+    context = random_context(rng, model)
+    world = model.solve(context)
+    endo = model.signature.endogenous_names
+    check_verdict_lemma(ext, context, CandidateCause.of({endo[0]: world[endo[0]]}), atom(endo[-1], world[endo[-1]]))
