@@ -32,7 +32,6 @@ from .hp import (
     CandidateCause,
     CapExceededError,
     CauseVerdict,
-    EngineOptions,
     EngineStats,
     Witness,
     check_ac2,
@@ -54,9 +53,6 @@ from .model import (
     TotalityError,
     UnknownVariableError,
     World,
-    enumerate_contexts,
-    intervene,
-    solve,
 )
 from .ness import SufficientSet, is_ness_cause, is_sufficient
 from .normality import (
@@ -78,7 +74,6 @@ __all__ = [
     "CauseVerdict",
     "Context",
     "CycleError",
-    "EngineOptions",
     "EngineStats",
     "EpistemicState",
     "Equation",
@@ -106,14 +101,11 @@ __all__ = [
     "degree_of_blame",
     "degree_of_responsibility",
     "disj",
-    "enumerate_contexts",
     "find_all_causes",
     "holds",
-    "intervene",
     "is_actual_cause",
     "is_ness_cause",
     "is_sufficient",
-    "solve",
     "valid",
     "ways_fraction",
     "witness_world",

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .formula import EventFormula
 from .hp import (
+    DEFAULT_MAX_VARS,
     CandidateCause,
-    EngineOptions,
     EngineStats,
     Witness,
     is_actual_cause,
@@ -108,14 +108,14 @@ def degree_of_responsibility(
     cause: CandidateCause,
     outcome: EventFormula,
     strategy: ScoringStrategy = ScoringStrategy(),
-    options: EngineOptions = EngineOptions(),
+    max_vars: int = DEFAULT_MAX_VARS,
     stats: EngineStats | None = None,
 ) -> Responsibility:
     """Score the cause by its minimal admissible contingency; for the weighted
     strategy that is the one of least summed weight, not of fewest changes."""
     stats = stats if stats is not None else EngineStats()
     verdict = is_actual_cause(
-        ext, context, cause, outcome, options, stats, strategy.weight_map(), first_witness=True
+        ext, context, cause, outcome, max_vars, stats, strategy.weight_map(), first_witness=True
     )
     if not verdict.is_cause:
         return Responsibility(Fraction(0))
@@ -134,7 +134,7 @@ def degree_of_blame(
     action: Intervention,
     outcome: EventFormula,
     strategy: ScoringStrategy = ScoringStrategy(),
-    options: EngineOptions = EngineOptions(),
+    max_vars: int = DEFAULT_MAX_VARS,
     stats: EngineStats | None = None,
 ) -> Fraction:
     """Expected responsibility of the action across the epistemic state.
@@ -160,7 +160,7 @@ def degree_of_blame(
             continue
         post = ext.with_model(ext.model.intervene(action))
         resp = degree_of_responsibility(
-            post, context, cause, outcome, strategy, options, stats
+            post, context, cause, outcome, strategy, max_vars, stats
         )
         total += prob * resp.value
     return total

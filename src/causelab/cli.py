@@ -7,7 +7,7 @@ so that the rest of the output is byte-reproducible.  Errors are reported as
 structured diagnostics, never stack traces.
 
 Exit codes: 0 the query was answered (whatever the verdict), 1 diagnostics
-were produced, 2 the exact-mode variable cap was hit.
+were produced, 2 a usage error (argparse), 3 the variable cap was hit.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from .dsl import (
     print_model,
 )
 from .formula import holds
-from .hp import CandidateCause, CapExceededError, EngineOptions, EngineStats
+from .hp import CandidateCause, CapExceededError, EngineStats
 from .model import CausalModel, Context, Intervention, ModelError
 from .normality import ExtendedModel, NormalityOrder
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
-EXIT_CAP = 2
+EXIT_CAP = 3
 
 
 class RunError(Exception):
@@ -59,18 +59,7 @@ class RunOptions:
     strategy: str = "reciprocal"
     weights: dict[str, Fraction] = field(default_factory=dict)
     max_vars: int = hp.DEFAULT_MAX_VARS
-    sampled: bool = False
-    seed: int = 0
-    samples: int = 5000
     model_name: str | None = None
-
-    def engine(self) -> EngineOptions:
-        return EngineOptions(
-            max_vars=self.max_vars,
-            sampled=self.sampled,
-            seed=self.seed,
-            samples=self.samples,
-        )
 
     def scoring(self) -> attribution.ScoringStrategy:
         if self.strategy == "weighted":
@@ -84,11 +73,7 @@ class RunOptions:
             "mode": self.mode,
             "strategy": self.strategy,
             "max_vars": self.max_vars,
-            "sampled": self.sampled,
         }
-        if self.sampled:
-            out["seed"] = self.seed
-            out["samples"] = self.samples
         if self.weights:
             out["weights"] = {k: str(v) for k, v in sorted(self.weights.items())}
         return out
@@ -200,11 +185,11 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             context = _context(model, query.context)
             cause = CandidateCause.of(dict(query.cause))
             if isinstance(query, CauseQuery):
-                verdict = hp.is_actual_cause(ext, context, cause, query.outcome, options.engine(), stats)
+                verdict = hp.is_actual_cause(ext, context, cause, query.outcome, options.max_vars, stats)
                 result = {"kind": "cause", **_cause_result(ext, context, cause, verdict)}
             else:
                 resp = attribution.degree_of_responsibility(
-                    ext, context, cause, query.outcome, options.scoring(), options.engine(), stats
+                    ext, context, cause, query.outcome, options.scoring(), options.max_vars, stats
                 )
                 result = {
                     "kind": "resp",
@@ -222,7 +207,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             state = _resolve_state(loaded, query.state_name, options)
             action = Intervention(dict(query.action))
             score = attribution.degree_of_blame(
-                state, action, query.outcome, options.scoring(), options.engine(), stats
+                state, action, query.outcome, options.scoring(), options.max_vars, stats
             )
             result = {"kind": "blame", "score": str(score), "state": query.state_name}
             used = sorted({ext.model.name for ext, _ in state.situations})
@@ -246,8 +231,6 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
         raise RunError([_plain_diag("resource-cap", str(exc))], EXIT_CAP) from None
     except ValueError as exc:
         raise RunError([_error_diag(exc)]) from None
-    if stats.sampled:  # some verdict was sampled: cause, resp, or a blame situation
-        result["sampled_unsound"] = True
     return result, stats, used
 
 
@@ -423,10 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted")
     # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
     max_vars = os.environ.get("CAUSELAB_MAX_VARS") or hp.DEFAULT_MAX_VARS
-    common.add_argument("--max-vars", type=int, default=max_vars, help="exact-mode endogenous variable cap")
-    common.add_argument("--sampled", action="store_true", help="sample witnesses above the cap (unsound)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=5000)
+    common.add_argument("--max-vars", type=int, default=max_vars, help="endogenous variable cap")
     common.add_argument("--pretty", action="store_true", help="human-readable output")
 
     query_like = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -467,9 +447,6 @@ def _options_from_args(args) -> RunOptions:
         strategy=args.strategy,
         weights=dict(args.weights),
         max_vars=args.max_vars,
-        sampled=args.sampled,
-        seed=args.seed,
-        samples=args.samples,
         model_name=args.model_name,
     )
 

@@ -19,6 +19,9 @@ variables whose setting differs from the actual world, or their summed
 weights), so the witnesses it reports are exactly the minimal ones that
 responsibility scoring needs.
 
+A query over more endogenous variables than the cap (`max_vars`) raises
+`CapExceededError` after solving the actual world and before any search.
+
 Every shortcut below is exact: verdicts, witnesses and reported AC2(b)
 failures are those of the plain enumeration, and only the work counters fall.
 
@@ -81,7 +84,6 @@ import copy
 import heapq
 import itertools
 import operator
-import random
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +110,7 @@ DEFAULT_MAX_VARS = 12
 
 
 class CapExceededError(RuntimeError):
-    """Raised in exact mode when a model exceeds the variable cap."""
+    """Raised when a model exceeds the variable cap."""
 
 
 @dataclass
@@ -117,15 +119,6 @@ class EngineStats:
 
     solves: int = 0
     subset_checks: int = 0
-    sampled: bool = False  # some verdict was sampled, so need not be exact
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    max_vars: int = DEFAULT_MAX_VARS
-    sampled: bool = False
-    seed: int = 0
-    samples: int = 5000
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,6 @@ class CauseVerdict:
     witnesses: tuple[Witness, ...] = ()
     failed_condition: str | None = None  # "AC1" | "AC2" | "AC3" when not a cause
     ac2b_failures: tuple[Ac2bFailure, ...] = ()
-    sampled: bool = False
     measure: Fraction | int | None = None  # the witnesses' measure, for a cause
 
 
@@ -509,12 +501,6 @@ class _Search:
             if combo != self.x_actual
         ]
 
-    def _measure(self, changed: Sequence[int], weights: Mapping[str, Fraction] | None):
-        """The change count, or the summed weights of the changed variables."""
-        if weights is None:
-            return len(changed)
-        return sum((weights[self.names[i]] for i in changed), Fraction(0))
-
     def _change_sets(
         self, weights: Mapping[str, Fraction] | None, movable: Sequence[int] | None = None
     ) -> Iterator[tuple]:
@@ -671,35 +657,6 @@ class _Search:
     def _recording(self, record_failures: bool) -> bool:
         return record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP
 
-    def sampled_witnesses(self, options: EngineOptions, weights: Mapping[str, Fraction] | None = None):
-        """Randomized witness sampling for models above the cap.
-
-        Keeps the best sample by the measure.  Unsound: a miss does not prove
-        there is no witness, and the best sample need not be minimal.  Found
-        witnesses are still fully verified.
-        """
-        rng = random.Random(options.seed)
-        ranges = self.model.signature.ranges
-        x_alts = self._x_alternatives()
-        if not x_alts:
-            return None, ()
-        best: Witness | None = None
-        best_measure = None
-        for _ in range(options.samples):
-            w_vars = [i for i in self.others if rng.random() < 0.5]
-            w_setting = {i: rng.choice(ranges[self.names[i]]) for i in w_vars}
-            x_prime = rng.choice(x_alts)
-            ok, _failure = self.check_witness(w_vars, w_setting, x_prime)
-            if ok:
-                changed = [i for i in w_vars if w_setting[i] != self.actual[i]]
-                measure = self._measure(changed, weights)
-                if best_measure is None or measure < best_measure:
-                    best_measure = measure
-                    best = Witness(*self._named_contingency(w_setting, x_prime), len(changed))
-        if best is None:
-            return None, ()
-        return best_measure, (best,)
-
 
 # ---------------------------------------------------------------------------
 # Public operations
@@ -739,7 +696,7 @@ def is_actual_cause(
     context: Context,
     cause: CandidateCause,
     outcome: EventFormula,
-    options: EngineOptions = EngineOptions(),
+    max_vars: int = DEFAULT_MAX_VARS,
     stats: EngineStats | None = None,
     weights: Mapping[str, Fraction] | None = None,
     first_witness: bool = False,
@@ -758,57 +715,42 @@ def is_actual_cause(
         for v in search.names:
             if weights[v] <= 0:
                 raise ModelError(f"weight for {v!r} must be positive")
-    return _verdict(search, cause, options, weights, first_witness)
+    return _verdict(search, cause, max_vars, weights, first_witness)
 
 
 def _verdict(
     search: _Search,
     cause: CandidateCause,
-    options: EngineOptions,
+    max_vars: int,
     weights: Mapping[str, Fraction] | None = None,
     first_witness: bool = False,
 ) -> CauseVerdict:
     """`is_actual_cause` on a search aimed at `cause`."""
-    names = search.names
-    over_cap = len(names) > options.max_vars
-    if over_cap and not options.sampled:
+    if search.n > max_vars:
         raise CapExceededError(
-            f"model has {len(names)} endogenous variables, above the exact-mode cap of"
-            f" {options.max_vars}; raise --max-vars or use sampled mode"
+            f"model has {search.n} endogenous variables, above the variable cap of"
+            f" {max_vars}; raise --max-vars"
         )
-    search.stats.sampled |= over_cap
 
     if not search.ac1():
-        return CauseVerdict(False, failed_condition="AC1", sampled=over_cap)
+        return CauseVerdict(False, failed_condition="AC1")
 
-    if over_cap:
-        measure, witnesses = search.sampled_witnesses(options, weights)
-    else:
-        measure, witnesses = search.find_minimal_witnesses(
-            weights, existence_only=first_witness, record_failures=not first_witness
-        )
+    measure, witnesses = search.find_minimal_witnesses(
+        weights, existence_only=first_witness, record_failures=not first_witness
+    )
     if measure is None:
-        return CauseVerdict(
-            False,
-            failed_condition="AC2",
-            ac2b_failures=tuple(search.ac2b_failures),
-            sampled=over_cap,
-        )
+        return CauseVerdict(False, failed_condition="AC2", ac2b_failures=tuple(search.ac2b_failures))
 
     # AC3: a strict nonempty sub-conjunction passing AC1 and AC2 disqualifies
     # the candidate.  AC1 holds for every sub-conjunction whenever it holds
     # for the whole, so only AC2 needs searching, and the measure does not
     # matter for existence.
     for sub in cause.strict_subsets():
-        sub_search = search.for_cause(sub)
-        if over_cap:
-            sub_measure, _ = sub_search.sampled_witnesses(options)
-        else:
-            sub_measure, _ = sub_search.find_minimal_witnesses(existence_only=True)
+        sub_measure, _ = search.for_cause(sub).find_minimal_witnesses(existence_only=True)
         if sub_measure is not None:
-            return CauseVerdict(False, failed_condition="AC3", sampled=over_cap)
+            return CauseVerdict(False, failed_condition="AC3")
 
-    return CauseVerdict(True, witnesses=witnesses, sampled=over_cap, measure=measure)
+    return CauseVerdict(True, witnesses=witnesses, measure=measure)
 
 
 def ways_fraction(
@@ -850,7 +792,7 @@ def find_all_causes(
     context: Context,
     outcome: EventFormula,
     max_conjuncts: int = 1,
-    options: EngineOptions = EngineOptions(),
+    max_vars: int = DEFAULT_MAX_VARS,
     stats: EngineStats | None = None,
 ) -> list[tuple[CandidateCause, CauseVerdict]]:
     """Test every true conjunction of up to max_conjuncts primitive events.
@@ -879,7 +821,7 @@ def find_all_causes(
                 search = _Search(ext, context, cand, outcome, stats or EngineStats())
             else:
                 search = search.for_cause(cand)
-            results.append((cand, _verdict(search, cand, options)))
+            results.append((cand, _verdict(search, cand, max_vars)))
     return results
 
 

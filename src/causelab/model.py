@@ -588,21 +588,3 @@ class CausalModel:
 
     def __repr__(self) -> str:
         return f"CausalModel({self.name!r}, {len(self.signature.exogenous)} exo, {len(self.signature.endogenous)} endo)"
-
-
-# Module-level aliases for the operation names used throughout the package.
-
-
-def solve(model: CausalModel, context: Context) -> World:
-    """Solve the model's equations in a context."""
-    return model.solve(context)
-
-
-def intervene(model: CausalModel, iv: Intervention | Mapping[str, int]) -> CausalModel:
-    """Apply an intervention, yielding the modified model."""
-    return model.intervene(iv)
-
-
-def enumerate_contexts(model: CausalModel) -> Iterator[Context]:
-    """Yield every context exactly once, in deterministic order."""
-    return model.enumerate_contexts()

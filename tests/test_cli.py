@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -141,55 +140,38 @@ class TestExitCodes:
         assert code == EXIT_DIAGNOSTICS
         assert payload["diagnostics"][0]["category"] == "unknown variable"
 
-    def test_cap_exits_two_in_exact_mode(self):
-        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
-        code, [payload] = run_json(
-            "cause", "-m", model_arg("vote11.cm"), "--max-vars", "5",
-            "-q", f"cause V1=0 of W=0 in ctx({ctx})",
-        )
-        assert code == EXIT_CAP
-        assert payload["diagnostics"][0]["category"] == "resource-cap"
+    def test_cause_above_cap_exits_three(self):
+        # Neither the all-zero context nor the 6-5 one, where V1 is but-for
+        # critical, is answered above the cap.
+        for ctx in (_V11_CTX, _V11_SPLIT_CTX):
+            code, [payload] = run_json(
+                "cause", "-m", model_arg("vote11.cm"), "--max-vars", "5",
+                "-q", f"cause V1=0 of W=0 in {ctx}",
+            )
+            assert code == 3 == EXIT_CAP
+            [diag] = payload["diagnostics"]
+            assert diag["category"] == "resource-cap"
 
-    def test_sampled_mode_runs_above_cap(self):
-        ctx = ",".join(f"UV{i}=0" for i in range(1, 7)) + "," + ",".join(
-            f"UV{i}=1" for i in range(7, 12)
-        )
-        code, [report] = run_json(
-            "cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "--sampled",
-            "--samples", "300", "-q", f"cause V1=0 of W=0 in ctx({ctx})",
-        )
-        assert code == EXIT_OK
-        assert report["result"]["sampled_unsound"] is True
-        assert report["result"]["verdict"] is True
-
-    def test_sampled_resp_is_marked(self):
-        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
-        query = f"resp V1=0 of W=0 in ctx({ctx})"
-        code, [sampled] = run_json(
-            "resp", "-m", model_arg("vote11.cm"), "--max-vars", "5", "--sampled",
-            "--samples", "300", "-q", query,
-        )
-        assert code == EXIT_OK
-        assert sampled["result"]["sampled_unsound"] is True
+    def test_resp_above_cap_exits_three(self):
+        query = f"resp V1=0 of W=0 in {_V11_CTX}"
+        code, [payload] = run_json("resp", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-q", query)
+        assert code == 3
+        [diag] = payload["diagnostics"]
+        assert diag["category"] == "resource-cap"
         code, [exact] = run_json("resp", "-m", model_arg("vote11.cm"), "-q", query)
         assert code == EXIT_OK
-        assert "sampled_unsound" not in exact["result"]
+        assert set(exact["result"]) == {"kind", "score", "strategy", "witness"}
 
-    def test_sampled_weighted_resp_respects_cap(self):
-        # Above the cap, weighted scoring keeps the best sampled witness by
-        # weight: the same samples as the sampled cause query, no exact search.
-        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
+    def test_weighted_resp_above_cap_exits_three(self):
         weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
-        sampled = ("-m", model_arg("vote11.cm"), "--max-vars", "5", "--sampled", "--samples", "300")
-        code, [resp] = run_json(
-            "resp", *sampled, "--strategy", "weighted", "--weights", weights,
-            "-q", f"resp V1=0 of W=0 in ctx({ctx})",
+        code, [payload] = run_json(
+            "resp", "-m", model_arg("vote11.cm"), "--max-vars", "5",
+            "--strategy", "weighted", "--weights", weights,
+            "-q", f"resp V1=0 of W=0 in {_V11_CTX}",
         )
-        assert code == EXIT_OK
-        _, [cause] = run_json("cause", *sampled, "-q", f"cause V1=0 of W=0 in ctx({ctx})")
-        assert resp["result"]["sampled_unsound"] is True
-        assert resp["stats"] == cause["stats"]
-        assert 0 < Fraction(resp["result"]["score"]) <= Fraction(1, 21)  # exact: 1/21
+        assert code == 3
+        [diag] = payload["diagnostics"]
+        assert diag["category"] == "resource-cap"
 
     def test_missing_weights_fail_before_search(self):
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
@@ -209,11 +191,10 @@ class TestExitCodes:
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("CAUSELAB_MAX_VARS", "5")
-        ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         code, _ = run_json(
-            "cause", "-m", model_arg("vote11.cm"), "-q", f"cause V1=0 of W=0 in ctx({ctx})"
+            "cause", "-m", model_arg("vote11.cm"), "-q", f"cause V1=0 of W=0 in {_V11_CTX}"
         )
-        assert code == EXIT_CAP
+        assert code == 3
 
     def test_bad_model_file_reports_diagnostics(self, tmp_path):
         bad = tmp_path / "bad.cm"
@@ -233,22 +214,36 @@ class TestExitCodes:
         assert "argument --max-vars: invalid int value: 'abc'" in capsys.readouterr().err
         code, [report] = run_json(*argv, "--max-vars", "7")  # the flag still wins
         assert code == EXIT_OK and report["options"]["max_vars"] == 7
+        monkeypatch.delenv("CAUSELAB_MAX_VARS")
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*argv, "--max-vars", "abc")
+        assert exc_info.value.code == 2
+        assert "argument --max-vars: invalid int value: 'abc'" in capsys.readouterr().err
 
-    def test_sampled_blame_is_marked(self):
+    def test_blame_above_cap_exits_three(self):
         argv = (
             "blame", "-m", model_arg("firing_squad.cm"), "-s", model_arg("firing_squad.ce"),
             "-q", "blame action M1<-1 of D=1 over state firing_uniform",
         )
-        code, [sampled] = run_json(*argv, "--max-vars", "3", "--sampled", "--samples", "200")
-        assert code == EXIT_OK
-        assert sampled["result"]["sampled_unsound"] is True
-        assert sampled["stats"] == {"solves": 3786, "subset_checks": 7361}
+        code, [payload] = run_json(*argv, "--max-vars", "3")
+        assert code == 3
+        [diag] = payload["diagnostics"]
+        assert diag["category"] == "resource-cap"
         code, [exact] = run_json(*argv)
         assert code == EXIT_OK
-        assert "sampled_unsound" not in exact["result"]
+        assert set(exact["result"]) == {"kind", "score", "state"}
+
+    @pytest.mark.parametrize("flag", [("--sampled",), ("--seed", "3"), ("--samples", "10")])
+    def test_sampling_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("cause", "-m", model_arg("forest_fire.cm"), *flag,
+                    "-q", "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)")
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 _V11_CTX = "ctx(" + ",".join(f"UV{i}=0" for i in range(1, 12)) + ")"
+_V11_SPLIT_CTX = "ctx(" + ",".join(f"UV{i}={int(i > 6)}" for i in range(1, 12)) + ")"
 _FF_CTX = "ctx(U1=1,U2=1,U3=1)"
 _ONE_X = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = %s;\n}\n"
 _TWO_EXO = "model m {\n  exogenous %s : {0,1};\n  exogenous V : {0,1};\n  endogenous X : {0,1} = V;\n}\n"

@@ -5,11 +5,11 @@ from unittest import mock
 
 import pytest
 
+from causelab.attribution import ScoringStrategy, degree_of_responsibility
 from causelab.formula import CausalFormula, atom, disj, holds, valid
 from causelab.hp import (
     CandidateCause,
     CapExceededError,
-    EngineOptions,
     EngineStats,
     Witness,
     _Search,
@@ -373,23 +373,21 @@ class TestCap:
                 u,
                 CandidateCause.of({"V1": 0}),
                 atom("W", 0),
-                EngineOptions(max_vars=5),
+                max_vars=5,
             )
 
-    def test_sampled_mode_is_marked_and_verified(self, corpus):
+    def test_ways_resp_raises_above_cap_after_the_actual_world(self, corpus):
+        # Only the actual world is solved: above the cap, `ways` no longer
+        # counts over the settings of the side variables.
         model, _ = corpus["models"]["vote11"]
-        ext = ext_of(model)
         u = Context({f"UV{i}": 0 for i in range(1, 7)} | {f"UV{i}": 1 for i in range(7, 12)})
-        cause = CandidateCause.of({"V1": 0})
-        verdict = is_actual_cause(
-            ext, u, cause, atom("W", 0), EngineOptions(max_vars=5, sampled=True, seed=3, samples=400)
-        )
-        assert verdict.sampled
-        # In the 6-5 context the cause is but-for critical, which sampling
-        # finds easily; every reported witness must re-verify exactly.
-        assert verdict.is_cause
-        for witness in verdict.witnesses:
-            assert check_ac2(ext, u, cause, atom("W", 0), witness)
+        stats = EngineStats()
+        with pytest.raises(CapExceededError):
+            degree_of_responsibility(
+                ext_of(model), u, CandidateCause.of({"V1": 0}), atom("W", 0),
+                ScoringStrategy.ways_fraction(), max_vars=5, stats=stats,
+            )
+        assert stats.solves == 1
 
     def test_witness_world_matches_report(self):
         ext = ext_of(forest_fire())
@@ -405,7 +403,7 @@ class TestStats:
         stats = EngineStats()
         is_actual_cause(
             ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1),
-            EngineOptions(), stats,
+            stats=stats,
         )
         assert stats.solves > 0 and stats.subset_checks > 0
 

@@ -39,3 +39,8 @@ def test_guard_sees_private_imports():
     assert private_imports("from causelab.model import _x\n") == ["causelab.model._x"]
     assert private_imports("from collections import _chain_map\n") == []
     assert private_imports("from . import hp\nimport causelab._private\n") == []
+
+
+def test_every_export_resolves_once():
+    assert [name for name in causelab.__all__ if not hasattr(causelab, name)] == []
+    assert len(causelab.__all__) == len(set(causelab.__all__))
