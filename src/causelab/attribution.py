@@ -123,7 +123,7 @@ def degree_of_responsibility(
     if strategy.kind == "exponential":
         value = Fraction(1, 2**best.changes)
     elif strategy.kind == "ways":
-        value = ways_fraction(ext, context, cause, outcome, stats)
+        value = ways_fraction(ext, context, cause, outcome, max_vars, stats)
     else:  # reciprocal: the measure counts changes; weighted: it sums weights
         value = Fraction(1) / (1 + verdict.measure)
     return Responsibility(value, best)

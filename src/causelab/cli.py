@@ -124,23 +124,23 @@ def _context(model: CausalModel, assigns) -> Context:
     return ctx
 
 
-def _witness_dict(ext: ExtendedModel, context: Context, cause: CandidateCause, w: hp.Witness) -> dict:
-    world = hp.witness_world(ext, context, cause, w)
+def _witness_dict(w: hp.Witness) -> dict:
+    """A witness the search returned, with the world it solved for it."""
     return {
         "w_set": sorted(w.w_set),
         "w_setting": w.w_setting.as_dict(),
         "x_prime": w.x_prime.as_dict(),
         "changes": w.changes,
-        "witness_world": world.as_dict(),
+        "witness_world": w.world.as_dict(),
     }
 
 
-def _cause_result(ext, context, cause, verdict: hp.CauseVerdict) -> dict:
+def _cause_result(verdict: hp.CauseVerdict) -> dict:
     return {
         "verdict": verdict.is_cause,
         "failed_condition": verdict.failed_condition,
         "min_changes": verdict.witnesses[0].changes if verdict.witnesses else None,
-        "witnesses": [_witness_dict(ext, context, cause, w) for w in verdict.witnesses],
+        "witnesses": [_witness_dict(w) for w in verdict.witnesses],
         "ac2b_failures": [
             {
                 "w_set": sorted(f.w_set),
@@ -186,7 +186,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             cause = CandidateCause.of(dict(query.cause))
             if isinstance(query, CauseQuery):
                 verdict = hp.is_actual_cause(ext, context, cause, query.outcome, options.max_vars, stats)
-                result = {"kind": "cause", **_cause_result(ext, context, cause, verdict)}
+                result = {"kind": "cause", **_cause_result(verdict)}
             else:
                 resp = attribution.degree_of_responsibility(
                     ext, context, cause, query.outcome, options.scoring(), options.max_vars, stats
@@ -196,9 +196,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
                     "score": str(resp.value),
                     "strategy": options.strategy,
                     "witness": (
-                        _witness_dict(ext, context, cause, resp.achieving_witness)
-                        if resp.achieving_witness is not None
-                        else None
+                        _witness_dict(resp.achieving_witness) if resp.achieving_witness is not None else None
                     ),
                 }
             used = [model.name]

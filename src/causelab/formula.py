@@ -173,14 +173,21 @@ def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula)
 
 def valid(model: CausalModel, f: CausalFormula | EventFormula, stats: EngineStats | None = None) -> bool:
     """Truth of a causal formula in every context of the model; stops at the
-    first context that falsifies it.  `stats` counts the solves made."""
+    first context that falsifies it.  `stats` counts the solves made.
+
+    Only the exogenous variables the matrix still reads once the prefix is
+    folded into the equations are ranged over (`CausalModel.reads`); the
+    others keep their first value, since the matrix cannot depend on them.
+    """
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
     sig = model.signature
     pins = sig.pin_values(f.prefix)
     matrix = f.matrix.predicate(sig.endogenous_index)
-    for u in itertools.product(*(values for _, values in sig.exogenous)):
+    read = set(model.reads(f.matrix.variables(), f.prefix))
+    ranges = [values if name in read else values[:1] for name, values in sig.exogenous]
+    for u in itertools.product(*ranges):
         if stats is not None:
             stats.solves += 1
         if not matrix(model.solve_unchecked(u, pins)):

@@ -30,13 +30,14 @@ failures are those of the plain enumeration, and only the work counters fall.
   the value it already takes cannot change any solution, so such pins are
   no-ops both in the witness search and inside the AC2(b) subset sweep).
 - Non-causes are decided by context folding.  The context is substituted
-  into the equation bodies and constant-folded (`fold`), and the search walks
-  back from the outcome's variables over the references that remain.  If no
-  cause variable is reached, no witness exists: pins only replace equations
-  by constants, so the outcome under [x', w] equals the outcome under [x, w],
-  and AC2(a) then contradicts AC2(b) at W' = W, Z' = {}.  Such a search stops
-  at once, or, when it reports AC2(b) failures, as soon as it has the first
-  `_AC2B_FAILURE_CAP` of them, which are the ones the full search reports.
+  into the equation bodies and constant-folded (`model.fold`), and the
+  search walks back from the outcome's variables over the references that
+  remain (`CausalModel.reads`).  If no cause variable is reached, no witness
+  exists: pins only replace equations by constants, so the outcome under
+  [x', w] equals the outcome under [x, w], and AC2(a) then contradicts
+  AC2(b) at W' = W, Z' = {}.  Such a search stops at once, or, when it
+  reports AC2(b) failures, as soon as it has the first `_AC2B_FAILURE_CAP`
+  of them, which are the ones the full search reports.
 - Scoring reads only the first minimal witness and its measure, and the
   first witness found is minimal because the order is by measure, so
   `is_actual_cause(first_witness=True)` stops there.
@@ -83,27 +84,12 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
-import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .formula import AndF, Atom, EventFormula, PrimitiveEvent
-from .model import (
-    Assignment,
-    BoolOp,
-    CausalModel,
-    Cond,
-    Context,
-    Expr,
-    If,
-    Lit,
-    MinMax,
-    ModelError,
-    Not,
-    Var,
-    World,
-)
+from .model import Assignment, CausalModel, Context, ModelError, World
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -164,6 +150,9 @@ class Witness:
     w_setting: Assignment
     x_prime: Assignment
     changes: int
+    # The world the contingency determines, as the search solved it; None on a
+    # hand-built witness (`witness_world` solves it then).
+    world: World | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -209,57 +198,6 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(items, r)
 
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "min": min,
-    "max": max,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-}
-
-
-def fold(node: Expr | Cond, context: Mapping[str, int]) -> int | bool | frozenset[str]:
-    """The node's value when the exogenous `context` alone decides it, else
-    the endogenous variables it still references after constant folding.
-
-    Folds an `If` with a constant condition to its branch, absorbs `&&` and
-    `||` with a constant side, and evaluates `Not`, `Cmp`, `Arith` and
-    `MinMax` over constant operands; any other node keeps the references of
-    its folded children.
-    """
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        value = context.get(node.name)
-        return frozenset((node.name,)) if value is None else value
-    if isinstance(node, If):
-        cond = fold(node.cond, context)
-        if not isinstance(cond, frozenset):
-            return fold(node.then if cond else node.other, context)
-        return _references(cond, fold(node.then, context), fold(node.other, context))
-    if isinstance(node, Not):
-        inner = fold(node.inner, context)
-        return inner if isinstance(inner, frozenset) else not inner
-    left, right = fold(node.left, context), fold(node.right, context)
-    if isinstance(node, BoolOp):
-        absorbing = node.op == "||"  # true decides ||, false decides &&
-        for side, other in ((left, right), (right, left)):
-            if not isinstance(side, frozenset):
-                return absorbing if side == absorbing else other
-        return left | right
-    if isinstance(left, frozenset) or isinstance(right, frozenset):
-        return _references(left, right)
-    return _BINARY[node.which if isinstance(node, MinMax) else node.op](left, right)
-
-
-def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
-    return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
-
-
 class _Search:
     """Witness search for one (extended model, context, cause, outcome).
 
@@ -287,13 +225,13 @@ class _Search:
         sig.check_context(context)
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
-        self.outcome_vars = [sig.endogenous_index[v] for v in outcome.variables()]
+        self.outcome_vars = outcome.variables()
         self.stats = stats
         self.names = sig.endogenous_names
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
-        self._folded: dict[int, tuple[int, ...]] = {}  # position -> folded references
+        self._folded: dict[str, frozenset[str]] = {}  # variable -> folded references
         self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
         self.actual = self._solve((None,) * self.n)
         # The actual world's up-set as {position: value} patterns; None when flat.
@@ -317,6 +255,15 @@ class _Search:
         search._aim(cause)
         return search
 
+    def check_cap(self, max_vars: int) -> None:
+        """Raise `CapExceededError` when the model is over the variable cap;
+        by then only the actual world has been solved."""
+        if self.n > max_vars:
+            raise CapExceededError(
+                f"model has {self.n} endogenous variables, above the variable cap of"
+                f" {max_vars}; raise --max-vars"
+            )
+
     def ac1(self) -> bool:
         """AC1 on the solved actual world: the cause and the outcome both hold."""
         actual = self.actual
@@ -326,27 +273,8 @@ class _Search:
         """Whether some outcome variable depends on a cause variable once the
         context is folded into the equations.  When none does, AC2 fails (see
         the module docstring).  Folds only the equations the walk reaches."""
-        cause = set(self.x_vars)
-        stack = list(self.outcome_vars)
-        seen = set(stack)
-        while stack:
-            i = stack.pop()
-            if i in cause:
-                return True
-            for j in self._folded_references(i):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return False
-
-    def _folded_references(self, i: int) -> tuple[int, ...]:
-        refs = self._folded.get(i)
-        if refs is None:
-            folded = fold(self.model.equations[self.names[i]].body, self._exogenous)
-            index = self.model.signature.endogenous_index
-            refs = tuple(index[v] for v in folded) if isinstance(folded, frozenset) else ()
-            self._folded[i] = refs
-        return refs
+        cause = {self.names[i] for i in self.x_vars}
+        return any(v in cause for v in self.model.reads(self.outcome_vars, self._exogenous, self._folded))
 
     # -- solving ------------------------------------------------------------
 
@@ -637,11 +565,13 @@ class _Search:
             if self._ac2b_states.get(key) is _HOLDS or not self._recording(record_failures):
                 if self._ac2b_state(key, c_vars) is not _HOLDS:
                     return None  # the same verdict for every W
-                return Witness(*self._named_contingency(w_setting, x_prime), len(c_vars))
-            failure = self.ac2b(sorted(w_setting), w_setting)
-            self._ac2b_states.setdefault(key, _ac2b_state_of(failure, c_vars))
+                failure = None
+            else:
+                failure = self.ac2b(sorted(w_setting), w_setting)
+                self._ac2b_states.setdefault(key, _ac2b_state_of(failure, c_vars))
             if failure is None:
-                return Witness(*self._named_contingency(w_setting, x_prime), len(c_vars))
+                contingency = self._named_contingency(w_setting, x_prime)
+                return Witness(*contingency, len(c_vars), self.model.signature.world(values))
             w_prime, z_prime = failure
             self.ac2b_failures.append(
                 Ac2bFailure(
@@ -726,12 +656,7 @@ def _verdict(
     first_witness: bool = False,
 ) -> CauseVerdict:
     """`is_actual_cause` on a search aimed at `cause`."""
-    if search.n > max_vars:
-        raise CapExceededError(
-            f"model has {search.n} endogenous variables, above the variable cap of"
-            f" {max_vars}; raise --max-vars"
-        )
-
+    search.check_cap(max_vars)
     if not search.ac1():
         return CauseVerdict(False, failed_condition="AC1")
 
@@ -758,6 +683,7 @@ def ways_fraction(
     context: Context,
     cause: CandidateCause,
     outcome: EventFormula,
+    max_vars: int = DEFAULT_MAX_VARS,
     stats: EngineStats | None = None,
 ) -> Fraction:
     """Fraction of non-actual settings of the side variables under which the
@@ -765,9 +691,11 @@ def ways_fraction(
     actual value and fails for some alternative.
 
     Side variables are the endogenous variables outside the cause and outside
-    the outcome; the actual setting itself is not counted as a change.
+    the outcome; the actual setting itself is not counted as a change.  Above
+    the variable cap it raises `CapExceededError`, as `is_actual_cause` does.
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    search.check_cap(max_vars)
     side = [i for i in search.others if search.names[i] not in outcome.variables()]
     ranges = ext.model.signature.ranges
     combos = list(itertools.product(*(ranges[search.names[i]] for i in side)))

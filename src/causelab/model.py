@@ -12,6 +12,7 @@ All values here are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,6 +178,57 @@ class Not(Cond):
 
     def references(self) -> frozenset[str]:
         return self.inner.references()
+
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "min": min,
+    "max": max,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+}
+
+
+def fold(node: Expr | Cond, known: Mapping[str, int]) -> int | bool | frozenset[str]:
+    """The node's value when the `known` values alone decide it, else the
+    variables outside `known` it still references after constant folding.
+
+    Folds an `If` with a constant condition to its branch, absorbs `&&` and
+    `||` with a constant side, and evaluates `Not`, `Cmp`, `Arith` and
+    `MinMax` over constant operands; any other node keeps the references of
+    its folded children.
+    """
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Var):
+        value = known.get(node.name)
+        return frozenset((node.name,)) if value is None else value
+    if isinstance(node, If):
+        cond = fold(node.cond, known)
+        if not isinstance(cond, frozenset):
+            return fold(node.then if cond else node.other, known)
+        return _references(cond, fold(node.then, known), fold(node.other, known))
+    if isinstance(node, Not):
+        inner = fold(node.inner, known)
+        return inner if isinstance(inner, frozenset) else not inner
+    left, right = fold(node.left, known), fold(node.right, known)
+    if isinstance(node, BoolOp):
+        absorbing = node.op == "||"  # true decides ||, false decides &&
+        for side, other in ((left, right), (right, left)):
+            if not isinstance(side, frozenset):
+                return absorbing if side == absorbing else other
+        return left | right
+    if isinstance(left, frozenset) or isinstance(right, frozenset):
+        return _references(left, right)
+    return _BINARY[node.which if isinstance(node, MinMax) else node.op](left, right)
+
+
+def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
+    return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
 
 
 def _emit(node: Expr | Cond, key) -> str:
@@ -543,6 +595,35 @@ class CausalModel:
             if env[pos] is None:
                 env[pos] = fn(env)
         return tuple(env[len(context):])
+
+    def reads(
+        self,
+        start: Iterable[str],
+        known: Mapping[str, int],
+        memo: dict[str, frozenset[str]] | None = None,
+    ) -> Iterator[str]:
+        """The `start` variables and every variable they read, directly or
+        through other equations, once the `known` values are folded into the
+        equation bodies (`fold`); each once, lazily, so a caller may stop
+        early.  A known or exogenous variable reads nothing.  `memo` keeps
+        each equation's folded references across walks with the same `known`.
+        """
+        memo = {} if memo is None else memo
+        seen = set(start)
+        stack = list(seen)
+        while stack:
+            name = stack.pop()
+            yield name
+            if name in known or name not in self.equations:
+                continue
+            refs = memo.get(name)
+            if refs is None:
+                folded = fold(self.equations[name].body, known)
+                refs = memo[name] = folded if isinstance(folded, frozenset) else frozenset()
+            for ref in refs:
+                if ref not in seen:
+                    seen.add(ref)
+                    stack.append(ref)
 
     def intervene(self, iv: Mapping[str, int]) -> CausalModel:
         """Replace each targeted variable's equation by the assigned constant."""

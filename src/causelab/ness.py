@@ -66,7 +66,8 @@ def is_ness_cause(
 
     The search space is every consistent set of primitive events true in the
     solved world that contains the queried event.  `stats` counts the solves
-    made: the actual world's and each validity check's, one per context.
+    made: the actual world's and each validity check's, one per context of
+    the exogenous variables the pinned outcome still reads (see `valid`).
     """
     outcome.validate(model)
     model.signature.check_endogenous("event variable", event.variable, event.value)

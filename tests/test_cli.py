@@ -441,14 +441,44 @@ class TestWorkCounters:
         assert lines[0]["stats"] == {"solves": 7, "subset_checks": 3}
 
     def test_ness_counts_its_solves(self):
-        # The actual world plus one solve per context of each validity check
-        # (reported as 0 before NESS passed the query's counters down).
+        # The actual world plus one solve per context of each validity check,
+        # over the exogenous variables the pinned outcome still reads (27 when
+        # every check ranged over all 8 contexts; reported as 0 before NESS
+        # passed the query's counters down).
         code, lines = run_json(
             "ness", "-m", model_arg("poisoned_tea.cm"), "-q", "ness CP=1 of PD=1 in ctx(UC=1,UD=1,UR=1)"
         )
         assert code == EXIT_OK
         assert lines[0]["result"]["sufficient_set"] == {"CP": 1, "DR": 1}
-        assert lines[0]["stats"] == {"solves": 27, "subset_checks": 0}
+        assert lines[0]["stats"] == {"solves": 7, "subset_checks": 0}
+
+    def test_ness_on_conjunctive_fire(self, tmp_path):
+        # F needs all seven sources.  A set that pins F, or every source,
+        # leaves F reading no exogenous variable: one context each, where
+        # every check ranged over all 128 contexts before (14,785 solves).
+        n = 7
+        decls = [f"model fire{n} {{"]
+        decls += [f"  exogenous U{i} : {{0,1}};" for i in range(1, n + 1)]
+        decls += [f"  endogenous L{i} : {{0,1}} = U{i};" for i in range(1, n + 1)]
+        body = "L1"
+        for i in range(2, n + 1):
+            body = f"min({body}, L{i})"
+        decls += [f"  endogenous F : {{0,1}} = {body};", "}"]
+        path = tmp_path / "fire7.cm"
+        path.write_text("\n".join(decls) + "\n")
+        ctx = ",".join(f"U{i}=1" for i in range(1, n + 1))
+        code, lines = run_json("ness", "-m", str(path), "-q", f"ness L7=1 of F=1 in ctx({ctx})")
+        assert code == EXIT_OK
+        assert lines[0]["result"]["sufficient_set"] == {f"L{i}": 1 for i in range(1, n + 1)}
+        assert lines[0]["stats"] == {"solves": 180, "subset_checks": 0}
+
+    def test_ness_on_discharge_units(self):
+        # 99 solves when every check ranged over all 32 contexts.
+        entry = next(e for e in load_corpus_entries() if e["id"] == "discharge_units/D2_ness_cause")
+        code, lines = run_json("ness", "-m", model_arg(entry["models"][0]), "-q", entry["query"])
+        assert code == EXIT_OK
+        assert all(lines[0]["result"][k] == v for k, v in entry["expect"].items())
+        assert lines[0]["stats"] == {"solves": 6, "subset_checks": 0}
 
     @pytest.mark.parametrize(
         "entry_id, stats",

@@ -6,6 +6,8 @@ from unittest import mock
 import pytest
 
 from causelab.attribution import ScoringStrategy, degree_of_responsibility
+from causelab.cli import load_corpus_entries
+from causelab.dsl import CauseQuery, RespQuery, parse_query
 from causelab.formula import CausalFormula, atom, disj, holds, valid
 from causelab.hp import (
     CandidateCause,
@@ -15,8 +17,8 @@ from causelab.hp import (
     _Search,
     check_ac2,
     find_all_causes,
-    fold,
     is_actual_cause,
+    ways_fraction,
     witness_world,
 )
 from causelab.model import (
@@ -37,9 +39,17 @@ from causelab.model import (
     Signature,
     UnknownVariableError,
     Var,
+    fold,
 )
 from causelab.normality import ExtendedModel
-from randmodels import random_context, random_dangling_model, random_model, random_selector_model
+from randmodels import (
+    random_context,
+    random_dangling_model,
+    random_model,
+    random_pattern_order,
+    random_selector_model,
+    random_threshold_model,
+)
 from test_model import forest_fire
 
 
@@ -396,6 +406,67 @@ class TestCap:
         verdict = is_actual_cause(ext, u, cause, atom("F", 1))
         world = witness_world(ext, u, cause, verdict.witnesses[0])
         assert world["F"] == 0 and world["L"] == 0 and world["ML"] == 0
+
+    def test_ways_fraction_raises_above_cap_after_the_actual_world(self, corpus):
+        model, _ = corpus["models"]["vote11"]
+        u = Context({f"UV{i}": 0 for i in range(1, 7)} | {f"UV{i}": 1 for i in range(7, 12)})
+        cause, outcome = CandidateCause.of({"V1": 0}), atom("W", 0)
+        stats = EngineStats()
+        with pytest.raises(CapExceededError):
+            ways_fraction(ext_of(model), u, cause, outcome, max_vars=5, stats=stats)
+        assert stats.solves == 1
+        assert ways_fraction(ext_of(model), u, cause, outcome) == Fraction(251, 1023)
+
+
+def check_witness_worlds(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome) -> int:
+    """Every witness of a `cause` and of a first-witness query carries the
+    world `witness_world` solves afresh; returns how many were checked."""
+    checked = 0
+    for first in (False, True):
+        for w in is_actual_cause(ext, context, cause, outcome, first_witness=first).witnesses:
+            assert w.world is not None
+            assert w.world == witness_world(ext, context, cause, w), (ext.model.name, cause, w)
+            checked += 1
+    return checked
+
+
+class TestWitnessWorld:
+    def test_hand_built_witness_needs_no_world(self):
+        ext, u = ext_of(forest_fire()), u_ff(1, 1, 1)
+        cause = CandidateCause.of({"L": 1})
+        [found] = is_actual_cause(ext, u, cause, atom("F", 1)).witnesses
+        built = Witness(found.w_set, found.w_setting, found.x_prime, found.changes)
+        assert built.world is None and built == found and hash(built) == hash(found)
+        assert witness_world(ext, u, cause, built) == found.world
+
+    def test_corpus_verdicts(self, corpus):
+        checked = 0
+        for entry in load_corpus_entries():
+            query = parse_query(entry["query"])
+            if not isinstance(query, (CauseQuery, RespQuery)):
+                continue
+            model, order = corpus["models"][entry["models"][0].removesuffix(".cm")]
+            preliminary = entry.get("options", {}).get("mode") == "preliminary"
+            ext = ExtendedModel(model, None if preliminary else order)
+            cause = CandidateCause.of(dict(query.cause))
+            checked += check_witness_worlds(ext, Context(dict(query.context)), cause, query.outcome)
+        assert checked >= 500
+
+    def test_seeded_batch(self):
+        rng = random.Random(97)
+        checked = 0
+        for i in range(90):
+            family = (random_model, random_threshold_model, random_selector_model)[i % 3]
+            model = family(rng, name=f"worlds{i}")
+            order = random_pattern_order(rng, model) if rng.random() < 0.3 else None
+            ext = ExtendedModel(model, order)
+            u = random_context(rng, model)
+            world = model.solve(u)
+            outcome_var = model.signature.endogenous_names[-1]
+            outcome = atom(outcome_var, world[outcome_var])
+            for v in model.signature.endogenous_names[:-1]:
+                checked += check_witness_worlds(ext, u, CandidateCause.of({v: world[v]}), outcome)
+        assert checked >= 200
 
 
 class TestStats:

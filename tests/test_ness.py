@@ -1,10 +1,23 @@
-import pytest
+import itertools
+import random
 
-from causelab.formula import PrimitiveEvent, atom
+import pytest
+from hypothesis import HealthCheck, given, note, settings
+from hypothesis import strategies as st
+
+from causelab.dsl import print_model
+from causelab.formula import CausalFormula, PrimitiveEvent, atom, valid
 from causelab.hp import CandidateCause, is_actual_cause
-from causelab.model import Context
+from causelab.model import Context, Intervention
 from causelab.ness import SufficientSet, is_ness_cause, is_sufficient
 from causelab.normality import ExtendedModel
+from randmodels import (
+    random_context,
+    random_event_formula,
+    random_model,
+    random_selector_model,
+    random_threshold_model,
+)
 
 
 def events(**kwargs):
@@ -84,3 +97,84 @@ class TestNessCause:
         assert is_actual_cause(
             ExtendedModel(units, None), u_switch, CandidateCause.of({"D2": 13}), injury
         ).is_cause
+
+
+# -- Sufficiency over the contexts the pinned outcome still reads -------------
+# `valid` ranges only over the exogenous variables that the matrix reads once
+# the prefix's pins are folded into the equations.  The referee is the plain
+# definition: every context of the full product, each solved afresh.
+
+
+def brute_valid(model, pins: dict[str, int], matrix) -> bool:
+    return all(matrix.satisfied_by(model.solve_pinned(u, pins)) for u in model.enumerate_contexts())
+
+
+def brute_ness(model, context, event, outcome) -> SufficientSet | None:
+    """`is_ness_cause`'s search, smallest set first, over brute-force sufficiency."""
+    world = model.solve(context)
+    if world[event.variable] != event.value:
+        return None
+    others = [PrimitiveEvent(v, world[v]) for v in model.signature.endogenous_names if v != event.variable]
+
+    def sufficient(events) -> bool:
+        return brute_valid(model, {e.variable: e.value for e in events}, outcome)
+
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            if sufficient((event,) + combo) and not sufficient(combo):
+                return SufficientSet((event,) + combo)
+    return None
+
+
+def cut_model(rng: random.Random, i: int, name: str):
+    if i % 3 == 0:
+        return random_model(rng, max_endo=4, max_exo=3, allow_ternary=True, name=name)
+    if i % 3 == 1:
+        return random_threshold_model(rng, name=name)
+    return random_selector_model(rng, name=name)
+
+
+def check_cut(rng: random.Random, model) -> int:
+    """Six random pin sets and outcomes against the full product, then one
+    NESS query against the brute-force search; returns how many of the six
+    checks range over fewer exogenous variables than the model has."""
+    sig = model.signature
+    names = sig.endogenous_names
+    dropped = 0
+    for _ in range(6):
+        pins = {v: rng.choice(sig.ranges[v]) for v in names if rng.random() < 0.4}
+        if rng.random() < 0.5:
+            matrix = atom(names[-1], rng.choice(sig.ranges[names[-1]]))
+        else:
+            matrix = random_event_formula(rng, model)
+        got = valid(model, CausalFormula(Intervention(pins), matrix))
+        assert got == brute_valid(model, pins, matrix), (model.name, pins, matrix)
+        read = set(model.reads(matrix.variables(), pins))
+        dropped += any(u not in read for u in sig.exogenous_names)
+    u = random_context(rng, model)
+    world = model.solve(u)
+    event_var = rng.choice(names[:-1])
+    event = PrimitiveEvent(event_var, world[event_var])
+    outcome = atom(names[-1], world[names[-1]])
+    assert is_ness_cause(model, u, event, outcome) == brute_ness(model, u, event, outcome), (model.name, event)
+    return dropped
+
+
+def test_cut_batch_matches_the_full_product():
+    rng = random.Random(131)
+    dropped = sum(check_cut(rng, cut_model(rng, i, f"cut{i}")) for i in range(150))
+    assert dropped >= 600  # of 900 checks
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(rng=st.randoms(use_true_random=False), family=st.integers(0, 2))
+def test_shrinking_cut_matches_the_full_product(rng, family):
+    model = cut_model(rng, family, "shrink")
+    note(print_model(model, None))
+    check_cut(rng, model)
