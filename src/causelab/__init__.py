@@ -55,11 +55,7 @@ from .model import (
     World,
 )
 from .ness import SufficientSet, is_ness_cause, is_sufficient
-from .normality import (
-    ExtendedModel,
-    NormalityOrder,
-    close,
-)
+from .normality import ExtendedModel, NormalityOrder
 
 __version__ = "0.1.0"
 
@@ -96,7 +92,6 @@ __all__ = [
     "World",
     "atom",
     "check_ac2",
-    "close",
     "conj",
     "degree_of_blame",
     "degree_of_responsibility",

@@ -158,7 +158,7 @@ def degree_of_blame(
         pre_world = ext.model.solve(context)
         if any(pre_world[v] != x for v, x in action.items()):
             continue
-        post = ext.with_model(ext.model.intervene(action))
+        post = ExtendedModel(ext.model.intervene(action), ext.order)
         resp = degree_of_responsibility(
             post, context, cause, outcome, strategy, max_vars, stats
         )

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from . import attribution, dsl, hp, ness
 from .dsl import (
@@ -113,9 +114,7 @@ def _error_diag(exc: ValueError) -> Diagnostic:
 
 
 def _extended(model: CausalModel, order: NormalityOrder | None, options: RunOptions) -> ExtendedModel:
-    if options.mode == "preliminary" or order is None:
-        return ExtendedModel(model, None)
-    return ExtendedModel(model, order)
+    return ExtendedModel(model, None if options.mode == "preliminary" else order)
 
 
 def _context(model: CausalModel, assigns) -> Context:
@@ -345,11 +344,7 @@ def load_corpus_entries(base=None) -> list[dict]:
 
 
 def _cmd_corpus(args, out) -> int:
-    base = args.dir or corpus_dir()
-    if not isinstance(base, type(corpus_dir())):
-        from pathlib import Path
-
-        base = Path(base)
+    base = Path(args.dir) if args.dir else corpus_dir()
     entries = load_corpus_entries(base)
     if args.action == "list":
         for entry in entries:

@@ -9,9 +9,10 @@ Three file kinds share one lexer:
 Model files may declare a normality block of rank entries and world-pattern
 pairs.  A pattern constrains only the variables it mentions; in a pair, any
 variable mentioned on neither side takes equal values in both worlds it
-relates.  Patterns are kept as declared, never expanded into worlds, and the
-order is closed at parse time, so conflicting ranks are reported at the rank
-declaration that conflicts with an earlier one.
+relates.  Patterns are kept as declared, never expanded into worlds.  The
+order is built over the parsed model's signature and validates itself there,
+so conflicting ranks are reported at the rank declaration that conflicts with
+an earlier one.
 
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
@@ -31,6 +32,8 @@ from .formula import (
     NotF,
     OrF,
     PrimitiveEvent,
+    conj,
+    disj,
 )
 from .model import (
     Arith,
@@ -50,7 +53,6 @@ from .model import (
     Signature,
     Var,
 )
-from . import normality
 from .normality import NormalityOrder, RankConflictError
 
 
@@ -113,9 +115,9 @@ def _lex(text: str, origin: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also accepts '²' and '٣'
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
@@ -486,7 +488,7 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
     if diags:
         raise DslError(diags)
     try:
-        return model, normality.close(NormalityOrder(tuple(pairs), tuple(ranks)), model)
+        return model, NormalityOrder(signature, tuple(pairs), tuple(ranks))
     except RankConflictError as exc:
         tok = raw.rank_decls[exc.index][2]
         raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
@@ -558,20 +560,14 @@ def _parse_event_formula(p: _Parser) -> EventFormula:
         while p.at_punct("|"):
             p.advance()
             parts.append(parse_and())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = OrF(part, node)
-        return node
+        return disj(*parts)
 
     def parse_and() -> EventFormula:
         parts = [parse_not()]
         while p.at_punct("&"):
             p.advance()
             parts.append(parse_not())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = AndF(part, node)
-        return node
+        return conj(*parts)
 
     def parse_not() -> EventFormula:
         if p.at_punct("!"):
@@ -662,12 +658,12 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
             query: Query = EvalQuery(formula, ctx)
         elif p.at_keyword("cause") or p.at_keyword("resp"):
             kind = p.advance().text
-            conj = _parse_conj(p)
+            cause = _parse_conj(p)
             p.expect_keyword("of")
             outcome = _parse_event_formula(p)
             p.expect_keyword("in")
             ctx = _parse_ctx(p)
-            query = (CauseQuery if kind == "cause" else RespQuery)(conj, outcome, ctx)
+            query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, ctx)
         elif p.at_keyword("blame"):
             p.advance()
             p.expect_keyword("action")
@@ -887,9 +883,9 @@ def print_query(query: Query) -> str:
         matrix = _render_event_formula(query.formula.matrix)
         return f"eval {prefix}{matrix} in {_render_ctx(query.context)}"
     if isinstance(query, (CauseQuery, RespQuery)):
-        conj = " & ".join(f"{k}={v}" for k, v in query.cause)
+        cause = " & ".join(f"{k}={v}" for k, v in query.cause)
         return (
-            f"{query.kind} {conj} of {_render_event_formula(query.outcome)}"
+            f"{query.kind} {cause} of {_render_event_formula(query.outcome)}"
             f" in {_render_ctx(query.context)}"
         )
     if isinstance(query, BlameQuery):

@@ -429,13 +429,9 @@ class _Search:
             if combo != self.x_actual
         ]
 
-    def _change_sets(
-        self, weights: Mapping[str, Fraction] | None, movable: Sequence[int] | None = None
-    ) -> Iterator[tuple]:
-        """(measure, C) for every change set C of the `movable` positions (by
-        default all of `others`), sorted by measure, then size, then
-        position, and generated lazily."""
-        movable = self.others if movable is None else movable
+    def _change_sets(self, weights: Mapping[str, Fraction] | None, movable: Sequence[int]) -> Iterator[tuple]:
+        """(measure, C) for every change set C of the `movable` positions,
+        sorted by measure, then size, then position, and generated lazily."""
         if weights is None:
             for c_vars in _subsets(movable):
                 yield len(c_vars), c_vars
@@ -478,17 +474,18 @@ class _Search:
         self,
         weights: Mapping[str, Fraction] | None = None,
         existence_only: bool = False,
-        record_failures: bool = False,
     ):
         """Minimal-measure admissible witnesses.
 
         Returns (measure, witnesses); (None, ()) when AC2 is unsatisfiable.
-        Without weights the measure is the change count k.
+        Without weights the measure is the change count k.  An
+        `existence_only` search stops at the first witness; any other search
+        records the AC2(b) failures met before its first witness.
         """
         # A search the outcome cannot reach from the cause finds no witness;
         # it runs only to record the AC2(b) failures it reports.
         hopeless = not self.outcome_reaches_cause()
-        if hopeless and not record_failures:
+        if hopeless and existence_only:
             return None, ()
         x_alts = self._x_alternatives()
         movable = self.others
@@ -504,7 +501,7 @@ class _Search:
                 break
             for x_prime in x_alts:
                 # Failures recorded after a witness is found are never reported.
-                record = record_failures and not found
+                record = not existence_only and not found
                 witness = self._first_witness_for(c_vars, c, x_prime, record, hopeless)
                 if witness is not None:
                     found.append(witness)
@@ -660,9 +657,7 @@ def _verdict(
     if not search.ac1():
         return CauseVerdict(False, failed_condition="AC1")
 
-    measure, witnesses = search.find_minimal_witnesses(
-        weights, existence_only=first_witness, record_failures=not first_witness
-    )
+    measure, witnesses = search.find_minimal_witnesses(weights, existence_only=first_witness)
     if measure is None:
         return CauseVerdict(False, failed_condition="AC2", ac2b_failures=tuple(search.ac2b_failures))
 

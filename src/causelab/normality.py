@@ -1,15 +1,17 @@
 """Partial preorders on worlds and extended causal models.
 
-A normality order declares that some worlds are at least as normal as others,
-either through ordered pattern pairs or through integer ranks on patterns
-(lower rank = more normal).  A pattern is a partial assignment to endogenous
-variables and stands for every world that agrees with it; a `World` entry is
-the one-world pattern.  In a pair, a variable mentioned on neither side takes
-equal values in both worlds it relates, and a variable mentioned on one side
-only is free on the other.  Queries run against the reflexive-transitive
-closure of the pair-induced and rank-induced relations.  Antisymmetry is
-deliberately not enforced: two distinct worlds may each be at least as normal
-as the other.
+A normality order declares that some worlds of a signature are at least as
+normal as others, either through ordered pattern pairs or through integer
+ranks on patterns (lower rank = more normal).  It is validated against its
+signature when it is built, so every order can be queried, and an extended
+model pairs it only with a model of the same signature.  A pattern is a
+partial assignment to endogenous variables and stands for every world that
+agrees with it; a `World` entry is the one-world pattern.  In a pair, a
+variable mentioned on neither side takes equal values in both worlds it
+relates, and a variable mentioned on one side only is free on the other.
+Queries run against the reflexive-transitive closure of the pair-induced and
+rank-induced relations.  Antisymmetry is deliberately not enforced: two
+distinct worlds may each be at least as normal as the other.
 
 The closure is never materialised.  The worlds at least as normal as a world
 `t` form a union of patterns, found by searching backwards from `t` over the
@@ -32,11 +34,33 @@ from .model import Assignment, CausalModel, ModelError, Signature, World
 
 @dataclass(frozen=True)
 class NormalityOrder:
-    """Declared pattern pairs (more normal, less normal) and ranked patterns."""
+    """Declared pattern pairs (more normal, less normal) and ranked patterns
+    over the worlds of one signature, validated on construction.
 
+    A `World` entry must be total; any other entry is a pattern over
+    endogenous variables.  Two ranked patterns with different ranks must not
+    share a world.
+    """
+
+    signature: Signature
     pairs: tuple[tuple[Assignment, Assignment], ...] = ()
     ranks: tuple[tuple[Assignment, int], ...] = ()
-    _upsets: dict[World, tuple[dict[str, int], ...]] | None = field(default=None, compare=False, repr=False)
+    _upsets: dict[World, tuple[dict[str, int], ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        sig = self.signature
+        for left, right in self.pairs:
+            _check_pattern(sig, left)
+            _check_pattern(sig, right)
+        for pattern, _ in self.ranks:
+            _check_pattern(sig, pattern)
+        for (_, (p, rp)), (j, (q, rq)) in itertools.combinations(enumerate(self.ranks), 2):
+            if rp != rq and _consistent(p, q):
+                merged = {**p, **q}
+                shared = World(merged) if len(merged) == len(sig.endogenous) else Assignment(merged)
+                raise RankConflictError(f"world ranked twice with different ranks: {shared!r}", j)
 
     @property
     def is_empty(self) -> bool:
@@ -45,19 +69,12 @@ class NormalityOrder:
     def up_set(self, t: World) -> tuple[dict[str, int], ...]:
         """Patterns whose union is the set of worlds at least as normal as t;
         one of them always matches t itself."""
-        if self._upsets is None:
-            raise ModelError("order must be closed before querying")
         # The memo caches a pure function of t: threads racing to fill an
         # entry store equal values, so a shared order stays safe to query.
         up = self._upsets.get(t)
         if up is None:
             up = self._upsets[t] = _up_set(self, t)
         return up
-
-    def at_least_as_normal(self, s: World, t: World) -> bool:
-        """Membership test s >= t in the closed relation."""
-        up = self.up_set(t)
-        return s == t or any(_subsumes(p, s) for p in up)
 
 
 def _consistent(p: Mapping[str, int], q: Mapping[str, int]) -> bool:
@@ -120,52 +137,25 @@ def _check_pattern(sig: Signature, pattern: Assignment) -> None:
         sig.check_endogenous("pattern variable", name, value)
 
 
-def close(order: NormalityOrder, model: CausalModel) -> NormalityOrder:
-    """Validate the declared patterns against the model, ready for queries.
-
-    A `World` entry must be total; any other entry is a pattern over
-    endogenous variables.  Two ranked patterns with different ranks must not
-    share a world.  Idempotent: closing a closed order returns an equal order.
-    """
-    sig = model.signature
-    for left, right in order.pairs:
-        _check_pattern(sig, left)
-        _check_pattern(sig, right)
-    for pattern, _ in order.ranks:
-        _check_pattern(sig, pattern)
-    for (_, (p, rp)), (j, (q, rq)) in itertools.combinations(enumerate(order.ranks), 2):
-        if rp != rq and _consistent(p, q):
-            merged = {**p, **q}
-            shared = World(merged) if len(merged) == len(sig.endogenous) else Assignment(merged)
-            raise RankConflictError(f"world ranked twice with different ranks: {shared!r}", j)
-    return NormalityOrder(order.pairs, order.ranks, {})
-
-
 class ExtendedModel:
-    """A causal model together with a (possibly flat) normality order."""
+    """A causal model together with a (possibly flat) normality order over
+    the worlds of its signature."""
 
     __slots__ = ("model", "order")
 
     def __init__(self, model: CausalModel, order: NormalityOrder | None = None):
+        # None is the flat order.
+        if order is not None and order.signature != model.signature:
+            raise ModelError("cannot carry a normality order across signatures")
         self.model = model
-        # None is the flat order.  `dsl.parse_model` returns closed orders, so
-        # only an order built directly, never closed, is closed here.
-        self.order = order if order is None or order._upsets is not None else close(order, model)
+        self.order = order
 
     @property
     def is_flat(self) -> bool:
         return self.order is None
 
     def at_least_as_normal(self, s: World, t: World) -> bool:
+        """Membership test s >= t in the reflexive-transitive closure."""
         if self.order is None:
             return True
-        return self.order.at_least_as_normal(s, t)
-
-    def with_model(self, model: CausalModel) -> ExtendedModel:
-        """Same order over a modified model (signature must be unchanged)."""
-        if model.signature != self.model.signature:
-            raise ModelError("cannot carry a normality order across signatures")
-        out = ExtendedModel.__new__(ExtendedModel)
-        out.model = model
-        out.order = self.order
-        return out
+        return any(_subsumes(p, s) for p in self.order.up_set(t))

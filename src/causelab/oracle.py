@@ -14,14 +14,14 @@ A hard guard keeps the enumeration at toy scale.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import CausalFormula, EventFormula, NotF, holds
 from .hp import CandidateCause
 from .model import CausalModel, Context, Intervention, ModelError, World
-from .normality import ExtendedModel, NormalityOrder
+from .normality import ExtendedModel
 
 ORACLE_MAX_VARS = 5
 
@@ -51,22 +51,24 @@ def _matches(world: World, pattern: Mapping[str, int]) -> bool:
 
 
 def reference_normality(
-    model: CausalModel, order: NormalityOrder | None
+    model: CausalModel,
+    pairs: Iterable[tuple[Mapping[str, int], Mapping[str, int]]],
+    ranks: Iterable[tuple[Mapping[str, int], int]],
 ) -> Callable[[World, World], bool]:
-    """The relation s >= t of an order, built over the whole world space.
+    """The relation s >= t of declared pairs and ranks, built over the
+    whole world space.
 
     A pair L >= R relates every world matching L to every world matching R
     that agrees with it on the variables neither side mentions; ranked worlds
     are related by rank (lower is more normal).  The reflexive-transitive
-    closure is taken over bitsets indexed by world.  No order is the flat one.
+    closure is taken over bitsets indexed by world.  A world ranked twice
+    with different ranks raises `ModelError`.
     """
-    if order is None:
-        return lambda s, t: True
     worlds = list(model.world_space())
     index = {w: i for i, w in enumerate(worlds)}
     below = [1 << i for i in range(len(worlds))]  # bit j of below[i]: worlds[i] >= worlds[j]
     endo = model.signature.endogenous_names
-    for left, right in order.pairs:
+    for left, right in pairs:
         shared = [v for v in endo if v not in left and v not in right]
         by_shared: dict[tuple[int, ...], int] = {}
         for t in worlds:
@@ -77,7 +79,7 @@ def reference_normality(
             if _matches(s, left):
                 below[index[s]] |= by_shared.get(tuple(s[v] for v in shared), 0)
     rank: dict[World, int] = {}
-    for pattern, r in order.ranks:
+    for pattern, r in ranks:
         for w in worlds:
             if _matches(w, pattern) and rank.setdefault(w, r) != r:
                 raise ModelError(f"world ranked twice with different ranks: {w!r}")
@@ -181,7 +183,8 @@ def oracle_cause(
     outcome.validate(ext.model)
     if not _ac1(ext, context, cause, outcome):
         return OracleVerdict(False, None, (), "AC1")
-    normal = reference_normality(ext.model, ext.order)
+    order = ext.order  # None is the flat order
+    normal = (lambda s, t: True) if order is None else reference_normality(ext.model, order.pairs, order.ranks)
     witnesses = _all_witnesses(ext, context, cause, outcome, normal)
     if not witnesses:
         return OracleVerdict(False, None, (), "AC2")

@@ -220,15 +220,16 @@ def random_pattern(rng: random.Random, model: CausalModel) -> Assignment:
     return Assignment({name: rng.choice(values) for name, values in chosen})
 
 
-def random_pattern_order(
+def random_declarations(
     rng: random.Random,
     model: CausalModel,
     max_pairs: int = 4,
     max_ranks: int = 3,
     allow_conflicts: bool = False,
-) -> NormalityOrder:
+) -> tuple[tuple[tuple[Assignment, Assignment], ...], tuple[tuple[Assignment, int], ...]]:
     """Random pattern pairs, with one-sided variables wherever the two sides
-    mention different variables, plus overlapping rank patterns.
+    mention different variables, plus overlapping rank patterns, as raw
+    (pairs, ranks) declarations.
 
     Unless conflicts are allowed, a rank pattern that shares a world with an
     earlier one takes that one's rank, and one that would need two different
@@ -247,7 +248,14 @@ def random_pattern_order(
                 continue
             rank = shared.pop() if shared else rank
         ranks.append((pattern, rank))
-    return NormalityOrder(pairs, tuple(ranks))
+    return pairs, tuple(ranks)
+
+
+def random_pattern_order(
+    rng: random.Random, model: CausalModel, max_pairs: int = 4, max_ranks: int = 3
+) -> NormalityOrder:
+    """A valid order over `random_declarations` without rank conflicts."""
+    return NormalityOrder(model.signature, *random_declarations(rng, model, max_pairs, max_ranks))
 
 
 def random_doctors_model(rng: random.Random, name: str = "doctors") -> tuple[CausalModel, NormalityOrder]:
@@ -279,4 +287,5 @@ def random_doctors_model(rng: random.Random, name: str = "doctors") -> tuple[Cau
         if i != j
     ]
     kept = tuple(pair for pair in pairs if rng.random() < 0.8)
-    return CausalModel(Signature(exo, endo), equations, name=name), NormalityOrder(pairs=kept)
+    signature = Signature(exo, endo)
+    return CausalModel(signature, equations, name=name), NormalityOrder(signature, pairs=kept)

@@ -183,7 +183,7 @@ class TestBlame:
         u = ctx({"U1": 1, "U2": 1, "U3": 1})
         state = EpistemicState(((ff_ext, u),), (Fraction(1),))
         blame = degree_of_blame(state, Intervention({"ML": 1}), atom("F", 1))
-        post = ff_ext.with_model(ff_ext.model.intervene({"ML": 1}))
+        post = ExtendedModel(ff_ext.model.intervene({"ML": 1}), ff_ext.order)
         direct = degree_of_responsibility(
             post, u, CandidateCause.of({"ML": 1}), atom("F", 1)
         )

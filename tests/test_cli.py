@@ -254,6 +254,7 @@ _V11_CTX = "ctx(" + ",".join(f"UV{i}=0" for i in range(1, 12)) + ")"
 _V11_SPLIT_CTX = "ctx(" + ",".join(f"UV{i}={int(i > 6)}" for i in range(1, 12)) + ")"
 _FF_CTX = "ctx(U1=1,U2=1,U3=1)"
 _ONE_X = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = %s;\n}\n"
+_DIGIT = "model m {\n  exogenous U : {0,%s};\n  endogenous X : {0,1} = U;\n}\n"
 _TWO_EXO = "model m {\n  exogenous %s : {0,1};\n  exogenous V : {0,1};\n  endogenous X : {0,1} = V;\n}\n"
 _ORDERED = (
     "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U;\n  endogenous Y : {0,1} = X;\n"
@@ -269,64 +270,72 @@ _TWO_SITUATIONS = (
 )
 
 # (row, files written to a scratch directory, argv with "@name" for those
-# files, expected (category, line, col)).  Query-time errors point at 1:1.
+# files, expected (category, line, col, message)).  Query-time errors point
+# at 1:1.
 DIAGNOSTIC_TABLE = [
     ("query syntax", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 of F=1 in ctx(U1=1"),
-     ("syntax", 1, 29)),
+     ("syntax", 1, 29, "expected ')', found 'end of input'")),
     ("model syntax", {"m.cm": "model m {\n  exogenous U : {0,1;\n}\n"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("syntax", 2, 21)),
+     ("syntax", 2, 21, "expected '}', found ';'")),
+    # Digits are ASCII only: '²' and '①' are not numbers, and '٣' is not 3.
+    ("superscript two as a digit", {"m.cm": _DIGIT % "²"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 20, "unexpected character '²'")),
+    ("circled one as a digit", {"m.cm": _DIGIT % "①"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 20, "unexpected character '①'")),
+    ("Arabic-Indic three as a digit", {"m.cm": _DIGIT % "٣"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 20, "unexpected character '٣'")),
     ("undeclared reference", {"m.cm": _ONE_X % "Z"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("unknown variable", 3, 26)),
+     ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
     ("unknown pattern variable", {"m.cm": _ORDERED % "[QQ=1] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("unknown variable", 6, 6)),
+     ("unknown variable", 6, 6, "pattern variable 'QQ' is not a declared endogenous variable")),
     ("unknown cause variable", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause NOPE=1 of F=1 in {_FF_CTX}"),
-     ("unknown variable", 1, 1)),
+     ("unknown variable", 1, 1, "cause variable 'NOPE' is not endogenous")),
     ("unknown state", {}, ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1 of F=1 over state nope"),
-     ("unknown variable", 1, 1)),
+     ("unknown variable", 1, 1, "no loaded state named 'nope'")),
     ("blame action missing from a situation's model", {"m.cm": _FOREST2, "s.ce": _TWO_SITUATIONS % "forest2"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-s", "@s.ce",
       "-q", "blame action L<-1 of F=1 over state s"),
-     ("unknown variable", 1, 1)),
+     ("unknown variable", 1, 1, "signature mismatch across situations: cause variable 'L' is not endogenous")),
     ("pattern value out of range", {"m.cm": _ORDERED % "[X=7] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("range violation", 6, 8)),
+     ("range violation", 6, 8, "value 7 is outside the range of 'X'")),
     ("cause value out of range", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause L=2 of F=1 in {_FF_CTX}"),
-     ("range violation", 1, 1)),
+     ("range violation", 1, 1, "value 2 outside the range of 'L'")),
     ("context value out of range", {}, ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval F=1 in ctx(U1=1,U2=1,U3=7)"),
-     ("range violation", 1, 1)),
+     ("range violation", 1, 1, "value 7 outside the range of 'U3'")),
     ("blame outcome outside a situation's range", {"m.cm": _FOREST3, "s.ce": _TWO_SITUATIONS % "forest3"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-s", "@s.ce",
       "-q", "blame action L<-1 of F=1 over state s"),
-     ("range violation", 1, 1)),
+     ("range violation", 1, 1, "signature mismatch across situations: value 1 outside the range of 'F'")),
     ("two-variable cycle",
      {"m.cm": "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = Y;\n  endogenous Y : {0,1} = X;\n}\n"},
      ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("cycle", 3, 14)),
+     ("cycle", 3, 14, "cyclic equations: X -> Y -> X")),
     ("self-reference", {"m.cm": _ONE_X % "X"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("cycle", 3, 14)),
+     ("cycle", 3, 14, "equation for 'X' references itself")),
     ("non-total equation", {"m.cm": _ONE_X % "U + 1"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("non-total equation", 3, 14)),
+     ("non-total equation", 3, 14, "equation for 'X' yields 2 outside its range at U=1")),
     ("missing context variable", {"m.cm": _TWO_EXO % "U"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "context is missing exogenous variable 'U'")),
     # The variable's name must not change the category.
     ("missing context variable named Urange", {"m.cm": _TWO_EXO % "Urange"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "context is missing exogenous variable 'Urange'")),
     ("missing context variable named Uundeclared", {"m.cm": _TWO_EXO % "Uundeclared"},
      ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "context is missing exogenous variable 'Uundeclared'")),
     ("rank conflict", {"m.cm": _ORDERED % "rank [X=1] = 0;\n    rank [Y=1] = 1;"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
-     ("semantic", 7, 5)),
+     ("semantic", 7, 5, "world ranked twice with different ranks: World(X=1, Y=1)")),
     ("missing weights", {},
      ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1",
       "-q", f"resp V1=1 of W=0 in {_V11_CTX}"),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "missing weights for ['V2', 'V3', 'V4', 'V5', 'V6', 'V7', 'V8', 'V9', 'V10', 'V11', 'W']")),
     ("probabilities not summing to 1",
      {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/2;\n}\n"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "probabilities must sum exactly to 1")),
     ("solve with a non-integer context value", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=x"),
-     ("semantic", 1, 1)),
+     ("semantic", 1, 1, "invalid literal for int() with base 10: 'x'")),
     ("variable cap", {}, ("cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-q", f"cause V1=0 of W=0 in {_V11_CTX}"),
-     ("resource-cap", 1, 1)),
+     ("resource-cap", 1, 1, "model has 12 endogenous variables, above the variable cap of 5; raise --max-vars")),
 ]
 
 
@@ -339,7 +348,7 @@ class TestDiagnosticsTable:
         argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
         code, [payload] = run_json(*argv)
         [diag] = payload["diagnostics"]
-        assert (diag["category"], diag["line"], diag["col"]) == expected
+        assert (diag["category"], diag["line"], diag["col"], diag["message"]) == expected
         assert code == (EXIT_CAP if expected[0] == "resource-cap" else EXIT_DIAGNOSTICS)
 
     def test_every_category_is_covered(self):

@@ -513,11 +513,11 @@ class TestWeights:
         search = _Search(ext_of(model), u, cause, atom(names[-1], world[names[-1]]), EngineStats())
         subsets = [c for r in range(len(search.others) + 1) for c in itertools.combinations(search.others, r)]
         counted = sorted((len(c), len(c), c) for c in subsets)
-        assert list(search._change_sets(None)) == [(m, c) for m, _, c in counted]
+        assert list(search._change_sets(None, search.others)) == [(m, c) for m, _, c in counted]
         for _ in range(20):
             weights = {v: Fraction(rng.randint(1, 3), rng.choice([1, 2])) for v in names}
             keyed = sorted((sum((weights[names[i]] for i in c), Fraction(0)), len(c), c) for c in subsets)
-            assert list(search._change_sets(weights)) == [(m, c) for m, _, c in keyed]
+            assert list(search._change_sets(weights, search.others)) == [(m, c) for m, _, c in keyed]
 
 
 class TestContextFold:

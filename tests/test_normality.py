@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from causelab.model import Assignment, Context, ModelError, World
-from causelab.normality import (
-    ExtendedModel,
-    NormalityOrder,
-    close,
-)
+from causelab.model import Assignment, CausalModel, Equation, ModelError, Signature, Var, World
+from causelab.normality import ExtendedModel, NormalityOrder, RankConflictError
 from causelab.oracle import reference_normality
-from randmodels import random_model, random_pattern_order
+from randmodels import random_declarations, random_model
 from test_model import forest_fire
+
+FF = forest_fire().signature
 
 
 def w(**kwargs) -> World:
@@ -21,6 +19,14 @@ def p(**kwargs) -> Assignment:
     return Assignment(kwargs)
 
 
+def order_of(**declared) -> NormalityOrder:
+    return NormalityOrder(FF, **declared)
+
+
+def at_least_as_normal(order: NormalityOrder, s: World, t: World) -> bool:
+    return ExtendedModel(forest_fire(), order).at_least_as_normal(s, t)
+
+
 def strict_pairs(model, order) -> set[tuple[World, World]]:
     """Every (s, t) with s != t and s at least as normal as t."""
     ext = ExtendedModel(model, order)
@@ -29,67 +35,66 @@ def strict_pairs(model, order) -> set[tuple[World, World]]:
 
 
 class TestClose:
+    """The reflexive-transitive closure of what an order declares."""
+
     def test_empty_declarations_give_identity(self):
-        model = forest_fire()
-        order = close(NormalityOrder(), model)
+        order = order_of()
         a = w(L=1, ML=1, F=1)
         b = w(L=0, ML=0, F=0)
-        assert order.at_least_as_normal(a, a)
-        assert not order.at_least_as_normal(a, b)
-        assert not order.at_least_as_normal(b, a)
+        assert at_least_as_normal(order, a, a)
+        assert not at_least_as_normal(order, a, b)
+        assert not at_least_as_normal(order, b, a)
 
     def test_transitive_chain(self):
-        model = forest_fire()
         a, b, c = w(L=1, ML=1, F=1), w(L=1, ML=0, F=1), w(L=0, ML=0, F=0)
-        order = close(NormalityOrder(pairs=((a, b), (b, c))), model)
-        assert order.at_least_as_normal(a, c)
-        assert not order.at_least_as_normal(c, a)
+        order = order_of(pairs=((a, b), (b, c)))
+        assert at_least_as_normal(order, a, c)
+        assert not at_least_as_normal(order, c, a)
 
     def test_idempotent(self):
+        # An order rebuilt from its own declarations is equal and answers alike.
         model = forest_fire()
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
-        once = close(NormalityOrder(pairs=((a, b),)), model)
-        twice = close(once, model)
-        assert once.pairs == twice.pairs and once.ranks == twice.ranks
+        once = order_of(pairs=((a, b),))
+        again = NormalityOrder(once.signature, once.pairs, once.ranks)
+        assert once == again and once is not again
         for s in model.world_space():
             for t in (a, b):
-                assert once.at_least_as_normal(s, t) == twice.at_least_as_normal(s, t)
+                assert at_least_as_normal(once, s, t) == at_least_as_normal(again, s, t)
 
     def test_invalid_world_rejected(self):
-        model = forest_fire()
         bad = World({"L": 1, "ML": 1})  # missing F
         with pytest.raises(ModelError):
-            close(NormalityOrder(pairs=((bad, bad),)), model)
+            order_of(pairs=((bad, bad),))
         out_of_range = World({"L": 1, "ML": 1, "F": 9})
         with pytest.raises(ModelError):
-            close(NormalityOrder(pairs=((out_of_range, out_of_range),)), model)
+            order_of(pairs=((out_of_range, out_of_range),))
 
     def test_antisymmetry_not_enforced(self):
-        model = forest_fire()
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
-        order = close(NormalityOrder(pairs=((a, b), (b, a))), model)
-        assert order.at_least_as_normal(a, b)
-        assert order.at_least_as_normal(b, a)
+        order = order_of(pairs=((a, b), (b, a)))
+        assert at_least_as_normal(order, a, b)
+        assert at_least_as_normal(order, b, a)
 
     def test_rank_consistency(self):
-        model = forest_fire()
         a, b, c = w(L=1, ML=1, F=1), w(L=1, ML=0, F=1), w(L=0, ML=0, F=0)
-        order = close(NormalityOrder(ranks=((a, 0), (b, 1), (c, 1))), model)
-        assert order.at_least_as_normal(a, b)
-        assert not order.at_least_as_normal(b, a)
-        assert order.at_least_as_normal(b, c) and order.at_least_as_normal(c, b)
+        order = order_of(ranks=((a, 0), (b, 1), (c, 1)))
+        assert at_least_as_normal(order, a, b)
+        assert not at_least_as_normal(order, b, a)
+        assert at_least_as_normal(order, b, c) and at_least_as_normal(order, c, b)
 
     def test_ranks_and_pairs_close_together(self):
-        model = forest_fire()
         a, b, c = w(L=1, ML=1, F=1), w(L=1, ML=0, F=1), w(L=0, ML=0, F=0)
-        order = close(NormalityOrder(pairs=((a, b),), ranks=((b, 0), (c, 5))), model)
+        order = order_of(pairs=((a, b),), ranks=((b, 0), (c, 5)))
         # a >= b declared, b >= c by rank, so a >= c transitively.
-        assert order.at_least_as_normal(a, c)
+        assert at_least_as_normal(order, a, c)
 
-    def test_unclosed_query_rejected(self):
-        a = w(L=1, ML=1, F=1)
-        with pytest.raises(ModelError):
-            NormalityOrder(pairs=((a, a),)).at_least_as_normal(a, a)
+    def test_conflicting_ranks_rejected_by_the_constructor(self):
+        ranks = ((p(L=1), 0), (p(L=0, ML=1), 2), (p(ML=0), 1))
+        with pytest.raises(RankConflictError, match="ranked twice") as info:
+            NormalityOrder(FF, ranks=ranks)
+        assert info.value.index == 2  # (ML=0, 1) shares L=1, ML=0 worlds with (L=1, 0)
+        assert info.value.category == "semantic"
 
 
 class TestExtendedModel:
@@ -101,7 +106,7 @@ class TestExtendedModel:
     def test_reflexive(self):
         model = forest_fire()
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
-        ext = ExtendedModel(model, NormalityOrder(pairs=((a, b),)))
+        ext = ExtendedModel(model, order_of(pairs=((a, b),)))
         for s in model.world_space():
             assert ext.at_least_as_normal(s, s)
 
@@ -131,9 +136,23 @@ class TestExtendedModel:
     def test_order_survives_intervention_carry(self):
         model = forest_fire()
         a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
-        ext = ExtendedModel(model, NormalityOrder(pairs=((a, b),)))
-        carried = ext.with_model(model.intervene({"ML": 0}))
+        ext = ExtendedModel(model, order_of(pairs=((a, b),)))
+        carried = ExtendedModel(model.intervene({"ML": 0}), ext.order)
         assert carried.at_least_as_normal(a, b)
+
+    def test_directly_built_order_is_kept_and_its_memo_shared(self):
+        model = forest_fire()
+        a, b = w(L=1, ML=1, F=1), w(L=0, ML=0, F=0)
+        order = order_of(pairs=((a, b),))
+        one, other = ExtendedModel(model, order), ExtendedModel(model, order)
+        assert one.order is order and other.order is order
+        assert one.at_least_as_normal(a, b)
+        assert b in other.order._upsets  # filled through `one`
+
+    def test_order_over_another_signature_rejected(self):
+        other = CausalModel(Signature((("U", (0, 1)),), (("L", (0, 1)),)), [Equation("L", Var("U"))])
+        with pytest.raises(ModelError, match="cannot carry a normality order across signatures"):
+            ExtendedModel(other, order_of(ranks=((p(L=1), 0),)))
 
 
 class TestPatternExpansion:
@@ -141,7 +160,7 @@ class TestPatternExpansion:
 
     def test_symmetric_patterns_agree_on_omitted(self):
         model = forest_fire()
-        order = NormalityOrder(pairs=((p(L=1, ML=0), p(L=1, ML=1)),))
+        order = order_of(pairs=((p(L=1, ML=0), p(L=1, ML=1)),))
         # F is mentioned on neither side, so it agrees across each related pair.
         assert strict_pairs(model, order) == {
             (w(L=1, ML=0, F=f), w(L=1, ML=1, F=f)) for f in (0, 1)
@@ -149,44 +168,42 @@ class TestPatternExpansion:
 
     def test_full_patterns_expand_to_single_pair(self):
         model = forest_fire()
-        order = NormalityOrder(pairs=((p(L=1, ML=1, F=1), p(L=0, ML=0, F=0)),))
+        order = order_of(pairs=((p(L=1, ML=1, F=1), p(L=0, ML=0, F=0)),))
         assert strict_pairs(model, order) == {(w(L=1, ML=1, F=1), w(L=0, ML=0, F=0))}
 
     def test_one_sided_variable_is_free_on_the_other(self):
         model = forest_fire()
-        order = NormalityOrder(pairs=((p(L=1, ML=1, F=1), p(F=0)),))
+        order = order_of(pairs=((p(L=1, ML=1, F=1), p(F=0)),))
         # The right side is free over L and ML.
         assert strict_pairs(model, order) == {
             (w(L=1, ML=1, F=1), w(L=l, ML=ml, F=0)) for l in (0, 1) for ml in (0, 1)
         }
 
     def test_bad_pattern_rejected(self):
-        model = forest_fire()
         with pytest.raises(ModelError):
-            close(NormalityOrder(pairs=((p(NOPE=1), p(F=0)),)), model)
+            order_of(pairs=((p(NOPE=1), p(F=0)),))
         with pytest.raises(ModelError):
-            close(NormalityOrder(pairs=((p(F=7), p(F=0)),)), model)
+            order_of(pairs=((p(F=7), p(F=0)),))
         with pytest.raises(ModelError):
-            close(NormalityOrder(ranks=((p(L=2), 0),)), model)
+            order_of(ranks=((p(L=2), 0),))
 
     def test_rank_pattern_covers_every_matching_world(self):
         model = forest_fire()
-        order = NormalityOrder(ranks=((p(F=0), 0), (p(F=1), 1)))
+        order = order_of(ranks=((p(F=0), 0), (p(F=1), 1)))
         assert strict_pairs(model, order) == {
             (s, t) for s in model.world_space() for t in model.world_space()
             if s != t and s["F"] <= t["F"]
         }
 
     def test_overlapping_rank_patterns_conflict_only_on_different_ranks(self):
-        model = forest_fire()
-        close(NormalityOrder(ranks=((p(L=1), 2), (p(ML=0), 2))), model)
-        close(NormalityOrder(ranks=((p(L=1, F=1), 0), (p(L=0), 3))), model)
+        order_of(ranks=((p(L=1), 2), (p(ML=0), 2)))
+        order_of(ranks=((p(L=1, F=1), 0), (p(L=0), 3)))
         with pytest.raises(ModelError, match="ranked twice"):
-            close(NormalityOrder(ranks=((p(L=1), 0), (p(ML=0), 1))), model)
+            order_of(ranks=((p(L=1), 0), (p(ML=0), 1)))
 
     def test_rank_step_then_pair_step(self):
         model = forest_fire()
-        order = NormalityOrder(pairs=((p(L=0), p(L=1)),), ranks=((p(ML=1), 0), (p(L=0, ML=0), 1)))
+        order = order_of(pairs=((p(L=0), p(L=1)),), ranks=((p(ML=1), 0), (p(L=0, ML=0), 1)))
         ext = ExtendedModel(model, order)
         s, x, t = w(L=1, ML=1, F=0), w(L=0, ML=0, F=1), w(L=1, ML=0, F=1)
         assert ext.at_least_as_normal(s, x)  # by rank
@@ -203,14 +220,15 @@ def run_relation_batch(n_models: int = 90, seed: int = 31) -> tuple[int, int]:
     compared = rejected = 0
     for i in range(n_models):
         model = random_model(rng, max_endo=4, max_exo=1, allow_ternary=True, name=f"rel{i}")
-        order = random_pattern_order(rng, model, allow_conflicts=True)
+        pairs, ranks = random_declarations(rng, model, allow_conflicts=True)
         try:
-            reference = reference_normality(model, order)
+            reference = reference_normality(model, pairs, ranks)
         except ModelError:
-            with pytest.raises(ModelError, match="ranked twice"):
-                ExtendedModel(model, order)
+            with pytest.raises(RankConflictError, match="ranked twice"):
+                NormalityOrder(model.signature, pairs, ranks)
             rejected += 1
             continue
+        order = NormalityOrder(model.signature, pairs, ranks)
         ext = ExtendedModel(model, order)
         worlds = list(model.world_space())
         for t in worlds:

@@ -137,7 +137,7 @@ def run_random_extended_agreement(n_models: int = 120, seed: int = 17) -> int:
         )
         ranked = rng.sample(worlds, k=min(len(worlds), rng.randint(0, 3)))
         ranks = tuple((w, rng.randint(0, 2)) for w in ranked)
-        ext = ExtendedModel(model, NormalityOrder(pairs=pairs, ranks=ranks))
+        ext = ExtendedModel(model, NormalityOrder(model.signature, pairs, ranks))
         context = random_context(rng, model)
         world = model.solve(context)
         endo = model.signature.endogenous_names

@@ -135,7 +135,7 @@ def run_flat_equivalence_suite(n: int = 200, seed: int = 55) -> int:
         model = random_model(rng, max_endo=3, max_exo=2, name=f"flat{i}")
         worlds = list(model.world_space())
         all_pairs = tuple((s, t) for s in worlds for t in worlds if s != t)
-        explicit_flat = ExtendedModel(model, NormalityOrder(pairs=all_pairs))
+        explicit_flat = ExtendedModel(model, NormalityOrder(model.signature, pairs=all_pairs))
         preliminary = ExtendedModel(model, None)
         context = random_context(rng, model)
         world = model.solve(context)
