@@ -54,7 +54,7 @@ from .model import (
     UnknownVariableError,
     World,
 )
-from .ness import SufficientSet, is_ness_cause, is_sufficient
+from .ness import is_ness_cause
 from .normality import ExtendedModel, NormalityOrder
 
 __version__ = "0.1.0"
@@ -85,7 +85,6 @@ __all__ = [
     "Responsibility",
     "ScoringStrategy",
     "Signature",
-    "SufficientSet",
     "TotalityError",
     "UnknownVariableError",
     "Witness",
@@ -100,7 +99,6 @@ __all__ = [
     "holds",
     "is_actual_cause",
     "is_ness_cause",
-    "is_sufficient",
     "valid",
     "ways_fraction",
     "witness_world",

@@ -55,21 +55,9 @@ class ScoringStrategy:
             raise ValueError(f"strategy {self.kind!r} takes no weights")
 
     @classmethod
-    def reciprocal(cls) -> ScoringStrategy:
-        return cls("reciprocal")
-
-    @classmethod
-    def exponential(cls) -> ScoringStrategy:
-        return cls("exponential")
-
-    @classmethod
     def weighted(cls, weights) -> ScoringStrategy:
         items = tuple(sorted((str(k), Fraction(v)) for k, v in dict(weights).items()))
         return cls("weighted", items)
-
-    @classmethod
-    def ways_fraction(cls) -> ScoringStrategy:
-        return cls("ways")
 
     def weight_map(self) -> dict[str, Fraction] | None:
         """The search measure: per-variable weights, or None to count changes."""

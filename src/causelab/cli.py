@@ -65,8 +65,6 @@ class RunOptions:
     def scoring(self) -> attribution.ScoringStrategy:
         if self.strategy == "weighted":
             return attribution.ScoringStrategy.weighted(self.weights)
-        if self.strategy == "ways":
-            return attribution.ScoringStrategy.ways_fraction()
         return attribution.ScoringStrategy(self.strategy)
 
     def as_report_dict(self) -> dict:
@@ -216,9 +214,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             result = {
                 "kind": "ness",
                 "verdict": found is not None,
-                "sufficient_set": (
-                    {ev.variable: ev.value for ev in found.events} if found is not None else None
-                ),
+                "sufficient_set": found.as_dict() if found is not None else None,
             }
             used = [model.name]
 

@@ -14,6 +14,10 @@ order is built over the parsed model's signature and validates itself there,
 so conflicting ranks are reported at the rank declaration that conflicts with
 an earlier one.
 
+Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals are
+ASCII digits; a non-ASCII letter or digit is a syntax error at that character.
+A syntax error ends parsing at once, and a repeated assignment in a query is
+reported at the repeated variable.
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
 equation.  `#` starts a line comment; whitespace is insignificant.
@@ -21,8 +25,11 @@ equation.  `#` starts a line comment; whitespace is insignificant.
 
 from __future__ import annotations
 
+import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn, TypeVar
 
 from .formula import (
     AndF,
@@ -55,6 +62,8 @@ from .model import (
 )
 from .normality import NormalityOrder, RankConflictError
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -82,6 +91,8 @@ class DslError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 _PUNCT = (
     "<=", "<-", "==", "!=", ">=", "&&", "||",
     "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<", "!", "+", "-", "*", "/", "&", "|",
@@ -122,9 +133,9 @@ def _lex(text: str, origin: str) -> list[Token]:
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:  # ASCII only, as for digits: str.isalpha accepts 'é'
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _IDENT_CHARS:
                 i += 1
             tokens.append(Token("ident", text[start:i], line, col))
             col += i - start
@@ -148,11 +159,6 @@ def _lex(text: str, origin: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-class _SyntaxFail(Exception):
-    def __init__(self, diag: Diagnostic):
-        self.diag = diag
-
-
 class _Parser:
     def __init__(self, text: str, origin: str):
         self.origin = origin
@@ -168,8 +174,16 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, tok: Token, message: str):
-        raise _SyntaxFail(Diagnostic("syntax", message, tok.line, tok.col, self.origin))
+    def fail(self, tok: Token, message: str) -> NoReturn:
+        raise DslError([Diagnostic("syntax", message, tok.line, tok.col, self.origin)])
+
+    def sep_by(self, item: Callable[[], T], sep: str = ",") -> list[T]:
+        """`item (sep item)*`: one or more items, separated by `sep`."""
+        items = [item()]
+        while self.at_punct(sep):
+            self.advance()
+            items.append(item())
+        return items
 
     def expect_punct(self, text: str) -> Token:
         tok = self.peek()
@@ -317,26 +331,21 @@ class _RawModel:
 
 def _parse_range(p: _Parser) -> tuple[int, ...]:
     p.expect_punct("{")
-    values = [p.expect_int()[0]]
-    while p.at_punct(","):
-        p.advance()
-        values.append(p.expect_int()[0])
+    values = p.sep_by(lambda: p.expect_int()[0])
     p.expect_punct("}")
     return tuple(sorted(set(values)))
 
 
+def _parse_pattern_entry(p: _Parser) -> tuple[str, int, Token, Token]:
+    name_tok = p.expect_ident("a variable name")
+    p.expect_punct("=")
+    value, value_tok = p.expect_int()
+    return name_tok.text, value, name_tok, value_tok
+
+
 def _parse_world_pattern(p: _Parser) -> _RawPattern:
     p.expect_punct("[")
-    entries = []
-    while True:
-        name_tok = p.expect_ident("a variable name")
-        p.expect_punct("=")
-        value, value_tok = p.expect_int()
-        entries.append((name_tok.text, value, name_tok, value_tok))
-        if p.at_punct(","):
-            p.advance()
-            continue
-        break
+    entries = p.sep_by(lambda: _parse_pattern_entry(p))
     p.expect_punct("]")
     return _RawPattern(entries)
 
@@ -425,12 +434,9 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
     """Parse a .cm document; raises DslError on any diagnostic."""
     p = _Parser(text, origin)
     diags: list[Diagnostic] = []
-    try:
-        raw = _parse_raw_model(p)
-        if not p.at_end():
-            p.fail(p.peek(), "trailing input after the model block")
-    except _SyntaxFail as sf:
-        raise DslError([sf.diag]) from None
+    raw = _parse_raw_model(p)
+    if not p.at_end():
+        p.fail(p.peek(), "trailing input after the model block")
 
     names: dict[str, Token] = {}
     for name, _, tok in raw.exo:
@@ -556,18 +562,10 @@ def _parse_primitive(p: _Parser) -> PrimitiveEvent:
 def _parse_event_formula(p: _Parser) -> EventFormula:
     # n-ary chains fold rightward: a & b & c parses as a & (b & c)
     def parse_or() -> EventFormula:
-        parts = [parse_and()]
-        while p.at_punct("|"):
-            p.advance()
-            parts.append(parse_and())
-        return disj(*parts)
+        return disj(*p.sep_by(parse_and, "|"))
 
     def parse_and() -> EventFormula:
-        parts = [parse_not()]
-        while p.at_punct("&"):
-            p.advance()
-            parts.append(parse_not())
-        return conj(*parts)
+        return conj(*p.sep_by(parse_not, "&"))
 
     def parse_not() -> EventFormula:
         if p.at_punct("!"):
@@ -583,18 +581,14 @@ def _parse_event_formula(p: _Parser) -> EventFormula:
     return parse_or()
 
 
+def _parse_assign(p: _Parser, sep: str) -> tuple[Token, int]:
+    name_tok = p.expect_ident("a variable name")
+    p.expect_punct(sep)
+    return name_tok, p.expect_int()[0]
+
+
 def _parse_assigns(p: _Parser, sep: str) -> list[tuple[str, int]]:
-    out = []
-    while True:
-        name = p.expect_ident("a variable name").text
-        p.expect_punct(sep)
-        value, _ = p.expect_int()
-        out.append((name, value))
-        if p.at_punct(","):
-            p.advance()
-            continue
-        break
-    return out
+    return [(tok.text, value) for tok, value in p.sep_by(lambda: _parse_assign(p, sep))]
 
 
 def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
@@ -609,37 +603,22 @@ def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
 
 
 def _parse_conj(p: _Parser) -> tuple[tuple[str, int], ...]:
-    events = [_parse_primitive(p)]
-    while p.at_punct("&"):
-        p.advance()
-        events.append(_parse_primitive(p))
+    events = p.sep_by(lambda: (p.peek(), _parse_primitive(p)), "&")
     seen: dict[str, int] = {}
-    for ev in events:
+    for tok, ev in events:
         if seen.setdefault(ev.variable, ev.value) != ev.value:
-            tok = p.peek()
-            raise _SyntaxFail(
-                Diagnostic(
-                    "syntax",
-                    f"conjunction assigns {ev.variable!r} twice",
-                    tok.line,
-                    tok.col,
-                    p.origin,
-                )
-            )
-    return tuple((ev.variable, ev.value) for ev in events)
+            p.fail(tok, f"conjunction assigns {ev.variable!r} twice")
+    return tuple((ev.variable, ev.value) for _, ev in events)
 
 
 def _parse_causal_formula(p: _Parser) -> CausalFormula:
     prefix: dict[str, int] = {}
     if p.at_punct("["):
         p.advance()
-        for name, value in _parse_assigns(p, "<-"):
-            if name in prefix:
-                tok = p.peek()
-                raise _SyntaxFail(
-                    Diagnostic("syntax", f"prefix assigns {name!r} twice", tok.line, tok.col, p.origin)
-                )
-            prefix[name] = value
+        for tok, value in p.sep_by(lambda: _parse_assign(p, "<-")):
+            if tok.text in prefix:
+                p.fail(tok, f"prefix assigns {tok.text!r} twice")
+            prefix[tok.text] = value
         p.expect_punct("]")
     matrix = _parse_event_formula(p)
     return CausalFormula(Intervention(prefix), matrix)
@@ -648,47 +627,44 @@ def _parse_causal_formula(p: _Parser) -> CausalFormula:
 def parse_query(text: str, origin: str = "<query>") -> Query:
     """Parse one query; raises DslError on failure."""
     p = _Parser(text, origin)
-    try:
-        tok = p.peek()
-        if p.at_keyword("eval"):
-            p.advance()
-            formula = _parse_causal_formula(p)
-            p.expect_keyword("in")
-            ctx = _parse_ctx(p)
-            query: Query = EvalQuery(formula, ctx)
-        elif p.at_keyword("cause") or p.at_keyword("resp"):
-            kind = p.advance().text
-            cause = _parse_conj(p)
-            p.expect_keyword("of")
-            outcome = _parse_event_formula(p)
-            p.expect_keyword("in")
-            ctx = _parse_ctx(p)
-            query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, ctx)
-        elif p.at_keyword("blame"):
-            p.advance()
-            p.expect_keyword("action")
-            action = tuple(_parse_assigns(p, "<-"))
-            p.expect_keyword("of")
-            outcome = _parse_event_formula(p)
-            p.expect_keyword("over")
-            p.expect_keyword("state")
-            state_name = p.expect_ident("a state name").text
-            query = BlameQuery(action, outcome, state_name)
-        elif p.at_keyword("ness"):
-            p.advance()
-            event = _parse_primitive(p)
-            p.expect_keyword("of")
-            outcome = _parse_event_formula(p)
-            p.expect_keyword("in")
-            ctx = _parse_ctx(p)
-            query = NessQuery(event, outcome, ctx)
-        else:
-            p.fail(tok, "expected one of: eval, cause, resp, blame, ness")
-        if not p.at_end():
-            p.fail(p.peek(), "trailing input after the query")
-        return query
-    except _SyntaxFail as sf:
-        raise DslError([sf.diag]) from None
+    tok = p.peek()
+    if p.at_keyword("eval"):
+        p.advance()
+        formula = _parse_causal_formula(p)
+        p.expect_keyword("in")
+        ctx = _parse_ctx(p)
+        query: Query = EvalQuery(formula, ctx)
+    elif p.at_keyword("cause") or p.at_keyword("resp"):
+        kind = p.advance().text
+        cause = _parse_conj(p)
+        p.expect_keyword("of")
+        outcome = _parse_event_formula(p)
+        p.expect_keyword("in")
+        ctx = _parse_ctx(p)
+        query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, ctx)
+    elif p.at_keyword("blame"):
+        p.advance()
+        p.expect_keyword("action")
+        action = tuple(_parse_assigns(p, "<-"))
+        p.expect_keyword("of")
+        outcome = _parse_event_formula(p)
+        p.expect_keyword("over")
+        p.expect_keyword("state")
+        state_name = p.expect_ident("a state name").text
+        query = BlameQuery(action, outcome, state_name)
+    elif p.at_keyword("ness"):
+        p.advance()
+        event = _parse_primitive(p)
+        p.expect_keyword("of")
+        outcome = _parse_event_formula(p)
+        p.expect_keyword("in")
+        ctx = _parse_ctx(p)
+        query = NessQuery(event, outcome, ctx)
+    else:
+        p.fail(tok, "expected one of: eval, cause, resp, blame, ness")
+    if not p.at_end():
+        p.fail(p.peek(), "trailing input after the query")
+    return query
 
 
 def parse_query_file(path) -> list[Query]:
@@ -727,9 +703,7 @@ def _parse_rational(p: _Parser) -> Fraction:
         p.advance()
         den, den_tok = p.expect_int()
         if den == 0:
-            raise _SyntaxFail(
-                Diagnostic("syntax", "zero denominator", den_tok.line, den_tok.col, p.origin)
-            )
+            p.fail(den_tok, "zero denominator")
         return Fraction(num, den)
     return Fraction(num)
 
@@ -738,30 +712,27 @@ def parse_states(text: str, origin: str = "<state>") -> list[StateDecl]:
     """Parse a .ce document holding one or more state blocks."""
     p = _Parser(text, origin)
     states: list[StateDecl] = []
-    try:
-        while not p.at_end():
-            p.expect_keyword("state")
-            name = p.expect_ident("a state name").text
-            p.expect_punct("{")
-            situations: list[SituationDecl] = []
-            while not p.at_punct("}"):
-                p.expect_keyword("situation")
-                p.expect_keyword("model")
-                p.expect_punct("=")
-                model_name = p.expect_ident("a model name").text
-                ctx = _parse_ctx(p)
-                p.expect_keyword("prob")
-                p.expect_punct("=")
-                prob = _parse_rational(p)
-                p.expect_punct(";")
-                situations.append(SituationDecl(model_name, ctx, prob))
-            p.expect_punct("}")
-            if not situations:
-                p.fail(p.peek(), "state must declare at least one situation")
-            states.append(StateDecl(name, tuple(situations)))
-        return states
-    except _SyntaxFail as sf:
-        raise DslError([sf.diag]) from None
+    while not p.at_end():
+        p.expect_keyword("state")
+        name = p.expect_ident("a state name").text
+        p.expect_punct("{")
+        situations: list[SituationDecl] = []
+        while not p.at_punct("}"):
+            p.expect_keyword("situation")
+            p.expect_keyword("model")
+            p.expect_punct("=")
+            model_name = p.expect_ident("a model name").text
+            ctx = _parse_ctx(p)
+            p.expect_keyword("prob")
+            p.expect_punct("=")
+            prob = _parse_rational(p)
+            p.expect_punct(";")
+            situations.append(SituationDecl(model_name, ctx, prob))
+        p.expect_punct("}")
+        if not situations:
+            p.fail(p.peek(), "state must declare at least one situation")
+        states.append(StateDecl(name, tuple(situations)))
+    return states
 
 
 def parse_state_file(path) -> list[StateDecl]:
@@ -804,15 +775,15 @@ def _render_expr(node: Expr) -> str:
     raise ValueError(f"unknown expression node {node!r}")
 
 
-def _render_cond(node: Cond, parent: str | None = None) -> str:
+def _render_cond(node: Cond) -> str:
     if isinstance(node, Cmp):
         return f"{_render_expr(node.left)} {node.op} {_render_expr(node.right)}"
     if isinstance(node, Not):
-        inner = _render_cond(node.inner, "!")
+        inner = _render_cond(node.inner)
         return f"!({inner})" if isinstance(node.inner, (BoolOp, Cmp)) else f"!{inner}"
     if isinstance(node, BoolOp):
-        left = _render_cond(node.left, node.op)
-        right = _render_cond(node.right, node.op)
+        left = _render_cond(node.left)
+        right = _render_cond(node.right)
         if isinstance(node.left, BoolOp) and node.left.op != node.op:
             left = f"({left})"
         if isinstance(node.right, BoolOp):

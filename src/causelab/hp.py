@@ -88,7 +88,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .formula import AndF, Atom, EventFormula, PrimitiveEvent
+from .formula import EventFormula, atom, conj
 from .model import Assignment, CausalModel, Context, ModelError, World
 from .normality import ExtendedModel
 
@@ -129,11 +129,7 @@ class CandidateCause:
         return frozenset(self.settings)
 
     def event_formula(self) -> EventFormula:
-        items = self.settings.items_sorted()
-        node: EventFormula = Atom(PrimitiveEvent(*items[-1]))
-        for name, value in reversed(items[:-1]):
-            node = AndF(Atom(PrimitiveEvent(name, value)), node)
-        return node
+        return conj(*(atom(name, value) for name, value in self.settings.items_sorted()))
 
     def strict_subsets(self) -> Iterator[CandidateCause]:
         items = self.settings.items_sorted()

@@ -121,7 +121,7 @@ def test_criterion_4_responsibility(corpus):
     assert resp_of(fire, both, {"ML": 1}, atom("F", 1)) == Fraction(1)
 
     _, blocks = ext_flat(corpus, "vote_blocks")
-    ways = ScoringStrategy.ways_fraction()
+    ways = ScoringStrategy("ways")
     assert resp_of(blocks, {"UV1": 8, "UV2": 3}, {"V2": 3}, atom("WIN", 1), ways) == Fraction(3, 8)
 
 

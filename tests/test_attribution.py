@@ -72,7 +72,7 @@ class TestStrategies:
         model, _ = corpus["models"]["vote11"]
         ext = ExtendedModel(model, None)
         u = ctx({f"UV{i}": 0 for i in range(1, 12)})
-        scored = resp(ext, u, {"V1": 0}, atom("W", 0), ScoringStrategy.exponential())
+        scored = resp(ext, u, {"V1": 0}, atom("W", 0), ScoringStrategy("exponential"))
         assert scored.value == Fraction(1, 32)  # five changes
 
     def test_weighted_minimizes_weight_not_count(self):
@@ -109,14 +109,14 @@ class TestStrategies:
         # block: the small block is critical at V1 in {3, 4, 5}.
         critical = [v1 for v1 in range(8) if v1 + 3 >= 6 and v1 + 0 < 6]
         assert len(critical) == 3
-        ways = ScoringStrategy.ways_fraction()
+        ways = ScoringStrategy("ways")
         assert resp(ext, u, {"V2": 3}, atom("WIN", 1), ways).value == Fraction(3, 8)
         assert resp(ext, u, {"V1": 8}, atom("WIN", 1), ways).value == Fraction(1)
 
     def test_ways_fraction_zero_for_non_cause(self, ff_ext):
         scored = resp(
             ff_ext, ctx({"U1": 1, "U2": 1, "U3": 0}), {"L": 1}, atom("F", 1),
-            ScoringStrategy.ways_fraction(),
+            ScoringStrategy("ways"),
         )
         assert scored.value == 0
 

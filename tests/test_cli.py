@@ -255,6 +255,7 @@ _V11_SPLIT_CTX = "ctx(" + ",".join(f"UV{i}={int(i > 6)}" for i in range(1, 12)) 
 _FF_CTX = "ctx(U1=1,U2=1,U3=1)"
 _ONE_X = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = %s;\n}\n"
 _DIGIT = "model m {\n  exogenous U : {0,%s};\n  endogenous X : {0,1} = U;\n}\n"
+_NAMED_X = "model m {\n  exogenous U : {0,1};\n  endogenous %s : {0,1} = U;\n}\n"
 _TWO_EXO = "model m {\n  exogenous %s : {0,1};\n  exogenous V : {0,1};\n  endogenous X : {0,1} = V;\n}\n"
 _ORDERED = (
     "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U;\n  endogenous Y : {0,1} = X;\n"
@@ -284,6 +285,22 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 2, 20, "unexpected character '①'")),
     ("Arabic-Indic three as a digit", {"m.cm": _DIGIT % "٣"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 2, 20, "unexpected character '٣'")),
+    # Identifiers are ASCII too: 'é' cannot start one and '²' cannot continue one.
+    ("superscript two in an identifier", {"m.cm": _NAMED_X % "X²"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 15, "unexpected character '²'")),
+    ("accented letter as an identifier", {"m.cm": _NAMED_X % "é"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 14, "unexpected character 'é'")),
+    # A repeated assignment is reported at the repeated variable.
+    ("cause assigning a variable twice", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 & L=0 of F=1 in ctx(U1=1)"),
+     ("syntax", 1, 13, "conjunction assigns 'L' twice")),
+    ("prefix assigning a variable twice", {},
+     ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval [X<-0,X<-1] F=1 in ctx()"),
+     ("syntax", 1, 12, "prefix assigns 'X' twice")),
+    ("zero denominator",
+     {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/0;\n}\n"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("syntax", 2, 58, "zero denominator")),
     ("undeclared reference", {"m.cm": _ONE_X % "Z"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
     ("unknown pattern variable", {"m.cm": _ORDERED % "[QQ=1] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),

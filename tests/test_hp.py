@@ -395,7 +395,7 @@ class TestCap:
         with pytest.raises(CapExceededError):
             degree_of_responsibility(
                 ext_of(model), u, CandidateCause.of({"V1": 0}), atom("W", 0),
-                ScoringStrategy.ways_fraction(), max_vars=5, stats=stats,
+                ScoringStrategy("ways"), max_vars=5, stats=stats,
             )
         assert stats.solves == 1
 

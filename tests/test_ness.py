@@ -1,15 +1,14 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from causelab.dsl import print_model
+from causelab.dsl import parse_query, print_model
 from causelab.formula import CausalFormula, PrimitiveEvent, atom, valid
-from causelab.hp import CandidateCause, is_actual_cause
+from causelab.hp import CandidateCause, EngineStats, is_actual_cause
 from causelab.model import Context, Intervention
-from causelab.ness import SufficientSet, is_ness_cause, is_sufficient
+from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel
 from randmodels import (
     random_context,
@@ -20,33 +19,31 @@ from randmodels import (
 )
 
 
-def events(**kwargs):
-    return tuple(PrimitiveEvent(k, v) for k, v in kwargs.items())
+def sufficient(model, outcome, **events) -> bool:
+    """A set is sufficient when, applied as an intervention, it forces the
+    outcome in every context."""
+    return valid(model, CausalFormula(Intervention(events), outcome))
 
 
 class TestSufficiency:
     def test_single_source_suffices_in_disjunctive_model(self, corpus):
         model, _ = corpus["models"]["forest_fire_disj"]
-        assert is_sufficient(model, SufficientSet(events(L=1)), atom("F", 1))
+        assert sufficient(model, atom("F", 1), L=1)
 
     def test_empty_set_for_contingent_outcome(self, corpus):
         model, _ = corpus["models"]["forest_fire_disj"]
-        assert not is_sufficient(model, SufficientSet(()), atom("F", 1))
+        assert not sufficient(model, atom("F", 1))
 
     def test_poison_plus_drink_sufficient_despite_shot(self, corpus):
         model, _ = corpus["models"]["poisoned_tea"]
-        assert is_sufficient(model, SufficientSet(events(CP=1, DR=1)), atom("PD", 1))
-
-    def test_inconsistent_set_rejected(self):
-        with pytest.raises(ValueError):
-            SufficientSet((PrimitiveEvent("L", 0), PrimitiveEvent("L", 1)))
+        assert sufficient(model, atom("PD", 1), CP=1, DR=1)
 
     def test_sufficiency_is_not_monotone(self, corpus):
         # Pinning an intermediate variable can break a sufficient set: the
         # thrower alone suffices, but adding his rock's actual non-hit kills it.
         model, _ = corpus["models"]["suzy_billy"]
-        assert is_sufficient(model, SufficientSet(events(BT=1)), atom("BS", 1))
-        assert not is_sufficient(model, SufficientSet(events(BT=1, BH=0)), atom("BS", 1))
+        assert sufficient(model, atom("BS", 1), BT=1)
+        assert not sufficient(model, atom("BS", 1), BT=1, BH=0)
 
 
 class TestNessCause:
@@ -54,7 +51,7 @@ class TestNessCause:
         model, _ = corpus["models"]["forest_fire_disj"]
         u = Context({"U1": 1, "U2": 1})
         found = is_ness_cause(model, u, PrimitiveEvent("L", 1), atom("F", 1))
-        assert found is not None and found.events == events(L=1)
+        assert found == Intervention({"L": 1})
 
     def test_false_event_is_never_a_cause(self, corpus):
         model, _ = corpus["models"]["forest_fire_disj"]
@@ -65,8 +62,7 @@ class TestNessCause:
         model, _ = corpus["models"]["poisoned_tea"]
         u = Context({"UC": 1, "UD": 1, "UR": 1})
         found = is_ness_cause(model, u, PrimitiveEvent("CP", 1), atom("PD", 1))
-        assert found is not None
-        assert {e.variable: e.value for e in found.events} == {"CP": 1, "DR": 1}
+        assert found == Intervention({"CP": 1, "DR": 1})
         hp_verdict = is_actual_cause(
             ExtendedModel(model, None), u, CandidateCause.of({"CP": 1}), atom("PD", 1)
         )
@@ -88,8 +84,8 @@ class TestNessCause:
         u_switch = Context({"UD1": 15, "UD2": 13})
         assert is_ness_cause(switch, u_switch, event, injury) is None
         found = is_ness_cause(units, u_switch, event, injury)
-        assert found is not None
-        assert {e.variable: e.value for e in found.events} == {"D2": 13, "A1": 1}
+        assert found == Intervention({"D2": 13, "A1": 1})
+        assert list(found.as_dict()) == ["D2", "A1"]  # the queried event first
         # and the counterfactual engine flips on the same pair of models
         assert not is_actual_cause(
             ExtendedModel(switch, None), u_switch, CandidateCause.of({"D2": 13}), injury
@@ -97,6 +93,29 @@ class TestNessCause:
         assert is_actual_cause(
             ExtendedModel(units, None), u_switch, CandidateCause.of({"D2": 13}), injury
         ).is_cause
+
+
+# Solves per corpus `ness` query: the actual world's, then one per context
+# that each checked set's pinned outcome still reads.
+CORPUS_NESS_SOLVES = {
+    ("forest_fire_disj", "ness L=1 of F=1 in ctx(U1=1,U2=1)"): 4,
+    ("forest_fire_disj", "ness ML=1 of F=1 in ctx(U1=1,U2=1)"): 4,
+    ("poisoned_tea", "ness CP=1 of PD=1 in ctx(UC=1,UD=1,UR=1)"): 7,
+    ("poisoned_tea", "ness DS=1 of PD=1 in ctx(UC=1,UD=1,UR=1)"): 3,
+    ("discharge_switch", "ness D2=13 of I=1 in ctx(UD1=15,UD2=13)"): 9,
+    ("discharge_units", "ness D2=13 of I=1 in ctx(UD1=15,UD2=13)"): 6,
+}
+
+
+def test_corpus_ness_solves(corpus):
+    solves = {}
+    for name, text in CORPUS_NESS_SOLVES:
+        model, _ = corpus["models"][name]
+        query = parse_query(text)
+        stats = EngineStats()
+        is_ness_cause(model, Context(dict(query.context)), query.event, query.outcome, stats)
+        solves[name, text] = stats.solves
+    assert solves == CORPUS_NESS_SOLVES
 
 
 # -- Sufficiency over the contexts the pinned outcome still reads -------------
@@ -109,20 +128,20 @@ def brute_valid(model, pins: dict[str, int], matrix) -> bool:
     return all(matrix.satisfied_by(model.solve_pinned(u, pins)) for u in model.enumerate_contexts())
 
 
-def brute_ness(model, context, event, outcome) -> SufficientSet | None:
+def brute_ness(model, context, event, outcome) -> Intervention | None:
     """`is_ness_cause`'s search, smallest set first, over brute-force sufficiency."""
     world = model.solve(context)
     if world[event.variable] != event.value:
         return None
     others = [PrimitiveEvent(v, world[v]) for v in model.signature.endogenous_names if v != event.variable]
 
-    def sufficient(events) -> bool:
+    def brute_sufficient(events) -> bool:
         return brute_valid(model, {e.variable: e.value for e in events}, outcome)
 
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
-            if sufficient((event,) + combo) and not sufficient(combo):
-                return SufficientSet((event,) + combo)
+            if brute_sufficient((event,) + combo) and not brute_sufficient(combo):
+                return Intervention({e.variable: e.value for e in (event,) + combo})
     return None
 
 

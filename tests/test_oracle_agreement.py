@@ -278,7 +278,7 @@ def agree_on_scoring(ext: ExtendedModel, context: Context, cause: CandidateCause
     ways = oracle_ways_fraction(ext, context, cause, outcome)
     assert ways_fraction(ext, context, cause, outcome) == ways, (ext.model.name, cause)
     # A weighted score is 0 exactly for a non-cause, which scores 0 here too.
-    scored = degree_of_responsibility(ext, context, cause, outcome, ScoringStrategy.ways_fraction())
+    scored = degree_of_responsibility(ext, context, cause, outcome, ScoringStrategy("ways"))
     assert scored.value == (ways if oracle_weighted else 0), (ext.model.name, cause)
 
 
