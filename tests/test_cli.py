@@ -290,6 +290,19 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 3, 15, "unexpected character '²'")),
     ("accented letter as an identifier", {"m.cm": _NAMED_X % "é"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 3, 14, "unexpected character 'é'")),
+    # End of input after a trailing comment is placed at the comment's '#'.
+    ("end of a model after a trailing comment", {"m.cm": "model m {\n  exogenous U : {0,1};  # no close"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 25, "expected 'exogenous', 'endogenous', or 'normality'")),
+    ("end of a query after a trailing comment", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause X=1 of   # c"),
+     ("syntax", 1, 16, "expected a variable name, found 'end of input'")),
+    # A tab is one column, and '>' is only the first character of '>='.
+    ("lone '>' on a tab-indented line", {"m.cm": "model m {\n\texogenous U : {0,1} > ;\n}\n"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 2, 22, "unexpected character '>'")),
+    ("CRLF line endings", {"m.cm": (_ONE_X % "Z").replace("\n", "\r\n")}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
     # A repeated assignment is reported at the repeated variable.
     ("cause assigning a variable twice", {},
      ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 & L=0 of F=1 in ctx(U1=1)"),

@@ -99,6 +99,17 @@ class TestModelDiagnostics:
         assert (diag.line, diag.col) == (2, 21)
         assert text.splitlines()[1][diag.col - 1] == ";"
 
+    def test_carriage_returns_are_one_column_each(self):
+        # Files are read with universal newlines; text handed to the parser
+        # directly keeps its '\r's, each a whitespace column.
+        text = "model m {\r\n  exogenous U : {0,1};\r\n  endogenous X : {0,1} = Z;\r\n}\r\n"
+        diag = _single_diag(text)
+        assert (diag.category, diag.line, diag.col) == ("unknown variable", 3, 26)
+        diag = _single_diag("model m {\r\n  exogenous U : {0,1};\r\r\r >")
+        assert (diag.category, diag.line, diag.col, diag.message) == (
+            "syntax", 2, 27, "unexpected character '>'"
+        )
+
     def test_pattern_range_violation(self):
         text = (
             "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U;\n"
