@@ -14,22 +14,25 @@ order is built over the parsed model's signature and validates itself there,
 so conflicting ranks are reported at the rank declaration that conflicts with
 an earlier one.
 
-Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals are
-ASCII digits; a non-ASCII letter or digit is a syntax error at that character.
-A syntax error ends parsing at once, and a repeated assignment in a query is
-reported at the repeated variable.
+The lexer is one compiled regular expression with an alternative per token
+class.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals
+are ASCII digits; a non-ASCII letter or digit is a syntax error at that
+character.  A syntax error ends parsing at once, and a repeated assignment in
+a query is reported at the repeated variable.
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
-equation.  `#` starts a line comment; whitespace is insignificant.
+equation.  A query file's diagnostics carry the file's line and column.  `#`
+starts a line comment; whitespace is insignificant, and a tab or a carriage
+return is one column.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NoReturn, TypeVar
+from typing import NamedTuple, NoReturn, TypeVar
 
 from .formula import (
     AndF,
@@ -91,16 +94,19 @@ class DslError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
-_PUNCT = (
-    "<=", "<-", "==", "!=", ">=", "&&", "||",
-    "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<", "!", "+", "-", "*", "/", "&", "|",
+# One alternative per token class, tried in this order at each position.
+# Classes are ASCII: `[0-9]` rejects '²' and '٣', which str.isdigit accepts,
+# and `[A-Za-z_]` rejects 'é'.  Punctuation is listed longest first, so '<='
+# is one token; a lone '>' falls through to `other`.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct><=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|])"
+    r"|(?P<other>.)"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     text: str
     line: int
@@ -109,48 +115,23 @@ class Token:
 
 def _lex(text: str, origin: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in ("ident", "punct", "int"):
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also accepts '²' and '٣'
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _IDENT_START:  # ASCII only, as for digits: str.isalpha accepts 'é'
-            start = i
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-            tokens.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise DslError(
-                [Diagnostic("syntax", f"unexpected character {ch!r}", line, col, origin)]
-            )
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "other":
+            raise DslError([Diagnostic(
+                "syntax", f"unexpected character {m.group()!r}", line, m.start() - line_start + 1, origin
+            )])
+    # A trailing comment does not advance the column: end of input is
+    # reported at its '#'.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -165,8 +146,8 @@ class _Parser:
         self.tokens = _lex(text, origin)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -668,14 +649,18 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
 
 
 def parse_query_file(path) -> list[Query]:
-    """One query per non-empty, non-comment line."""
+    """One query per non-empty, non-comment line.  Diagnostics carry the
+    file's path as origin and the line and column within the file."""
     queries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            queries.append(parse_query(stripped, origin=f"{path}:{lineno}"))
+            try:
+                queries.append(parse_query(line.rstrip("\n"), origin=str(path)))
+            except DslError as exc:
+                raise DslError([replace(d, line=lineno) for d in exc.diagnostics]) from None
     return queries
 
 

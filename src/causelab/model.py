@@ -5,6 +5,8 @@ exogenous and endogenous) with one total structural equation per endogenous
 variable.  Models are validated eagerly at construction: names must resolve,
 the endogenous dependency graph must be acyclic, and every equation body must
 evaluate into its target's range for every combination of referenced values.
+Totality is proved by interval bounds on the body where they fit the range,
+and by evaluating the body on every such combination where they do not.
 
 All values here are immutable after construction; every operation is pure.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,6 +232,42 @@ def fold(node: Expr | Cond, known: Mapping[str, int]) -> int | bool | frozenset[
 
 def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
     return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
+
+
+def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int]:
+    """An interval `(lo, hi)` holding every value `expr` takes when each
+    variable ranges over its (sorted) range in `ranges`.
+
+    Interval arithmetic (Cousot & Cousot, POPL 1977): `+`, `-` and `*`
+    combine end points, `min` and `max` apply end-wise, and an `If` takes the
+    hull of its branches without reading its condition.  Sound, not exact.
+    """
+    if isinstance(expr, Lit):
+        return expr.value, expr.value
+    if isinstance(expr, Var):
+        values = ranges[expr.name]
+        return values[0], values[-1]
+    if isinstance(expr, If):
+        (a, b), (c, d) = _bounds(expr.then, ranges), _bounds(expr.other, ranges)
+        return min(a, c), max(b, d)
+    (a, b), (c, d) = _bounds(expr.left, ranges), _bounds(expr.right, ranges)
+    if isinstance(expr, MinMax):
+        pick = min if expr.which == "min" else max
+        return pick(a, c), pick(b, d)
+    if expr.op == "+":
+        return a + c, b + d
+    if expr.op == "-":
+        return a - d, b - c
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
+
+
+def _covers(values: tuple[int, ...], lo: int, hi: int) -> bool:
+    """Whether the sorted, duplicate-free `values` hold every integer in
+    `[lo, hi]`: ranges may have gaps, so matching end points is not enough."""
+    i = bisect_left(values, lo)
+    j = i + hi - lo
+    return j < len(values) and values[i] == lo and values[j] == hi
 
 
 def _emit(node: Expr | Cond, key) -> str:
@@ -539,17 +578,21 @@ class CausalModel:
         return cycle + [v]
 
     def _check_totality(self) -> None:
-        # Enumerate the referenced variables' range product; a body that can
-        # step outside its target range is a construction error, never a
-        # runtime surprise.
+        # A body that can step outside its target range is a construction
+        # error, never a runtime surprise.  A body whose interval bounds fit
+        # the range is total; any other is evaluated on the product of its
+        # referenced ranges, so a non-total one is reported at its first bad
+        # binding.
         ranges = self.signature.ranges
         positions = self.signature.positions
         compiled = {v: fn for v, (_, fn) in zip(self._topo_order, self._steps)}
         env = [0] * len(positions)
         for v, eq in self.equations.items():
+            target_range = ranges[v]
+            if _covers(target_range, *_bounds(eq.body, ranges)):
+                continue
             refs = sorted(eq.references())
             slots = [positions[r] for r in refs]
-            target_range = ranges[v]
             fn = compiled[v]
             for combo in itertools.product(*(ranges[r] for r in refs)):
                 for slot, ref_value in zip(slots, combo):

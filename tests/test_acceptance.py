@@ -5,6 +5,7 @@ after the run.  Query timings are asserted against the one-second budget on
 the bundled corpus.
 """
 
+import time
 from fractions import Fraction
 
 from causelab.attribution import (
@@ -14,6 +15,7 @@ from causelab.attribution import (
     degree_of_responsibility,
 )
 from causelab.cli import corpus_dir, load_corpus_entries, run_corpus_entry
+from causelab.dsl import parse_model
 from causelab.formula import PrimitiveEvent, atom, disj
 from causelab.hp import CandidateCause, is_actual_cause
 from causelab.model import Context, Intervention
@@ -217,3 +219,19 @@ def test_corpus_queries_within_time_budget():
         ok, message, _result, wall_ms = run_corpus_entry(entry, base)
         assert ok, f"{entry['id']}: {message}"
         assert wall_ms < 1000.0, f"{entry['id']} took {wall_ms:.1f} ms"
+
+
+def test_wide_max_chain_parses_within_time_budget():
+    # Totality of a body over n binary parents costs 2**n evaluations
+    # (1.6 s at n = 18); interval bounds prove this one without any.
+    n = 24
+    exo = "".join(f"  exogenous U{i} : {{0,1}};\n" for i in range(n))
+    body = "U0"
+    for i in range(1, n):
+        body = f"max({body}, U{i})"
+    text = f"model wide {{\n{exo}  endogenous Y : {{0,1}} = {body};\n}}\n"
+    start = time.perf_counter()
+    model, _ = parse_model(text)
+    elapsed = time.perf_counter() - start
+    assert model.signature.endogenous_names == ("Y",)
+    assert elapsed < 1.0, f"parsing took {elapsed:.2f} s"

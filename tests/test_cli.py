@@ -87,6 +87,16 @@ class TestQueries:
         assert reports[0]["result"]["verdict"] is True
         assert reports[1]["result"]["failed_condition"] == "AC1"
 
+    def test_query_file_diagnostic_names_the_file(self, tmp_path):
+        qfile = tmp_path / "q.cq"
+        qfile.write_text(_QUERY_FILE)
+        code, [payload] = run_json("cause", "-m", model_arg("forest_fire.cm"), "-Q", str(qfile))
+        assert code == EXIT_DIAGNOSTICS
+        assert payload["diagnostics"] == [{
+            "category": "syntax", "col": 44, "line": 3,
+            "message": "unexpected character '>'", "origin": str(qfile),
+        }]
+
     def test_preliminary_flag_ignores_normality(self):
         query = "cause B=1 of VS=1 in ctx(UA=1,UB=1)"
         _, [extended] = run_json("cause", "-m", model_arg("assassin.cm"), "-q", query)
@@ -261,6 +271,7 @@ _ORDERED = (
     "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U;\n  endogenous Y : {0,1} = X;\n"
     "  normality {\n    %s\n  }\n}\n"
 )
+_QUERY_FILE = "# one bad query\n\n   cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1) >\n"
 _CAUSE_X = ("-q", "cause X=1 of X=1 in ctx(U=1)")
 _CAUSE_X_BY_V = ("-q", "cause X=1 of X=1 in ctx(V=1)")
 _FOREST2 = "model forest2 {\n  exogenous U : {0,1};\n  endogenous F : {0,1} = U;\n}\n"
@@ -301,6 +312,9 @@ DIAGNOSTIC_TABLE = [
     ("lone '>' on a tab-indented line", {"m.cm": "model m {\n\texogenous U : {0,1} > ;\n}\n"},
      ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 2, 22, "unexpected character '>'")),
+    # A query file's diagnostics are placed in the file, indentation included.
+    ("query file line", {"q.cq": _QUERY_FILE}, ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@q.cq"),
+     ("syntax", 3, 44, "unexpected character '>'")),
     ("CRLF line endings", {"m.cm": (_ONE_X % "Z").replace("\n", "\r\n")}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
     # A repeated assignment is reported at the repeated variable.

@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causelab.cli import corpus_dir
 from causelab.dsl import (
@@ -11,6 +14,7 @@ from causelab.dsl import (
     EvalQuery,
     NessQuery,
     RespQuery,
+    _lex,
     parse_model,
     parse_query,
     parse_states,
@@ -90,6 +94,15 @@ class TestModelDiagnostics:
         diag = _single_diag(text)
         assert diag.category == "non-total equation"
         assert diag.line == 3
+
+    def test_non_total_body_is_reported_at_its_target(self):
+        # Interval bounds cannot prove U - 1 total, so it is evaluated, and
+        # the first binding out of range is named.
+        text = "model m {\n  exogenous U : {0,1};\n  endogenous X : {0,1} = U - 1;\n}"
+        diag = _single_diag(text)
+        assert (diag.category, diag.line, diag.col, diag.message) == (
+            "non-total equation", 3, 14, "equation for 'X' yields -1 outside its range at U=0"
+        )
 
     def test_syntax_error_at_bracket(self):
         text = "model m {\n  exogenous U : {0,1;\n}"
@@ -269,3 +282,28 @@ class TestParseStates:
     def test_empty_state_rejected(self):
         with pytest.raises(DslError):
             parse_states("state s { }")
+
+
+# Lexer faithfulness: sources built from lexable pieces, so every run of
+# characters that is not whitespace or a comment is some token's text.
+_PIECES = [
+    "x", "Ab_1", "_", "model", "42", "0", "<=", "<-", "==", "!=", ">=", "&&", "||",
+    "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<", "!", "+", "-", "*", "/", "&", "|",
+    " ", "  ", "\t", "\r", "\n", "# note é > ²\n", "#\n",
+]
+_SOURCES = st.builds(
+    lambda pieces, tail: "".join(pieces) + tail,
+    st.lists(st.sampled_from(_PIECES), max_size=40),
+    st.sampled_from(["", "# trailing", "\n"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=_SOURCES)
+def test_lexer_tokens_are_the_source_without_blanks(text):
+    tokens = _lex(text, "<t>")
+    assert tokens[-1].kind == "eof"
+    lines = text.split("\n")
+    for tok in tokens[:-1]:
+        assert lines[tok.line - 1][tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text
+    assert "".join(tok.text for tok in tokens) == re.sub(r"#[^\n]*|[ \t\r\n]", "", text)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from causelab.model import (
     Arith,
@@ -21,8 +23,17 @@ from causelab.model import (
     UnknownVariableError,
     Var,
     World,
+    _bounds,
+    _covers,
+    compile_body,
 )
-from randmodels import random_context, random_model
+from randmodels import (
+    random_context,
+    random_dangling_model,
+    random_model,
+    random_selector_model,
+    random_threshold_model,
+)
 
 
 def forest_fire() -> CausalModel:
@@ -159,6 +170,94 @@ class TestValidation:
             Signature(exogenous=(("U", ()),), endogenous=())
 
 
+def _one_body(body, target_range, exo_range=(0, 1)):
+    sig = Signature(exogenous=(("U", exo_range),), endogenous=(("X", target_range),))
+    return CausalModel(sig, [Equation("X", body)])
+
+
+class TestTotalityPaths:
+    """Interval bounds prove a body total without evaluating it; a body they
+    do not prove is evaluated on every binding, as before."""
+
+    def test_bounds_of_each_node(self):
+        ranges = {"U": (0, 1, 2), "N": (1, 5)}
+        u, n = Var("U"), Var("N")
+        assert _bounds(Lit(3), ranges) == (3, 3)
+        assert _bounds(u, ranges) == (0, 2)
+        assert _bounds(Arith("+", u, n), ranges) == (1, 7)
+        assert _bounds(Arith("-", u, n), ranges) == (-5, 1)
+        assert _bounds(Arith("*", Arith("-", u, n), n), ranges) == (-25, 5)
+        assert _bounds(MinMax("min", u, n), ranges) == (0, 2)
+        assert _bounds(MinMax("max", u, n), ranges) == (1, 5)
+        # the condition is not read: the hull of both branches
+        assert _bounds(If(Cmp("==", u, Lit(0)), Lit(7), n), ranges) == (1, 7)
+
+    def test_covers_is_interval_inside_range(self):
+        assert _covers((0, 1, 2), 0, 2) and _covers((0, 1, 3), 1, 1) and _covers((0, 1, 3), 3, 3)
+        assert not _covers((0, 2), 0, 2)  # a gap
+        assert not _covers((0, 1), -1, 0) and not _covers((0, 1), 1, 2) and not _covers((0, 1), 2, 2)
+
+    def test_gapped_range_total_by_enumeration(self):
+        body = If(Cmp("==", Var("U"), Lit(0)), Lit(0), Lit(2))
+        assert not _covers((0, 2), *_bounds(body, {"U": (0, 1)}))
+        model = _one_body(body, (0, 2))
+        assert [model.solve(u)["X"] for u in model.enumerate_contexts()] == [0, 2]
+
+    def test_mixed_sign_product_total_by_enumeration(self):
+        uu = Arith("*", Var("U"), Var("U"))
+        body = Arith("-", uu, uu)
+        assert _bounds(body, {"U": (0, 1, 2)}) == (-4, 4)
+        model = _one_body(body, (0,), exo_range=(0, 1, 2))
+        assert {model.solve(u)["X"] for u in model.enumerate_contexts()} == {0}
+
+
+_FAMILIES = {
+    "random": lambda rng: random_model(rng, max_endo=5, allow_ternary=True),
+    "threshold": random_threshold_model,
+    "selector": random_selector_model,
+    "dangling": random_dangling_model,
+}
+_DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+def _assert_bounds_sound(body, ranges):
+    lo, hi = _bounds(body, ranges)
+    refs = sorted(body.references())
+    fn = compile_body(body)
+    for combo in itertools.product(*(ranges[r] for r in refs)):
+        assert lo <= fn(dict(zip(refs, combo))) <= hi, combo
+
+
+@_DERANDOMIZED
+@given(rng=st.randoms(use_true_random=False), family=st.sampled_from(sorted(_FAMILIES)))
+def test_bounds_hold_every_value_of_generated_equations(rng, family):
+    model = _FAMILIES[family](rng)
+    ranges = model.signature.ranges
+    for eq in model.equations.values():
+        note(repr(eq))
+        _assert_bounds_sound(eq.body, ranges)
+
+
+# Unclamped trees over ranges with negative values and gaps: sums,
+# differences and products of mixed sign.
+_BOUND_RANGES = {"A": (0, 1), "B": (-2, 0, 3), "C": (-1, 4)}
+_EXPRS = st.recursive(
+    st.one_of(st.builds(Lit, st.integers(-3, 3)), st.builds(Var, st.sampled_from(sorted(_BOUND_RANGES)))),
+    lambda sub: st.one_of(
+        st.builds(Arith, st.sampled_from(["+", "-", "*"]), sub, sub),
+        st.builds(MinMax, st.sampled_from(["min", "max"]), sub, sub),
+        st.builds(If, st.builds(Cmp, st.sampled_from(["==", "<"]), sub, sub), sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@_DERANDOMIZED
+@given(body=_EXPRS)
+def test_bounds_hold_every_value_of_arbitrary_bodies(body):
+    _assert_bounds_sound(body, _BOUND_RANGES)
+
+
 class TestErrorClasses:
     """Each raise site picks the class, and so the diagnostic category."""
 
@@ -189,8 +288,6 @@ class TestInvariants:
         env = dict(context)
         env.update(world)
         for var, eq in model.equations.items():
-            from causelab.model import compile_body
-
             assert compile_body(eq.body)(env) == world[var]
 
     def test_fixed_point_forest_fire(self):
