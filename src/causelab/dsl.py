@@ -208,25 +208,54 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+# The deepest expression tree an equation body may have.  Evaluation,
+# folding and compilation recurse over the tree, and Python's compiler
+# accepts at most 200 nested parentheses.
+MAX_BODY_DEPTH = 100
+
+
 class _ExprParser:
-    """Equation-body grammar; records variable references with positions."""
+    """Equation-body grammar; records variable references with positions.
+
+    Rejects a body whose tree is deeper than `MAX_BODY_DEPTH`, at the token
+    of the first node that crosses the bound: an operator of a long chain,
+    or a nested `min`, `max`, `if`, `!` or `(` while it is still descending.
+    """
 
     def __init__(self, parser: _Parser):
         self.p = parser
         self.refs: list[tuple[str, Token]] = []
+        self.depths: dict[int, int] = {}  # id of an inner node -> its depth
+        self.nesting = 0  # enclosing nodes of the one being parsed
+
+    def node(self, tok: Token, node: Expr | Cond, *children: Expr | Cond) -> Expr | Cond:
+        """`node`, built at `tok` over `children`, once its depth is checked."""
+        depth = 1 + max(self.depths.get(id(child), 1) for child in children)
+        if depth > MAX_BODY_DEPTH:
+            self.p.fail(tok, f"expression nested deeper than {MAX_BODY_DEPTH} levels")
+        self.depths[id(node)] = depth
+        return node
+
+    def descend(self, tok: Token) -> None:
+        """Enter a node opened at `tok`: its tree has at least one level more."""
+        self.nesting += 1
+        if self.nesting >= MAX_BODY_DEPTH:
+            self.p.fail(tok, f"expression nested deeper than {MAX_BODY_DEPTH} levels")
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
         while self.p.at_punct("+") or self.p.at_punct("-"):
-            op = self.p.advance().text
-            node = Arith(op, node, self.parse_term())
+            tok = self.p.advance()
+            right = self.parse_term()
+            node = self.node(tok, Arith(tok.text, node, right), node, right)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.p.at_punct("*"):
-            self.p.advance()
-            node = Arith("*", node, self.parse_factor())
+            tok = self.p.advance()
+            right = self.parse_factor()
+            node = self.node(tok, Arith("*", node, right), node, right)
         return node
 
     def parse_factor(self) -> Expr:
@@ -236,20 +265,24 @@ class _ExprParser:
             return Lit(int(tok.text))
         if tok.kind == "ident" and tok.text in ("min", "max"):
             self.p.advance()
+            self.descend(tok)
             self.p.expect_punct("(")
             left = self.parse_expr()
             self.p.expect_punct(",")
             right = self.parse_expr()
             self.p.expect_punct(")")
-            return MinMax(tok.text, left, right)
+            self.nesting -= 1
+            return self.node(tok, MinMax(tok.text, left, right), left, right)
         if tok.kind == "ident" and tok.text == "if":
             self.p.advance()
+            self.descend(tok)
             cond = self.parse_cond()
             self.p.expect_keyword("then")
             then = self.parse_expr()
             self.p.expect_keyword("else")
             other = self.parse_expr()
-            return If(cond, then, other)
+            self.nesting -= 1
+            return self.node(tok, If(cond, then, other), cond, then, other)
         if tok.kind == "ident":
             self.p.advance()
             self.refs.append((tok.text, tok))
@@ -259,25 +292,33 @@ class _ExprParser:
     def parse_cond(self) -> Cond:
         node = self.parse_cond_and()
         while self.p.at_punct("||"):
-            self.p.advance()
-            node = BoolOp("||", node, self.parse_cond_and())
+            tok = self.p.advance()
+            right = self.parse_cond_and()
+            node = self.node(tok, BoolOp("||", node, right), node, right)
         return node
 
     def parse_cond_and(self) -> Cond:
         node = self.parse_cond_not()
         while self.p.at_punct("&&"):
-            self.p.advance()
-            node = BoolOp("&&", node, self.parse_cond_not())
+            tok = self.p.advance()
+            right = self.parse_cond_not()
+            node = self.node(tok, BoolOp("&&", node, right), node, right)
         return node
 
     def parse_cond_not(self) -> Cond:
+        tok = self.p.peek()
         if self.p.at_punct("!"):
             self.p.advance()
-            return Not(self.parse_cond_not())
+            self.descend(tok)
+            inner = self.parse_cond_not()
+            self.nesting -= 1
+            return self.node(tok, Not(inner), inner)
         if self.p.at_punct("("):
             self.p.advance()
+            self.descend(tok)
             node = self.parse_cond()
             self.p.expect_punct(")")
+            self.nesting -= 1
             return node
         left = self.parse_expr()
         tok = self.p.peek()
@@ -285,7 +326,7 @@ class _ExprParser:
             self.p.fail(tok, f"expected a comparison operator, found {tok.text or 'end of input'!r}")
         self.p.advance()
         right = self.parse_expr()
-        return Cmp(tok.text, left, right)
+        return self.node(tok, Cmp(tok.text, left, right), left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,26 @@ failures are those of the plain enumeration, and only the work counters fall.
   (`ac2b`) decides it.  A `cause` query names the failing instance of each
   failure it reports, so until its record is full, or a witness makes the
   record moot, it still runs the sweep per contingency.
+- Each orbit of interchangeable variables is decided once.  Two variables
+  outside the cause and the outcome are interchangeable when they share
+  their range, weight and actual value, and swapping them maps the equations
+  folded under the context (`CausalModel.interchangeable`) and the actual
+  world's up-set patterns onto themselves.  Such a swap maps every solution,
+  AC2 verdict and witness onto its image, so the solve and AC2(b) memos are
+  keyed by the representative of the orbit of their pins
+  (`_Search._canonical`).  A change assignment's decision is kept per orbit
+  (`_Search._orbit`) only when it is the same for every member whatever
+  order the search tries contingencies in: no contingency reached AC2(b), so
+  there is no witness and no failure to record; or the contingency with E
+  empty, which every order tries first, is a witness.  A member then gets
+  that decision, with its own change assignment and the image of the solved
+  world, without a solve.  Any other decision depends on which E, or which
+  failing instance, comes first in position order, so each member is
+  decided directly; when it records no failures, a failing AC2(b) state in
+  the memo still rejects it at once.  Classes are found when the search
+  first reaches a nonempty change set, and a search without a class of two
+  runs as before.  `ways_fraction` evaluates each orbit of side settings
+  once, weighted by its multinomial size.
 """
 
 from __future__ import annotations
@@ -84,6 +104,7 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,6 +199,11 @@ _AC2B_FAILURE_CAP = 32
 # variables, or fails otherwise.
 _HOLDS, _FAILS_BARE, _FAILS = "holds", "fails bare", "fails"
 
+# Decisions of a change assignment that hold for its whole orbit (see
+# `_Search._first_witness_for`): no contingency reached AC2(b), or the one
+# with E empty, which every order tries first, is a witness.
+_UNREACHED, _AT_EMPTY_E = "unreached", "witness at empty E"
+
 
 def _ac2b_state_of(failure: tuple | None, c_vars: Sequence[int]) -> str:
     """The state of (C, c) from the sweep's answer under any W that contains
@@ -186,6 +212,14 @@ def _ac2b_state_of(failure: tuple | None, c_vars: Sequence[int]) -> str:
         return _HOLDS
     w_prime, z_prime = failure
     return _FAILS_BARE if not z_prime and set(w_prime) <= set(c_vars) else _FAILS
+
+
+def _orbit_size(values: tuple[int, ...]) -> int:
+    """The number of arrangements of the sorted `values`: a multinomial."""
+    size = math.factorial(len(values))
+    for _, run in itertools.groupby(values):
+        size //= math.factorial(len(list(run)))
+    return size
 
 
 def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -213,12 +247,20 @@ class _Search:
         cause: CandidateCause,
         outcome: EventFormula,
         stats: EngineStats,
+        weights: Mapping[str, Fraction] | None = None,
     ):
         self.model = ext.model
         sig = self.model.signature
         cause.validate(self.model)
         outcome.validate(self.model)
         sig.check_context(context)
+        if weights is not None:
+            if missing := [v for v in sig.endogenous_names if v not in weights]:
+                raise ValueError(f"missing weights for {missing}")
+            for v in sig.endogenous_names:
+                if weights[v] <= 0:
+                    raise ModelError(f"weight for {v!r} must be positive")
+        self._weights = weights
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
         self.outcome_vars = outcome.variables()
@@ -229,13 +271,13 @@ class _Search:
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
         self._folded: dict[str, frozenset[str]] = {}  # variable -> folded references
         self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
+        self._aim(cause)
         self.actual = self._solve((None,) * self.n)
         # The actual world's up-set as {position: value} patterns; None when flat.
         self._patterns = None if ext.is_flat else tuple(
             {sig.endogenous_index[v]: value for v, value in pattern.items()}
             for pattern in ext.order.up_set(sig.world(self.actual))
         )
-        self._aim(cause)
 
     def _aim(self, cause: CandidateCause) -> None:
         cause_ix = {self.model.signature.endogenous_index[v] for v in cause.variables()}
@@ -243,6 +285,8 @@ class _Search:
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
         self.ac2b_failures: list[Ac2bFailure] = []
+        self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
+        self._decided: dict[tuple, str] = {}  # (x', `_orbit` key) -> decision for the orbit
 
     def for_cause(self, cause: CandidateCause) -> _Search:
         """This search aimed at another cause; the shallow copy shares the
@@ -250,6 +294,79 @@ class _Search:
         search = copy.copy(self)
         search._aim(cause)
         return search
+
+    # -- interchangeable variables -------------------------------------------
+
+    def _find_classes(self) -> None:
+        """Set `classes`: the classes of two or more interchangeable
+        variables outside the cause and the outcome, as increasing positions.
+
+        Exchanging two variables of one class maps the folded equations
+        (`CausalModel.interchangeable`), the actual world's up-set patterns, the
+        weights, the cause and the outcome onto themselves, so it maps each
+        solution, verdict and witness onto its image.
+        """
+        self.classes = self._interchangeable_classes()
+        if self.classes:
+            # A class member is labelled by its (negative) class and led by
+            # the class's first member; any other variable by and only by
+            # itself.
+            self._label, self._lead = list(range(self.n)), list(range(self.n))
+            for k, cls in enumerate(self.classes):
+                for i in cls:
+                    self._label[i], self._lead[i] = -1 - k, cls[0]
+
+    def _orbit(self, c_vars: Sequence[int], c: Sequence[int]) -> tuple:
+        """A key naming the orbit of the change assignment that sets the
+        positions `c_vars` to `c`: its (label, value) pairs, sorted."""
+        return tuple(sorted(zip(map(self._label.__getitem__, c_vars), c)))
+
+    def _interchangeable_classes(self) -> tuple[tuple[int, ...], ...]:
+        # Exchangeable variables share their range, weight and actual value,
+        # and exchanging them maps the actual world's up-set patterns onto
+        # themselves: at once when the two take the same value in each.
+        ranges = self.model.signature.ranges
+        groups: dict[tuple, list[str]] = {}
+        for i in self.others:
+            v = self.names[i]
+            if v not in self.outcome_vars:
+                weight = None if self._weights is None else self._weights[v]
+                groups.setdefault((ranges[v], weight, self.actual[i]), []).append(v)
+        groups = [group for group in groups.values() if len(group) > 1]
+        if not groups:
+            return ()
+        index = self.model.signature.endogenous_index
+        fixes = None
+        if self._patterns is not None:
+            patterns = {frozenset(p.items()) for p in self._patterns}
+
+            def fixes(a: str, b: str) -> bool:
+                a, b = index[a], index[b]
+                swap = {a: b, b: a}
+                return all(
+                    p.get(a) == p.get(b) or frozenset((swap.get(i, i), v) for i, v in p.items()) in patterns
+                    for p in self._patterns
+                )
+
+        classes = self.model.interchangeable(groups, self._exogenous, self._folded, fixes)
+        return tuple(tuple(sorted(index[v] for v in cls)) for cls in classes)
+
+    def _canonical(self, pins: tuple[int | None, ...]) -> tuple[int | None, ...]:
+        """The representative of the orbit of `pins`: within each class, the
+        unpinned members first, then the pinned values in increasing order.
+        `pins` itself when it is its own representative."""
+        out = None
+        for cls in self.classes:
+            values = [pins[i] for i in cls]
+            free = values.count(None)
+            if free == len(values):
+                continue
+            ordered = [None] * free + sorted(v for v in values if v is not None)
+            if ordered != values:
+                out = list(pins) if out is None else out
+                for i, v in zip(cls, ordered):
+                    out[i] = v
+        return pins if out is None else tuple(out)
 
     def check_cap(self, max_vars: int) -> None:
         """Raise `CapExceededError` when the model is over the variable cap;
@@ -277,9 +394,18 @@ class _Search:
     def _solve(self, pins: tuple[int | None, ...]) -> tuple[int, ...]:
         values = self._cache.get(pins)
         if values is None:
-            values = self.model.solve_unchecked(self.context, pins)
-            self._cache[pins] = values
-            self.stats.solves += 1
+            canon = self._canonical(pins) if self.classes else pins
+            if canon is pins:
+                values = self._cache[pins] = self.model.solve_unchecked(self.context, pins)
+                self.stats.solves += 1
+            else:
+                # A pinned variable takes its pin, and the unpinned members of
+                # a class share one value, which the representative gives its
+                # first member.
+                values = self._solve(canon)
+                values = self._cache[pins] = tuple(
+                    values[lead] if pin is None else pin for pin, lead in zip(pins, self._lead)
+                )
         return values
 
     def _pins(self, *settings: Iterable[tuple[int, int]]) -> list[int | None]:
@@ -363,13 +489,15 @@ class _Search:
     def _ac2b_state(self, pins: tuple[int | None, ...], c_vars: Sequence[int]) -> str:
         """AC2(b) for the change assignment that `pins` sets: the cause at its
         actual values and the increasing positions `c_vars` off theirs.  The
-        same for every E and x' (see the module docstring)."""
-        state = self._ac2b_states.get(pins)
+        same for every E and x' (see the module docstring), and for every
+        member of its orbit, so it is kept by the orbit's representative."""
+        key = self._canonical(pins) if self.classes else pins
+        state = self._ac2b_states.get(key)
         if state is None:
             state = self._decide_ac2b(pins, c_vars)
             if state is None:
                 state = _ac2b_state_of(self.ac2b(c_vars, {i: pins[i] for i in c_vars}), c_vars)
-            self._ac2b_states[pins] = state
+            self._ac2b_states[key] = state
         return state
 
     def _decide_ac2b(self, pins: tuple[int | None, ...], c_vars: Sequence[int]) -> str | None:
@@ -459,11 +587,9 @@ class _Search:
         """(measure, C, c) triples: the settings c off the actual values of
         each change set C, in the order of `_change_sets`."""
         ranges = self.model.signature.ranges
+        offs = {i: [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in movable}
         for measure, c_vars in self._change_sets(weights, movable):
-            alt_values = [
-                [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in c_vars
-            ]
-            for combo in itertools.product(*alt_values):
+            for combo in itertools.product(*map(offs.__getitem__, c_vars)):
                 yield measure, c_vars, combo
 
     def find_minimal_witnesses(
@@ -495,6 +621,8 @@ class _Search:
         for measure, c_vars, c in self._change_assignments(weights, movable):
             if found_measure is not None and measure > found_measure:
                 break
+            if c_vars and self.classes is None:
+                self._find_classes()  # only a nonempty change set has an orbit to share
             for x_prime in x_alts:
                 # Failures recorded after a witness is found are never reported.
                 record = not existence_only and not found
@@ -536,33 +664,47 @@ class _Search:
         """
         if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
             return None  # no normal world takes these pins
-        key = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
+        base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
+        if self.classes:
+            orbit = (x_prime, self._orbit(c_vars, c))
+            decided = self._decided.get(orbit)
+            if decided is _UNREACHED:
+                return None
+            if decided is _AT_EMPTY_E:
+                values = self._solve(tuple(base))
+                contingency = self._named_contingency(dict(zip(c_vars, c)), x_prime)
+                return Witness(*contingency, len(c_vars), self.model.signature.world(values))
+        pins = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
+        key = self._canonical(pins) if self.classes else pins
         if self._ac2b_states.get(key, _HOLDS) is not _HOLDS and not self._recording(record_failures):
             return None  # AC2(b) fails for every W with this change assignment
         actual = self.actual
-        base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         e_candidates = [i for i in self.others if i not in c_vars]
         relevant = self._relevant_fixpoint(base, e_candidates)
+        reached = False
         for e_sub in _subsets(relevant):
-            pins = base.copy()
+            pins_e = base.copy()
             for i in e_sub:
-                pins[i] = actual[i]
-            values = self._solve(tuple(pins))
+                pins_e[i] = actual[i]
+            values = self._solve(tuple(pins_e))
             if self.holds(values):
                 continue  # AC2(a) fails for this W
             if not self._normal(values):
                 continue  # inadmissible contingency under the normality order
+            reached = True
             w_setting = dict(zip(c_vars, c))
             for i in e_sub:
                 w_setting[i] = actual[i]
             if self._ac2b_states.get(key) is _HOLDS or not self._recording(record_failures):
-                if self._ac2b_state(key, c_vars) is not _HOLDS:
+                if self._ac2b_state(pins, c_vars) is not _HOLDS:
                     return None  # the same verdict for every W
                 failure = None
             else:
                 failure = self.ac2b(sorted(w_setting), w_setting)
                 self._ac2b_states.setdefault(key, _ac2b_state_of(failure, c_vars))
             if failure is None:
+                if self.classes and not e_sub:
+                    self._decided[orbit] = _AT_EMPTY_E
                 contingency = self._named_contingency(w_setting, x_prime)
                 return Witness(*contingency, len(c_vars), self.model.signature.world(values))
             w_prime, z_prime = failure
@@ -575,6 +717,8 @@ class _Search:
             )
             if stop_at_cap and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
                 return None
+        if self.classes and not reached:
+            self._decided[orbit] = _UNREACHED
         return None
 
     def _recording(self, record_failures: bool) -> bool:
@@ -631,13 +775,7 @@ def is_actual_cause(
     variables.  With `first_witness`, a cause reports only its first minimal
     witness and a non-cause no AC2(b) failures: all that scoring reads.
     """
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
-    if weights is not None:
-        if missing := [v for v in search.names if v not in weights]:
-            raise ValueError(f"missing weights for {missing}")
-        for v in search.names:
-            if weights[v] <= 0:
-                raise ModelError(f"weight for {v!r} must be positive")
+    search = _Search(ext, context, cause, outcome, stats or EngineStats(), weights)
     return _verdict(search, cause, max_vars, weights, first_witness)
 
 
@@ -687,23 +825,34 @@ def ways_fraction(
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
     search.check_cap(max_vars)
+    search._find_classes()
     side = [i for i in search.others if search.names[i] not in outcome.variables()]
     ranges = ext.model.signature.ranges
-    combos = list(itertools.product(*(ranges[search.names[i]] for i in side)))
-    combos.remove(tuple(search.actual[i] for i in side))
-    if not combos:
+    total = math.prod(len(ranges[search.names[i]]) for i in side) - 1
+    if not total:
         return Fraction(1)
+    # A class of interchangeable side variables takes each multiset of values
+    # once, standing for the settings in its orbit; every other side variable
+    # is a block of one.  The actual setting is its own orbit.
+    in_class = {i for cls in search.classes for i in cls}
+    blocks = [*search.classes, *((i,) for i in side if i not in in_class)]
+    positions = [i for block in blocks for i in block]
+    actual = tuple(search.actual[i] for i in positions)
 
     def holds_with(combo: tuple[int, ...], x: tuple[int, ...]) -> bool:
-        pins = search._pins(zip(side, combo), zip(search.x_vars, x))
+        pins = search._pins(zip(positions, combo), zip(search.x_vars, x))
         return search.holds(search._solve(tuple(pins)))
 
     x_alts = search._x_alternatives()
-    critical = sum(
-        holds_with(combo, search.x_actual) and not all(holds_with(combo, x) for x in x_alts)
-        for combo in combos
-    )
-    return Fraction(critical, len(combos))
+    multisets = [
+        itertools.combinations_with_replacement(ranges[search.names[block[0]]], len(block)) for block in blocks
+    ]
+    critical = 0
+    for choice in itertools.product(*multisets):
+        combo = sum(choice, ())
+        if combo != actual and holds_with(combo, search.x_actual) and not all(holds_with(combo, x) for x in x_alts):
+            critical += math.prod(map(_orbit_size, choice))
+    return Fraction(critical, total)
 
 
 def find_all_causes(

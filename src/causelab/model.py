@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -232,6 +232,77 @@ def fold(node: Expr | Cond, known: Mapping[str, int]) -> int | bool | frozenset[
 
 def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
     return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
+
+
+# Operators whose operands may be reordered, and those of them whose nested
+# applications may also be flattened into one.
+_COMMUTATIVE = {"+", "*", "min", "max", "&&", "||", "==", "!="}
+_ASSOCIATIVE = {"+", "*", "min", "max", "&&", "||"}
+
+
+def canonical(node: Expr | Cond, known: Mapping[str, int], swap: Mapping[str, str] | None = None) -> tuple:
+    """The node folded under the `known` values (as `fold` folds it) into a
+    hashable normal form, with every variable renamed by `swap`.
+
+    A constant is `("#", value)` and a variable `("v", name)`; any other
+    node is its operator followed by its operands' forms.  The operands of
+    `+ * min max && ||` are flattened through nested uses of the same
+    operator, and those operators' operands and the two of `==` and `!=` are
+    sorted.  Equal forms denote equal functions, so comparing forms can miss
+    an equivalence but never invents one.
+    """
+    if isinstance(node, Lit):
+        return ("#", node.value)
+    if isinstance(node, Var):
+        value = known.get(node.name)
+        if value is not None:
+            return ("#", value)
+        return ("v", swap.get(node.name, node.name) if swap else node.name)
+    if isinstance(node, If):
+        cond = canonical(node.cond, known, swap)
+        if cond[0] == "#":
+            return canonical(node.then if cond[1] else node.other, known, swap)
+        return ("if", cond, canonical(node.then, known, swap), canonical(node.other, known, swap))
+    if isinstance(node, Not):
+        inner = canonical(node.inner, known, swap)
+        return ("#", not inner[1]) if inner[0] == "#" else ("!", inner)
+    op = node.which if isinstance(node, MinMax) else node.op
+    left, right = canonical(node.left, known, swap), canonical(node.right, known, swap)
+    if isinstance(node, BoolOp):
+        absorbing = op == "||"  # true decides ||, false decides &&
+        for side, other in ((left, right), (right, left)):
+            if side[0] == "#":
+                return ("#", absorbing) if side[1] == absorbing else other
+    elif left[0] == "#" and right[0] == "#":
+        return ("#", _BINARY[op](left[1], right[1]))
+    if op not in _COMMUTATIVE:
+        return (op, left, right)
+    operands: list[tuple] = []
+    for side in (left, right):
+        if side[0] == op and op in _ASSOCIATIVE:
+            operands.extend(side[1:])
+        else:
+            operands.append(side)
+    return (op, *sorted(operands))
+
+
+def _occurrences(form: tuple) -> tuple[dict[str, int], dict[str, int]]:
+    """For the normal form `form` (`canonical`): how often each variable
+    occurs in it, and for each variable that occurs once, as an operand of a
+    commutative node, a number naming that node."""
+    count: dict[str, int] = {}
+    parent: dict[str, int] = {}
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        if node[0] == "v":
+            count[node[1]] = count.get(node[1], 0) + 1
+        elif node[0] != "#":
+            for child in node[1:]:
+                if child[0] == "v" and node[0] in _COMMUTATIVE:
+                    parent[child[1]] = id(node)
+                stack.append(child)
+    return count, {v: parent[v] for v, n in count.items() if n == 1 and v in parent}
 
 
 def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int]:
@@ -498,6 +569,7 @@ class CausalModel:
         "name",
         "_steps",
         "_topo_order",
+        "_readers",
         "__weakref__",
     )
 
@@ -520,7 +592,7 @@ class CausalModel:
                 raise ModelError(f"missing equation for {sorted(missing)}")
             raise ModelError(f"equation for non-endogenous variable {sorted(extra)}")
         self._check_references()
-        self._topo_order = self._toposort()
+        self._topo_order, self._readers = self._toposort()
         # One (environment position, compiled body) step per endogenous
         # variable, in solve order; bodies read the positional environment.
         positions = signature.positions
@@ -542,13 +614,19 @@ class CausalModel:
                 if ref == eq.target:
                     raise CycleError(f"equation for {eq.target!r} references itself", (ref, ref))
 
-    def _toposort(self) -> tuple[str, ...]:
-        """Topological order of endogenous variables, declaration order as tie-break."""
+    def _toposort(self) -> tuple[tuple[str, ...], dict[str, list[str]]]:
+        """Topological order of endogenous variables, declaration order as
+        tie-break; and for each one, the endogenous variables whose equations
+        mention it, in declaration order."""
         names = self.signature.endogenous_names
         deps = {
             v: [r for r in sorted(self.equations[v].references()) if r in self.signature.endogenous_index]
             for v in names
         }
+        readers: dict[str, list[str]] = {v: [] for v in names}
+        for v in names:
+            for d in deps[v]:
+                readers[d].append(v)
         order: list[str] = []
         placed: set[str] = set()
         remaining = list(names)
@@ -564,7 +642,7 @@ class CausalModel:
             if not progressed:
                 cycle = self._find_cycle(deps, remaining)
                 raise CycleError(f"cyclic equations: {' -> '.join(cycle)}", tuple(cycle))
-        return tuple(order)
+        return tuple(order), readers
 
     @staticmethod
     def _find_cycle(deps: Mapping[str, list[str]], remaining: list[str]) -> list[str]:
@@ -661,12 +739,95 @@ class CausalModel:
                 continue
             refs = memo.get(name)
             if refs is None:
-                folded = fold(self.equations[name].body, known)
-                refs = memo[name] = folded if isinstance(folded, frozenset) else frozenset()
+                refs = self._folded_references(name, known, memo)
             for ref in refs:
                 if ref not in seen:
                     seen.add(ref)
                     stack.append(ref)
+
+    def _folded_references(self, name: str, known: Mapping[str, int], memo: dict[str, frozenset[str]]) -> frozenset[str]:
+        """The variables the equation of endogenous `name` references once
+        the `known` values are folded in (`fold`), memoised in `memo`."""
+        refs = memo.get(name)
+        if refs is None:
+            folded = fold(self.equations[name].body, known)
+            refs = memo[name] = folded if isinstance(folded, frozenset) else frozenset()
+        return refs
+
+    def interchangeable(
+        self,
+        groups: Iterable[list[str]],
+        known: Mapping[str, int],
+        memo: dict[str, frozenset[str]],
+        also: Callable[[str, str], bool] | None = None,
+    ) -> list[tuple[str, ...]]:
+        """Split each group of endogenous variables into classes of two or
+        more, any two of which can be exchanged: swapping them maps the
+        equations, with the `known` values folded in, onto themselves, and
+        passes the test `also`, which must itself be an equivalence.  That
+        is, one's equation with the two names swapped is the other's
+        (`canonical`), and every other equation that reads either is
+        unchanged by the swap.
+
+        Exchanging is an equivalence (conjugating one exchange by another
+        gives an exchange), so a class is its first member and every variable
+        exchangeable with that member.  Pairs whose folded references (`memo`,
+        as in `reads`) or readers already differ under the swap are rejected
+        before any normal form is built.  The test is syntactic: it can miss a
+        symmetry, never invent one.
+        """
+        refs = lambda v: self._folded_references(v, known, memo)  # noqa: E731
+        forms: dict[str, tuple] = {}
+        siblings: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+
+        def form(v: str) -> tuple:
+            if v not in forms:
+                forms[v] = canonical(self.equations[v].body, known)
+            return forms[v]
+
+        def swap_fixes(r: str, a: str, b: str) -> bool:
+            # One pass over each reader's form counts the occurrences of each
+            # variable and finds those that occur once, as an operand of a
+            # commutative node: two such under one node commute.
+            if r not in siblings:
+                siblings[r] = _occurrences(form(r))
+            count, node = siblings[r]
+            if count.get(a) != count.get(b):
+                return False
+            return node.get(a) is not None and node.get(a) == node.get(b) or canonical(
+                self.equations[r].body, known, {a: b, b: a}
+            ) == form(r)
+
+        def exchangeable(a: str, b: str) -> bool:
+            swap = {a: b, b: a}
+            if {swap.get(r, r) for r in refs(a)} != refs(b):
+                return False
+            readers = [r for r in self._readers[a] if a in refs(r)]
+            if any(b not in refs(r) for r in readers) or any(
+                a not in refs(r) for r in self._readers[b] if b in refs(r)
+            ):
+                return False
+            return (
+                canonical(self.equations[a].body, known, swap) == form(b)
+                and all(swap_fixes(r, a, b) for r in readers)
+                and (also is None or also(a, b))
+            )
+
+        classes = []
+        for group in groups:
+            # Only variables mentioned by the same equations are compared,
+            # which can miss a symmetry that folding creates, never invent one.
+            by_readers: dict[frozenset[str], list[str]] = {}
+            for v in group:
+                by_readers.setdefault(frozenset(self._readers[v]), []).append(v)
+            for group in by_readers.values():
+                while len(group) > 1:
+                    first, rest = group[0], group[1:]
+                    cls = [first] + [v for v in rest if exchangeable(first, v)]
+                    if len(cls) > 1:
+                        classes.append(tuple(cls))
+                    group = [v for v in rest if v not in cls]
+        return classes
 
     def intervene(self, iv: Mapping[str, int]) -> CausalModel:
         """Replace each targeted variable's equation by the assigned constant."""
@@ -682,6 +843,7 @@ class CausalModel:
         }
         out.name = self.name
         out._topo_order = self._topo_order
+        out._readers = self._readers  # a superset: constants read nothing
         out._steps = tuple(
             (pos, compile_body(Lit(iv[v])) if v in iv else fn)
             for v, (pos, fn) in zip(self._topo_order, self._steps)

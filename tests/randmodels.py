@@ -8,6 +8,7 @@ surface printer can always render them.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from causelab.formula import AndF, Atom, EventFormula, NotF, OrF, PrimitiveEvent
@@ -289,3 +290,67 @@ def random_doctors_model(rng: random.Random, name: str = "doctors") -> tuple[Cau
     kept = tuple(pair for pair in pairs if rng.random() < 0.8)
     signature = Signature(exo, endo)
     return CausalModel(signature, equations, name=name), NormalityOrder(signature, pairs=kept)
+
+
+def random_block_model(rng: random.Random, name: str = "block") -> tuple[CausalModel, NormalityOrder | None]:
+    """A block of 3 or 4 members B1..Bn, each copying its own exogenous
+    variable, and an outcome O that treats them alike: a threshold vote
+    (O = 1 iff at least t members are on), a disjunctive squad (any member
+    on) or a conjunctive squad (every member on), each written as a sum, a
+    chain of `||` or `&&` tests, or a `max` or `min` chain, with the
+    members in a random order.
+
+    Under a context, members with equal values are interchangeable unless
+    something breaks the symmetry, which each of these does now and then:
+    one member ranges over {0,1,2}, one member copies another instead of
+    its exogenous variable, or (in two models of five) the model carries a
+    random pattern order.
+    Otherwise a third of the models are flat and the rest carry an order
+    that treats the members alike (every pair is declared under every
+    permutation of the members).  At most 5 endogenous variables, within the oracle's
+    reach.
+    """
+    n = rng.randint(3, 4)
+    members = [f"B{i}" for i in range(1, n + 1)]
+    ranges = {b: (0, 1) for b in members}
+    if rng.random() < 0.25:
+        ranges[rng.choice(members)] = (0, 1, 2)
+    exo = tuple((f"U{i}", ranges[b]) for i, b in enumerate(members, start=1))
+    endo = tuple((b, ranges[b]) for b in members) + (("O", (0, 1)),)
+    sources = {b: f"U{i}" for i, b in enumerate(members, start=1)}
+    if rng.random() < 0.2:
+        copier, copied = rng.sample([b for b in members if ranges[b] == (0, 1)], 2)
+        sources[copier] = copied
+    equations = [Equation(b, Var(sources[b])) for b in members]
+    shuffled = rng.sample(members, n)
+    kind = rng.choice(["vote", "any", "all"])
+    on = [Cmp("<", Lit(0), Var(b)) for b in shuffled]
+    if kind == "vote":
+        total: Expr = Var(shuffled[0])
+        for b in shuffled[1:]:
+            total = Arith("+", total, Var(b))
+        body: Expr = If(Cmp("<", total, Lit(rng.randint(1, n))), Lit(0), Lit(1))
+    elif rng.random() < 0.5:
+        cond: Cond = on[0]
+        for test in on[1:]:
+            cond = BoolOp("||" if kind == "any" else "&&", cond, test)
+        body = If(cond, Lit(1), Lit(0))
+    else:
+        chain: Expr = Var(shuffled[0])
+        for b in shuffled[1:]:
+            chain = MinMax("max" if kind == "any" else "min", chain, Var(b))
+        body = MinMax("min", chain, Lit(1))
+    equations.append(Equation("O", body))
+    model = CausalModel(Signature(exo, endo), equations, name=name)
+    pick = rng.random()
+    if pick < 0.4:
+        return model, random_pattern_order(rng, model)
+    if pick < 0.6 or len(set(ranges.values())) > 1:
+        return model, None
+    pairs = set()
+    for _ in range(rng.randint(1, 2)):
+        left, right = random_pattern(rng, model), random_pattern(rng, model)
+        for perm in itertools.permutations(members):
+            rename = dict(zip(members, perm))
+            pairs.add(tuple(Assignment({rename.get(v, v): x for v, x in p.items()}) for p in (left, right)))
+    return model, NormalityOrder(model.signature, pairs=tuple(sorted(pairs, key=repr)))

@@ -281,6 +281,14 @@ _TWO_SITUATIONS = (
     "  situation model=%s ctx(U=1) prob=1/2;\n}\n"
 )
 
+
+def _nested_max(depth: int) -> str:
+    body = "U"
+    for _ in range(depth):
+        body = f"max({body}, U)"
+    return body
+
+
 # (row, files written to a scratch directory, argv with "@name" for those
 # files, expected (category, line, col, message)).  Query-time errors point
 # at 1:1.
@@ -324,6 +332,14 @@ DIAGNOSTIC_TABLE = [
     ("prefix assigning a variable twice", {},
      ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval [X<-0,X<-1] F=1 in ctx()"),
      ("syntax", 1, 12, "prefix assigns 'X' twice")),
+    # An equation body deeper than 100 levels is reported where it crosses
+    # the bound: at the 100th nested 'max', or at the '+' that makes a flat
+    # sum 101 levels deep.
+    ("equation body nested 400 deep", {"m.cm": _ONE_X % _nested_max(400)}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 422, "expression nested deeper than 100 levels")),
+    ("equation body summing 1,500 terms", {"m.cm": _ONE_X % " + ".join(["U"] * 1500)},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 424, "expression nested deeper than 100 levels")),
     ("zero denominator",
      {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/0;\n}\n"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
@@ -441,8 +457,10 @@ class TestWorkCounters:
         assert code == EXIT_OK
         assert lines[0]["result"]["min_changes"] == 5
         # 10,136 subset checks when each of the 252 witnesses swept its own
-        # AC2(b) instances; the change assignments now share their verdicts.
-        assert lines[0]["stats"] == {"solves": 1916, "subset_checks": 754}
+        # AC2(b) instances, and 1,916 solves with 754 subset checks when each
+        # change assignment decided itself; V2..V11 are interchangeable, so
+        # each orbit of change assignments is now decided once.
+        assert lines[0]["stats"] == {"solves": 20, "subset_checks": 122}
 
     def test_firing_squad_blame_tenth(self):
         code, lines = run_json(
@@ -475,12 +493,13 @@ class TestWorkCounters:
     def test_vote11_landslide_resp(self):
         # Scoring reads only the first minimal witness; listing all 252 of
         # them, as `cause` does, took 1,916 solves and 10,136 subset checks;
-        # 603 and 844 when each contingency swept its own AC2(b) instances.
+        # 603 and 844 when each contingency swept its own AC2(b) instances;
+        # 598 and 33 before each orbit of change assignments was decided once.
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         code, lines = run_json("resp", "-m", model_arg("vote11.cm"), "-q", f"resp V1=0 of W=0 in ctx({ctx})")
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/6"
-        assert lines[0]["stats"] == {"solves": 598, "subset_checks": 33}
+        assert lines[0]["stats"] == {"solves": 19, "subset_checks": 7}
 
     def test_conjunction_shares_the_ac3_memo(self):
         # The AC3 sub-searches reuse the memo of the whole conjunction's

@@ -22,6 +22,7 @@ from causelab.hp import (
     EngineStats,
     _Search,
     _subsets,
+    check_ac2,
     is_actual_cause,
     ways_fraction,
 )
@@ -45,6 +46,7 @@ from causelab.oracle import (
     oracle_weighted_responsibility,
 )
 from randmodels import (
+    random_block_model,
     random_context,
     random_dangling_model,
     random_doctors_model,
@@ -636,3 +638,93 @@ def test_verdict_lemma_on_random_models(rng):
     world = model.solve(context)
     endo = model.signature.endogenous_names
     check_verdict_lemma(ext, context, CandidateCause.of({endo[0]: world[endo[0]]}), atom(endo[-1], world[endo[-1]]))
+
+
+# -- Interchangeable blocks ---------------------------------------------------
+# Threshold votes and disjunctive and conjunctive squads whose members the
+# engine finds interchangeable under the context, with and without orders and
+# weights.  Each orbit of change assignments is decided once, and its members
+# get the image of that decision; an engine that finds no classes decides
+# every member itself, and must give exactly the same answers.
+
+
+def change_assignments(witnesses, actual) -> set:
+    """The (variable, value) pairs that each witness sets off the actual world."""
+    return {frozenset((v, x) for v, x in items if x != actual[v]) for items in witnesses}
+
+
+def agree_on_block(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome, weights) -> bool:
+    """Verdicts, witnesses, failures and scores of the engine against the
+    oracle and against the same engine without classes; returns whether the
+    search found a class."""
+    stats = EngineStats()
+    verdicts = (
+        is_actual_cause(ext, context, cause, outcome, stats=stats),
+        is_actual_cause(ext, context, cause, outcome, stats=stats, first_witness=True),
+        is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights),
+    )
+    ways = ways_fraction(ext, context, cause, outcome, stats=stats)
+    direct_stats = EngineStats()
+    with mock.patch.object(_Search, "_interchangeable_classes", return_value=()):
+        direct = (
+            is_actual_cause(ext, context, cause, outcome, stats=direct_stats),
+            is_actual_cause(ext, context, cause, outcome, stats=direct_stats, first_witness=True),
+            is_actual_cause(ext, context, cause, outcome, stats=direct_stats, weights=weights),
+        )
+        assert ways_fraction(ext, context, cause, outcome, stats=direct_stats) == ways, (ext.model.name, cause)
+    assert verdicts == direct, (ext.model.name, cause)
+    for mapped, decided in zip(verdicts, direct):
+        assert [w.world for w in mapped.witnesses] == [w.world for w in decided.witnesses], (ext.model.name, cause)
+    assert stats.solves <= direct_stats.solves, (ext.model.name, cause)
+    assert stats.subset_checks <= direct_stats.subset_checks, (ext.model.name, cause)
+
+    oracle = oracle_cause(ext, context, cause, outcome)
+    assert verdicts[0].is_cause == oracle.is_cause, (ext.model.name, cause)
+    assert ways == oracle_ways_fraction(ext, context, cause, outcome), (ext.model.name, cause)
+    if oracle.is_cause:
+        assert verdicts[0].measure == oracle.min_changes, (ext.model.name, cause)
+        actual = ext.model.solve(context)
+        minimal = [wt.w_setting for wt in oracle.witnesses if wt.changes == oracle.min_changes]
+        reported = [w.w_setting.items_sorted() for w in verdicts[0].witnesses]
+        assert change_assignments(reported, actual) == change_assignments(minimal, actual), (ext.model.name, cause)
+        assert all(check_ac2(ext, context, cause, outcome, w) for w in verdicts[0].witnesses)
+        least = min(
+            sum((weights[v] for v, x in wt.w_setting if x != actual[v]), Fraction(0)) for wt in oracle.witnesses
+        )
+        assert verdicts[2].measure == least, (ext.model.name, cause)
+    search = _Search(ext, context, cause, outcome, EngineStats())
+    search._find_classes()
+    return bool(search.classes)
+
+
+def run_block_agreement(n_models: int, seed: int = 97) -> tuple[int, int]:
+    """Every singleton cause and one pair per block model, in a context that
+    mostly gives the members one value, half of them with one weight for
+    every member; returns (candidates checked, candidates whose search found
+    a class)."""
+    rng = random.Random(seed)
+    checked = symmetric = 0
+    for i in range(n_models):
+        model, order = random_block_model(rng, name=f"block{i}")
+        ext = ExtendedModel(model, order)
+        common = rng.choice((0, 1))
+        context = Context(
+            {u: common if rng.random() < 0.75 else rng.choice(values) for u, values in model.signature.exogenous}
+        )
+        world = model.solve(context)
+        endo = model.signature.endogenous_names
+        same = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        weights = {v: same if i % 2 and v != "O" else Fraction(rng.randint(1, 6), rng.randint(1, 3)) for v in endo}
+        outcome = atom("O", world["O"])
+        pool = [v for v in endo if v != "O"]
+        causes = [CandidateCause.of({v: world[v]}) for v in pool]
+        causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
+        for cause in causes:
+            symmetric += agree_on_block(ext, context, cause, outcome, weights)
+            checked += 1
+    return checked, symmetric
+
+
+def test_random_block_batch_agrees():
+    checked, symmetric = run_block_agreement(50)
+    assert checked >= 210 and symmetric >= 80

@@ -1,0 +1,313 @@
+"""Interchangeable variables: the canonicaliser, the classes a search finds,
+the work they save, and the renaming relation that checks the engine against
+itself on models of any size.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+
+from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
+from causelab.dsl import parse_model, print_model
+from causelab.formula import atom
+from causelab.hp import CandidateCause, EngineStats, _Search, check_ac2, is_actual_cause
+from causelab.model import (
+    Arith,
+    Assignment,
+    BoolOp,
+    CausalModel,
+    Cmp,
+    Cond,
+    Context,
+    Equation,
+    Expr,
+    If,
+    Intervention,
+    Lit,
+    MinMax,
+    Not,
+    Signature,
+    Var,
+    canonical,
+)
+from causelab.normality import ExtendedModel, NormalityOrder
+from randmodels import (
+    random_block_model,
+    random_context,
+    random_dangling_model,
+    random_model,
+    random_pattern_order,
+    random_selector_model,
+    random_threshold_model,
+)
+
+A, B, C = Var("A"), Var("B"), Var("C")
+
+
+class TestCanonical:
+    def test_commutative_operands_are_flattened_and_sorted(self):
+        assert canonical(Arith("+", A, Arith("+", B, C)), {}) == canonical(Arith("+", Arith("+", C, A), B), {})
+        assert canonical(MinMax("max", A, MinMax("max", B, C)), {}) == ("max", ("v", "A"), ("v", "B"), ("v", "C"))
+        both = BoolOp("&&", Cmp("==", A, B), Cmp("<", A, C))
+        assert canonical(both, {}) == canonical(BoolOp("&&", Cmp("<", A, C), Cmp("==", B, A)), {})
+
+    def test_other_operators_keep_their_operand_order(self):
+        assert canonical(Arith("-", A, B), {}) != canonical(Arith("-", B, A), {})
+        assert canonical(Cmp("<", A, B), {}) != canonical(Cmp("<", B, A), {})
+        # A nested use of another operator is not flattened into its parent.
+        assert canonical(Arith("+", A, Arith("*", B, C)), {}) == ("+", ("*", ("v", "B"), ("v", "C")), ("v", "A"))
+
+    def test_known_values_fold_as_fold_does(self):
+        live = BoolOp("||", BoolOp("&&", Cmp("==", Var("U"), Lit(1)), Cmp("==", A, Lit(1))),
+                      BoolOp("&&", Cmp("==", Var("U"), Lit(2)), Cmp("==", B, Lit(1))))
+        assert canonical(If(live, Lit(1), Lit(0)), {"U": 2}) == ("if", ("==", ("#", 1), ("v", "B")), ("#", 1), ("#", 0))
+        assert canonical(Arith("+", Var("U"), Lit(2)), {"U": 1}) == ("#", 3)
+        assert canonical(Not(Cmp("<", Var("U"), A)), {"U": 0}) == ("!", ("<", ("#", 0), ("v", "A")))
+
+    def test_swap_renames_before_sorting(self):
+        body = Arith("-", A, Arith("+", B, C))
+        assert canonical(body, {}, {"A": "B", "B": "A"}) == canonical(Arith("-", B, Arith("+", A, C)), {})
+
+
+def vote_model(ranges: dict[str, tuple[int, ...]] | None = None) -> CausalModel:
+    """Five voters V1..V5 and W = 1 iff at least three vote 1."""
+    ranges = ranges or {}
+    voters = [f"V{i}" for i in range(1, 6)]
+    sig = Signature(
+        tuple((f"U{i}", ranges.get(v, (0, 1))) for i, v in enumerate(voters, start=1)),
+        tuple((v, ranges.get(v, (0, 1))) for v in voters) + (("W", (0, 1)),),
+    )
+    total: Expr = Var("V1")
+    for v in voters[1:]:
+        total = Arith("+", total, Var(v))
+    eqs = [Equation(v, Var(f"U{i}")) for i, v in enumerate(voters, start=1)]
+    eqs.append(Equation("W", If(Cmp("<", total, Lit(3)), Lit(0), Lit(1))))
+    return CausalModel(sig, eqs, name="vote5")
+
+
+ZEROS = Context({f"U{i}": 0 for i in range(1, 6)})
+
+
+def classes_of(ext, context, cause, outcome, weights=None) -> list[set[str]]:
+    search = _Search(ext, context, CandidateCause.of(cause), outcome, EngineStats(), weights)
+    search._find_classes()
+    return [{search.names[i] for i in cls} for cls in search.classes]
+
+
+class TestInterchangeable:
+    def test_vote_members_outside_cause_and_outcome(self):
+        ext = ExtendedModel(vote_model())
+        assert classes_of(ext, ZEROS, {"V1": 0}, atom("W", 0)) == [{"V2", "V3", "V4", "V5"}]
+        # Members split by their actual values.
+        mixed = Context({"U1": 0, "U2": 1, "U3": 0, "U4": 1, "U5": 1})
+        assert classes_of(ext, mixed, {"V1": 0}, atom("W", 1)) == [{"V2", "V4", "V5"}]
+
+    def test_ranges_must_match(self):
+        ext = ExtendedModel(vote_model({"V3": (0, 1, 2)}))
+        assert classes_of(ext, ZEROS, {"V1": 0}, atom("W", 0)) == [{"V2", "V4", "V5"}]
+
+    def test_weights_must_match(self):
+        ext = ExtendedModel(vote_model())
+        weights = {"V1": Fraction(1), "V2": Fraction(2), "V3": Fraction(2), "V4": Fraction(3), "V5": Fraction(2),
+                   "W": Fraction(1)}
+        assert classes_of(ext, ZEROS, {"V1": 0}, atom("W", 0), weights) == [{"V2", "V3", "V5"}]
+
+    def test_up_set_patterns_must_map_onto_themselves(self):
+        model = vote_model()
+        # The worlds at least as normal as the all-zero one keep V2 at 0.
+        order = NormalityOrder(model.signature, ranks=((Assignment({"V2": 0}), 0), (Assignment({"V2": 1}), 1)))
+        assert classes_of(ExtendedModel(model, order), ZEROS, {"V1": 0}, atom("W", 0)) == [{"V3", "V4", "V5"}]
+        # An order that treats the voters alike keeps them together.
+        alike = NormalityOrder(model.signature, ranks=tuple((Assignment({v: 1}), 1) for v in ("V2", "V3", "V4", "V5")))
+        assert classes_of(ExtendedModel(model, alike), ZEROS, {"V1": 0}, atom("W", 0)) == [{"V2", "V3", "V4", "V5"}]
+
+    def test_equations_must_map_onto_themselves(self):
+        # V2 also reads V3, and W subtracts V4: neither can be exchanged.
+        sig = Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in ("V1", "V2", "V3", "V4", "V5", "W")))
+        eqs = [Equation("V1", Var("U")), Equation("V2", MinMax("min", Var("U"), Var("V3"))),
+               Equation("V3", Var("U")), Equation("V4", Var("U")), Equation("V5", Var("U"))]
+        total = Arith("+", Arith("+", Arith("+", Var("V1"), Var("V2")), Var("V3")), Var("V5"))
+        eqs.append(Equation("W", MinMax("max", MinMax("min", Arith("-", total, Var("V4")), Lit(1)), Lit(0))))
+        model = CausalModel(sig, eqs, name="lopsided")
+        ext = ExtendedModel(model)
+        assert classes_of(ext, Context({"U": 0}), {"V1": 0}, atom("W", 0)) == []
+        assert classes_of(ext, Context({"U": 0}), {"V2": 0}, atom("W", 0)) == [{"V1", "V5"}]
+
+
+# Solves of the symmetric vote11 queries (all votes 0, V1=0 for W=0): 1,916,
+# 598, 598 and 2,259 before each orbit of interchangeable voters was decided
+# once.  The weighted query's distinct weights leave no class (314 solves).
+VOTE11_SOLVES = {
+    ("cause", "reciprocal"): 20,
+    ("resp", "reciprocal"): 19,
+    ("resp", "exponential"): 19,
+    ("resp", "ways"): 35,
+}
+
+
+def test_vote11_solves(corpus):
+    model, order = corpus["models"]["vote11"]
+    ext = ExtendedModel(model, order)
+    context = Context({f"UV{i}": 0 for i in range(1, 12)})
+    cause, outcome = CandidateCause.of({"V1": 0}), atom("W", 0)
+    solves = {}
+    for kind, strategy in VOTE11_SOLVES:
+        stats = EngineStats()
+        if kind == "cause":
+            is_actual_cause(ext, context, cause, outcome, stats=stats)
+        else:
+            degree_of_responsibility(ext, context, cause, outcome, ScoringStrategy(strategy), stats=stats)
+        solves[kind, strategy] = stats.solves
+    assert solves == VOTE11_SOLVES
+
+
+# -- Renaming relation --------------------------------------------------------
+# Renaming every variable and permuting the declarations, then printing the
+# model and parsing it back, must map every verdict, every set of witnessed
+# change assignments and every score onto its renamed image.  Which witness a
+# change assignment reports, and which AC2(b) failure comes first, follow the
+# declaration order, so those are checked for validity, not compared.
+
+MAX_VARS = 16
+
+
+def renamed_expr(node, names: dict[str, str]):
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, Lit):
+        return node
+    return type(node)(*(
+        renamed_expr(value, names) if isinstance(value, (Expr, Cond)) else value
+        for value in (getattr(node, f.name) for f in dataclasses.fields(node))
+    ))
+
+
+def renamed(rng: random.Random, ext: ExtendedModel) -> tuple[ExtendedModel, dict[str, str]]:
+    """The model with fresh names in shuffled declarations, printed and
+    parsed back, and the renaming."""
+    model, sig = ext.model, ext.model.signature
+    old = list(sig.ranges)
+    names = dict(zip(old, (f"R{k}" for k in rng.sample(range(len(old)), len(old)))))
+    exo = [(names[v], values) for v, values in sig.exogenous]
+    endo = [(names[v], values) for v, values in sig.endogenous]
+    rng.shuffle(exo)
+    rng.shuffle(endo)
+    equations = [Equation(names[v], renamed_expr(eq.body, names)) for v, eq in model.equations.items()]
+    moved = CausalModel(Signature(tuple(exo), tuple(endo)), equations, name=model.name)
+    order = None
+    if ext.order is not None:
+        def rename(p):
+            return type(p)({names[v]: x for v, x in p.items()})
+        order = NormalityOrder(
+            moved.signature,
+            tuple((rename(left), rename(right)) for left, right in ext.order.pairs),
+            tuple((rename(p), r) for p, r in ext.order.ranks),
+        )
+    parsed, parsed_order = parse_model(print_model(moved, order))
+    return ExtendedModel(parsed, parsed_order), names
+
+
+def witnessed(verdict, actual, names=None) -> set:
+    names = names or {}
+    return {
+        frozenset((names.get(v, v), x) for v, x in w.w_setting.items_sorted() if x != actual[v])
+        for w in verdict.witnesses
+    }
+
+
+def check_renaming(rng, ext, context, cause, outcome, weights) -> None:
+    image, names = renamed(rng, ext)
+    context2 = Context({names[u]: x for u, x in context.items()})
+    cause2 = CandidateCause.of({names[v]: x for v, x in cause.settings.items()})
+    outcome2 = atom(names[outcome.event.variable], outcome.event.value)
+    weights2 = {names[v]: w for v, w in weights.items()}
+    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS)
+    after = is_actual_cause(image, context2, cause2, outcome2, MAX_VARS)
+    where = (ext.model.name, cause)
+    assert (before.is_cause, before.failed_condition, before.measure) == (
+        after.is_cause, after.failed_condition, after.measure), where
+    actual, actual2 = ext.model.solve(context), image.model.solve(context2)
+    assert witnessed(before, actual, names) == witnessed(after, actual2), where
+    assert all(check_ac2(image, context2, cause2, outcome2, w) for w in after.witnesses), where
+    assert all(w.world == image.model.solve_pinned(context2, {**w.x_prime, **w.w_setting}) for w in after.witnesses)
+    if not before.is_cause:  # a cause records failures only before its first witness, in position order
+        assert bool(before.ac2b_failures) == bool(after.ac2b_failures), where
+    for strategy, strategy2 in (
+        (ScoringStrategy(), ScoringStrategy()),
+        (ScoringStrategy("ways"), ScoringStrategy("ways")),
+        (ScoringStrategy.weighted(weights), ScoringStrategy.weighted(weights2)),
+    ):
+        assert degree_of_responsibility(ext, context, cause, outcome, strategy, MAX_VARS).value == (
+            degree_of_responsibility(image, context2, cause2, outcome2, strategy2, MAX_VARS).value), where
+
+
+def random_weights(rng: random.Random, model: CausalModel) -> dict[str, Fraction]:
+    return {v: Fraction(rng.randint(1, 4), rng.randint(1, 2)) for v in model.signature.endogenous_names}
+
+
+def test_renaming_vote11(corpus):
+    rng = random.Random("vote11")
+    model, order = corpus["models"]["vote11"]
+    ext = ExtendedModel(model, order)
+    weights = {v: Fraction(1) for v in model.signature.endogenous_names}
+    for votes in ((0,) * 11, (0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0)):
+        context = Context({f"UV{i}": x for i, x in enumerate(votes, start=1)})
+        world = model.solve(context)
+        for var in ("V1", "V2"):
+            check_renaming(rng, ext, context, CandidateCause.of({var: world[var]}), atom("W", world["W"]), weights)
+
+
+def test_renaming_firing_squad(corpus):
+    rng = random.Random("firing")
+    model, order = corpus["models"]["firing_squad"]
+    ext = ExtendedModel(model, order)
+    weights = random_weights(rng, model)
+    for live in (1, 4):
+        context = Context({"UL": live})
+        for var in ("M1", "M4", "M7"):
+            check_renaming(rng, ext, context, CandidateCause.of({var: 1}), atom("D", 1), weights)
+    # Blame over the uniform state maps too.
+    image, names = renamed(rng, ext)
+    action = {"M1": 1}
+    situations = [Context({"UL": live}) for live in range(1, 11)]
+    share = (Fraction(1, 10),) * 10
+    state = EpistemicState(tuple((ext, u) for u in situations), share)
+    state2 = EpistemicState(tuple((image, Context({names["UL"]: u["UL"]})) for u in situations), share)
+    blame = degree_of_blame(state, Intervention(action), atom("D", 1), max_vars=MAX_VARS)
+    blame2 = degree_of_blame(state2, Intervention({names["M1"]: 1}), atom(names["D"], 1), max_vars=MAX_VARS)
+    assert blame == blame2 == Fraction(1, 10)
+
+
+FAMILIES = {
+    "threshold": lambda rng, name: (random_threshold_model(rng, name=name), None),
+    "selector": lambda rng, name: (random_selector_model(rng, name=name), None),
+    "dangling": lambda rng, name: (random_dangling_model(rng, name=name), None),
+    "block": lambda rng, name: random_block_model(rng, name=name),
+    "ordered": lambda rng, name: (lambda m: (m, random_pattern_order(rng, m)))(
+        random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=name, min_endo=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_renaming_random_families(family):
+    rng = random.Random(f"renaming:{family}")
+    checked = 0
+    for i in range(12):
+        model, order = FAMILIES[family](rng, f"{family}{i}")
+        ext = ExtendedModel(model, order)
+        context = random_context(rng, model)
+        world = model.solve(context)
+        endo = model.signature.endogenous_names
+        outcome_var = endo[-1] if family != "dangling" else next(v for v in endo if v.startswith("X"))
+        outcome = atom(outcome_var, world[outcome_var])
+        weights = random_weights(rng, model)
+        pool = [v for v in endo if v != outcome_var]
+        causes = [CandidateCause.of({v: world[v]}) for v in pool]
+        causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
+        for cause in causes:
+            check_renaming(rng, ext, context, cause, outcome, weights)
+            checked += 1
+    assert checked >= 40
