@@ -374,7 +374,10 @@ def _parse_weights(text: str) -> dict[str, Fraction]:
         name, _, value = part.partition("=")
         if not name or not value:
             raise argparse.ArgumentTypeError("weights look like 'V1=1/2,V2=3'")
-        out[name.strip()] = Fraction(value.strip())
+        try:
+            out[name.strip()] = Fraction(value.strip())
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"weight {part!r} divides by zero") from None
     return out
 
 
@@ -389,8 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-m", "--model", action="append", dest="models", metavar="FILE", help="model file (.cm); repeatable")
     common.add_argument("-s", "--state", action="append", dest="states", metavar="FILE", help="epistemic state file (.ce); repeatable")
     common.add_argument("--model-name", help="target model when several are loaded")
-    common.add_argument("--preliminary", action="store_true", help="ignore normality declarations")
-    common.add_argument("--extended", action="store_true", help="use normality declarations (default)")
+    mode = common.add_mutually_exclusive_group()
+    mode.add_argument("--preliminary", action="store_true", help="ignore normality declarations")
+    mode.add_argument("--extended", action="store_true", help="use normality declarations (default)")
     common.add_argument("--strategy", choices=["reciprocal", "exponential", "weighted", "ways"], default="reciprocal")
     common.add_argument("--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted")
     # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
@@ -419,15 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("action", choices=["run", "list"])
     corpus.add_argument("--dir", help="corpus directory (defaults to the bundled one)")
     return parser
-
-
-_KIND_BY_COMMAND = {
-    "eval": EvalQuery,
-    "cause": CauseQuery,
-    "resp": RespQuery,
-    "blame": BlameQuery,
-    "ness": NessQuery,
-}
 
 
 def _options_from_args(args) -> RunOptions:
@@ -499,10 +494,9 @@ def main(argv=None, out=None) -> int:
         _emit_diagnostics(exc.diagnostics, args.pretty, out)
         return EXIT_DIAGNOSTICS
 
-    expected_kind = _KIND_BY_COMMAND[args.command]
     exit_code = EXIT_OK
     for query in queries:
-        if not isinstance(query, expected_kind):
+        if query.kind != args.command:
             _emit_diagnostics(
                 [_plain_diag("syntax", f"subcommand {args.command!r} got a {query.kind!r} query")],
                 args.pretty,

@@ -79,10 +79,12 @@ failures are those of the plain enumeration, and only the work counters fall.
   record moot, it still runs the sweep per contingency.
 - Each orbit of interchangeable variables is decided once.  Two variables
   outside the cause and the outcome are interchangeable when they share
-  their range, weight and actual value, and swapping them maps the equations
-  folded under the context (`CausalModel.interchangeable`) and the actual
-  world's up-set patterns onto themselves.  Such a swap maps every solution,
-  AC2 verdict and witness onto its image, so the solve and AC2(b) memos are
+  their range and actual value, have equal keys under the context, which
+  makes swapping them map the folded equations onto themselves
+  (`CausalModel.interchangeable`), and the swap also maps the actual world's
+  up-set patterns onto themselves.  Weights play no part: each member is
+  enumerated at its own measure.  Such a swap maps every solution, AC2
+  verdict and witness onto its image, so the solve and AC2(b) memos are
   keyed by the representative of the orbit of their pins
   (`_Search._canonical`).  A change assignment's decision is kept per orbit
   (`_Search._orbit`) only when it is the same for every member whatever
@@ -247,20 +249,12 @@ class _Search:
         cause: CandidateCause,
         outcome: EventFormula,
         stats: EngineStats,
-        weights: Mapping[str, Fraction] | None = None,
     ):
         self.model = ext.model
         sig = self.model.signature
         cause.validate(self.model)
         outcome.validate(self.model)
         sig.check_context(context)
-        if weights is not None:
-            if missing := [v for v in sig.endogenous_names if v not in weights]:
-                raise ValueError(f"missing weights for {missing}")
-            for v in sig.endogenous_names:
-                if weights[v] <= 0:
-                    raise ModelError(f"weight for {v!r} must be positive")
-        self._weights = weights
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
         self.outcome_vars = outcome.variables()
@@ -302,36 +296,34 @@ class _Search:
         variables outside the cause and the outcome, as increasing positions.
 
         Exchanging two variables of one class maps the folded equations
-        (`CausalModel.interchangeable`), the actual world's up-set patterns, the
-        weights, the cause and the outcome onto themselves, so it maps each
-        solution, verdict and witness onto its image.
+        (`CausalModel.interchangeable`), the actual world's up-set patterns,
+        the cause and the outcome onto themselves, so it maps each solution,
+        verdict and witness onto its image.
         """
         self.classes = self._interchangeable_classes()
         if self.classes:
-            # A class member is labelled by its (negative) class and led by
-            # the class's first member; any other variable by and only by
-            # itself.
-            self._label, self._lead = list(range(self.n)), list(range(self.n))
-            for k, cls in enumerate(self.classes):
+            # A class member is led by the class's first member, any other
+            # variable by itself.
+            self._lead = list(range(self.n))
+            for cls in self.classes:
                 for i in cls:
-                    self._label[i], self._lead[i] = -1 - k, cls[0]
+                    self._lead[i] = cls[0]
 
     def _orbit(self, c_vars: Sequence[int], c: Sequence[int]) -> tuple:
         """A key naming the orbit of the change assignment that sets the
-        positions `c_vars` to `c`: its (label, value) pairs, sorted."""
-        return tuple(sorted(zip(map(self._label.__getitem__, c_vars), c)))
+        positions `c_vars` to `c`: its (lead, value) pairs, sorted."""
+        return tuple(sorted(zip(map(self._lead.__getitem__, c_vars), c)))
 
     def _interchangeable_classes(self) -> tuple[tuple[int, ...], ...]:
-        # Exchangeable variables share their range, weight and actual value,
-        # and exchanging them maps the actual world's up-set patterns onto
+        # Exchangeable variables share their range and actual value, and
+        # exchanging them maps the actual world's up-set patterns onto
         # themselves: at once when the two take the same value in each.
         ranges = self.model.signature.ranges
         groups: dict[tuple, list[str]] = {}
         for i in self.others:
             v = self.names[i]
             if v not in self.outcome_vars:
-                weight = None if self._weights is None else self._weights[v]
-                groups.setdefault((ranges[v], weight, self.actual[i]), []).append(v)
+                groups.setdefault((ranges[v], self.actual[i]), []).append(v)
         groups = [group for group in groups.values() if len(group) > 1]
         if not groups:
             return ()
@@ -775,7 +767,13 @@ def is_actual_cause(
     variables.  With `first_witness`, a cause reports only its first minimal
     witness and a non-cause no AC2(b) failures: all that scoring reads.
     """
-    search = _Search(ext, context, cause, outcome, stats or EngineStats(), weights)
+    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    if weights is not None:
+        if missing := [v for v in search.names if v not in weights]:
+            raise ValueError(f"missing weights for {missing}")
+        for v in search.names:
+            if weights[v] <= 0:
+                raise ModelError(f"weight for {v!r} must be positive")
     return _verdict(search, cause, max_vars, weights, first_witness)
 
 

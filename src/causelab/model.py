@@ -240,9 +240,9 @@ _COMMUTATIVE = {"+", "*", "min", "max", "&&", "||", "==", "!="}
 _ASSOCIATIVE = {"+", "*", "min", "max", "&&", "||"}
 
 
-def canonical(node: Expr | Cond, known: Mapping[str, int], swap: Mapping[str, str] | None = None) -> tuple:
+def canonical(node: Expr | Cond, known: Mapping[str, int]) -> tuple:
     """The node folded under the `known` values (as `fold` folds it) into a
-    hashable normal form, with every variable renamed by `swap`.
+    hashable normal form.
 
     A constant is `("#", value)` and a variable `("v", name)`; any other
     node is its operator followed by its operands' forms.  The operands of
@@ -255,19 +255,17 @@ def canonical(node: Expr | Cond, known: Mapping[str, int], swap: Mapping[str, st
         return ("#", node.value)
     if isinstance(node, Var):
         value = known.get(node.name)
-        if value is not None:
-            return ("#", value)
-        return ("v", swap.get(node.name, node.name) if swap else node.name)
+        return ("v", node.name) if value is None else ("#", value)
     if isinstance(node, If):
-        cond = canonical(node.cond, known, swap)
+        cond = canonical(node.cond, known)
         if cond[0] == "#":
-            return canonical(node.then if cond[1] else node.other, known, swap)
-        return ("if", cond, canonical(node.then, known, swap), canonical(node.other, known, swap))
+            return canonical(node.then if cond[1] else node.other, known)
+        return ("if", cond, canonical(node.then, known), canonical(node.other, known))
     if isinstance(node, Not):
-        inner = canonical(node.inner, known, swap)
+        inner = canonical(node.inner, known)
         return ("#", not inner[1]) if inner[0] == "#" else ("!", inner)
     op = node.which if isinstance(node, MinMax) else node.op
-    left, right = canonical(node.left, known, swap), canonical(node.right, known, swap)
+    left, right = canonical(node.left, known), canonical(node.right, known)
     if isinstance(node, BoolOp):
         absorbing = op == "||"  # true decides ||, false decides &&
         for side, other in ((left, right), (right, left)):
@@ -286,23 +284,51 @@ def canonical(node: Expr | Cond, known: Mapping[str, int], swap: Mapping[str, st
     return (op, *sorted(operands))
 
 
-def _occurrences(form: tuple) -> tuple[dict[str, int], dict[str, int]]:
-    """For the normal form `form` (`canonical`): how often each variable
-    occurs in it, and for each variable that occurs once, as an operand of a
-    commutative node, a number naming that node."""
-    count: dict[str, int] = {}
-    parent: dict[str, int] = {}
-    stack = [form]
-    while stack:
-        node = stack.pop()
-        if node[0] == "v":
-            count[node[1]] = count.get(node[1], 0) + 1
-        elif node[0] != "#":
-            for child in node[1:]:
-                if child[0] == "v" and node[0] in _COMMUTATIVE:
-                    parent[child[1]] = id(node)
-                stack.append(child)
-    return count, {v: parent[v] for v, n in count.items() if n == 1 and v in parent}
+def _sites(form: tuple) -> dict[str, tuple | None]:
+    """Each variable's site in the normal form `form` (`canonical`): the
+    path to the lowest node N whose operands hold another variable, paired
+    with N's operand T that holds this one, its name blanked.  None when N is
+    not commutative or the variable also occurs outside T.  Swapping two
+    variables with equal sites swaps two operands of N, so fixes `form`.
+    """
+    sites: dict[str, tuple | None] = {}
+    if form[0] not in ("v", "#"):
+        _sole(form, (), sites)
+    return sites
+
+
+def _sole(node: tuple, path: tuple[int, ...], sites: dict[str, tuple | None]) -> tuple:
+    """(v, `node` with v's name blanked) when v is the one variable under the
+    inner `node` at `path`; (None, `node`) when there is none; (True, None)
+    when there are several, after putting in `sites` the site of each
+    variable that is the one variable of an operand.  Leaves are read in place."""
+    below = [
+        (child[1], ("v",)) if child[0] == "v" else (None, child) if child[0] == "#" else _sole(child, (*path, k), sites)
+        for k, child in enumerate(node[1:])
+    ]
+    held = {v for v, _ in below}
+    held.discard(None)
+    if len(held) < 2 and True not in held:
+        return (held.pop() if held else None), (node[0], *(blank for _, blank in below))
+    for v, blank in below:
+        if v is not None and v is not True:
+            # A second T, or operands that do not commute, leave no site.
+            sites[v] = None if v in sites or node[0] not in _COMMUTATIVE else (path, blank)
+    return True, None
+
+
+def _split(parts: Iterable[list[str]], key: Callable[[str], object]) -> list[list[str]]:
+    """The parts of two or more variables with one `key`, other than None,
+    into which `key` splits each of `parts`; in order of first member."""
+    out = []
+    for part in parts:
+        by_key: dict[object, list[str]] = {}
+        for v in part:
+            k = key(v)
+            if k is not None:
+                by_key.setdefault(k, []).append(v)
+        out += [members for members in by_key.values() if len(members) > 1]
+    return out
 
 
 def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int]:
@@ -764,69 +790,47 @@ class CausalModel:
         """Split each group of endogenous variables into classes of two or
         more, any two of which can be exchanged: swapping them maps the
         equations, with the `known` values folded in, onto themselves, and
-        passes the test `also`, which must itself be an equivalence.  That
-        is, one's equation with the two names swapped is the other's
-        (`canonical`), and every other equation that reads either is
-        unchanged by the swap.
+        passes the test `also`, which must itself be an equivalence.
 
-        Exchanging is an equivalence (conjugating one exchange by another
-        gives an exchange), so a class is its first member and every variable
-        exchangeable with that member.  Pairs whose folded references (`memo`,
-        as in `reads`) or readers already differ under the swap are rejected
-        before any normal form is built.  The test is syntactic: it can miss a
-        symmetry, never invent one.
+        Variables are split by equal keys, cheapest first: folded references
+        and folded readers (`memo`, as in `reads`), the normal form of their
+        own folded equation (`canonical`) and their site in each reader's
+        (`_sites`).  With equal references neither reads the other, so the
+        swap maps one's equation onto the other's and, with equal sites, fixes
+        every reader.  The test can miss a symmetry, never invent one.
         """
-        refs = lambda v: self._folded_references(v, known, memo)  # noqa: E731
-        forms: dict[str, tuple] = {}
-        siblings: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+        sites: dict[str, dict[str, tuple | None]] = {}  # reader -> `_sites` of its form
+
+        def refs(v: str) -> frozenset[str]:
+            return self._folded_references(v, known, memo)
+
+        def readers(v: str) -> tuple[str, ...]:
+            return tuple(r for r in self._readers[v] if v in refs(r))
 
         def form(v: str) -> tuple:
-            if v not in forms:
-                forms[v] = canonical(self.equations[v].body, known)
-            return forms[v]
+            return canonical(self.equations[v].body, known)
 
-        def swap_fixes(r: str, a: str, b: str) -> bool:
-            # One pass over each reader's form counts the occurrences of each
-            # variable and finds those that occur once, as an operand of a
-            # commutative node: two such under one node commute.
-            if r not in siblings:
-                siblings[r] = _occurrences(form(r))
-            count, node = siblings[r]
-            if count.get(a) != count.get(b):
-                return False
-            return node.get(a) is not None and node.get(a) == node.get(b) or canonical(
-                self.equations[r].body, known, {a: b, b: a}
-            ) == form(r)
+        def places(v: str) -> tuple | None:  # None at the first reader without a site
+            out = []
+            for r in readers(v):
+                if r not in sites:
+                    sites[r] = _sites(form(r))
+                out.append(sites[r].get(v))
+                if out[-1] is None:
+                    return None
+            return tuple(out)
 
-        def exchangeable(a: str, b: str) -> bool:
-            swap = {a: b, b: a}
-            if {swap.get(r, r) for r in refs(a)} != refs(b):
-                return False
-            readers = [r for r in self._readers[a] if a in refs(r)]
-            if any(b not in refs(r) for r in readers) or any(
-                a not in refs(r) for r in self._readers[b] if b in refs(r)
-            ):
-                return False
-            return (
-                canonical(self.equations[a].body, known, swap) == form(b)
-                and all(swap_fixes(r, a, b) for r in readers)
-                and (also is None or also(a, b))
-            )
-
+        parts = list(groups)  # each key is computed only where a pair is left
+        for key in (refs, readers, form, places):
+            parts = _split(parts, key)
         classes = []
-        for group in groups:
-            # Only variables mentioned by the same equations are compared,
-            # which can miss a symmetry that folding creates, never invent one.
-            by_readers: dict[frozenset[str], list[str]] = {}
-            for v in group:
-                by_readers.setdefault(frozenset(self._readers[v]), []).append(v)
-            for group in by_readers.values():
-                while len(group) > 1:
-                    first, rest = group[0], group[1:]
-                    cls = [first] + [v for v in rest if exchangeable(first, v)]
-                    if len(cls) > 1:
-                        classes.append(tuple(cls))
-                    group = [v for v in rest if v not in cls]
+        for members in parts:
+            while len(members) > 1:
+                first, rest = members[0], members[1:]
+                cls = [first] + [v for v in rest if also is None or also(first, v)]
+                if len(cls) > 1:
+                    classes.append(tuple(cls))
+                members = [v for v in rest if v not in cls]
         return classes
 
     def intervene(self, iv: Mapping[str, int]) -> CausalModel:

@@ -251,6 +251,20 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert set(exact["result"]) == {"kind", "score", "state"}
 
+    def test_zero_denominator_weight_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1/0",
+                    "-q", f"resp V1=0 of W=0 in {_V11_CTX}")
+        assert exc_info.value.code == 2
+        assert "argument --weights: weight 'V1=1/0' divides by zero" in capsys.readouterr().err
+
+    def test_preliminary_and_extended_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("cause", "-m", model_arg("assassin.cm"), "--preliminary", "--extended",
+                    "-q", "cause B=1 of VS=1 in ctx(UA=1,UB=1)")
+        assert exc_info.value.code == 2
+        assert "argument --extended: not allowed with argument --preliminary" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [("--sampled",), ("--seed", "3"), ("--samples", "10")])
     def test_sampling_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -479,7 +493,9 @@ class TestWorkCounters:
         # One search whose measure is the weight sum, stopped at its first
         # minimal witness (2,241 solves and 10,780 subset checks when a count
         # search ran first; 325 and 644 when it listed every minimal witness;
-        # 319 and 608 when each contingency swept its own AC2(b) instances).
+        # 319 and 608 when each contingency swept its own AC2(b) instances;
+        # 314 and 33 while a class of interchangeable voters had to share one
+        # weight, so that these distinct weights left none).
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))
         weights = ",".join(f"V{i}={i}" for i in range(1, 12)) + ",W=1"
         code, lines = run_json(
@@ -488,7 +504,33 @@ class TestWorkCounters:
         )
         assert code == EXIT_OK
         assert lines[0]["result"]["score"] == "1/21"
-        assert lines[0]["stats"] == {"solves": 314, "subset_checks": 33}
+        assert lines[0]["stats"] == {"solves": 20, "subset_checks": 7}
+
+    @pytest.mark.parametrize("n, score, stats", [
+        # 39 and 9, and 107 and 17, while classes had to share one weight.
+        (7, "1/10", {"solves": 14, "subset_checks": 5}),
+        (9, "1/15", {"solves": 17, "subset_checks": 6}),
+    ])
+    def test_smaller_votes_weighted_resp(self, tmp_path, n, score, stats):
+        # Voter Vi weighs i, so V2..V(k+1) are the cheapest k flips.
+        total = " + ".join(f"V{i}" for i in range(1, n + 1))
+        model = tmp_path / f"vote{n}.cm"
+        model.write_text("\n".join([
+            f"model vote{n} {{",
+            *(f"  exogenous UV{i} : {{0,1}};" for i in range(1, n + 1)),
+            *(f"  endogenous V{i} : {{0,1}} = UV{i};" for i in range(1, n + 1)),
+            f"  endogenous W : {{0,1}} = if {total} <= {(n - 1) // 2} then 0 else 1;",
+            "}",
+        ]))
+        ctx = ",".join(f"UV{i}=0" for i in range(1, n + 1))
+        weights = ",".join(f"V{i}={i}" for i in range(1, n + 1)) + ",W=1"
+        code, lines = run_json(
+            "resp", "-m", str(model), "--strategy", "weighted", "--weights", weights,
+            "-q", f"resp V1=0 of W=0 in ctx({ctx})",
+        )
+        assert code == EXIT_OK
+        assert lines[0]["result"]["score"] == score
+        assert lines[0]["stats"] == stats
 
     def test_vote11_landslide_resp(self):
         # Scoring reads only the first minimal witness; listing all 252 of

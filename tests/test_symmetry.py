@@ -1,18 +1,22 @@
-"""Interchangeable variables: the canonicaliser, the classes a search finds,
-the work they save, and the renaming relation that checks the engine against
-itself on models of any size.
+"""Interchangeable variables: the canonicaliser, the sites that key them,
+the classes a search finds, the work they save, and the renaming and
+idle-variable relations that check the engine against itself on models of
+any size.
 """
 
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
 from causelab.dsl import parse_model, print_model
 from causelab.formula import atom
-from causelab.hp import CandidateCause, EngineStats, _Search, check_ac2, is_actual_cause
+from causelab.hp import CandidateCause, EngineStats, _Search, check_ac2, is_actual_cause, ways_fraction
 from causelab.model import (
     Arith,
     Assignment,
@@ -30,6 +34,8 @@ from causelab.model import (
     Not,
     Signature,
     Var,
+    World,
+    _sites,
     canonical,
 )
 from causelab.normality import ExtendedModel, NormalityOrder
@@ -66,9 +72,33 @@ class TestCanonical:
         assert canonical(Arith("+", Var("U"), Lit(2)), {"U": 1}) == ("#", 3)
         assert canonical(Not(Cmp("<", Var("U"), A)), {"U": 0}) == ("!", ("<", ("#", 0), ("v", "A")))
 
-    def test_swap_renames_before_sorting(self):
-        body = Arith("-", A, Arith("+", B, C))
-        assert canonical(body, {}, {"A": "B", "B": "A"}) == canonical(Arith("-", B, Arith("+", A, C)), {})
+
+class TestSites:
+    def test_direct_operands_share_their_site(self):
+        sites = _sites(canonical(Arith("+", Arith("+", A, B), Lit(2)), {}))
+        assert sites == {"A": ((), ("v",)), "B": ((), ("v",))}
+
+    def test_equality_tests_under_one_or(self):
+        body = BoolOp("||", Cmp("==", A, Lit(1)), Cmp("==", Lit(1), B))
+        sites = _sites(canonical(body, {}))
+        assert sites["A"] == sites["B"] == ((), ("==", ("#", 1), ("v",)))
+
+    def test_a_second_occurrence_voids_the_site(self):
+        # A is an operand of `+` and of `*`; B's lowest node is the `*`.
+        sites = _sites(canonical(Arith("+", A, Arith("*", A, B)), {}))
+        assert sites == {"A": None, "B": ((0,), ("v",))}
+
+    def test_a_non_commutative_node_gives_no_site(self):
+        assert _sites(canonical(Arith("-", A, B), {})) == {"A": None, "B": None}
+        assert _sites(canonical(Cmp("<", A, B), {})) == {"A": None, "B": None}
+
+    def test_two_nodes_give_two_sites(self):
+        D = Var("D")
+        sites = _sites(canonical(Arith("+", Arith("*", A, B), Arith("*", C, D)), {}))
+        assert sites["A"] == sites["B"] == ((0,), ("v",))
+        assert sites["C"] == sites["D"] == ((1,), ("v",))
+        # A variable alone in the whole form has no site.
+        assert _sites(canonical(Arith("*", A, Lit(2)), {})) == {}
 
 
 def vote_model(ranges: dict[str, tuple[int, ...]] | None = None) -> CausalModel:
@@ -90,8 +120,8 @@ def vote_model(ranges: dict[str, tuple[int, ...]] | None = None) -> CausalModel:
 ZEROS = Context({f"U{i}": 0 for i in range(1, 6)})
 
 
-def classes_of(ext, context, cause, outcome, weights=None) -> list[set[str]]:
-    search = _Search(ext, context, CandidateCause.of(cause), outcome, EngineStats(), weights)
+def classes_of(ext, context, cause, outcome) -> list[set[str]]:
+    search = _Search(ext, context, CandidateCause.of(cause), outcome, EngineStats())
     search._find_classes()
     return [{search.names[i] for i in cls} for cls in search.classes]
 
@@ -108,11 +138,26 @@ class TestInterchangeable:
         ext = ExtendedModel(vote_model({"V3": (0, 1, 2)}))
         assert classes_of(ext, ZEROS, {"V1": 0}, atom("W", 0)) == [{"V2", "V4", "V5"}]
 
-    def test_weights_must_match(self):
+    def test_weights_do_not_split_classes(self):
+        # Each member is enumerated at its own measure, so voters of different
+        # weights stay one class and the cheapest pairs are still each reported.
         ext = ExtendedModel(vote_model())
         weights = {"V1": Fraction(1), "V2": Fraction(2), "V3": Fraction(2), "V4": Fraction(3), "V5": Fraction(2),
                    "W": Fraction(1)}
-        assert classes_of(ext, ZEROS, {"V1": 0}, atom("W", 0), weights) == [{"V2", "V3", "V5"}]
+        found = []
+        find_classes = _Search._find_classes
+
+        def spy(search):
+            find_classes(search)
+            found.append([{search.names[i] for i in cls} for cls in search.classes])
+
+        with mock.patch.object(_Search, "_find_classes", spy):
+            verdict = is_actual_cause(ext, ZEROS, CandidateCause.of({"V1": 0}), atom("W", 0), weights=weights)
+        assert found == [[{"V2", "V3", "V4", "V5"}]]
+        assert verdict.measure == 4
+        assert witnessed(verdict, vote_model().solve(ZEROS)) == {
+            frozenset({(a, 1), (b, 1)}) for a, b in (("V2", "V3"), ("V2", "V5"), ("V3", "V5"))
+        }
 
     def test_up_set_patterns_must_map_onto_themselves(self):
         model = vote_model()
@@ -291,10 +336,9 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_renaming_random_families(family):
-    rng = random.Random(f"renaming:{family}")
-    checked = 0
+def family_cases(rng: random.Random, family: str):
+    """(extended model, context, cause, outcome, weights) over 12 models of the family:
+    every singleton cause and one pair, drawn lazily from `rng`."""
     for i in range(12):
         model, order = FAMILIES[family](rng, f"{family}{i}")
         ext = ExtendedModel(model, order)
@@ -308,6 +352,127 @@ def test_renaming_random_families(family):
         causes = [CandidateCause.of({v: world[v]}) for v in pool]
         causes.append(CandidateCause.of({v: world[v] for v in rng.sample(pool, 2)}))
         for cause in causes:
-            check_renaming(rng, ext, context, cause, outcome, weights)
-            checked += 1
+            yield ext, context, cause, outcome, weights
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_renaming_random_families(family):
+    rng = random.Random(f"renaming:{family}")
+    checked = 0
+    for case in family_cases(rng, family):
+        check_renaming(rng, *case)
+        checked += 1
     assert checked >= 40
+
+
+# -- Idle-variable relation ---------------------------------------------------
+# An added endogenous variable that nothing reads, and that the order leaves
+# free, must leave every verdict, measure, set of witnessed change assignments
+# and score unchanged; the `ways` fraction counts it as one more side
+# variable.  It reads two of the model's variables, so it changes their
+# readers and, through them, the classes a search finds.
+
+IDLE = "IDLE"
+
+
+def with_idle(rng: random.Random, ext: ExtendedModel) -> ExtendedModel:
+    """The model with `IDLE` = 1 iff two of its variables pass a comparison,
+    declared at a random position; the order constrains `IDLE` nowhere."""
+    model, sig = ext.model, ext.model.signature
+    a, b = rng.sample(sig.endogenous_names, 2)
+    body = If(Cmp(rng.choice(("<", "==", "!=")), Var(a), Var(b)), Lit(1), Lit(0))
+    endo = list(sig.endogenous)
+    endo.insert(rng.randint(0, len(endo)), (IDLE, (0, 1)))
+    grown = CausalModel(Signature(sig.exogenous, tuple(endo)), [*model.equations.values(), Equation(IDLE, body)],
+                        name=model.name)
+    order = None
+    if ext.order is not None:
+        # A pair relates worlds with equal values of a variable it does not
+        # mention, so `IDLE` is declared on both sides under every value.
+        def setting(p, z):
+            return type(p)({**p, IDLE: z})
+
+        order = NormalityOrder(
+            grown.signature,
+            tuple((setting(left, x), setting(right, y)) for left, right in ext.order.pairs
+                  for x, y in itertools.product((0, 1), repeat=2)),
+            tuple((Assignment(p) if isinstance(p, World) else p, r) for p, r in ext.order.ranks),
+        )
+    return ExtendedModel(grown, order)
+
+
+def idle_ways(ext, context, cause, outcome, ways: Fraction) -> Fraction:
+    """The `ways` fraction once a binary side variable that nothing reads
+    joins: each other side setting counts twice, and the actual one once."""
+    model = ext.model
+    ranges = model.signature.ranges
+    side = [v for v in model.signature.endogenous_names if v not in cause.settings and v != outcome.event.variable]
+    total = math.prod(len(ranges[v]) for v in side) - 1
+    actual = model.solve(context)
+
+    def holds_with(x) -> bool:
+        world = model.solve_pinned(context, {**{v: actual[v] for v in side}, **x})
+        return world[outcome.event.variable] == outcome.event.value
+
+    names, x = sorted(cause.settings), dict(cause.settings)
+    alternatives = [dict(zip(names, combo)) for combo in itertools.product(*(ranges[v] for v in names))]
+    critical_actual = holds_with(x) and not all(holds_with(alt) for alt in alternatives if alt != x)
+    return Fraction(2 * ways * total + critical_actual, 2 * total + 1)
+
+
+def check_idle(rng, ext, context, cause, outcome, weights) -> None:
+    image = with_idle(rng, ext)
+    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS)
+    after = is_actual_cause(image, context, cause, outcome, MAX_VARS)
+    where = (ext.model.name, cause, image.model.equations[IDLE].body)
+    assert (before.is_cause, before.failed_condition, before.measure) == (
+        after.is_cause, after.failed_condition, after.measure), where
+    assert witnessed(before, ext.model.solve(context)) == witnessed(after, image.model.solve(context)), where
+    for w in after.witnesses:
+        assert w.world == image.model.solve_pinned(context, {**w.x_prime, **w.w_setting}), where
+    if not before.is_cause:
+        assert bool(before.ac2b_failures) == bool(after.ac2b_failures), where
+    weights2 = {**weights, IDLE: Fraction(rng.randint(1, 4))}
+    for strategy, strategy2 in (
+        (ScoringStrategy(), ScoringStrategy()),
+        (ScoringStrategy("exponential"), ScoringStrategy("exponential")),
+        (ScoringStrategy.weighted(weights), ScoringStrategy.weighted(weights2)),
+    ):
+        assert degree_of_responsibility(ext, context, cause, outcome, strategy, MAX_VARS).value == (
+            degree_of_responsibility(image, context, cause, outcome, strategy2, MAX_VARS).value), where
+    ways = ways_fraction(ext, context, cause, outcome, MAX_VARS)
+    grown = ways_fraction(image, context, cause, outcome, MAX_VARS)
+    assert grown == idle_ways(ext, context, cause, outcome, ways), where
+
+
+def test_idle_vote11(corpus):
+    rng = random.Random("idle:vote11")
+    model, order = corpus["models"]["vote11"]
+    ext = ExtendedModel(model, order)
+    weights = {v: Fraction(rng.randint(1, 3)) for v in model.signature.endogenous_names}
+    for votes in ((0,) * 11, (0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0)):
+        context = Context({f"UV{i}": x for i, x in enumerate(votes, start=1)})
+        world = model.solve(context)
+        for var in ("V1", "V2"):
+            check_idle(rng, ext, context, CandidateCause.of({var: world[var]}), atom("W", world["W"]), weights)
+
+
+def test_idle_firing_squad(corpus):
+    rng = random.Random("idle:firing")
+    model, order = corpus["models"]["firing_squad"]
+    ext = ExtendedModel(model, order)
+    weights = random_weights(rng, model)
+    for live in (1, 4):
+        context = Context({"UL": live})
+        for var in ("M1", "M4", "M7"):
+            check_idle(rng, ext, context, CandidateCause.of({var: 1}), atom("D", 1), weights)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_idle_random_families(family):
+    rng = random.Random(f"idle:{family}")
+    checked = 0
+    for case in family_cases(rng, family):
+        check_idle(rng, *case)
+        checked += 1
+    assert checked >= 36
