@@ -295,12 +295,31 @@ def corpus_dir():
     return resources.files("causelab").joinpath("corpus")
 
 
+def _file_diag(path, exc: OSError | ValueError) -> Diagnostic:
+    """The diagnostic for a file that cannot be read, is not UTF-8, or is
+    not the JSON it should be."""
+    if isinstance(exc, OSError):
+        return _plain_diag("syntax", str(exc))
+    if isinstance(exc, UnicodeDecodeError):
+        return _plain_diag("syntax", f"{path}: not valid UTF-8")
+    return _plain_diag("syntax", f"{path}: {exc}")
+
+
+def _read(parse, path):
+    """`parse(path)`, raising a `RunError` when the file cannot be read or is
+    not UTF-8."""
+    try:
+        return parse(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RunError([_file_diag(path, exc)]) from None
+
+
 def _load_files(model_files, state_files) -> LoadedSet:
     loaded = LoadedSet()
     for path in model_files or []:
-        loaded.add_model(*dsl.parse_model_file(path))
+        loaded.add_model(*_read(dsl.parse_model_file, path))
     for path in state_files or []:
-        for decl in dsl.parse_state_file(path):
+        for decl in _read(dsl.parse_state_file, path):
             loaded.states[decl.name] = decl
     return loaded
 
@@ -341,7 +360,11 @@ def load_corpus_entries(base=None) -> list[dict]:
 
 def _cmd_corpus(args, out) -> int:
     base = Path(args.dir) if args.dir else corpus_dir()
-    entries = load_corpus_entries(base)
+    try:
+        entries = load_corpus_entries(base)
+    except (OSError, ValueError) as exc:  # missing, not UTF-8, or not JSON
+        _emit_diagnostics([_file_diag(base / "expected.json", exc)], False, out)
+        return EXIT_DIAGNOSTICS
     if args.action == "list":
         for entry in entries:
             print(entry["id"], file=out)
@@ -448,22 +471,22 @@ def main(argv=None, out=None) -> int:
 
     try:
         loaded = _load_files(args.models, args.states)
-    except DslError as exc:
+    except (DslError, RunError) as exc:
         _emit_diagnostics(exc.diagnostics, args.pretty, out)
-        return EXIT_DIAGNOSTICS
-    except OSError as exc:
-        _emit_diagnostics([_plain_diag("syntax", str(exc))], args.pretty, out)
         return EXIT_DIAGNOSTICS
     options = _options_from_args(args)
 
     if args.command == "solve":
         try:
             model, _order = loaded.pick_model(options.model_name)
-            assigns = [
-                (name.strip(), int(value))
-                for name, _, value in (part.partition("=") for part in args.ctx.split(","))
-            ]
-            context = _context(model, assigns)
+            assigns: dict[str, int] = {}
+            for part in args.ctx.split(","):
+                name, _, value = part.partition("=")
+                name = name.strip()
+                if name in assigns:
+                    raise RunError([_plain_diag("syntax", f"context assigns {name!r} twice")])
+                assigns[name] = int(value)
+            context = _context(model, assigns.items())
             start = time.perf_counter()
             world = model.solve(context)
             wall = (time.perf_counter() - start) * 1000.0
@@ -489,8 +512,8 @@ def main(argv=None, out=None) -> int:
         if args.query is not None:
             queries = [parse_query(args.query)]
         else:
-            queries = dsl.parse_query_file(args.query_file)
-    except DslError as exc:
+            queries = _read(dsl.parse_query_file, args.query_file)
+    except (DslError, RunError) as exc:
         _emit_diagnostics(exc.diagnostics, args.pretty, out)
         return EXIT_DIAGNOSTICS
 

@@ -17,8 +17,9 @@ an earlier one.
 The lexer is one compiled regular expression with an alternative per token
 class.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals
 are ASCII digits; a non-ASCII letter or digit is a syntax error at that
-character.  A syntax error ends parsing at once, and a repeated assignment in
-a query is reported at the repeated variable.
+character.  A syntax error ends parsing at once, and a variable assigned
+twice in a context, an intervention prefix or a blame action, or twice with
+different values in a conjunction, is reported at its second assignment.
 Parsers report diagnostics with 1-based line and column positions and one of
 the categories: syntax, unknown variable, range violation, cycle, non-total
 equation.  A query file's diagnostics carry the file's line and column.  `#`
@@ -609,8 +610,15 @@ def _parse_assign(p: _Parser, sep: str) -> tuple[Token, int]:
     return name_tok, p.expect_int()[0]
 
 
-def _parse_assigns(p: _Parser, sep: str) -> list[tuple[str, int]]:
-    return [(tok.text, value) for tok, value in p.sep_by(lambda: _parse_assign(p, sep))]
+def _parse_assigns(p: _Parser, sep: str, what: str) -> dict[str, int]:
+    """Comma-separated assignments, in order; a repeated variable is reported
+    there as `what` assigning it twice."""
+    assigns: dict[str, int] = {}
+    for tok, value in p.sep_by(lambda: _parse_assign(p, sep)):
+        if tok.text in assigns:
+            p.fail(tok, f"{what} assigns {tok.text!r} twice")
+        assigns[tok.text] = value
+    return assigns
 
 
 def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
@@ -619,9 +627,9 @@ def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
     if p.at_punct(")"):
         p.advance()
         return ()
-    assigns = _parse_assigns(p, "=")
+    assigns = _parse_assigns(p, "=", "context")
     p.expect_punct(")")
-    return tuple(assigns)
+    return tuple(assigns.items())
 
 
 def _parse_conj(p: _Parser) -> tuple[tuple[str, int], ...]:
@@ -637,10 +645,7 @@ def _parse_causal_formula(p: _Parser) -> CausalFormula:
     prefix: dict[str, int] = {}
     if p.at_punct("["):
         p.advance()
-        for tok, value in p.sep_by(lambda: _parse_assign(p, "<-")):
-            if tok.text in prefix:
-                p.fail(tok, f"prefix assigns {tok.text!r} twice")
-            prefix[tok.text] = value
+        prefix = _parse_assigns(p, "<-", "prefix")
         p.expect_punct("]")
     matrix = _parse_event_formula(p)
     return CausalFormula(Intervention(prefix), matrix)
@@ -667,7 +672,7 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
     elif p.at_keyword("blame"):
         p.advance()
         p.expect_keyword("action")
-        action = tuple(_parse_assigns(p, "<-"))
+        action = tuple(_parse_assigns(p, "<-", "action").items())
         p.expect_keyword("of")
         outcome = _parse_event_formula(p)
         p.expect_keyword("over")

@@ -176,8 +176,9 @@ def valid(model: CausalModel, f: CausalFormula | EventFormula, stats: EngineStat
     first context that falsifies it.  `stats` counts the solves made.
 
     Only the exogenous variables the matrix still reads once the prefix is
-    folded into the equations are ranged over (`CausalModel.reads`); the
-    others keep their first value, since the matrix cannot depend on them.
+    folded into the equations (`model.canonical`, walked by
+    `CausalModel.reads`) are ranged over; the others keep their first value,
+    since the matrix cannot depend on them.
     """
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)

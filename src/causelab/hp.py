@@ -30,14 +30,16 @@ failures are those of the plain enumeration, and only the work counters fall.
   the value it already takes cannot change any solution, so such pins are
   no-ops both in the witness search and inside the AC2(b) subset sweep).
 - Non-causes are decided by context folding.  The context is substituted
-  into the equation bodies and constant-folded (`model.fold`), and the
+  into the equation bodies and constant-folded (`model.canonical`), and the
   search walks back from the outcome's variables over the references that
-  remain (`CausalModel.reads`).  If no cause variable is reached, no witness
-  exists: pins only replace equations by constants, so the outcome under
-  [x', w] equals the outcome under [x, w], and AC2(a) then contradicts
-  AC2(b) at W' = W, Z' = {}.  Such a search stops at once, or, when it
-  reports AC2(b) failures, as soon as it has the first `_AC2B_FAILURE_CAP`
-  of them, which are the ones the full search reports.
+  remain (`CausalModel.reads`).  Each equation is folded once per search
+  (`_Search._folded`), for this walk and the orbit keys below alike.  If no
+  cause variable is reached, no witness exists: pins only replace equations
+  by constants, so the outcome under [x', w] equals the outcome under
+  [x, w], and AC2(a) then contradicts AC2(b) at W' = W, Z' = {}.  Such a
+  search stops at once, or, when it reports AC2(b) failures, as soon as it
+  has the first `_AC2B_FAILURE_CAP` of them, which are the ones the full
+  search reports.
 - Scoring reads only the first minimal witness and its measure, and the
   first witness found is minimal because the order is by measure, so
   `is_actual_cause(first_witness=True)` stops there.
@@ -79,13 +81,13 @@ failures are those of the plain enumeration, and only the work counters fall.
   record moot, it still runs the sweep per contingency.
 - Each orbit of interchangeable variables is decided once.  Two variables
   outside the cause and the outcome are interchangeable when they share
-  their range and actual value, have equal keys under the context, which
-  makes swapping them map the folded equations onto themselves
-  (`CausalModel.interchangeable`), and the swap also maps the actual world's
-  up-set patterns onto themselves.  Weights play no part: each member is
-  enumerated at its own measure.  Such a swap maps every solution, AC2
-  verdict and witness onto its image, so the solve and AC2(b) memos are
-  keyed by the representative of the orbit of their pins
+  their range and actual value, have equal keys in the equations folded
+  under the context, which makes swapping them map those equations onto
+  themselves (`CausalModel.interchangeable`), and the swap also maps the
+  actual world's up-set patterns onto themselves.  Weights play no part:
+  each member is enumerated at its own measure.  Such a swap maps every
+  solution, AC2 verdict and witness onto its image, so the solve and AC2(b)
+  memos are keyed by the representative of the orbit of their pins
   (`_Search._canonical`).  A change assignment's decision is kept per orbit
   (`_Search._orbit`) only when it is the same for every member whatever
   order the search tries contingencies in: no contingency reached AC2(b), so
@@ -263,7 +265,7 @@ class _Search:
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
-        self._folded: dict[str, frozenset[str]] = {}  # variable -> folded references
+        self._folded: dict[str, tuple[tuple, frozenset[str]]] = {}  # `CausalModel._folded` memo
         self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
         self._aim(cause)
         self.actual = self._solve((None,) * self.n)
@@ -454,6 +456,21 @@ class _Search:
                 return relevant
             relevant = sorted(set(relevant) | new)
 
+    def _pin_sets(
+        self, base: list[int | None], candidates: list[int]
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int | None, ...]]]:
+        """(S, pins) for each subset S of the `candidates` whose actual-value
+        pins can matter on top of `base` (`_relevant_fixpoint`), in `_subsets`
+        order: `pins` is `base` with S pinned at its actual values."""
+        actual = self.actual
+        relevant = self._relevant_fixpoint(base, candidates)
+        for r in range(len(relevant) + 1):  # `_subsets`, inlined in this innermost loop
+            for sub in itertools.combinations(relevant, r):
+                pins = base.copy()
+                for i in sub:
+                    pins[i] = actual[i]
+                yield sub, tuple(pins)
+
     # -- AC2 ----------------------------------------------------------------
 
     def ac2b(self, w_set: Sequence[int], w_setting: Mapping[int, int]):
@@ -461,20 +478,15 @@ class _Search:
 
         `w_set` lists positions in increasing order.
         """
-        actual = self.actual
         z_minus_x = [i for i in self.others if i not in w_set]
         x_pins = self._pins(zip(self.x_vars, self.x_actual))
         for w_prime in _subsets(w_set):
             base = x_pins.copy()
             for i in w_prime:
                 base[i] = w_setting[i]
-            relevant = self._relevant_fixpoint(base, z_minus_x)
-            for z_prime in _subsets(relevant):
-                pins = base.copy()
-                for i in z_prime:
-                    pins[i] = actual[i]
+            for z_prime, pins in self._pin_sets(base, z_minus_x):
                 self.stats.subset_checks += 1
-                if not self.holds(self._solve(tuple(pins))):
+                if not self.holds(self._solve(pins)):
                     return w_prime, z_prime
         return None
 
@@ -506,17 +518,11 @@ class _Search:
         self.stats.subset_checks += 1
         if not self.holds(self._solve(pins)):
             return _FAILS_BARE
-        actual = self.actual
-        base = list(pins)
-        relevant = self._relevant_fixpoint(base, [i for i in range(self.n) if pins[i] is None])
-        for z_prime in _subsets(relevant):
+        for z_prime, pins_z in self._pin_sets(list(pins), [i for i in range(self.n) if pins[i] is None]):
             if not z_prime:
                 continue  # the bare instance, checked above
-            pins_z = base.copy()
-            for i in z_prime:
-                pins_z[i] = actual[i]
             self.stats.subset_checks += 1
-            if not self.holds(self._solve(tuple(pins_z))):
+            if not self.holds(self._solve(pins_z)):
                 return _FAILS
         return _HOLDS
 
@@ -671,14 +677,9 @@ class _Search:
         if self._ac2b_states.get(key, _HOLDS) is not _HOLDS and not self._recording(record_failures):
             return None  # AC2(b) fails for every W with this change assignment
         actual = self.actual
-        e_candidates = [i for i in self.others if i not in c_vars]
-        relevant = self._relevant_fixpoint(base, e_candidates)
         reached = False
-        for e_sub in _subsets(relevant):
-            pins_e = base.copy()
-            for i in e_sub:
-                pins_e[i] = actual[i]
-            values = self._solve(tuple(pins_e))
+        for e_sub, pins_e in self._pin_sets(base, [i for i in self.others if i not in c_vars]):
+            values = self._solve(pins_e)
             if self.holds(values):
                 continue  # AC2(a) fails for this W
             if not self._normal(values):

@@ -196,44 +196,6 @@ _BINARY = {
 }
 
 
-def fold(node: Expr | Cond, known: Mapping[str, int]) -> int | bool | frozenset[str]:
-    """The node's value when the `known` values alone decide it, else the
-    variables outside `known` it still references after constant folding.
-
-    Folds an `If` with a constant condition to its branch, absorbs `&&` and
-    `||` with a constant side, and evaluates `Not`, `Cmp`, `Arith` and
-    `MinMax` over constant operands; any other node keeps the references of
-    its folded children.
-    """
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        value = known.get(node.name)
-        return frozenset((node.name,)) if value is None else value
-    if isinstance(node, If):
-        cond = fold(node.cond, known)
-        if not isinstance(cond, frozenset):
-            return fold(node.then if cond else node.other, known)
-        return _references(cond, fold(node.then, known), fold(node.other, known))
-    if isinstance(node, Not):
-        inner = fold(node.inner, known)
-        return inner if isinstance(inner, frozenset) else not inner
-    left, right = fold(node.left, known), fold(node.right, known)
-    if isinstance(node, BoolOp):
-        absorbing = node.op == "||"  # true decides ||, false decides &&
-        for side, other in ((left, right), (right, left)):
-            if not isinstance(side, frozenset):
-                return absorbing if side == absorbing else other
-        return left | right
-    if isinstance(left, frozenset) or isinstance(right, frozenset):
-        return _references(left, right)
-    return _BINARY[node.which if isinstance(node, MinMax) else node.op](left, right)
-
-
-def _references(*folded: int | bool | frozenset[str]) -> frozenset[str]:
-    return frozenset().union(*(f for f in folded if isinstance(f, frozenset)))
-
-
 # Operators whose operands may be reordered, and those of them whose nested
 # applications may also be flattened into one.
 _COMMUTATIVE = {"+", "*", "min", "max", "&&", "||", "==", "!="}
@@ -241,15 +203,18 @@ _ASSOCIATIVE = {"+", "*", "min", "max", "&&", "||"}
 
 
 def canonical(node: Expr | Cond, known: Mapping[str, int]) -> tuple:
-    """The node folded under the `known` values (as `fold` folds it) into a
-    hashable normal form.
+    """The node with the `known` values folded in, as a hashable normal form.
 
-    A constant is `("#", value)` and a variable `("v", name)`; any other
-    node is its operator followed by its operands' forms.  The operands of
-    `+ * min max && ||` are flattened through nested uses of the same
-    operator, and those operators' operands and the two of `==` and `!=` are
-    sorted.  Equal forms denote equal functions, so comparing forms can miss
-    an equivalence but never invents one.
+    A known variable or a literal is the constant `("#", value)`, and an
+    unknown variable is `("v", name)`.  Folding takes an `If` with a constant
+    condition to its branch, absorbs `&&` and `||` with a constant side, and
+    evaluates `Not`, `Cmp`, `Arith` and `MinMax` over constant operands.
+    Any other node is its operator followed by its operands' forms, so the
+    variables in the form (`_variables`) are the ones the folded node still
+    references.  The operands of `+ * min max && ||` are flattened through
+    nested uses of the same operator, and those operators' operands and the
+    two of `==` and `!=` are sorted.  Equal forms denote equal functions, so
+    comparing forms can miss an equivalence but never invents one.
     """
     if isinstance(node, Lit):
         return ("#", node.value)
@@ -282,6 +247,20 @@ def canonical(node: Expr | Cond, known: Mapping[str, int]) -> tuple:
         else:
             operands.append(side)
     return (op, *sorted(operands))
+
+
+def _variables(form: tuple) -> frozenset[str]:
+    """The variables that occur in the normal form `form` (`canonical`)."""
+    out = set()
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        tag = node[0]
+        if tag == "v":
+            out.add(node[1])
+        elif tag != "#":
+            stack.extend(node[1:])
+    return frozenset(out)
 
 
 def _sites(form: tuple) -> dict[str, tuple | None]:
@@ -747,13 +726,13 @@ class CausalModel:
         self,
         start: Iterable[str],
         known: Mapping[str, int],
-        memo: dict[str, frozenset[str]] | None = None,
+        memo: dict[str, tuple[tuple, frozenset[str]]] | None = None,
     ) -> Iterator[str]:
         """The `start` variables and every variable they read, directly or
         through other equations, once the `known` values are folded into the
-        equation bodies (`fold`); each once, lazily, so a caller may stop
+        equation bodies (`canonical`); each once, lazily, so a caller may stop
         early.  A known or exogenous variable reads nothing.  `memo` keeps
-        each equation's folded references across walks with the same `known`.
+        each folded equation across walks with the same `known` (`_folded`).
         """
         memo = {} if memo is None else memo
         seen = set(start)
@@ -763,28 +742,31 @@ class CausalModel:
             yield name
             if name in known or name not in self.equations:
                 continue
-            refs = memo.get(name)
-            if refs is None:
-                refs = self._folded_references(name, known, memo)
-            for ref in refs:
+            entry = memo.get(name)
+            if entry is None:
+                entry = self._folded(name, known, memo)
+            for ref in entry[1]:
                 if ref not in seen:
                     seen.add(ref)
                     stack.append(ref)
 
-    def _folded_references(self, name: str, known: Mapping[str, int], memo: dict[str, frozenset[str]]) -> frozenset[str]:
-        """The variables the equation of endogenous `name` references once
-        the `known` values are folded in (`fold`), memoised in `memo`."""
-        refs = memo.get(name)
-        if refs is None:
-            folded = fold(self.equations[name].body, known)
-            refs = memo[name] = folded if isinstance(folded, frozenset) else frozenset()
-        return refs
+    def _folded(
+        self, name: str, known: Mapping[str, int], memo: dict[str, tuple[tuple, frozenset[str]]]
+    ) -> tuple[tuple, frozenset[str]]:
+        """The normal form of the equation of endogenous `name` once the
+        `known` values are folded in (`canonical`), and the variables it
+        still references; memoised in `memo`."""
+        entry = memo.get(name)
+        if entry is None:
+            form = canonical(self.equations[name].body, known)
+            entry = memo[name] = (form, _variables(form))
+        return entry
 
     def interchangeable(
         self,
         groups: Iterable[list[str]],
         known: Mapping[str, int],
-        memo: dict[str, frozenset[str]],
+        memo: dict[str, tuple[tuple, frozenset[str]]],
         also: Callable[[str, str], bool] | None = None,
     ) -> list[tuple[str, ...]]:
         """Split each group of endogenous variables into classes of two or
@@ -792,23 +774,24 @@ class CausalModel:
         equations, with the `known` values folded in, onto themselves, and
         passes the test `also`, which must itself be an equivalence.
 
-        Variables are split by equal keys, cheapest first: folded references
-        and folded readers (`memo`, as in `reads`), the normal form of their
-        own folded equation (`canonical`) and their site in each reader's
-        (`_sites`).  With equal references neither reads the other, so the
-        swap maps one's equation onto the other's and, with equal sites, fixes
-        every reader.  The test can miss a symmetry, never invent one.
+        Variables are split by equal keys, cheapest first, all read from the
+        folded equations in `memo` (`_folded`, shared with `reads`): their
+        references, their readers, the normal form of their own equation and
+        their site in each reader's (`_sites`).  With equal references neither
+        reads the other, so the swap maps one's equation onto the other's and,
+        with equal sites, fixes every reader.  The test can miss a symmetry,
+        never invent one.
         """
         sites: dict[str, dict[str, tuple | None]] = {}  # reader -> `_sites` of its form
 
         def refs(v: str) -> frozenset[str]:
-            return self._folded_references(v, known, memo)
+            return self._folded(v, known, memo)[1]
 
         def readers(v: str) -> tuple[str, ...]:
             return tuple(r for r in self._readers[v] if v in refs(r))
 
         def form(v: str) -> tuple:
-            return canonical(self.equations[v].body, known)
+            return self._folded(v, known, memo)[0]
 
         def places(v: str) -> tuple | None:  # None at the first reader without a site
             out = []

@@ -346,6 +346,36 @@ DIAGNOSTIC_TABLE = [
     ("prefix assigning a variable twice", {},
      ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval [X<-0,X<-1] F=1 in ctx()"),
      ("syntax", 1, 12, "prefix assigns 'X' twice")),
+    ("context assigning a variable twice", {},
+     ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval F=1 in ctx(U1=1,U1=0)"),
+     ("syntax", 1, 22, "context assigns 'U1' twice")),
+    ("situation context assigning a variable twice at one value",
+     {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U1=1) prob=1;\n}\n"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("syntax", 2, 45, "context assigns 'U1' twice")),
+    ("blame action assigning a variable twice", {},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1, L<-0 of F=1 over state s"),
+     ("syntax", 1, 20, "action assigns 'L' twice")),
+    ("solve assigning a variable twice", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=1,U=0"),
+     ("syntax", 1, 1, "context assigns 'U' twice")),
+    # A file that cannot be read, or is not UTF-8, is reported at <run>:1:1;
+    # "{dir}" stands for the scratch directory.
+    ("query file that does not exist", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@nope.cq"),
+     ("syntax", 1, 1, "[Errno 2] No such file or directory: '{dir}/nope.cq'")),
+    ("model file not in UTF-8", {"m.cm": b"model m {\n  # caf\xe9\n}\n"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 1, 1, "{dir}/m.cm: not valid UTF-8")),
+    ("state file not in UTF-8", {"s.ce": b"\xff"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("syntax", 1, 1, "{dir}/s.ce: not valid UTF-8")),
+    ("query file not in UTF-8", {"q.cq": b"cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)\n# caf\xe9\n"},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@q.cq"),
+     ("syntax", 1, 1, "{dir}/q.cq: not valid UTF-8")),
+    ("corpus without expected.json", {}, ("corpus", "run", "--dir", "@"),
+     ("syntax", 1, 1, "[Errno 2] No such file or directory: '{dir}/expected.json'")),
+    ("corpus expected.json that is not JSON", {"expected.json": "[{"}, ("corpus", "list", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: Expecting property name enclosed in double quotes: line 1 column 3 (char 2)")),
+    ("corpus expected.json not in UTF-8", {"expected.json": b"[\xff]"}, ("corpus", "run", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: not valid UTF-8")),
     # An equation body deeper than 100 levels is reported where it crosses
     # the bound: at the 100th nested 'max', or at the '+' that makes a flat
     # sum 101 levels deep.
@@ -418,10 +448,15 @@ class TestDiagnosticsTable:
                              ids=[row[0] for row in DIAGNOSTIC_TABLE])
     def test_category_and_position(self, tmp_path, files, argv, expected):
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
         code, [payload] = run_json(*argv)
         [diag] = payload["diagnostics"]
+        category, line, col, message = expected
+        expected = (category, line, col, message.replace("{dir}", str(tmp_path)))
         assert (diag["category"], diag["line"], diag["col"], diag["message"]) == expected
         assert code == (EXIT_CAP if expected[0] == "resource-cap" else EXIT_DIAGNOSTICS)
 
@@ -458,6 +493,18 @@ class TestCorpusCommand:
         code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
         assert code == EXIT_DIAGNOSTICS
         assert "FAIL broken" in text
+
+    def test_corpus_entry_with_a_missing_model_fails(self, tmp_path):
+        (tmp_path / "expected.json").write_text(
+            '[{"id": "lost", "models": ["nope.cm"], "query": "eval F=1 in ctx(U=1)", "expect": {}}]'
+        )
+        code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
+        assert code == EXIT_DIAGNOSTICS
+        missing = tmp_path / "nope.cm"
+        assert text.splitlines() == [
+            f"FAIL lost  [0.0 ms]  (<run>:1:1: syntax: [Errno 2] No such file or directory: '{missing}')",
+            "0/1 corpus expectations hold",
+        ]
 
 
 class TestWorkCounters:

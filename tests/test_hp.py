@@ -39,7 +39,9 @@ from causelab.model import (
     Signature,
     UnknownVariableError,
     Var,
-    fold,
+    _variables,
+    canonical,
+    compile_body,
 )
 from causelab.normality import ExtendedModel
 from randmodels import (
@@ -520,35 +522,42 @@ class TestWeights:
             assert list(search._change_sets(weights, search.others)) == [(m, c) for m, _, c in keyed]
 
 
+def folded(node, known) -> int | bool | frozenset[str]:
+    """The value `node` folds to under `known` (`canonical`), or else the
+    references it keeps."""
+    form = canonical(node, known)
+    return form[1] if form[0] == "#" else _variables(form)
+
+
 class TestContextFold:
     def test_live_rifle_alone_reaches_death(self, corpus):
         model, _ = corpus["models"]["firing_squad"]
         body = model.equations["D"].body
-        assert fold(body, {"UL": 2}) == frozenset({"M2"})
-        assert fold(body, {"UL": 1}) == frozenset({"M1"})
+        assert folded(body, {"UL": 2}) == frozenset({"M2"})
+        assert folded(body, {"UL": 1}) == frozenset({"M1"})
 
     def test_constant_condition_picks_its_branch(self):
         node = If(Cmp("==", Var("U"), Lit(1)), Var("A"), MinMax("max", Var("B"), Lit(0)))
-        assert fold(node, {"U": 1}) == frozenset({"A"})
-        assert fold(node, {"U": 0}) == frozenset({"B"})
+        assert folded(node, {"U": 1}) == frozenset({"A"})
+        assert folded(node, {"U": 0}) == frozenset({"B"})
         live = If(Cmp("==", Var("A"), Var("U")), Lit(0), Var("B"))
-        assert fold(live, {"U": 0}) == frozenset({"A", "B"})
+        assert folded(live, {"U": 0}) == frozenset({"A", "B"})
 
     def test_and_or_absorb(self):
         u_is_1 = Cmp("==", Var("U"), Lit(1))
         a_is_1 = Cmp("==", Var("A"), Lit(1))
-        assert fold(BoolOp("&&", u_is_1, a_is_1), {"U": 0}) is False
-        assert fold(BoolOp("&&", a_is_1, u_is_1), {"U": 0}) is False
-        assert fold(BoolOp("&&", u_is_1, a_is_1), {"U": 1}) == frozenset({"A"})
-        assert fold(BoolOp("||", a_is_1, u_is_1), {"U": 1}) is True
-        assert fold(BoolOp("||", u_is_1, a_is_1), {"U": 0}) == frozenset({"A"})
-        assert fold(Not(BoolOp("||", u_is_1, a_is_1)), {"U": 1}) is False
+        assert folded(BoolOp("&&", u_is_1, a_is_1), {"U": 0}) is False
+        assert folded(BoolOp("&&", a_is_1, u_is_1), {"U": 0}) is False
+        assert folded(BoolOp("&&", u_is_1, a_is_1), {"U": 1}) == frozenset({"A"})
+        assert folded(BoolOp("||", a_is_1, u_is_1), {"U": 1}) is True
+        assert folded(BoolOp("||", u_is_1, a_is_1), {"U": 0}) == frozenset({"A"})
+        assert folded(Not(BoolOp("||", u_is_1, a_is_1)), {"U": 1}) is False
 
     def test_constant_operands_evaluate(self):
-        assert fold(Arith("*", Arith("-", Var("U"), Lit(3)), Lit(2)), {"U": 1}) == -4
-        assert fold(MinMax("min", Var("U"), Lit(0)), {"U": 1}) == 0
-        assert fold(Cmp("<=", Var("U"), Lit(0)), {"U": 1}) is False
-        assert fold(Arith("+", Var("U"), Var("A")), {"U": 1}) == frozenset({"A"})
+        assert folded(Arith("*", Arith("-", Var("U"), Lit(3)), Lit(2)), {"U": 1}) == -4
+        assert folded(MinMax("min", Var("U"), Lit(0)), {"U": 1}) == 0
+        assert folded(Cmp("<=", Var("U"), Lit(0)), {"U": 1}) is False
+        assert folded(Arith("+", Var("U"), Var("A")), {"U": 1}) == frozenset({"A"})
 
     def test_non_cause_is_decided_without_a_search(self, corpus):
         model, _ = corpus["models"]["firing_squad"]
@@ -609,3 +618,46 @@ def run_fold_soundness(n_models: int = 150, seed: int = 61) -> int:
 
 def test_fold_soundness_batch():
     assert run_fold_soundness() >= 250
+
+
+def run_equation_fold_soundness(n_models: int = 150, seed: int = 67) -> tuple[int, int]:
+    """Each equation folded under a context (`canonical`) against its
+    name-keyed body: a constant form is the body's value under every setting
+    of the endogenous variables, and any other form's references are all the
+    body reads, so changing another endogenous variable never changes it.
+    Returns the number of (constant, non-constant) forms checked."""
+    rng = random.Random(seed)
+    counts = [0, 0]
+    for i in range(n_models):
+        kind = i % 3
+        if kind == 0:
+            model = random_model(rng, max_endo=5, max_exo=2, allow_ternary=True, name=f"eqfold{i}")
+        elif kind == 1:
+            model = random_selector_model(rng, name=f"eqfold{i}")
+        else:
+            model = random_dangling_model(rng, name=f"eqfold{i}")
+        ranges = model.signature.ranges
+        u = random_context(rng, model)
+        for v, eq in model.equations.items():
+            result = folded(eq.body, u)
+            live = isinstance(result, frozenset)
+            counts[live] += 1
+            body = compile_body(eq.body)
+            endo = sorted(r for r in eq.references() if r not in u)
+            assert not live or result <= set(endo), (model.name, v, result)
+            for combo in itertools.product(*(ranges[r] for r in endo)):
+                env = {**u, **dict(zip(endo, combo))}
+                value = body(env)
+                if not live:
+                    assert value == result, (model.name, v, env, result)
+                    continue
+                for r in endo:
+                    if r not in result:
+                        for other in ranges[r]:
+                            assert body({**env, r: other}) == value, (model.name, v, env, r, result)
+    return counts[0], counts[1]
+
+
+def test_equation_fold_soundness_batch():
+    constant, live = run_equation_fold_soundness()
+    assert constant >= 200 and live >= 200

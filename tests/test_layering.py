@@ -1,17 +1,26 @@
-"""Module boundaries inside the package.
+"""Module boundaries inside the package, and the names its documents cite.
 
 Each module of causelab uses the others through their public names only,
 so a private helper can change without reaching past its own module.  The
 brute-force oracle is a referee for the tests: nothing in the package
 imports it or exports it, so it can move out of the package unchanged.
+A backticked dotted name in the package's docstrings and comments, or in
+the README from its layout section on, names something that exists.
 """
 
 import ast
+import importlib
+import inspect
+import io
+import re
+import textwrap
+import tokenize
 from pathlib import Path
 
 import causelab
 
 PACKAGE = Path(causelab.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def private_imports(source: str) -> list[str]:
@@ -86,3 +95,90 @@ def test_guard_sees_oracle_imports():
     assert imported_modules("from causelab import oracle\n") == {"oracle"}
     assert imported_modules("from causelab.oracle import x\n") == {"oracle"}
     assert imported_modules("import oracle\nfrom elsewhere import oracle\n") == set()
+
+
+# -- documented names --------------------------------------------------------
+
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+
+
+def documentation(source: str) -> list[str]:
+    """The docstrings and comments of a Python source."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    found = [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        documented = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if documented and (doc := ast.get_docstring(node)):
+            found.append(doc)
+    return found
+
+
+def documented_names() -> set[tuple[str, str]]:
+    """(where, name) for every backticked dotted name in the package's
+    docstrings and comments and in the README from `## Layout` on; earlier
+    README sections record names that were removed."""
+    readme = README.read_text(encoding="utf-8")
+    texts = [("README.md", readme[readme.index("## Layout"):])]
+    for path in sorted(PACKAGE.glob("*.py")):
+        texts += [(path.name, doc) for doc in documentation(path.read_text(encoding="utf-8"))]
+    return {(where, m.group(1)) for where, text in texts for m in DOTTED.finditer(text)}
+
+
+def package_roots() -> dict[str, object]:
+    """The names a dotted reference may start with: causelab, its modules
+    by short name, and the classes they define."""
+    roots: dict[str, object] = {"causelab": causelab}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"causelab.{path.stem}")
+        roots[path.stem] = module
+        roots.update(
+            (name, obj) for name, obj in vars(module).items()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+        )
+    return roots
+
+
+def instance_attributes(cls: type) -> set[str]:
+    """The names a class's methods assign as `self.name`, and its dataclass
+    fields."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    found = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    return found | set(getattr(cls, "__dataclass_fields__", ()))
+
+
+def resolves(dotted: str, roots: dict[str, object]) -> bool | None:
+    """Whether `dotted` names a live attribute; None when it does not start
+    at a name of the package, as a file name does."""
+    head, *rest = dotted.split(".")
+    if head not in roots:
+        return None
+    obj = roots[head]
+    for k, part in enumerate(rest):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            last = k == len(rest) - 1
+            return last and inspect.isclass(obj) and part in instance_attributes(obj)
+    return True
+
+
+def test_documented_names_resolve():
+    roots = package_roots()
+    assert sorted((where, name) for where, name in documented_names() if resolves(name, roots) is False) == []
+
+
+def test_guard_sees_stale_names():
+    roots = package_roots()
+    assert resolves("model.canonical", roots) and resolves("CausalModel.reads", roots)
+    assert resolves("_Search.classes", roots)  # assigned in a method
+    assert resolves("Witness.w_set", roots) and resolves("Witness.world", roots)  # dataclass fields
+    assert resolves("model.fold", roots) is False
+    assert resolves("CausalModel.reads.nope", roots) is False
+    assert resolves("_Search.classes.nope", roots) is False
+    assert resolves("expected.json", roots) is None
+    assert ("README.md", "formula.valid") in documented_names()
+    assert documentation('"""`a.b`"""\nx = "`c.d`"  # `e.f`\n') == ["# `e.f`", "`a.b`"]
