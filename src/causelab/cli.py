@@ -352,17 +352,43 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
     return ok, message, result, wall_ms
 
 
+# The fields of an expected.json entry and their JSON types; the first three
+# are required.
+_ENTRY_FIELDS = {"id": str, "query": str, "expect": dict, "models": list, "states": list, "options": dict}
+
+
+def _is_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and all(name in entry for name in ("id", "query", "expect"))
+        and all(isinstance(entry[name], kind) for name, kind in _ENTRY_FIELDS.items() if name in entry)
+        and all(isinstance(path, str) for name in ("models", "states") for path in entry.get(name, []))
+    )
+
+
 def load_corpus_entries(base=None) -> list[dict]:
+    """The entries of `base/expected.json`; raises ValueError when the file
+    is not JSON or not a list of entries."""
     base = base or corpus_dir()
     with (base / "expected.json").open(encoding="utf-8") as fh:
-        return json.load(fh)
+        entries = json.load(fh)
+    if not isinstance(entries, list):
+        raise ValueError("not a list of entries")
+    for i, entry in enumerate(entries):
+        if not _is_entry(entry):
+            raise ValueError(
+                f"entry {i} is not an object with a string 'id', a string 'query' and an object"
+                " 'expect', and, where given, lists of file names 'models' and 'states' and an"
+                " object 'options'"
+            )
+    return entries
 
 
 def _cmd_corpus(args, out) -> int:
     base = Path(args.dir) if args.dir else corpus_dir()
     try:
         entries = load_corpus_entries(base)
-    except (OSError, ValueError) as exc:  # missing, not UTF-8, or not JSON
+    except (OSError, ValueError) as exc:  # missing, not UTF-8, not JSON, or misshapen
         _emit_diagnostics([_file_diag(base / "expected.json", exc)], False, out)
         return EXIT_DIAGNOSTICS
     if args.action == "list":
@@ -479,14 +505,7 @@ def main(argv=None, out=None) -> int:
     if args.command == "solve":
         try:
             model, _order = loaded.pick_model(options.model_name)
-            assigns: dict[str, int] = {}
-            for part in args.ctx.split(","):
-                name, _, value = part.partition("=")
-                name = name.strip()
-                if name in assigns:
-                    raise RunError([_plain_diag("syntax", f"context assigns {name!r} twice")])
-                assigns[name] = int(value)
-            context = _context(model, assigns.items())
+            context = _context(model, dsl.parse_context(args.ctx))
             start = time.perf_counter()
             world = model.solve(context)
             wall = (time.perf_counter() - start) * 1000.0
@@ -500,9 +519,9 @@ def main(argv=None, out=None) -> int:
             )
             _emit(report, args.pretty, out)
             return EXIT_OK
-        except RunError as exc:
+        except (DslError, RunError) as exc:
             _emit_diagnostics(exc.diagnostics, args.pretty, out)
-            return exc.exit_code
+            return EXIT_DIAGNOSTICS
         except ValueError as exc:
             _emit_diagnostics([_error_diag(exc)], args.pretty, out)
             return EXIT_DIAGNOSTICS

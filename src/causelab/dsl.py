@@ -1,6 +1,6 @@
 """Text formats for models, queries, and epistemic states.
 
-Three file kinds share one lexer:
+Three file kinds, and the context of `solve --ctx`, share one lexer:
 
   .cm  model files        model NAME { exogenous U : {0,1}; endogenous X : {0,1} = U; ... }
   .cq  query files        one query per line (eval / cause / resp / blame / ness)
@@ -9,22 +9,27 @@ Three file kinds share one lexer:
 Model files may declare a normality block of rank entries and world-pattern
 pairs.  A pattern constrains only the variables it mentions; in a pair, any
 variable mentioned on neither side takes equal values in both worlds it
-relates.  Patterns are kept as declared, never expanded into worlds.  The
-order is built over the parsed model's signature and validates itself there,
-so conflicting ranks are reported at the rank declaration that conflicts with
-an earlier one.
+relates.  Patterns are kept as declared, never expanded into worlds.
+
+The parser checks only the grammar.  Every rule about what a model file
+declares (no duplicate, every reference declared, no cycle, total equations,
+pattern entries over endogenous variables and inside their ranges, no world
+ranked twice) is checked by the model layer as it builds the signature, the
+model and the order.  Its error names what it is about, and the parser turns
+it into one diagnostic placed at that token.
 
 The lexer is one compiled regular expression with an alternative per token
 class.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals
 are ASCII digits; a non-ASCII letter or digit is a syntax error at that
 character.  A syntax error ends parsing at once, and a variable assigned
-twice in a context, an intervention prefix or a blame action, or twice with
-different values in a conjunction, is reported at its second assignment.
-Parsers report diagnostics with 1-based line and column positions and one of
-the categories: syntax, unknown variable, range violation, cycle, non-total
-equation.  A query file's diagnostics carry the file's line and column.  `#`
-starts a line comment; whitespace is insignificant, and a tab or a carriage
-return is one column.
+twice in a context, an intervention prefix, a blame action or a normality
+pattern, or twice with different values in a conjunction, is reported at its
+second assignment.  So every document reports one diagnostic, for its first
+fault, with a 1-based line and column and the category its error carries:
+syntax, unknown variable, range violation, cycle, non-total equation, or
+semantic for conflicting ranks.  A query file's diagnostics carry the file's
+line and column.  `#` starts a line comment; whitespace is insignificant, and
+a tab or a carriage return is one column.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .model import (
     CausalModel,
     Cmp,
     Cond,
+    DuplicateVariableError,
     Equation,
     Expr,
     If,
@@ -61,7 +67,9 @@ from .model import (
     ModelError,
     BoolOp,
     Not,
+    RangeViolationError,
     Signature,
+    UnknownVariableError,
     Var,
 )
 from .normality import NormalityOrder, RankConflictError
@@ -71,8 +79,9 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class Diagnostic:
-    # syntax | unknown variable | range violation | cycle | non-total equation from
-    # the parsers; the CLI adds semantic and resource-cap for query-time errors
+    # syntax | unknown variable | range violation | cycle | non-total equation, or
+    # semantic for conflicting ranks, from the parsers; the CLI adds semantic and
+    # resource-cap for query-time errors
     category: str
     message: str
     line: int
@@ -112,6 +121,10 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
+
+
+# Assignments as written: each variable's name and value tokens, in order.
+_Assigns = dict[str, tuple[Token, Token]]
 
 
 def _lex(text: str, origin: str) -> list[Token]:
@@ -225,7 +238,7 @@ class _ExprParser:
 
     def __init__(self, parser: _Parser):
         self.p = parser
-        self.refs: list[tuple[str, Token]] = []
+        self.refs: list[Token] = []
         self.depths: dict[int, int] = {}  # id of an inner node -> its depth
         self.nesting = 0  # enclosing nodes of the one being parsed
 
@@ -286,7 +299,7 @@ class _ExprParser:
             return self.node(tok, If(cond, then, other), cond, then, other)
         if tok.kind == "ident":
             self.p.advance()
-            self.refs.append((tok.text, tok))
+            self.refs.append(tok)
             return Var(tok.text)
         self.p.fail(tok, f"expected an expression, found {tok.text or 'end of input'!r}")
 
@@ -336,20 +349,14 @@ class _ExprParser:
 
 
 @dataclass
-class _RawPattern:
-    entries: list[tuple[str, int, Token, Token]]  # name, value, name tok, value tok
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: value for name, value, _, _ in self.entries}
-
-
-@dataclass
 class _RawModel:
     name: str
-    exo: list[tuple[str, tuple[int, ...], Token]] = field(default_factory=list)
-    endo: list[tuple[str, tuple[int, ...], Token, Expr, list[tuple[str, Token]]]] = field(default_factory=list)
-    pair_decls: list[tuple[_RawPattern, _RawPattern]] = field(default_factory=list)
-    rank_decls: list[tuple[_RawPattern, int, Token]] = field(default_factory=list)
+    exo: list[tuple[Token, tuple[int, ...]]] = field(default_factory=list)
+    endo: list[tuple[Token, tuple[int, ...], Expr, list[Token]]] = field(default_factory=list)
+    # Shaped like `NormalityOrder.pairs` and `NormalityOrder.ranks`, so that
+    # `ModelError.pattern` is a path into them too.
+    pairs: list[tuple[_Assigns, _Assigns]] = field(default_factory=list)
+    ranks: list[tuple[_Assigns, int, Token]] = field(default_factory=list)
 
 
 def _parse_range(p: _Parser) -> tuple[int, ...]:
@@ -359,18 +366,11 @@ def _parse_range(p: _Parser) -> tuple[int, ...]:
     return tuple(sorted(set(values)))
 
 
-def _parse_pattern_entry(p: _Parser) -> tuple[str, int, Token, Token]:
-    name_tok = p.expect_ident("a variable name")
-    p.expect_punct("=")
-    value, value_tok = p.expect_int()
-    return name_tok.text, value, name_tok, value_tok
-
-
-def _parse_world_pattern(p: _Parser) -> _RawPattern:
+def _parse_world_pattern(p: _Parser) -> _Assigns:
     p.expect_punct("[")
-    entries = p.sep_by(lambda: _parse_pattern_entry(p))
+    entries = _parse_assigns(p, "=", "pattern")
     p.expect_punct("]")
-    return _RawPattern(entries)
+    return entries
 
 
 def _parse_raw_model(p: _Parser) -> _RawModel:
@@ -386,7 +386,7 @@ def _parse_raw_model(p: _Parser) -> _RawModel:
             p.expect_punct(":")
             values = _parse_range(p)
             p.expect_punct(";")
-            raw.exo.append((name_tok.text, values, name_tok))
+            raw.exo.append((name_tok, values))
         elif p.at_keyword("endogenous"):
             p.advance()
             name_tok = p.expect_ident("a variable name")
@@ -396,7 +396,7 @@ def _parse_raw_model(p: _Parser) -> _RawModel:
             ep = _ExprParser(p)
             body = ep.parse_expr()
             p.expect_punct(";")
-            raw.endo.append((name_tok.text, values, name_tok, body, ep.refs))
+            raw.endo.append((name_tok, values, body, ep.refs))
         elif p.at_keyword("normality"):
             p.advance()
             p.expect_punct("{")
@@ -407,13 +407,13 @@ def _parse_raw_model(p: _Parser) -> _RawModel:
                     p.expect_punct("=")
                     rank, _ = p.expect_int()
                     p.expect_punct(";")
-                    raw.rank_decls.append((patt, rank, rank_tok))
+                    raw.ranks.append((patt, rank, rank_tok))
                 elif p.at_punct("["):
                     left = _parse_world_pattern(p)
                     p.expect_punct(">=")
                     right = _parse_world_pattern(p)
                     p.expect_punct(";")
-                    raw.pair_decls.append((left, right))
+                    raw.pairs.append((left, right))
                 else:
                     p.fail(p.peek(), "expected a rank or pair declaration")
             p.expect_punct("}")
@@ -423,103 +423,50 @@ def _parse_raw_model(p: _Parser) -> _RawModel:
     return raw
 
 
-def _validate_pattern(
-    patt: _RawPattern, sig: Signature, origin: str, diags: list[Diagnostic]
-) -> bool:
-    ok = True
-    for name, value, name_tok, value_tok in patt.entries:
-        if not sig.is_endogenous(name):
-            diags.append(
-                Diagnostic(
-                    "unknown variable",
-                    f"pattern variable {name!r} is not a declared endogenous variable",
-                    name_tok.line,
-                    name_tok.col,
-                    origin,
-                )
-            )
-            ok = False
-        elif value not in sig.ranges[name]:
-            diags.append(
-                Diagnostic(
-                    "range violation",
-                    f"value {value} is outside the range of {name!r}",
-                    value_tok.line,
-                    value_tok.col,
-                    origin,
-                )
-            )
-            ok = False
-    return ok
+def _error_token(raw: _RawModel, exc: ModelError) -> Token:
+    """The token a model-layer error is about, found from its typed fields."""
+    if isinstance(exc, RankConflictError):
+        return raw.ranks[exc.index][2]
+    if exc.pattern is not None:
+        kind, i, side = exc.pattern
+        name_tok, value_tok = getattr(raw, kind)[i][side][exc.variable]
+        return value_tok if isinstance(exc, RangeViolationError) else name_tok
+    if isinstance(exc, DuplicateVariableError):  # its second declaration
+        return [tok for tok, *_ in raw.exo + raw.endo if tok.text == exc.variable][1]
+    if isinstance(exc, UnknownVariableError):  # its first reference
+        return next(tok for *_, refs in raw.endo for tok in refs if tok.text == exc.variable)
+    return next(tok for tok, *_ in raw.endo if tok.text == exc.variable)  # the equation's target
 
 
 def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, NormalityOrder | None]:
-    """Parse a .cm document; raises DslError on any diagnostic."""
+    """Parse a .cm document; raises DslError with one diagnostic, for its
+    first fault.
+
+    After a syntax error, the first fault is the one the model layer finds
+    first while it builds the signature, the model and the order: a
+    duplicate variable, an undeclared reference, a self-reference or cycle,
+    a non-total equation, a bad pattern entry, a rank conflict.  The error
+    names what it is about, and the diagnostic is placed at that token.
+    """
     p = _Parser(text, origin)
-    diags: list[Diagnostic] = []
     raw = _parse_raw_model(p)
     if not p.at_end():
         p.fail(p.peek(), "trailing input after the model block")
-
-    names: dict[str, Token] = {}
-    for name, _, tok in raw.exo:
-        if name in names:
-            diags.append(Diagnostic("syntax", f"duplicate variable {name!r}", tok.line, tok.col, origin))
-        names[name] = tok
-    for name, _, tok, _, _ in raw.endo:
-        if name in names:
-            diags.append(Diagnostic("syntax", f"duplicate variable {name!r}", tok.line, tok.col, origin))
-        names[name] = tok
-    if diags:
-        raise DslError(diags)
-
-    signature = Signature(
-        exogenous=tuple((name, values) for name, values, _ in raw.exo),
-        endogenous=tuple((name, values) for name, values, _, _, _ in raw.endo),
-    )
-    known = set(signature.ranges)
-    for name, _, _, _, refs in raw.endo:
-        for ref, tok in refs:
-            if ref not in known:
-                diags.append(
-                    Diagnostic(
-                        "unknown variable",
-                        f"equation for {name!r} references undeclared variable {ref!r}",
-                        tok.line,
-                        tok.col,
-                        origin,
-                    )
-                )
-    if diags:
-        raise DslError(diags)
-
-    equations = [Equation(name, body) for name, _, _, body, _ in raw.endo]
-    target_tok = {name: tok for name, _, tok, _, _ in raw.endo}
     try:
-        model = CausalModel(signature, equations, name=raw.name)
+        signature = Signature(
+            exogenous=tuple((tok.text, values) for tok, values in raw.exo),
+            endogenous=tuple((tok.text, values) for tok, values, _, _ in raw.endo),
+        )
+        model = CausalModel(signature, [Equation(tok.text, body) for tok, _, body, _ in raw.endo], name=raw.name)
+        if not raw.pairs and not raw.ranks:
+            return model, None
+        return model, NormalityOrder(
+            signature,
+            tuple((Assignment(_values(left)), Assignment(_values(right))) for left, right in raw.pairs),
+            tuple((Assignment(_values(patt)), rank) for patt, rank, _ in raw.ranks),
+        )
     except ModelError as exc:
-        tok = target_tok.get(exc.variable, p.tokens[0])
-        raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
-
-    if not raw.pair_decls and not raw.rank_decls:
-        return model, None
-
-    pairs = []
-    ranks = []
-    for left, right in raw.pair_decls:
-        if _validate_pattern(left, signature, origin, diags) and _validate_pattern(
-            right, signature, origin, diags
-        ):
-            pairs.append((Assignment(left.as_dict()), Assignment(right.as_dict())))
-    for patt, rank, _tok in raw.rank_decls:
-        if _validate_pattern(patt, signature, origin, diags):
-            ranks.append((Assignment(patt.as_dict()), rank))
-    if diags:
-        raise DslError(diags)
-    try:
-        return model, NormalityOrder(signature, tuple(pairs), tuple(ranks))
-    except RankConflictError as exc:
-        tok = raw.rank_decls[exc.index][2]
+        tok = _error_token(raw, exc)
         raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
 
 
@@ -604,32 +551,47 @@ def _parse_event_formula(p: _Parser) -> EventFormula:
     return parse_or()
 
 
-def _parse_assign(p: _Parser, sep: str) -> tuple[Token, int]:
+def _parse_assign(p: _Parser, sep: str) -> tuple[Token, Token]:
     name_tok = p.expect_ident("a variable name")
     p.expect_punct(sep)
-    return name_tok, p.expect_int()[0]
+    return name_tok, p.expect_int()[1]
 
 
-def _parse_assigns(p: _Parser, sep: str, what: str) -> dict[str, int]:
-    """Comma-separated assignments, in order; a repeated variable is reported
-    there as `what` assigning it twice."""
-    assigns: dict[str, int] = {}
-    for tok, value in p.sep_by(lambda: _parse_assign(p, sep)):
-        if tok.text in assigns:
-            p.fail(tok, f"{what} assigns {tok.text!r} twice")
-        assigns[tok.text] = value
+def _parse_assigns(p: _Parser, sep: str, what: str) -> _Assigns:
+    """Comma-separated assignments, in order, as name and value tokens; a
+    repeated variable is reported there as `what` assigning it twice."""
+    assigns: _Assigns = {}
+    for name_tok, value_tok in p.sep_by(lambda: _parse_assign(p, sep)):
+        if name_tok.text in assigns:
+            p.fail(name_tok, f"{what} assigns {name_tok.text!r} twice")
+        assigns[name_tok.text] = (name_tok, value_tok)
     return assigns
+
+
+def _values(assigns: _Assigns) -> dict[str, int]:
+    return {name: int(value_tok.text) for name, (_, value_tok) in assigns.items()}
+
+
+def _parse_context_items(p: _Parser) -> tuple[tuple[str, int], ...]:
+    return tuple(_values(_parse_assigns(p, "=", "context")).items())
 
 
 def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
     p.expect_keyword("ctx")
     p.expect_punct("(")
-    if p.at_punct(")"):
-        p.advance()
-        return ()
-    assigns = _parse_assigns(p, "=", "context")
+    assigns = () if p.at_punct(")") else _parse_context_items(p)
     p.expect_punct(")")
-    return tuple(assigns.items())
+    return assigns
+
+
+def parse_context(text: str, origin: str = "<context>") -> tuple[tuple[str, int], ...]:
+    """Parse what `ctx(...)` holds, as `solve --ctx` takes it: assignments
+    such as `U1=1,U2=0`, or nothing.  Raises DslError on failure."""
+    p = _Parser(text, origin)
+    assigns = () if p.at_end() else _parse_context_items(p)
+    if not p.at_end():
+        p.fail(p.peek(), "trailing input after the context")
+    return assigns
 
 
 def _parse_conj(p: _Parser) -> tuple[tuple[str, int], ...]:
@@ -645,7 +607,7 @@ def _parse_causal_formula(p: _Parser) -> CausalFormula:
     prefix: dict[str, int] = {}
     if p.at_punct("["):
         p.advance()
-        prefix = _parse_assigns(p, "<-", "prefix")
+        prefix = _values(_parse_assigns(p, "<-", "prefix"))
         p.expect_punct("]")
     matrix = _parse_event_formula(p)
     return CausalFormula(Intervention(prefix), matrix)
@@ -672,7 +634,7 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
     elif p.at_keyword("blame"):
         p.advance()
         p.expect_keyword("action")
-        action = tuple(_parse_assigns(p, "<-", "action").items())
+        action = tuple(_values(_parse_assigns(p, "<-", "action")).items())
         p.expect_keyword("of")
         outcome = _parse_event_formula(p)
         p.expect_keyword("over")

@@ -25,12 +25,26 @@ from operator import itemgetter
 class ModelError(ValueError):
     """Raised when a model, context, or intervention is ill-formed.
 
-    `category` is the diagnostic category the error is reported under;
-    `variable` names the equation target it is about, where there is one.
+    `category` is the diagnostic category the error is reported under.
+    `variable` names the variable it is about, where there is one: an
+    equation's target, a variable declared twice, an undeclared variable an
+    equation reads, or a normality pattern's variable.  `pattern` locates
+    that pattern by its path among a `NormalityOrder`'s fields:
+    `("pairs", i, side)` or `("ranks", i, 0)`.
     """
 
     category = "semantic"
-    variable: str | None = None
+
+    def __init__(self, message: str, variable: str | None = None, pattern: tuple[str, int, int] | None = None):
+        super().__init__(message)
+        self.variable = variable
+        self.pattern = pattern
+
+
+class DuplicateVariableError(ModelError):
+    """A variable declared twice; reported where it is declared again."""
+
+    category = "syntax"
 
 
 class UnknownVariableError(ModelError):
@@ -51,19 +65,14 @@ class CycleError(ModelError):
     category = "cycle"
 
     def __init__(self, message: str, cycle: tuple[str, ...] = ()):
-        super().__init__(message)
+        super().__init__(message, cycle[0] if cycle else None)
         self.cycle = cycle
-        self.variable = cycle[0] if cycle else None
 
 
 class TotalityError(ModelError):
     """An equation body can evaluate outside its target's range."""
 
     category = "non-total equation"
-
-    def __init__(self, message: str, variable: str):
-        super().__init__(message)
-        self.variable = variable
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +190,17 @@ class Not(Cond):
 
     def references(self) -> frozenset[str]:
         return self.inner.references()
+
+
+def _names_in_order(node: Expr | Cond) -> Iterator[str]:
+    """The variables a body reads, repeats included, in the order the
+    surface syntax writes them: each node declares its operands in that
+    order."""
+    if isinstance(node, Var):
+        yield node.name
+    for child in vars(node).values():
+        if isinstance(child, (Expr, Cond)):
+            yield from _names_in_order(child)
 
 
 _BINARY = {
@@ -463,7 +483,7 @@ class Signature:
         seen: set[str] = set()
         for name, values in self.exogenous + self.endogenous:
             if name in seen:
-                raise ModelError(f"duplicate variable name {name!r}")
+                raise DuplicateVariableError(f"duplicate variable {name!r}", name)
             seen.add(name)
             if not values:
                 raise RangeViolationError(f"variable {name!r} has an empty range")
@@ -609,15 +629,19 @@ class CausalModel:
     # -- validation --------------------------------------------------------
 
     def _check_references(self) -> None:
-        known = set(self.signature.ranges)
-        for eq in self.equations.values():
-            for ref in eq.references():
-                if ref not in known:
-                    raise UnknownVariableError(
-                        f"equation for {eq.target!r} references unknown variable {ref!r}"
-                    )
-                if ref == eq.target:
-                    raise CycleError(f"equation for {eq.target!r} references itself", (ref, ref))
+        # Every undeclared reference comes before any self-reference; within
+        # a body, the first one written is reported.
+        refs = [(eq, eq.references()) for eq in self.equations.values()]
+        for eq, names in refs:
+            undeclared = names.difference(self.signature.ranges)
+            if undeclared:
+                ref = next(name for name in _names_in_order(eq.body) if name in undeclared)
+                raise UnknownVariableError(
+                    f"equation for {eq.target!r} references undeclared variable {ref!r}", ref
+                )
+        for eq, names in refs:
+            if eq.target in names:
+                raise CycleError(f"equation for {eq.target!r} references itself", (eq.target, eq.target))
 
     def _toposort(self) -> tuple[tuple[str, ...], dict[str, list[str]]]:
         """Topological order of endogenous variables, declaration order as

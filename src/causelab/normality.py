@@ -29,7 +29,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .model import Assignment, CausalModel, ModelError, Signature, World
+from .model import Assignment, CausalModel, ModelError, RangeViolationError, Signature, UnknownVariableError, World
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,11 @@ class NormalityOrder:
 
     def __post_init__(self) -> None:
         sig = self.signature
-        for left, right in self.pairs:
-            _check_pattern(sig, left)
-            _check_pattern(sig, right)
-        for pattern, _ in self.ranks:
-            _check_pattern(sig, pattern)
+        for i, (left, right) in enumerate(self.pairs):
+            _check_pattern(sig, left, ("pairs", i, 0))
+            _check_pattern(sig, right, ("pairs", i, 1))
+        for i, (pattern, _) in enumerate(self.ranks):
+            _check_pattern(sig, pattern, ("ranks", i, 0))
         for (_, (p, rp)), (j, (q, rq)) in itertools.combinations(enumerate(self.ranks), 2):
             if rp != rq and _consistent(p, q):
                 merged = {**p, **q}
@@ -129,12 +129,18 @@ class RankConflictError(ModelError):
         self.index = index
 
 
-def _check_pattern(sig: Signature, pattern: Assignment) -> None:
+def _check_pattern(sig: Signature, pattern: Assignment, where: tuple[str, int, int]) -> None:
+    """Check the entries of the pattern at `where` in the order they were given."""
     if isinstance(pattern, World):
         sig.check_world(pattern)
         return
-    for name, value in pattern.items_sorted():
-        sig.check_endogenous("pattern variable", name, value)
+    for name, value in pattern.as_dict().items():
+        if not sig.is_endogenous(name):
+            raise UnknownVariableError(
+                f"pattern variable {name!r} is not a declared endogenous variable", name, where
+            )
+        if value not in sig.ranges[name]:
+            raise RangeViolationError(f"value {value} is outside the range of {name!r}", name, where)
 
 
 class ExtendedModel:

@@ -75,6 +75,15 @@ class TestQueries:
         )
         assert code == EXIT_OK and report["result"]["world"] == {"F": 0, "L": 1, "ML": 0}
 
+    def test_solve_with_an_empty_context(self, tmp_path):
+        # `--ctx ''` is `ctx()`: a model without exogenous variables solves,
+        # as `eval ... in ctx()` answers on it.
+        (tmp_path / "m.cm").write_text("model m {\n  endogenous X : {0,1,2} = 2;\n}\n")
+        code, [report] = run_json("solve", "-m", str(tmp_path / "m.cm"), "--ctx", "")
+        assert code == EXIT_OK and report["result"]["world"] == {"X": 2}
+        code, [report] = run_json("eval", "-m", str(tmp_path / "m.cm"), "-q", "eval X=2 in ctx()")
+        assert code == EXIT_OK and report["result"]["holds"] is True
+
     def test_query_file_answers_in_order(self, tmp_path):
         qfile = tmp_path / "queries.cq"
         qfile.write_text(
@@ -296,6 +305,12 @@ _TWO_SITUATIONS = (
 )
 
 
+_ENTRY_SHAPE = (
+    "is not an object with a string 'id', a string 'query' and an object 'expect', and, where given,"
+    " lists of file names 'models' and 'states' and an object 'options'"
+)
+
+
 def _nested_max(depth: int) -> str:
     body = "U"
     for _ in range(depth):
@@ -356,8 +371,16 @@ DIAGNOSTIC_TABLE = [
     ("blame action assigning a variable twice", {},
      ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1, L<-0 of F=1 over state s"),
      ("syntax", 1, 20, "action assigns 'L' twice")),
+    # `solve --ctx` is parsed as the inside of `ctx(...)`.
     ("solve assigning a variable twice", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=1,U=0"),
-     ("syntax", 1, 1, "context assigns 'U' twice")),
+     ("syntax", 1, 5, "context assigns 'U' twice")),
+    ("solve with a non-integer context value", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=x"),
+     ("syntax", 1, 3, "expected an integer, found 'x'")),
+    ("solve with a context variable and no value", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U"),
+     ("syntax", 1, 2, "expected '=', found 'end of input'")),
+    ("pattern assigning a variable twice", {"m.cm": _ORDERED % "[X=1, Y=0, X=0] >= [X=0];"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 6, 16, "pattern assigns 'X' twice")),
     # A file that cannot be read, or is not UTF-8, is reported at <run>:1:1;
     # "{dir}" stands for the scratch directory.
     ("query file that does not exist", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@nope.cq"),
@@ -376,6 +399,19 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 1, 1, "{dir}/expected.json: Expecting property name enclosed in double quotes: line 1 column 3 (char 2)")),
     ("corpus expected.json not in UTF-8", {"expected.json": b"[\xff]"}, ("corpus", "run", "--dir", "@"),
      ("syntax", 1, 1, "{dir}/expected.json: not valid UTF-8")),
+    ("corpus entry without a query", {"expected.json": '[{"id": "x"}]'}, ("corpus", "run", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: entry 0 " + _ENTRY_SHAPE)),
+    ("corpus expected.json that is not a list", {"expected.json": '{"a": 1}'}, ("corpus", "list", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: not a list of entries")),
+    ("corpus expected.json that is not a list, run", {"expected.json": '{"a": 1}'}, ("corpus", "run", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: not a list of entries")),
+    ("corpus entry with a numeric id", {"expected.json": '[{"id": 1, "query": "eval F=1 in ctx()", "expect": {}}]'},
+     ("corpus", "list", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: entry 0 " + _ENTRY_SHAPE)),
+    ("corpus entry whose models are not a list",
+     {"expected.json": '[{"id": "x", "query": "eval F=1 in ctx()", "expect": {}, "models": "m.cm"}]'},
+     ("corpus", "run", "--dir", "@"),
+     ("syntax", 1, 1, "{dir}/expected.json: entry 0 " + _ENTRY_SHAPE)),
     # An equation body deeper than 100 levels is reported where it crosses
     # the bound: at the 100th nested 'max', or at the '+' that makes a flat
     # sum 101 levels deep.
@@ -436,8 +472,6 @@ DIAGNOSTIC_TABLE = [
      {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/2;\n}\n"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
      ("semantic", 1, 1, "probabilities must sum exactly to 1")),
-    ("solve with a non-integer context value", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=x"),
-     ("semantic", 1, 1, "invalid literal for int() with base 10: 'x'")),
     ("variable cap", {}, ("cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-q", f"cause V1=0 of W=0 in {_V11_CTX}"),
      ("resource-cap", 1, 1, "model has 12 endogenous variables, above the variable cap of 5; raise --max-vars")),
 ]

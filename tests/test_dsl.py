@@ -1,5 +1,10 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +20,7 @@ from causelab.dsl import (
     NessQuery,
     RespQuery,
     _lex,
+    _render_expr,
     parse_model,
     parse_query,
     parse_states,
@@ -23,7 +29,9 @@ from causelab.dsl import (
     print_states,
 )
 from causelab.formula import AndF, Atom, NotF, OrF
-from randmodels import random_model
+from causelab.model import Assignment, CausalModel, Cond, Equation, Expr, Lit, ModelError, Signature, Var
+from causelab.normality import NormalityOrder
+from randmodels import random_doctors_model, random_model, random_pattern_order
 
 GOOD_MODEL = """
 model demo {
@@ -163,6 +171,211 @@ class TestModelDiagnostics:
                 lines = text.splitlines()
                 assert 1 <= diag.line <= len(lines)
                 assert 1 <= diag.col <= max(len(lines[diag.line - 1]), 1) + 1
+
+
+# -- fault placement ---------------------------------------------------------
+# A model is taken apart into plain declarations, one fault is injected, and
+# the text rendered from them must get exactly one diagnostic: the error the
+# model layer raises for the same declarations, placed on the token its
+# message names.
+
+
+def _declarations(model, order):
+    sig = model.signature
+    endo = [(name, values, model.equations[name].body) for name, values in sig.endogenous]
+    return list(sig.exogenous), endo, list(order.pairs if order else ()), list(order.ranks if order else ())
+
+
+def _render(exo, endo, pairs, ranks) -> str:
+    """Model text for declarations that need not be valid; pattern entries
+    in the order they were given."""
+
+    def values(vs):
+        return "{" + ",".join(map(str, vs)) + "}"
+
+    def world(pattern):
+        return "[" + ", ".join(f"{k}={v}" for k, v in pattern.as_dict().items()) + "]"
+
+    lines = ["model m {"]
+    lines += [f"  exogenous {name} : {values(vs)};" for name, vs in exo]
+    lines += [f"  endogenous {name} : {values(vs)} = {_render_expr(body)};" for name, vs, body in endo]
+    if pairs or ranks:
+        lines.append("  normality {")
+        lines += [f"    rank {world(p)} = {r};" for p, r in ranks]
+        lines += [f"    {world(left)} >= {world(right)};" for left, right in pairs]
+        lines.append("  }")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _model_layer_error(exo, endo, pairs, ranks) -> tuple[str, str]:
+    """(category, message) of the error building the declarations directly raises."""
+    try:
+        sig = Signature(tuple(exo), tuple((name, vs) for name, vs, _ in endo))
+        CausalModel(sig, [Equation(name, body) for name, _, body in endo])
+        NormalityOrder(sig, tuple(pairs), tuple(ranks))
+    except ModelError as exc:
+        return exc.category, str(exc)
+    raise AssertionError("the declarations hold no fault")
+
+
+def _rename(node, old: str, new: str):
+    """`node` with every reference to `old` renamed to `new`."""
+    if isinstance(node, Var):
+        return Var(new) if node.name == old else node
+    children = {f.name: getattr(node, f.name) for f in fields(node)}
+    return replace(node, **{k: _rename(v, old, new) for k, v in children.items() if isinstance(v, (Expr, Cond))})
+
+
+def _inject(rng: random.Random, kind: str, exo, endo, pairs, ranks) -> tuple[str, str, int]:
+    """Inject one fault of `kind` in place; returns how to find the token it
+    is placed on: ("declaration", name, n) for the n-th declaration of
+    `name`, or ("first", text, 0) for the first token with that text."""
+    if kind == "duplicate":
+        name, _ = rng.choice(exo + [(n, vs) for n, vs, _ in endo])
+        after = next((i + 1 for i, (n, _, _) in enumerate(endo) if n == name), 0)
+        endo.insert(rng.randint(after, len(endo)), (name, (0, 1), Lit(0)))
+        return "declaration", name, 1
+    if kind in ("undeclared", "self-reference"):
+        i = rng.randrange(len(endo))
+        target, vs, body = endo[i]
+        new = "ZZ" if kind == "undeclared" else target
+        refs = sorted(body.references())
+        # A body that reads nothing becomes the reference.
+        endo[i] = (target, vs, _rename(body, rng.choice(refs), new) if refs else Var(new))
+        return ("first", new, 0) if kind == "undeclared" else ("declaration", target, 0)
+    name, vs, _ = rng.choice(endo)
+    bad = ("QQ", 1) if kind == "pattern variable" else (name, 97)
+    entries = [(n, rng.choice(v)) for n, v, _ in rng.sample(endo, rng.randint(0, len(endo)))]
+    entries = [e for e in entries if e[0] != bad[0]]
+    entries.insert(rng.randint(0, len(entries)), bad)
+    pattern = Assignment(entries)
+    where = rng.choice(["left", "right", "rank"])
+    if where == "rank":
+        ranks.insert(rng.randint(0, len(ranks)), (pattern, 0))
+    else:
+        other = Assignment({name: vs[0]})
+        pairs.insert(rng.randint(0, len(pairs)), (pattern, other) if where == "left" else (other, pattern))
+    return "first", str(bad[0] if kind == "pattern variable" else bad[1]), 0
+
+
+_FAULT_KINDS = ("duplicate", "undeclared", "self-reference", "pattern variable", "pattern value")
+
+
+def _fault_models(corpus):
+    rng = random.Random(1709)
+    models = list(corpus["models"].values())
+    for i in range(15):
+        model = random_model(rng, allow_ternary=True, name=f"r{i}")
+        models.append((model, random_pattern_order(rng, model)))
+    models += [random_doctors_model(rng, name=f"d{i}") for i in range(5)]
+    return models
+
+
+class TestFaultPlacement:
+    @pytest.mark.parametrize("kind", _FAULT_KINDS)
+    def test_one_fault_is_placed_on_the_token_it_names(self, corpus, kind):
+        rng = random.Random(kind)
+        for model, order in _fault_models(corpus):
+            decls = _declarations(model, order)
+            assert not {"ZZ", "QQ"} & set(model.signature.ranges)
+            how, text, n = _inject(rng, kind, *decls)
+            source = _render(*decls)
+            with pytest.raises(DslError) as exc_info:
+                parse_model(source)
+            [diag] = exc_info.value.diagnostics
+            assert (diag.category, diag.message) == _model_layer_error(*decls)
+            tokens = _lex(source, "<model>")
+            if how == "declaration":
+                declared = [b for a, b in zip(tokens, tokens[1:]) if a.text in ("exogenous", "endogenous")]
+                expected = [tok for tok in declared if tok.text == text][n]
+            else:
+                expected = next(tok for tok in tokens if tok.text == text)
+            assert (diag.line, diag.col) == (expected.line, expected.col), source
+            assert f"'{text}'" in diag.message or diag.message.startswith(f"value {text} ")
+
+    def test_several_faults_report_the_first_kind(self):
+        # Fixing the reported fault each time walks through the kinds in
+        # their order, whatever the order of the text.
+        texts = [_MULTI_FAULT.format(**{**_FIXED, **dict(_FAULTS[k:])}) for k in range(len(_FAULTS))]
+        reported = []
+        for text in texts:
+            with pytest.raises(DslError) as exc_info:
+                parse_model(text)
+            reported.append([diag.message for diag in exc_info.value.diagnostics])
+        assert reported == [[message] for message in _FAULT_MESSAGES]
+
+    def test_the_reported_fault_does_not_depend_on_the_hash_seed(self):
+        # The undeclared names of `Y` are a set in the model layer; the first
+        # one written is reported under every hash seed.
+        script = (
+            "import json, sys\n"
+            "from causelab.dsl import DslError, parse_model\n"
+            "out = []\n"
+            "for text in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        parse_model(text)\n"
+            "    except DslError as exc:\n"
+            "        out.append([str(d) for d in exc.diagnostics])\n"
+            "print(json.dumps(out))\n"
+        )
+        texts = [_MULTI_FAULT.format(**{**_FIXED, **dict(_FAULTS[k:])}) for k in (0, 1)]
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = {"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed}
+            if "PYTHONPATH" in os.environ:  # the package may be importable only from src/
+                env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=json.dumps(texts), capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == [
+            ["<model>:9:14: syntax: duplicate variable 'U'"],
+            ["<model>:4:26: unknown variable: equation for 'Y' references undeclared variable 'Z'"],
+        ]
+
+
+# One model holding a fault of every kind the model layer checks, each in a
+# slot that `_FIXED` fills harmlessly; `_FAULTS` lists them in the order they
+# are reported, which is not the order of the text.
+_MULTI_FAULT = """model m {{
+  exogenous U : {{0,1}};
+  endogenous X : {{0,1}} = {self_reference};
+  endogenous Y : {{0,1}} = {undeclared};
+  endogenous A : {{0,1}} = {cycle};
+  endogenous B : {{0,1}} = A;
+  endogenous T : {{0,1}} = {non_total};
+  endogenous R : {{0,1}} = 0;
+  endogenous {duplicate} : {{0,1}} = 0;
+  normality {{
+    [{pattern}] >= [X=0];
+    rank [R=1] = 0;
+    rank [R=1] = {rank};
+  }}
+}}
+"""
+_FIXED = dict(
+    self_reference="U", undeclared="U", cycle="U", non_total="U", duplicate="V", pattern="X=1", rank="0"
+)
+_FAULTS = [
+    ("duplicate", "U"),
+    ("undeclared", "Z * W + Q + S + Z"),
+    ("self_reference", "X"),
+    ("cycle", "B"),
+    ("non_total", "U + 1"),
+    ("pattern", "X=7, QQ=1"),
+    ("rank", "1"),
+]
+_FAULT_MESSAGES = [
+    "duplicate variable 'U'",
+    "equation for 'Y' references undeclared variable 'Z'",
+    "equation for 'X' references itself",
+    "cyclic equations: A -> B -> A",
+    "equation for 'T' yields 2 outside its range at U=1",
+    "value 7 is outside the range of 'X'",
+    "world ranked twice with different ranks: Assignment(R=1)",
+]
 
 
 class TestRoundTrip:

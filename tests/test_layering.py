@@ -182,3 +182,43 @@ def test_guard_sees_stale_names():
     assert resolves("expected.json", roots) is None
     assert ("README.md", "formula.valid") in documented_names()
     assert documentation('"""`a.b`"""\nx = "`c.d`"  # `e.f`\n') == ["# `e.f`", "`a.b`"]
+
+
+# -- one wording per model-file rule ------------------------------------------
+# The model layer checks these rules and the parser only places its errors,
+# so each message is written in exactly one module.
+
+RULE_MESSAGES = {
+    "duplicate variable ": "model.py",
+    " references undeclared variable ": "model.py",
+    " is not a declared endogenous variable": "normality.py",
+    " is outside the range of ": "normality.py",
+}
+
+
+def message_literals(source: str) -> list[str]:
+    """The string constants of a source, f-string pieces included, but not
+    its docstrings."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    return [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_each_rule_message_is_written_once():
+    literals = {path.name: message_literals(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    homes = {
+        text: [name for name, found in literals.items() if any(text in literal for literal in found)]
+        for text in RULE_MESSAGES
+    }
+    assert homes == {text: [home] for text, home in RULE_MESSAGES.items()}
+
+
+def test_guard_sees_message_literals():
+    source = '"""duplicate variable docs"""\ndef f(n):\n    """Doc."""\n    raise E(f"duplicate variable {n!r}")\n'
+    assert message_literals(source) == ["duplicate variable "]
