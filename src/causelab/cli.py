@@ -335,6 +335,8 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
         mode=opts.get("mode", "extended"),
         strategy=opts.get("strategy", "reciprocal"),
     )
+    if options.mode not in ("extended", "preliminary"):
+        raise RunError([_plain_diag("semantic", f"unknown mode {options.mode!r}")])
     query = parse_query(entry["query"], origin=entry["id"])
     if loaded.models and not isinstance(query, BlameQuery):
         # entries list the target model first
@@ -505,12 +507,13 @@ def main(argv=None, out=None) -> int:
     if args.command == "solve":
         try:
             model, _order = loaded.pick_model(options.model_name)
-            context = _context(model, dsl.parse_context(args.ctx))
+            assigns = dsl.parse_context(args.ctx)
+            context = _context(model, assigns)
             start = time.perf_counter()
             world = model.solve(context)
             wall = (time.perf_counter() - start) * 1000.0
             report = _report(
-                f"solve ctx({args.ctx})",
+                f"solve {dsl._render_ctx(assigns)}",
                 {"kind": "solve", "world": world.as_dict()},
                 EngineStats(),
                 _hashes_for(loaded, [model.name]),

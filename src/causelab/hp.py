@@ -37,9 +37,7 @@ failures are those of the plain enumeration, and only the work counters fall.
   cause variable is reached, no witness exists: pins only replace equations
   by constants, so the outcome under [x', w] equals the outcome under
   [x, w], and AC2(a) then contradicts AC2(b) at W' = W, Z' = {}.  Such a
-  search stops at once, or, when it reports AC2(b) failures, as soon as it
-  has the first `_AC2B_FAILURE_CAP` of them, which are the ones the full
-  search reports.
+  search stops at once.
 - Scoring reads only the first minimal witness and its measure, and the
   first witness found is minimal because the order is by measure, so
   `is_actual_cause(first_witness=True)` stops there.
@@ -76,9 +74,7 @@ failures are those of the plain enumeration, and only the work counters fall.
   actual-value pin set over the unpinned variables (the C' = C instances,
   pruned by the relevance fixpoint); otherwise, as when a sub-assignment
   fails only under a pin of the variable it leaves out, the per-W' sweep
-  (`ac2b`) decides it.  A `cause` query names the failing instance of each
-  failure it reports, so until its record is full, or a witness makes the
-  record moot, it still runs the sweep per contingency.
+  (`ac2b`) decides it.  This is the search's only AC2(b) test.
 - Each orbit of interchangeable variables is decided once.  Two variables
   outside the cause and the outcome are interchangeable when they share
   their range and actual value, have equal keys in the equations folded
@@ -91,16 +87,23 @@ failures are those of the plain enumeration, and only the work counters fall.
   (`_Search._canonical`).  A change assignment's decision is kept per orbit
   (`_Search._orbit`) only when it is the same for every member whatever
   order the search tries contingencies in: no contingency reached AC2(b), so
-  there is no witness and no failure to record; or the contingency with E
+  there is no witness and no failure to report; or the contingency with E
   empty, which every order tries first, is a witness.  A member then gets
   that decision, with its own change assignment and the image of the solved
-  world, without a solve.  Any other decision depends on which E, or which
-  failing instance, comes first in position order, so each member is
-  decided directly; when it records no failures, a failing AC2(b) state in
-  the memo still rejects it at once.  Classes are found when the search
-  first reaches a nonempty change set, and a search without a class of two
-  runs as before.  `ways_fraction` evaluates each orbit of side settings
-  once, weighted by its multinomial size.
+  world, without a solve.  Any other decision depends on which E comes
+  first in position order, so each member is decided directly, and a
+  failing AC2(b) state in the memo rejects it at once.  Classes are found
+  when the enumeration first reaches a nonempty change set, and a search
+  without a class of two runs as before.  `ways_fraction` evaluates each
+  orbit of side settings once, weighted by its multinomial size.
+
+The AC2(b) failures that a `cause` query reports explain a verdict and do
+not decide it, so they are not the search's work.  After an AC2 verdict, a
+pass of their own (`_Search.find_ac2b_failures`) walks the contingencies in
+the search's order, through the same enumeration (`_Search._contingencies`,
+`_Search._reached`), and names the first failing instance (`ac2b`) of each
+contingency that passes AC2(a) and the normality gate, until it has
+`_AC2B_FAILURE_CAP` of them.  Scoring (`first_witness`) reports none.
 """
 
 from __future__ import annotations
@@ -209,15 +212,6 @@ _HOLDS, _FAILS_BARE, _FAILS = "holds", "fails bare", "fails"
 _UNREACHED, _AT_EMPTY_E = "unreached", "witness at empty E"
 
 
-def _ac2b_state_of(failure: tuple | None, c_vars: Sequence[int]) -> str:
-    """The state of (C, c) from the sweep's answer under any W that contains
-    C: its first failing (W', Z'), or None when AC2(b) holds."""
-    if failure is None:
-        return _HOLDS
-    w_prime, z_prime = failure
-    return _FAILS_BARE if not z_prime and set(w_prime) <= set(c_vars) else _FAILS
-
-
 def _orbit_size(values: tuple[int, ...]) -> int:
     """The number of arrangements of the sorted `values`: a multinomial."""
     size = math.factorial(len(values))
@@ -280,7 +274,6 @@ class _Search:
         self.x_vars = sorted(cause_ix)
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
-        self.ac2b_failures: list[Ac2bFailure] = []
         self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
         self._decided: dict[tuple, str] = {}  # (x', `_orbit` key) -> decision for the orbit
 
@@ -499,8 +492,9 @@ class _Search:
         state = self._ac2b_states.get(key)
         if state is None:
             state = self._decide_ac2b(pins, c_vars)
-            if state is None:
-                state = _ac2b_state_of(self.ac2b(c_vars, {i: pins[i] for i in c_vars}), c_vars)
+            if state is None:  # the sweep with W = C decides; its W' lies inside C
+                failure = self.ac2b(c_vars, {i: pins[i] for i in c_vars})
+                state = _HOLDS if failure is None else _FAILS if failure[1] else _FAILS_BARE
             self._ac2b_states[key] = state
         return state
 
@@ -590,6 +584,53 @@ class _Search:
             for combo in itertools.product(*map(offs.__getitem__, c_vars)):
                 yield measure, c_vars, combo
 
+    def _contingencies(self, weights: Mapping[str, Fraction] | None) -> Iterator[tuple]:
+        """(measure, C, c, alternatives) for each change assignment, in search
+        order (`_change_assignments`); `alternatives` yields its (x', orbit)
+        pairs (`_alternatives`)."""
+        x_alts = self._x_alternatives()
+        movable = self.others
+        if self._patterns is not None:
+            x_alts = [x for x in x_alts if self._admits(tuple(zip(self.x_vars, x)))]
+            if not x_alts:
+                return  # every contingency fails the normality gate
+            movable = self._movable(x_alts)
+        for measure, c_vars, c in self._change_assignments(weights, movable):
+            yield measure, c_vars, c, self._alternatives(c_vars, c, x_alts)
+
+    def _alternatives(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_alts: list[tuple[int, ...]]):
+        """(x', orbit) for each x' of `x_alts`, in position order, that some
+        normal world takes with C set to c, except those of an orbit that
+        reaches no contingency.  `orbit` keys `_decided`, and is None while
+        there are no classes."""
+        if c_vars and self.classes is None:
+            self._find_classes()  # only a nonempty change set has an orbit to share
+        for x_prime in x_alts:
+            if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
+                continue  # no normal world takes these pins
+            orbit = (x_prime, self._orbit(c_vars, c)) if self.classes else None
+            if orbit is None or self._decided.get(orbit) is not _UNREACHED:
+                yield x_prime, orbit
+
+    def _reached(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_prime: tuple[int, ...], orbit):
+        """(W's setting, solved values) for each contingency of a change
+        assignment and x' that passes AC2(a) and the normality gate: W is C
+        plus E, the variables pinned at their actual values, smallest E
+        first (`_pin_sets`).  When there is none, the orbit is `_UNREACHED`."""
+        base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
+        reached = False
+        for e_sub, pins in self._pin_sets(base, [i for i in self.others if i not in c_vars]):
+            values = self._solve(pins)
+            if self.holds(values) or not self._normal(values):
+                continue  # AC2(a) fails for this W, or its world is inadmissible
+            reached = True
+            w_setting = dict(zip(c_vars, c))
+            for i in e_sub:
+                w_setting[i] = self.actual[i]
+            yield w_setting, values
+        if orbit is not None and not reached:
+            self._decided[orbit] = _UNREACHED
+
     def find_minimal_witnesses(
         self,
         weights: Mapping[str, Fraction] | None = None,
@@ -599,40 +640,23 @@ class _Search:
 
         Returns (measure, witnesses); (None, ()) when AC2 is unsatisfiable.
         Without weights the measure is the change count k.  An
-        `existence_only` search stops at the first witness; any other search
-        records the AC2(b) failures met before its first witness.
+        `existence_only` search stops at the first witness.
         """
-        # A search the outcome cannot reach from the cause finds no witness;
-        # it runs only to record the AC2(b) failures it reports.
-        hopeless = not self.outcome_reaches_cause()
-        if hopeless and existence_only:
-            return None, ()
-        x_alts = self._x_alternatives()
-        movable = self.others
-        if self._patterns is not None:
-            x_alts = [x for x in x_alts if self._admits(tuple(zip(self.x_vars, x)))]
-            if not x_alts:
-                return None, ()  # every contingency fails the normality gate
-            movable = self._movable(x_alts)
+        if not self.outcome_reaches_cause():
+            return None, ()  # no witness exists (see the module docstring)
         found: list[Witness] = []
         found_measure = None
-        for measure, c_vars, c in self._change_assignments(weights, movable):
+        for measure, c_vars, c, alternatives in self._contingencies(weights):
             if found_measure is not None and measure > found_measure:
                 break
-            if c_vars and self.classes is None:
-                self._find_classes()  # only a nonempty change set has an orbit to share
-            for x_prime in x_alts:
-                # Failures recorded after a witness is found are never reported.
-                record = not existence_only and not found
-                witness = self._first_witness_for(c_vars, c, x_prime, record, hopeless)
+            for x_prime, orbit in alternatives:
+                witness = self._first_witness_for(c_vars, c, x_prime, orbit)
                 if witness is not None:
                     found.append(witness)
                     found_measure = measure
                     if existence_only:
                         return found_measure, tuple(found)
                     break  # one canonical witness per change assignment
-                if hopeless and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
-                    return None, ()
         return found_measure, tuple(found)
 
     def _movable(self, x_alts: list[tuple[int, ...]]) -> list[int]:
@@ -647,75 +671,47 @@ class _Search:
         return movable
 
     def _first_witness_for(
-        self,
-        c_vars: tuple[int, ...],
-        c: tuple[int, ...],
-        x_prime: tuple[int, ...],
-        record_failures: bool,
-        stop_at_cap: bool,
+        self, c_vars: tuple[int, ...], c: tuple[int, ...], x_prime: tuple[int, ...], orbit
     ) -> Witness | None:
-        """Smallest-W witness for a fixed change assignment, or None; with
-        `stop_at_cap`, None as soon as the failure record is full.
-
-        AC2(b) is the shared decision of (C, c) unless failures are still
-        being recorded, in which case the sweep names each failing instance.
-        """
-        if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
-            return None  # no normal world takes these pins
-        base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
-        if self.classes:
-            orbit = (x_prime, self._orbit(c_vars, c))
-            decided = self._decided.get(orbit)
-            if decided is _UNREACHED:
-                return None
-            if decided is _AT_EMPTY_E:
-                values = self._solve(tuple(base))
-                contingency = self._named_contingency(dict(zip(c_vars, c)), x_prime)
-                return Witness(*contingency, len(c_vars), self.model.signature.world(values))
+        """Smallest-W witness for a fixed change assignment and x', or None.
+        AC2(b) is the shared decision of (C, c)."""
+        if orbit is not None and self._decided.get(orbit) is _AT_EMPTY_E:
+            values = self._solve(tuple(self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))))
+            contingency = self._named_contingency(dict(zip(c_vars, c)), x_prime)
+            return Witness(*contingency, len(c_vars), self.model.signature.world(values))
         pins = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
-        key = self._canonical(pins) if self.classes else pins
-        if self._ac2b_states.get(key, _HOLDS) is not _HOLDS and not self._recording(record_failures):
+        if self._ac2b_states.get(self._canonical(pins) if self.classes else pins, _HOLDS) is not _HOLDS:
             return None  # AC2(b) fails for every W with this change assignment
-        actual = self.actual
-        reached = False
-        for e_sub, pins_e in self._pin_sets(base, [i for i in self.others if i not in c_vars]):
-            values = self._solve(pins_e)
-            if self.holds(values):
-                continue  # AC2(a) fails for this W
-            if not self._normal(values):
-                continue  # inadmissible contingency under the normality order
-            reached = True
-            w_setting = dict(zip(c_vars, c))
-            for i in e_sub:
-                w_setting[i] = actual[i]
-            if self._ac2b_states.get(key) is _HOLDS or not self._recording(record_failures):
-                if self._ac2b_state(pins, c_vars) is not _HOLDS:
-                    return None  # the same verdict for every W
-                failure = None
-            else:
-                failure = self.ac2b(sorted(w_setting), w_setting)
-                self._ac2b_states.setdefault(key, _ac2b_state_of(failure, c_vars))
-            if failure is None:
-                if self.classes and not e_sub:
-                    self._decided[orbit] = _AT_EMPTY_E
-                contingency = self._named_contingency(w_setting, x_prime)
-                return Witness(*contingency, len(c_vars), self.model.signature.world(values))
-            w_prime, z_prime = failure
-            self.ac2b_failures.append(
-                Ac2bFailure(
-                    *self._named_contingency(w_setting, x_prime),
-                    w_prime=frozenset(self.names[i] for i in w_prime),
-                    z_prime=frozenset(self.names[i] for i in z_prime),
-                )
-            )
-            if stop_at_cap and len(self.ac2b_failures) == _AC2B_FAILURE_CAP:
-                return None
-        if self.classes and not reached:
-            self._decided[orbit] = _UNREACHED
+        for w_setting, values in self._reached(c_vars, c, x_prime, orbit):
+            if self._ac2b_state(pins, c_vars) is not _HOLDS:
+                return None  # the same verdict for every W
+            if orbit is not None and len(w_setting) == len(c_vars):
+                self._decided[orbit] = _AT_EMPTY_E  # the witness has E empty
+            contingency = self._named_contingency(w_setting, x_prime)
+            return Witness(*contingency, len(c_vars), self.model.signature.world(values))
         return None
 
-    def _recording(self, record_failures: bool) -> bool:
-        return record_failures and len(self.ac2b_failures) < _AC2B_FAILURE_CAP
+    def find_ac2b_failures(self, weights: Mapping[str, Fraction] | None) -> tuple[Ac2bFailure, ...]:
+        """The AC2(b) failures a `cause` query reports once AC2 has failed:
+        for each contingency that passes AC2(a) and the normality gate, in
+        search order, its first failing instance (`ac2b`), up to
+        `_AC2B_FAILURE_CAP` of them.  With no witness, every such
+        contingency has one."""
+        failures: list[Ac2bFailure] = []
+        for _, c_vars, c, alternatives in self._contingencies(weights):
+            for x_prime, orbit in alternatives:
+                for w_setting, _ in self._reached(c_vars, c, x_prime, orbit):
+                    w_prime, z_prime = self.ac2b(sorted(w_setting), w_setting)
+                    failures.append(
+                        Ac2bFailure(
+                            *self._named_contingency(w_setting, x_prime),
+                            w_prime=frozenset(self.names[i] for i in w_prime),
+                            z_prime=frozenset(self.names[i] for i in z_prime),
+                        )
+                    )
+                    if len(failures) == _AC2B_FAILURE_CAP:
+                        return tuple(failures)
+        return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +788,8 @@ def _verdict(
 
     measure, witnesses = search.find_minimal_witnesses(weights, existence_only=first_witness)
     if measure is None:
-        return CauseVerdict(False, failed_condition="AC2", ac2b_failures=tuple(search.ac2b_failures))
+        failures = () if first_witness else search.find_ac2b_failures(weights)
+        return CauseVerdict(False, failed_condition="AC2", ac2b_failures=failures)
 
     # AC3: a strict nonempty sub-conjunction passing AC1 and AC2 disqualifies
     # the candidate.  AC1 holds for every sub-conjunction whenever it holds

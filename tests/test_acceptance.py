@@ -51,6 +51,16 @@ def cause_of(ext, u, cause, outcome):
     return is_actual_cause(ext, Context(u), CandidateCause.of(cause), outcome)
 
 
+def failure_rows(verdict):
+    """Each reported AC2(b) failure as (W's setting, x', W', Z'), in order;
+    W is the variables of the setting."""
+    assert all(f.w_set == set(f.w_setting) for f in verdict.ac2b_failures)
+    return [
+        (f.w_setting.as_dict(), f.x_prime.as_dict(), sorted(f.w_prime), sorted(f.z_prime))
+        for f in verdict.ac2b_failures
+    ]
+
+
 def resp_of(ext, u, cause, outcome, strategy=ScoringStrategy()):
     return degree_of_responsibility(
         ext, Context(u), CandidateCause.of(cause), outcome, strategy
@@ -85,14 +95,24 @@ def test_criterion_2_suzy_billy(corpus):
     assert cause_of(refined, u, {"ST": 1}, shatter).is_cause
     verdict = cause_of(refined, u, {"BT": 1}, shatter)
     assert not verdict.is_cause and verdict.failed_condition == "AC2"
-    # The report must name AC2(b) failing at Z' = {BH} for the symmetric
-    # attempt that keeps Suzy out of the picture.
-    assert any(
-        f.w_set == frozenset({"ST"})
-        and f.w_setting.as_dict() == {"ST": 0}
-        and f.z_prime == frozenset({"BH"})
-        for f in verdict.ac2b_failures
-    )
+    # The report names AC2(b) failing at Z' = {BH} for the symmetric attempt
+    # that keeps Suzy out of the picture, first of all its failures in search
+    # order.
+    assert failure_rows(verdict) == [
+        ({"ST": 0}, {"BT": 0}, ["ST"], ["BH"]),
+        ({"SH": 0}, {"BT": 0}, ["SH"], ["BH"]),
+        ({"BS": 0}, {"BT": 0}, ["BS"], []),
+        ({"SH": 0, "ST": 0}, {"BT": 0}, ["ST"], ["BH"]),
+        ({"BS": 0, "ST": 0}, {"BT": 0}, ["ST"], ["BH"]),
+        ({"BS": 0, "SH": 1, "ST": 0}, {"BT": 0}, ["ST"], ["BH"]),
+        ({"BS": 0, "SH": 0}, {"BT": 0}, ["SH"], ["BH"]),
+        ({"BH": 1, "BS": 0}, {"BT": 0}, ["BS"], []),
+        ({"BS": 0, "SH": 0, "ST": 0}, {"BT": 0}, ["ST"], ["BH"]),
+        ({"BH": 1, "BS": 0, "ST": 0}, {"BT": 0}, ["BS"], []),
+        ({"BH": 1, "BS": 0, "SH": 1, "ST": 0}, {"BT": 0}, ["BS"], []),
+        ({"BH": 1, "BS": 0, "SH": 0}, {"BT": 0}, ["BS"], []),
+        ({"BH": 1, "BS": 0, "SH": 0, "ST": 0}, {"BT": 0}, ["BS"], []),
+    ]
 
 
 def test_criterion_3_doctors_non_transitivity(corpus):
@@ -102,7 +122,13 @@ def test_criterion_3_doctors_non_transitivity(corpus):
     assert cause_of(ext, u, {"MT": 1}, atom("BMC", 0)).is_cause
     assert cause_of(ext, u, {"MT": 1}, atom("TT", 0)).is_cause
     assert cause_of(ext, u, {"TT": 0}, alive).is_cause
-    assert not cause_of(ext, u, {"MT": 1}, alive).is_cause
+    verdict = cause_of(ext, u, {"MT": 1}, alive)
+    assert not verdict.is_cause and verdict.failed_condition == "AC2"
+    assert failure_rows(verdict) == [
+        ({"BMC": 3}, {"MT": 0}, ["BMC"], []),
+        ({"BMC": 3, "TT": 0}, {"MT": 0}, ["BMC"], []),
+        ({"BMC": 3, "TT": 1}, {"MT": 0}, ["TT"], []),
+    ]
 
 
 def test_criterion_4_responsibility(corpus):

@@ -84,6 +84,16 @@ class TestQueries:
         code, [report] = run_json("eval", "-m", str(tmp_path / "m.cm"), "-q", "eval X=2 in ctx()")
         assert code == EXIT_OK and report["result"]["holds"] is True
 
+    def test_solve_prints_its_context_canonically(self):
+        reports = []
+        for ctx in (" U1 = 1 , U2=0,U3=1", "U1=1,U2=0,U3=1"):
+            code, [report] = run_json("solve", "-m", model_arg("forest_fire.cm"), "--ctx", ctx)
+            assert code == EXIT_OK
+            del report["timing"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["query"] == "solve ctx(U1=1,U2=0,U3=1)"
+
     def test_query_file_answers_in_order(self, tmp_path):
         qfile = tmp_path / "queries.cq"
         qfile.write_text(
@@ -540,6 +550,18 @@ class TestCorpusCommand:
             "0/1 corpus expectations hold",
         ]
 
+    def test_corpus_entry_with_an_unknown_mode_fails(self, tmp_path):
+        # Reported as a bad strategy is.
+        (tmp_path / "expected.json").write_text(
+            '[{"id": "moded", "query": "eval F=1 in ctx(U=1)", "expect": {}, "options": {"mode": "bogus"}}]'
+        )
+        code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
+        assert code == EXIT_DIAGNOSTICS
+        assert text.splitlines() == [
+            "FAIL moded  [0.0 ms]  (<run>:1:1: semantic: unknown mode 'bogus')",
+            "0/1 corpus expectations hold",
+        ]
+
 
 class TestWorkCounters:
     """Golden `stats` of the slowest corpus entries and of queries whose
@@ -554,8 +576,10 @@ class TestWorkCounters:
         # 10,136 subset checks when each of the 252 witnesses swept its own
         # AC2(b) instances, and 1,916 solves with 754 subset checks when each
         # change assignment decided itself; V2..V11 are interchangeable, so
-        # each orbit of change assignments is now decided once.
-        assert lines[0]["stats"] == {"solves": 20, "subset_checks": 122}
+        # each orbit of change assignments is now decided once.  122 subset
+        # checks while the search swept contingencies for an AC2(b) failure
+        # report before its first witness, which a cause never reports.
+        assert lines[0]["stats"] == {"solves": 20, "subset_checks": 7}
 
     def test_firing_squad_blame_tenth(self):
         code, lines = run_json(

@@ -525,7 +525,7 @@ def test_pin_pruning_batch_agrees():
 
 def agree_undecided(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome, weights) -> bool:
     """Shared and swept verdicts agree; returns whether the `cause` query
-    filled its failure record and then searched on."""
+    searched (its outcome reaches the cause) and filled its failure report."""
 
     def verdicts():
         return (
