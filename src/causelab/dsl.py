@@ -9,7 +9,10 @@ Three file kinds, and the context of `solve --ctx`, share one lexer:
 Model files may declare a normality block of rank entries and world-pattern
 pairs.  A pattern constrains only the variables it mentions; in a pair, any
 variable mentioned on neither side takes equal values in both worlds it
-relates.  Patterns are kept as declared, never expanded into worlds.
+relates.  Patterns are kept as declared, never expanded into worlds.  A model
+without a block has the flat order, and an empty block declares the order
+that relates each world to itself only, so `print_model` writes every order
+it is given, an empty one included.
 
 The parser checks only the grammar.  Every rule about what a model file
 declares (no duplicate, every reference declared, no cycle, total equations,
@@ -357,6 +360,7 @@ class _RawModel:
     # `ModelError.pattern` is a path into them too.
     pairs: list[tuple[_Assigns, _Assigns]] = field(default_factory=list)
     ranks: list[tuple[_Assigns, int, Token]] = field(default_factory=list)
+    ordered: bool = False  # a normality block was declared, even an empty one
 
 
 def _parse_range(p: _Parser) -> tuple[int, ...]:
@@ -400,6 +404,7 @@ def _parse_raw_model(p: _Parser) -> _RawModel:
         elif p.at_keyword("normality"):
             p.advance()
             p.expect_punct("{")
+            raw.ordered = True
             while not p.at_punct("}"):
                 if p.at_keyword("rank"):
                     rank_tok = p.advance()
@@ -458,7 +463,7 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
             endogenous=tuple((tok.text, values) for tok, values, _, _ in raw.endo),
         )
         model = CausalModel(signature, [Equation(tok.text, body) for tok, _, body, _ in raw.endo], name=raw.name)
-        if not raw.pairs and not raw.ranks:
+        if not raw.ordered:
             return model, None
         return model, NormalityOrder(
             signature,
@@ -800,7 +805,7 @@ def print_model(model: CausalModel, order: NormalityOrder | None = None) -> str:
     for name, values in model.signature.endogenous:
         body = _render_expr(model.equations[name].body)
         lines.append(f"  endogenous {name} : {_render_range(values)} = {body};")
-    if order is not None and not order.is_empty:
+    if order is not None:
         lines.append("  normality {")
         for pattern, rank in order.ranks:
             lines.append(f"    rank {_render_world_items(pattern.items_sorted())} = {rank};")

@@ -23,7 +23,8 @@ A query over more endogenous variables than the cap (`max_vars`) raises
 `CapExceededError` after solving the actual world and before any search.
 
 Every shortcut below is exact: verdicts, witnesses and reported AC2(b)
-failures are those of the plain enumeration, and only the work counters fall.
+failures are those of the plain enumeration.  Only the work counters
+(`EngineStats`) differ, and not always downwards.
 
 - Solve results are memoized per intervention, and pins of variables that
   never deviate from their actual values are skipped (pinning a variable at
@@ -46,7 +47,9 @@ failures are those of the plain enumeration, and only the work counters fall.
   for weights, a heap pops them best first.  With no negative weight every
   successor of a change set comes after it in that order, so the pops are
   exactly the sorted sequence, and a search that ends at measure m never
-  builds a change set beyond it.
+  builds a change set beyond it.  The heap adds integers, the weights scaled
+  by the least common multiple of their denominators: a positive scale keeps
+  every order and tie.
 - Normality admissibility is decided from the pins, before any solve.  The
   worlds at least as normal as the actual world are exactly those matching
   some pattern of its up-set (`NormalityOrder.up_set`), which always covers
@@ -84,23 +87,32 @@ failures are those of the plain enumeration, and only the work counters fall.
   each member is enumerated at its own measure.  Such a swap maps every
   solution, AC2 verdict and witness onto its image, so the solve and AC2(b)
   memos are keyed by the representative of the orbit of their pins
-  (`_Search._canonical`).  A change assignment's decision is kept per orbit
-  (`_Search._orbit`) only when it is the same for every member whatever
-  order the search tries contingencies in: no contingency reached AC2(b), so
-  there is no witness and no failure to report; or the contingency with E
-  empty, which every order tries first, is a witness.  A member then gets
-  that decision, with its own change assignment and the image of the solved
-  world, without a solve.  Any other decision depends on which E comes
-  first in position order, so each member is decided directly, and a
-  failing AC2(b) state in the memo rejects it at once.  Classes are found
-  when the enumeration first reaches a nonempty change set, and a search
-  without a class of two runs as before.  `ways_fraction` evaluates each
-  orbit of side settings once, weighted by its multinomial size.
+  (`_Search._canonical`).  Without weights the search walks orbits, not
+  their members (`_Search._levels`): per class a count and a sorted
+  multiset of values, in the order of each orbit's first member, which sets
+  the first members of each class.  It decides the first member, and a swap
+  maps its decision to every member: with no witness the orbit is skipped
+  whole; with one, every member has one under the same x'.  When that
+  witness has E empty, which every order tries first, each member's witness
+  is its image, and its world pins the member's change variables and gives
+  a class's other members their common unpinned value, without a solve.
+  Otherwise which E comes first depends on the positions, so each member is
+  decided on its own.  A full search then sorts the level's witnesses back
+  into search order, and an `existence_only` search stops at the first
+  orbit with a witness, where the member walk stopped.  So no solve moves.
+  The same enumerator walks members one by one where their orders differ:
+  the weighted order, whose members have measures of their own, and the
+  failure pass below.  Such a walk keeps the decisions it can share by orbit
+  (`_Search._orbit`, `_Search._decided`).  Classes are found when the
+  enumeration first goes past the empty change set; without a class every
+  variable is an orbit's block of its own, and the orbit walk is the member
+  walk.  `ways_fraction` evaluates each orbit of side settings once,
+  weighted by its multinomial size.
 
 The AC2(b) failures that a `cause` query reports explain a verdict and do
 not decide it, so they are not the search's work.  After an AC2 verdict, a
 pass of their own (`_Search.find_ac2b_failures`) walks the contingencies in
-the search's order, through the same enumeration (`_Search._contingencies`,
+the search's order, through the same enumeration (`_Search._levels`,
 `_Search._reached`), and names the first failing instance (`ac2b`) of each
 contingency that passes AC2(a) and the normality gate, until it has
 `_AC2B_FAILURE_CAP` of them.  Scoring (`first_witness`) reports none.
@@ -112,6 +124,7 @@ import copy
 import heapq
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -224,6 +237,32 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All subsets, increasing size, lexicographic by position within size."""
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def _prefixes(classes: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+    """Each way to take n members of `classes` that takes the first ones of
+    each class, as the members taken, class by class."""
+    if not classes:
+        if not n:
+            yield ()
+        return
+    room = sum(map(len, classes[1:]))
+    for m in range(max(0, n - room), min(len(classes[0]), n) + 1):
+        for rest in _prefixes(classes[1:], n - m):
+            yield classes[0][:m] + rest
+
+
+def _placements(positions: Sequence[int], values: Sequence[int]) -> Iterator[dict[int, int]]:
+    """Each way to give the sorted `values` to distinct `positions`, once
+    per distinct arrangement, as {position: value} maps."""
+    if not values:
+        yield {}
+        return
+    run = values.count(values[0])  # sorted, so the first value's run
+    for chosen in itertools.combinations(positions, run):
+        rest = [i for i in positions if i not in chosen]
+        for placed in _placements(rest, values[run:]):
+            yield {**dict.fromkeys(chosen, values[0]), **placed}
 
 
 class _Search:
@@ -555,12 +594,21 @@ class _Search:
         # Best first over the variables sorted by (weight, position); a set is
         # the increasing indices it takes from that list, and its successors
         # append the next index or replace its last index by the next one.
+        # The heap adds integers: the weights scaled by the least common
+        # multiple of their denominators, a positive scale that keeps every
+        # order and tie.  Each measure is a `Fraction` again once, when the
+        # pops first reach it.
         order = sorted(movable, key=lambda i: (weights[self.names[i]], i))
-        w = [weights[self.names[i]] for i in order]
-        heap: list[tuple] = [(Fraction(0), 0, (), ())]
+        exact = [Fraction(weights[self.names[i]]) for i in order]
+        scale = math.lcm(*(x.denominator for x in exact))
+        w = [int(x * scale) for x in exact]
+        heap: list[tuple] = [(0, 0, (), ())]
+        last, fraction = None, None
         while heap:
             measure, size, c_vars, taken = heapq.heappop(heap)
-            yield measure, c_vars
+            if measure != last:
+                last, fraction = measure, Fraction(measure, scale)
+            yield fraction, c_vars
             nxt = taken[-1] + 1 if taken else 0
             if nxt == len(order):
                 continue
@@ -575,19 +623,13 @@ class _Search:
     def _sorted_at(order: list[int], taken: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(order[k] for k in taken))
 
-    def _change_assignments(self, weights: Mapping[str, Fraction] | None, movable: Sequence[int]):
-        """(measure, C, c) triples: the settings c off the actual values of
-        each change set C, in the order of `_change_sets`."""
-        ranges = self.model.signature.ranges
-        offs = {i: [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in movable}
-        for measure, c_vars in self._change_sets(weights, movable):
-            for combo in itertools.product(*map(offs.__getitem__, c_vars)):
-                yield measure, c_vars, combo
-
-    def _contingencies(self, weights: Mapping[str, Fraction] | None) -> Iterator[tuple]:
-        """(measure, C, c, alternatives) for each change assignment, in search
-        order (`_change_assignments`); `alternatives` yields its (x', orbit)
-        pairs (`_alternatives`)."""
+    def _levels(self, weights: Mapping[str, Fraction] | None, members: bool = False) -> Iterator[tuple]:
+        """(measure, classes, level) for each measure in increasing order,
+        where `level` yields (C, c, alternatives) in search order; its x'
+        come from `_alternatives`.  Without weights and `members`, `level`
+        holds the first member of each orbit of `classes`, the classes inside
+        the movable variables (`_orbits`).  Otherwise it holds every change
+        assignment, in the order of `_change_sets`, and `classes` is empty."""
         x_alts = self._x_alternatives()
         movable = self.others
         if self._patterns is not None:
@@ -595,16 +637,66 @@ class _Search:
             if not x_alts:
                 return  # every contingency fails the normality gate
             movable = self._movable(x_alts)
-        for measure, c_vars, c in self._change_assignments(weights, movable):
-            yield measure, c_vars, c, self._alternatives(c_vars, c, x_alts)
+        changes = self._change_sets(weights, movable)
+        measure, _ = next(changes)  # the empty change set, alone at its measure
+        yield measure, (), [((), (), self._alternatives((), (), x_alts))]
+        if not movable:
+            return
+        # Resumed only for a search that goes on past the empty change set,
+        # the first with an orbit to share.
+        if self.classes is None:
+            self._find_classes()
+        ranges = self.model.signature.ranges
+        offs = {i: [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in movable}
+        if weights is not None:
+            for measure, group in itertools.groupby(changes, key=operator.itemgetter(0)):
+                yield measure, (), self._orbits((c_vars for _, c_vars in group), offs, {}, x_alts)
+            return
+        # A class lies inside `movable` or outside it: a swap that maps the
+        # up-set patterns onto themselves maps an admitted pin to another.
+        classes = () if members else tuple(cls for cls in self.classes if cls[0] in offs)
+        in_class = {i for cls in classes for i in cls}
+        singles = [i for i in movable if i not in in_class]
+        # The class member before each member whose class has two or more
+        # values off the actual one: its value may not be the larger.
+        before = {b: a for cls in classes if len(offs[cls[0]]) > 1 for a, b in zip(cls, cls[1:])}
+        for k in range(1, len(movable) + 1):
+            # A first member's change set takes the first n members of each
+            # class (a prefix) and k - n variables of `singles`.  The sets of
+            # one prefix come in increasing order, so merging those of every
+            # prefix sorts them; the empty prefix's need no sort.
+            streams = [
+                map(lambda rest, p=prefix: tuple(sorted(p + rest)), itertools.combinations(singles, k - n))
+                if prefix else itertools.combinations(singles, k)
+                for n in range(max(0, k - len(singles)), min(k, len(in_class)) + 1)
+                for prefix in _prefixes(classes, n)
+            ]
+            c_sets = heapq.merge(*streams) if len(streams) > 1 else streams[0]
+            yield k, classes, self._orbits(c_sets, offs, before, x_alts)
+
+    def _orbits(self, c_sets: Iterable[tuple[int, ...]], offs, before, x_alts):
+        """(C, c, alternatives) for each C of `c_sets` and each setting c of
+        its variables off their actual values (`offs`), in product order.
+
+        No member takes a smaller value than the class member `before` it,
+        so of the change assignments of first members (`_levels`), one per
+        orbit passes: per class, a count and a multiset of values, given in
+        increasing order to the class's first members.  With `before` empty
+        every change assignment passes.
+        """
+        for c_vars in c_sets:
+            settings = itertools.product(*map(offs.__getitem__, c_vars))
+            if before:
+                rises = [(c_vars.index(before[i]), j) for j, i in enumerate(c_vars) if i in before]
+                settings = (c for c in settings if all(c[a] <= c[b] for a, b in rises))
+            for c in settings:
+                yield c_vars, c, self._alternatives(c_vars, c, x_alts)
 
     def _alternatives(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_alts: list[tuple[int, ...]]):
         """(x', orbit) for each x' of `x_alts`, in position order, that some
         normal world takes with C set to c, except those of an orbit that
         reaches no contingency.  `orbit` keys `_decided`, and is None while
         there are no classes."""
-        if c_vars and self.classes is None:
-            self._find_classes()  # only a nonempty change set has an orbit to share
         for x_prime in x_alts:
             if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
                 continue  # no normal world takes these pins
@@ -636,7 +728,8 @@ class _Search:
         weights: Mapping[str, Fraction] | None = None,
         existence_only: bool = False,
     ):
-        """Minimal-measure admissible witnesses.
+        """Minimal-measure admissible witnesses, one per change assignment,
+        in search order.
 
         Returns (measure, witnesses); (None, ()) when AC2 is unsatisfiable.
         Without weights the measure is the change count k.  An
@@ -644,20 +737,70 @@ class _Search:
         """
         if not self.outcome_reaches_cause():
             return None, ()  # no witness exists (see the module docstring)
-        found: list[Witness] = []
-        found_measure = None
-        for measure, c_vars, c, alternatives in self._contingencies(weights):
-            if found_measure is not None and measure > found_measure:
-                break
-            for x_prime, orbit in alternatives:
-                witness = self._first_witness_for(c_vars, c, x_prime, orbit)
-                if witness is not None:
-                    found.append(witness)
-                    found_measure = measure
-                    if existence_only:
-                        return found_measure, tuple(found)
-                    break  # one canonical witness per change assignment
-        return found_measure, tuple(found)
+        for measure, classes, level in self._levels(weights):
+            found: list[tuple] = []  # ((C, c), witness)
+            for c_vars, c, alternatives in level:
+                for x_prime, orbit in alternatives:
+                    witness = self._first_witness_for(c_vars, c, x_prime, orbit)
+                    if witness is not None:
+                        if existence_only:
+                            return measure, (witness,)
+                        if classes:
+                            found += self._orbit_witnesses(classes, c_vars, c, x_prime, orbit, witness)
+                        else:
+                            found.append(((c_vars, c), witness))
+                        break  # one canonical witness per change assignment
+            if found:
+                if classes:
+                    # The members of orbits back into search order: (C, c)
+                    # order within one change count.
+                    found.sort(key=operator.itemgetter(0))
+                return measure, tuple(witness for _, witness in found)
+        return None, ()
+
+    def _orbit_witnesses(self, classes, c_vars, c, x_prime, orbit, witness: Witness) -> list[tuple]:
+        """((C, c), witness) for each member of the orbit of `classes` whose
+        first member sets `c_vars` to `c` and has `witness` under x'.
+
+        Every member has a witness under x' and none under an earlier
+        alternative.  When the witness has E empty, so has each member's: it
+        is the witness's image, whose world pins the member's change
+        variables and gives the others of each class their common unpinned
+        value.  Otherwise the smallest E follows the positions, so each
+        member is decided on its own.
+        """
+        first = dict(zip(c_vars, c))
+        moved = [cls for cls in classes if cls[0] in first]
+        in_class = {i for cls in moved for i in cls}
+        fixed = {i: v for i, v in first.items() if i not in in_class}
+        at_empty_e = self._decided.get(orbit) is _AT_EMPTY_E
+        if at_empty_e:
+            # The witness's world with each moved class at its unpinned value,
+            # which its last member takes unless the whole class is pinned.
+            unpinned = [witness.world[v] for v in self.names]
+            for cls in moved:
+                for i in cls:
+                    unpinned[i] = unpinned[cls[-1]]
+        found = []
+        for placed in itertools.product(*(_placements(cls, [first[i] for i in cls if i in first]) for cls in moved)):
+            setting = dict(fixed)
+            for pins in placed:
+                setting.update(pins)
+            m_vars = tuple(sorted(setting))
+            m_c = tuple(map(setting.__getitem__, m_vars))
+            if m_vars == c_vars and m_c == c:
+                member = witness
+            elif at_empty_e:
+                world = unpinned.copy()
+                for i, value in setting.items():
+                    world[i] = value
+                w_set = frozenset(self.names[i] for i in m_vars)
+                member = Witness(w_set, self._named(setting.items()), witness.x_prime, len(c_vars),
+                                 self.model.signature.world(world))
+            else:
+                member = self._first_witness_for(m_vars, m_c, x_prime, orbit)
+            found.append(((m_vars, m_c), member))
+        return found
 
     def _movable(self, x_alts: list[tuple[int, ...]]) -> list[int]:
         """The variables of `others` that a normal contingency under some
@@ -698,19 +841,20 @@ class _Search:
         `_AC2B_FAILURE_CAP` of them.  With no witness, every such
         contingency has one."""
         failures: list[Ac2bFailure] = []
-        for _, c_vars, c, alternatives in self._contingencies(weights):
-            for x_prime, orbit in alternatives:
-                for w_setting, _ in self._reached(c_vars, c, x_prime, orbit):
-                    w_prime, z_prime = self.ac2b(sorted(w_setting), w_setting)
-                    failures.append(
-                        Ac2bFailure(
-                            *self._named_contingency(w_setting, x_prime),
-                            w_prime=frozenset(self.names[i] for i in w_prime),
-                            z_prime=frozenset(self.names[i] for i in z_prime),
+        for _, _, level in self._levels(weights, members=True):
+            for c_vars, c, alternatives in level:
+                for x_prime, orbit in alternatives:
+                    for w_setting, _ in self._reached(c_vars, c, x_prime, orbit):
+                        w_prime, z_prime = self.ac2b(sorted(w_setting), w_setting)
+                        failures.append(
+                            Ac2bFailure(
+                                *self._named_contingency(w_setting, x_prime),
+                                w_prime=frozenset(self.names[i] for i in w_prime),
+                                z_prime=frozenset(self.names[i] for i in z_prime),
+                            )
                         )
-                    )
-                    if len(failures) == _AC2B_FAILURE_CAP:
-                        return tuple(failures)
+                        if len(failures) == _AC2B_FAILURE_CAP:
+                            return tuple(failures)
         return tuple(failures)
 
 

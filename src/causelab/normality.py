@@ -62,10 +62,6 @@ class NormalityOrder:
                 shared = World(merged) if len(merged) == len(sig.endogenous) else Assignment(merged)
                 raise RankConflictError(f"world ranked twice with different ranks: {shared!r}", j)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.pairs and not self.ranks
-
     def up_set(self, t: World) -> tuple[dict[str, int], ...]:
         """Patterns whose union is the set of worlds at least as normal as t;
         one of them always matches t itself."""

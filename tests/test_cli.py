@@ -562,6 +562,20 @@ class TestCorpusCommand:
             "0/1 corpus expectations hold",
         ]
 
+    def test_corpus_entry_with_an_unknown_strategy_fails(self, tmp_path):
+        # A `cause` query does not score, so only the entry check sees it.
+        (tmp_path / "forest_fire.cm").write_text((CORPUS / "forest_fire.cm").read_text())
+        (tmp_path / "expected.json").write_text(
+            '[{"id": "scored", "models": ["forest_fire.cm"],'
+            ' "query": "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)", "expect": {}, "options": {"strategy": "bogus"}}]'
+        )
+        code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
+        assert code == EXIT_DIAGNOSTICS
+        assert text.splitlines() == [
+            "FAIL scored  [0.0 ms]  (<run>:1:1: semantic: unknown strategy 'bogus')",
+            "0/1 corpus expectations hold",
+        ]
+
 
 class TestWorkCounters:
     """Golden `stats` of the slowest corpus entries and of queries whose

@@ -391,6 +391,14 @@ class TestRoundTrip:
                 assert set(order2.pairs) == set(order.pairs)
                 assert set(order2.ranks) == set(order.ranks)
 
+    def test_an_empty_normality_block_round_trips(self):
+        # It declares the order that relates each world only to itself, which
+        # is not the flat order of a model without a block.
+        model, order = parse_model("model t { exogenous U : {0,1}; endogenous A : {0,1} = U; normality { } }")
+        assert order is not None and not order.pairs and not order.ranks
+        assert parse_model(print_model(model, order)) == (model, order)
+        assert parse_model(print_model(model)) == (model, None)
+
     def test_random_models_round_trip(self):
         rng = random.Random(2024)
         for i in range(200):

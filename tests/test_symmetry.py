@@ -13,6 +13,7 @@ from unittest import mock
 
 import pytest
 
+from causelab import hp
 from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
 from causelab.dsl import parse_model, print_model
 from causelab.formula import atom
@@ -277,7 +278,7 @@ def check_renaming(rng, ext, context, cause, outcome, weights) -> None:
     assert witnessed(before, actual, names) == witnessed(after, actual2), where
     assert all(check_ac2(image, context2, cause2, outcome2, w) for w in after.witnesses), where
     assert all(w.world == image.model.solve_pinned(context2, {**w.x_prime, **w.w_setting}) for w in after.witnesses)
-    if not before.is_cause:  # a cause records failures only before its first witness, in position order
+    if not before.is_cause:  # a cause records no failures; a non-cause names them in position order
         assert bool(before.ac2b_failures) == bool(after.ac2b_failures), where
     for strategy, strategy2 in (
         (ScoringStrategy(), ScoringStrategy()),
@@ -474,5 +475,260 @@ def test_idle_random_families(family):
     checked = 0
     for case in family_cases(rng, family):
         check_idle(rng, *case)
+        checked += 1
+    assert checked >= 36
+
+
+# -- Classes-off referee ------------------------------------------------------
+# Without classes the search visits every change assignment and decides each
+# one itself.  The orbit walk must report exactly what that walk reports:
+# the same verdict, measure and AC2(b) failures, and the same witnesses in
+# the same order, with the same worlds, in no more solves.
+
+
+def vote_n(n: int) -> ExtendedModel:
+    """n voters and W = 0 while at most (n - 1) / 2 of them vote 1."""
+    voters = [f"V{i}" for i in range(1, n + 1)]
+    sig = Signature(tuple((f"U{v}", (0, 1)) for v in voters), tuple((v, (0, 1)) for v in voters) + (("W", (0, 1)),))
+    total: Expr = Var(voters[0])
+    for v in voters[1:]:
+        total = Arith("+", total, Var(v))
+    eqs = [Equation(v, Var(f"U{v}")) for v in voters]
+    eqs.append(Equation("W", If(Cmp("<=", total, Lit((n - 1) // 2)), Lit(0), Lit(1))))
+    return ExtendedModel(CausalModel(sig, eqs, name=f"vote{n}"))
+
+
+def vote_cases(ext: ExtendedModel):
+    """(context, cause, outcome) in the landslide context (every vote 0) and
+    the narrow one (a majority of one), for a voter of each side and a pair."""
+    voters = [v for v in ext.model.signature.endogenous_names if v != "W"]
+    n = len(voters)
+    for ones in (0, n // 2):
+        context = Context({f"U{v}": int(k >= n - ones) for k, v in enumerate(voters)})
+        world = ext.model.solve(context)
+        outcome = atom("W", world["W"])
+        for names in (("V1",), (voters[-1],), ("V1", "V2")):
+            yield context, CandidateCause.of({v: world[v] for v in names}), outcome
+
+
+def no_classes(search: _Search) -> None:
+    search.classes = ()
+
+
+def check_classes_off(ext, context, cause, outcome, weights) -> None:
+    where = (ext.model.name, dict(context), cause)
+    for options in ({}, {"first_witness": True}, {"weights": weights}):
+        shipped_stats, plain_stats = EngineStats(), EngineStats()
+        shipped = is_actual_cause(ext, context, cause, outcome, MAX_VARS, shipped_stats, **options)
+        with mock.patch.object(_Search, "_find_classes", no_classes):
+            plain = is_actual_cause(ext, context, cause, outcome, MAX_VARS, plain_stats, **options)
+        assert shipped == plain, (where, options)
+        assert [w.world for w in shipped.witnesses] == [w.world for w in plain.witnesses], (where, options)
+        assert shipped_stats.solves <= plain_stats.solves, (where, options)
+
+
+@pytest.mark.parametrize("n", (7, 9, 11))
+def test_classes_off_vote(n):
+    ext = vote_n(n)
+    weights = {v: Fraction(1 + i % 3) for i, v in enumerate(ext.model.signature.endogenous_names)}
+    for case in vote_cases(ext):
+        check_classes_off(ext, *case, weights)
+
+
+def test_classes_off_firing_squad(corpus):
+    rng = random.Random("classes-off:firing")
+    model, order = corpus["models"]["firing_squad"]
+    ext = ExtendedModel(model, order)
+    weights = random_weights(rng, model)
+    for live in (1, 4):
+        for var in ("M1", "M4", "M7"):
+            check_classes_off(ext, Context({"UL": live}), CandidateCause.of({var: 1}), atom("D", 1), weights)
+
+
+# Orbit shapes that the families above rarely draw, each with its cause.
+ORBIT_SHAPES = {
+    # Two interleaved classes: at one change count, the members of an orbit
+    # (one A and one B) are not generated in search order.
+    "interleaved": (
+        """model interleaved {
+  exogenous U : {0,1};
+  endogenous X : {0,1} = U;
+  endogenous A1 : {0,1} = 0; endogenous B1 : {0,1} = 0;
+  endogenous A2 : {0,1} = 0; endogenous B2 : {0,1} = 0;
+  endogenous A3 : {0,1} = 0; endogenous B3 : {0,1} = 0;
+  endogenous S : {0,1,2,3} = B1 + B2 + B3;
+  endogenous O : {0,1} = if X + A1 + A2 + A3 + 2 * S <= 3 then 0 else 1;
+}""",
+        "O",
+    ),
+    # Ternary voters, whose orbits take two distinct values.
+    "ternary": (
+        """model ternary {
+  exogenous U : {0,1};
+  endogenous X : {0,1} = U;
+  endogenous V1 : {0,1,2} = 0; endogenous V2 : {0,1,2} = 0;
+  endogenous V3 : {0,1,2} = 0; endogenous V4 : {0,1,2} = 0;
+  endogenous O : {0,1} = if X + V1 + V2 + V3 + V4 <= 3 then 0 else 1;
+}""",
+        "O",
+    ),
+    # Setting one B off also turns Q on, so each witness pins Q: E is not empty.
+    "pinned": (
+        """model pinned {
+  exogenous U : {0,1};
+  endogenous X : {0,1} = U;
+  endogenous B1 : {0,1} = 1; endogenous B2 : {0,1} = 1; endogenous B3 : {0,1} = 1;
+  endogenous P : {0,1} = min(B1, min(B2, B3));
+  endogenous Q : {0,1} = if B1 + B2 + B3 <= 2 then 1 else 0;
+  endogenous O : {0,1} = max(X, max(P, Q));
+}""",
+        "O",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ORBIT_SHAPES))
+def test_classes_off_orbit_shapes(shape):
+    text, outcome_var = ORBIT_SHAPES[shape]
+    ext = ExtendedModel(*parse_model(text))
+    weights = {v: Fraction(1) for v in ext.model.signature.endogenous_names}
+    most = 0
+    for u in (0, 1):
+        context = Context({"U": u})
+        world = ext.model.solve(context)
+        cause, outcome = CandidateCause.of({"X": world["X"]}), atom(outcome_var, world[outcome_var])
+        check_classes_off(ext, context, cause, outcome, weights)
+        most = max(most, len(is_actual_cause(ext, context, cause, outcome).witnesses))
+    assert most >= 4, shape  # some witness orbit has three members or more
+
+
+def test_weighted_ties_keep_the_heap_order():
+    # A and B are a class.  At measure 2 the weighted order takes {Y}
+    # (weight 2) before {A, B} (weights 1 + 1): the smaller set first, though
+    # its position comes later.
+    ext = ExtendedModel(*parse_model("""model tie {
+  exogenous U : {0,1};
+  endogenous X : {0,1} = U;
+  endogenous A : {0,1} = 1; endogenous B : {0,1} = 1;
+  endogenous Y : {0,1} = max(A, B);
+  endogenous O : {0,1} = max(X, Y);
+}"""))
+    weights = {"X": Fraction(1), "A": Fraction(1), "B": Fraction(1), "Y": Fraction(2), "O": Fraction(1)}
+    context, cause, outcome = Context({"U": 1}), CandidateCause.of({"X": 1}), atom("O", 1)
+    verdict = is_actual_cause(ext, context, cause, outcome, weights=weights)
+    assert [dict(w.w_setting) for w in verdict.witnesses] == [{"Y": 0}, {"A": 0, "B": 0}]
+    check_classes_off(ext, context, cause, outcome, weights)
+
+
+def pairs_model(n: int) -> ExtendedModel:
+    """n classes of two, A_i and B_i, each feeding its own P_i; setting S
+    off alone makes X a cause of O, so every witness has one change."""
+    lines = ["model pairs {", "  exogenous U : {0,1}; exogenous V : {0,1};", "  endogenous X : {0,1} = V;",
+             "  endogenous S : {0,1} = V;"]
+    outcome = "S"
+    for i in range(1, n + 1):
+        lines.append(f"  endogenous A{i} : {{0,1}} = U; endogenous B{i} : {{0,1}} = U;")
+        lines.append(f"  endogenous P{i} : {{0,1}} = min(A{i}, B{i});")
+        outcome = f"max({outcome}, P{i})"
+    lines += [f"  endogenous O : {{0,1}} = max(X, {outcome});", "}"]
+    return ExtendedModel(*parse_model("\n".join(lines)))
+
+
+def test_many_classes_stop_at_the_first_change_count():
+    # Twenty classes of two have 3**20 count vectors.  A search that ends at
+    # one change may ask only for the prefixes of at most one class member.
+    ext = pairs_model(20)
+    context, cause, outcome = Context({"U": 0, "V": 1}), CandidateCause.of({"X": 1}), atom("O", 1)
+    asked = []
+    prefixes = hp._prefixes
+
+    def spy(classes, n):
+        asked.append((len(classes), n))
+        return prefixes(classes, n)
+
+    for options in ({}, {"first_witness": True}):
+        shipped_stats, plain_stats = EngineStats(), EngineStats()
+        with mock.patch.object(hp, "_prefixes", spy):
+            shipped = is_actual_cause(ext, context, cause, outcome, 100, shipped_stats, **options)
+        with mock.patch.object(_Search, "_find_classes", no_classes):
+            plain = is_actual_cause(ext, context, cause, outcome, 100, plain_stats, **options)
+        assert shipped == plain and [dict(w.w_setting) for w in shipped.witnesses] == [{"S": 0}], options
+        assert shipped_stats.solves <= plain_stats.solves, options
+    assert max(n for size, n in asked if size == 20) == 1
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_classes_off_random_families(family):
+    rng = random.Random(f"classes-off:{family}")
+    checked = 0
+    for case in family_cases(rng, family):
+        check_classes_off(*case)
+        checked += 1
+    assert checked >= 36
+
+
+# -- Print/parse relation -----------------------------------------------------
+# Printing a model and parsing it back, with no renaming, gives the same
+# model: every answer and every work counter stays the same.
+
+
+def reprinted(ext: ExtendedModel) -> ExtendedModel:
+    return ExtendedModel(*parse_model(print_model(ext.model, ext.order)))
+
+
+def answers(ext, context, cause, outcome, weights) -> list:
+    """(answer, (solves, subset checks)) for a `cause` query and the
+    responsibility strategies, each from a fresh search."""
+    calls = [
+        lambda stats: is_actual_cause(ext, context, cause, outcome, MAX_VARS, stats),
+        *(
+            lambda stats, strategy=strategy: degree_of_responsibility(ext, context, cause, outcome, strategy, MAX_VARS,
+                                                                      stats)
+            for strategy in (ScoringStrategy(), ScoringStrategy("ways"), ScoringStrategy.weighted(weights))
+        ),
+    ]
+    out = []
+    for call in calls:
+        stats = EngineStats()
+        answer = call(stats)
+        worlds = [w.world for w in getattr(answer, "witnesses", ())]
+        out.append((answer, worlds, (stats.solves, stats.subset_checks)))
+    return out
+
+
+def check_reprint(ext, context, cause, outcome, weights) -> None:
+    image = reprinted(ext)
+    assert image.model == ext.model, ext.model.name
+    assert answers(ext, context, cause, outcome, weights) == answers(image, context, cause, outcome, weights), (
+        ext.model.name, cause)
+
+
+def test_reprint_vote11(corpus):
+    model, order = corpus["models"]["vote11"]
+    ext = ExtendedModel(model, order)
+    weights = {v: Fraction(1 + i % 3) for i, v in enumerate(model.signature.endogenous_names)}
+    for votes in ((0,) * 11, (0,) * 6 + (1,) * 5):
+        context = Context({f"UV{i}": x for i, x in enumerate(votes, start=1)})
+        world = model.solve(context)
+        for var in ("V1", "V11"):
+            check_reprint(ext, context, CandidateCause.of({var: world[var]}), atom("W", world["W"]), weights)
+
+
+def test_reprint_firing_squad(corpus):
+    rng = random.Random("reprint:firing")
+    model, order = corpus["models"]["firing_squad"]
+    ext = ExtendedModel(model, order)
+    weights = random_weights(rng, model)
+    for live in (1, 4):
+        for var in ("M1", "M4"):
+            check_reprint(ext, Context({"UL": live}), CandidateCause.of({var: 1}), atom("D", 1), weights)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_reprint_random_families(family):
+    rng = random.Random(f"reprint:{family}")
+    checked = 0
+    for case in family_cases(rng, family):
+        check_reprint(*case)
         checked += 1
     assert checked >= 36
