@@ -6,6 +6,11 @@ table with --pretty); wall-clock timings live in a dedicated "timing" field
 so that the rest of the output is byte-reproducible.  Errors are reported as
 structured diagnostics, never stack traces.
 
+A `cause` result carries the AC2(b) failures of a non-cause
+(`ac2b_failures`) only with `cause --failures`: naming them takes a pass of
+its own, and without the flag the key is absent, for causes and non-causes
+alike.
+
 Exit codes: 0 the query was answered (whatever the verdict), 1 diagnostics
 were produced, 2 a usage error (argparse), 3 the variable cap was hit.
 """
@@ -64,6 +69,7 @@ class RunOptions:
     weights: dict[str, Fraction] = field(default_factory=dict)
     max_vars: int = hp.DEFAULT_MAX_VARS
     model_name: str | None = None
+    failures: bool = False  # `cause --failures`: record AC2(b) failures
 
     def scoring(self) -> attribution.ScoringStrategy:
         if self.strategy == "weighted":
@@ -135,13 +141,17 @@ def _witness_dict(w: hp.Witness) -> dict:
     }
 
 
-def _cause_result(verdict: hp.CauseVerdict) -> dict:
-    return {
+def _cause_result(verdict: hp.CauseVerdict, failures: bool) -> dict:
+    """The `cause` result; `ac2b_failures` only when they were recorded, since
+    an empty list would read as "no failures"."""
+    result = {
         "verdict": verdict.is_cause,
         "failed_condition": verdict.failed_condition,
         "min_changes": verdict.witnesses[0].changes if verdict.witnesses else None,
         "witnesses": [_witness_dict(w) for w in verdict.witnesses],
-        "ac2b_failures": [
+    }
+    if failures:
+        result["ac2b_failures"] = [
             {
                 "w_set": sorted(f.w_set),
                 "w_setting": f.w_setting.as_dict(),
@@ -150,8 +160,8 @@ def _cause_result(verdict: hp.CauseVerdict) -> dict:
                 "z_prime": sorted(f.z_prime),
             }
             for f in verdict.ac2b_failures
-        ],
-    }
+        ]
+    return result
 
 
 def _resolve_state(loaded: LoadedSet, name: str, options: RunOptions) -> attribution.EpistemicState:
@@ -185,8 +195,10 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             context = _context(model, query.context)
             cause = CandidateCause.of(dict(query.cause))
             if isinstance(query, CauseQuery):
-                verdict = hp.is_actual_cause(ext, context, cause, query.outcome, options.max_vars, stats)
-                result = {"kind": "cause", **_cause_result(verdict)}
+                verdict = hp.is_actual_cause(
+                    ext, context, cause, query.outcome, options.max_vars, stats, record_failures=options.failures
+                )
+                result = {"kind": "cause", **_cause_result(verdict, options.failures)}
             else:
                 resp = attribution.degree_of_responsibility(
                     ext, context, cause, query.outcome, options.scoring(), options.max_vars, stats
@@ -334,6 +346,9 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
         [base / s for s in entry.get("states", [])],
     )
     opts = entry.get("options", {})
+    for key in opts:
+        if key not in ("mode", "strategy"):
+            raise RunError([_plain_diag("semantic", f"unknown option {key!r}")])
     options = RunOptions(
         mode=opts.get("mode", "extended"),
         strategy=opts.get("strategy", "reciprocal"),
@@ -470,7 +485,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("blame", "degree of blame over an epistemic state"),
         ("ness", "naive sufficient-set causation test"),
     ):
-        sub.add_parser(name, parents=[query_like], help=desc)
+        command = sub.add_parser(name, parents=[query_like], help=desc)
+        if name == "cause":
+            command.add_argument(
+                "--failures", action="store_true", help="name the AC2(b) failures of a non-cause (a pass of its own)"
+            )
 
     solve = sub.add_parser("solve", parents=[common], help="solve the equations in a context")
     solve.add_argument("--ctx", required=True, help="context like 'U1=1,U2=0'")
@@ -488,6 +507,7 @@ def _options_from_args(args) -> RunOptions:
         weights=dict(args.weights),
         max_vars=args.max_vars,
         model_name=args.model_name,
+        failures=getattr(args, "failures", False),  # only `cause` has the flag
     )
 
 

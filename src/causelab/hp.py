@@ -33,8 +33,9 @@ failures are those of the plain enumeration.  Only the work counters
 - Non-causes are decided by context folding.  The context is substituted
   into the equation bodies and constant-folded (`model.canonical`), and the
   search walks back from the outcome's variables over the references that
-  remain (`CausalModel.reads`).  Each equation is folded once per search
-  (`_Search._folded`), for this walk and the orbit keys below alike.  If no
+  remain (`CausalModel.reads`).  Each equation is folded once per model and
+  context (`CausalModel.folds`), for this walk and the orbit keys below
+  alike, and across the queries on that model.  If no
   cause variable is reached, no witness exists: pins only replace equations
   by constants, so the outcome under [x', w] equals the outcome under
   [x, w], and AC2(a) then contradicts AC2(b) at W' = W, Z' = {}.  Such a
@@ -109,13 +110,16 @@ failures are those of the plain enumeration.  Only the work counters
   walk.  `ways_fraction` evaluates each orbit of side settings once,
   weighted by its multinomial size.
 
-The AC2(b) failures that a `cause` query reports explain a verdict and do
-not decide it, so they are not the search's work.  After an AC2 verdict, a
-pass of their own (`_Search.find_ac2b_failures`) walks the contingencies in
-the search's order, through the same enumeration (`_Search._levels`,
-`_Search._reached`), and names the first failing instance (`ac2b`) of each
-contingency that passes AC2(a) and the normality gate, until it has
-`_AC2B_FAILURE_CAP` of them.  Scoring (`first_witness`) reports none.
+AC2(b) failures explain a verdict and do not decide it, so they are not the
+search's work, and they are recorded only on request
+(`is_actual_cause(record_failures=True)`, the CLI's `cause --failures`).
+Then, after an AC2 verdict, a pass of their own
+(`_Search.find_ac2b_failures`) walks the contingencies in the search's
+order, through the same enumeration (`_Search._levels`, `_Search._reached`),
+and names the first failing instance (`ac2b`) of each contingency that
+passes AC2(a) and the normality gate, until it has `_AC2B_FAILURE_CAP` of
+them.  Without the request, and in every search that scoring, blame or
+`find_all_causes` runs, no such pass is made.
 """
 
 from __future__ import annotations
@@ -298,7 +302,7 @@ class _Search:
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
-        self._folded: dict[str, tuple[tuple, frozenset[str]]] = {}  # `CausalModel._folded` memo
+        self._folded = self.model.folds(self.context)
         self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
         self._aim(cause)
         self.actual = self._solve((None,) * self.n)
@@ -835,7 +839,7 @@ class _Search:
         return None
 
     def find_ac2b_failures(self, weights: Mapping[str, Fraction] | None) -> tuple[Ac2bFailure, ...]:
-        """The AC2(b) failures a `cause` query reports once AC2 has failed:
+        """The AC2(b) failures recorded on request once AC2 has failed:
         for each contingency that passes AC2(a) and the normality gate, in
         search order, its first failing instance (`ac2b`), up to
         `_AC2B_FAILURE_CAP` of them.  With no witness, every such
@@ -900,13 +904,16 @@ def is_actual_cause(
     stats: EngineStats | None = None,
     weights: Mapping[str, Fraction] | None = None,
     first_witness: bool = False,
+    record_failures: bool = False,
 ) -> CauseVerdict:
     """Decide actual causation, reporting minimal-measure witnesses.
 
     The measure is the change count, or with `weights` (one positive weight
     per endogenous variable) the summed weights of the changed contingency
     variables.  With `first_witness`, a cause reports only its first minimal
-    witness and a non-cause no AC2(b) failures: all that scoring reads.
+    witness: all that scoring reads.  With `record_failures`, an AC2
+    non-cause names up to `_AC2B_FAILURE_CAP` AC2(b) failures; otherwise
+    `ac2b_failures` is empty.
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
     if weights is not None:
@@ -915,7 +922,7 @@ def is_actual_cause(
         for v in search.names:
             if weights[v] <= 0:
                 raise ModelError(f"weight for {v!r} must be positive")
-    return _verdict(search, cause, max_vars, weights, first_witness)
+    return _verdict(search, cause, max_vars, weights, first_witness, record_failures)
 
 
 def _verdict(
@@ -924,6 +931,7 @@ def _verdict(
     max_vars: int,
     weights: Mapping[str, Fraction] | None = None,
     first_witness: bool = False,
+    record_failures: bool = False,
 ) -> CauseVerdict:
     """`is_actual_cause` on a search aimed at `cause`."""
     search.check_cap(max_vars)
@@ -932,7 +940,7 @@ def _verdict(
 
     measure, witnesses = search.find_minimal_witnesses(weights, existence_only=first_witness)
     if measure is None:
-        failures = () if first_witness else search.find_ac2b_failures(weights)
+        failures = search.find_ac2b_failures(weights) if record_failures else ()
         return CauseVerdict(False, failed_condition="AC2", ac2b_failures=failures)
 
     # AC3: a strict nonempty sub-conjunction passing AC1 and AC2 disqualifies

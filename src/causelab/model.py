@@ -595,6 +595,7 @@ class CausalModel:
         "_steps",
         "_topo_order",
         "_readers",
+        "_folds",
         "__weakref__",
     )
 
@@ -618,6 +619,7 @@ class CausalModel:
             raise ModelError(f"equation for non-endogenous variable {sorted(extra)}")
         self._check_references()
         self._topo_order, self._readers = self._toposort()
+        self._folds: dict[tuple[int, ...], dict[str, tuple[tuple, frozenset[str]]]] = {}  # see `folds`
         # One (environment position, compiled body) step per endogenous
         # variable, in solve order; bodies read the positional environment.
         positions = signature.positions
@@ -774,6 +776,13 @@ class CausalModel:
                     seen.add(ref)
                     stack.append(ref)
 
+    def folds(self, context: tuple[int, ...]) -> dict[str, tuple[tuple, frozenset[str]]]:
+        """The `_folded` memo for the exogenous values `context`, in
+        declaration order: kept with the model, so the queries on one model
+        under one context fold each equation once.  Equality and hashing
+        ignore it."""
+        return self._folds.setdefault(context, {})
+
     def _folded(
         self, name: str, known: Mapping[str, int], memo: dict[str, tuple[tuple, frozenset[str]]]
     ) -> tuple[tuple, frozenset[str]]:
@@ -855,6 +864,7 @@ class CausalModel:
         out.name = self.name
         out._topo_order = self._topo_order
         out._readers = self._readers  # a superset: constants read nothing
+        out._folds = {}  # the bodies differ, so their folds do
         out._steps = tuple(
             (pos, compile_body(Lit(iv[v])) if v in iv else fn)
             for v, (pos, fn) in zip(self._topo_order, self._steps)

@@ -47,8 +47,8 @@ def ext_declared(corpus, name):
     return model, ExtendedModel(model, order)
 
 
-def cause_of(ext, u, cause, outcome):
-    return is_actual_cause(ext, Context(u), CandidateCause.of(cause), outcome)
+def cause_of(ext, u, cause, outcome, **options):
+    return is_actual_cause(ext, Context(u), CandidateCause.of(cause), outcome, **options)
 
 
 def failure_rows(verdict):
@@ -93,7 +93,7 @@ def test_criterion_2_suzy_billy(corpus):
 
     _, refined = ext_flat(corpus, "suzy_billy")
     assert cause_of(refined, u, {"ST": 1}, shatter).is_cause
-    verdict = cause_of(refined, u, {"BT": 1}, shatter)
+    verdict = cause_of(refined, u, {"BT": 1}, shatter, record_failures=True)
     assert not verdict.is_cause and verdict.failed_condition == "AC2"
     # The report names AC2(b) failing at Z' = {BH} for the symmetric attempt
     # that keeps Suzy out of the picture, first of all its failures in search
@@ -122,7 +122,7 @@ def test_criterion_3_doctors_non_transitivity(corpus):
     assert cause_of(ext, u, {"MT": 1}, atom("BMC", 0)).is_cause
     assert cause_of(ext, u, {"MT": 1}, atom("TT", 0)).is_cause
     assert cause_of(ext, u, {"TT": 0}, alive).is_cause
-    verdict = cause_of(ext, u, {"MT": 1}, alive)
+    verdict = cause_of(ext, u, {"MT": 1}, alive, record_failures=True)
     assert not verdict.is_cause and verdict.failed_condition == "AC2"
     assert failure_rows(verdict) == [
         ({"BMC": 3}, {"MT": 0}, ["BMC"], []),

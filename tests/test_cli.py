@@ -106,6 +106,23 @@ class TestQueries:
         assert reports[0]["result"]["verdict"] is True
         assert reports[1]["result"]["failed_condition"] == "AC1"
 
+    def test_query_file_records_failures_on_each_line(self, tmp_path):
+        # `--failures` applies to every query of a `-Q` batch: each line is
+        # the report its query gets alone with the flag.
+        queries = ["cause ST=1 of BS=1 in ctx(US=1,UB=1)", "cause BT=1 of BS=1 in ctx(US=1,UB=1)"]
+        qfile = tmp_path / "queries.cq"
+        qfile.write_text("\n".join(queries) + "\n")
+        model = model_arg("suzy_billy.cm")
+        code, reports = run_json("cause", "-m", model, "--failures", "-Q", str(qfile))
+        assert code == EXIT_OK
+        alone = [run_json("cause", "-m", model, "--failures", "-q", query)[1][0] for query in queries]
+        for report in reports + alone:
+            del report["timing"]
+        assert reports == alone
+        assert [len(r["result"]["ac2b_failures"]) for r in reports] == [0, 13]
+        _, plain = run_json("cause", "-m", model, "-Q", str(qfile))
+        assert not any("ac2b_failures" in r["result"] for r in plain)
+
     def test_query_file_diagnostic_names_the_file(self, tmp_path):
         qfile = tmp_path / "q.cq"
         qfile.write_text(_QUERY_FILE)
@@ -283,6 +300,13 @@ class TestExitCodes:
                     "-q", "cause B=1 of VS=1 in ctx(UA=1,UB=1)")
         assert exc_info.value.code == 2
         assert "argument --extended: not allowed with argument --preliminary" in capsys.readouterr().err
+
+    def test_failures_flag_is_for_cause_only(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("resp", "-m", model_arg("forest_fire.cm"), "--failures",
+                    "-q", "resp L=1 of F=1 in ctx(U1=1,U2=1,U3=1)")
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --failures" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("--sampled",), ("--seed", "3"), ("--samples", "10")])
     def test_sampling_flags_are_gone(self, flag, capsys):
@@ -577,6 +601,46 @@ class TestCorpusCommand:
         ]
 
 
+    @pytest.mark.parametrize("key, options", [
+        # `weights` would be needed by a `weighted` entry, which cannot pass
+        # without them; `failures` is a flag of `cause` alone.
+        ("weights", '{"strategy": "weighted", "weights": {"L": "1", "ML": "1", "F": "1"}}'),
+        ("failures", '{"failures": true}'),
+    ])
+    def test_corpus_entry_with_an_unknown_option_fails(self, tmp_path, key, options):
+        (tmp_path / "forest_fire.cm").write_text((CORPUS / "forest_fire.cm").read_text())
+        (tmp_path / "expected.json").write_text(
+            '[{"id": "opted", "models": ["forest_fire.cm"],'
+            f' "query": "resp L=1 of F=1 in ctx(U1=1,U2=1,U3=1)", "expect": {{}}, "options": {options}}}]'
+        )
+        code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
+        assert code == EXIT_DIAGNOSTICS
+        assert text.splitlines() == [
+            f"FAIL opted  [0.0 ms]  (<run>:1:1: semantic: unknown option '{key}')",
+            "0/1 corpus expectations hold",
+        ]
+
+
+_CAUSE_ENTRIES = [entry for entry in load_corpus_entries() if entry["query"].startswith("cause")]
+
+
+@pytest.mark.parametrize("entry", _CAUSE_ENTRIES, ids=[entry["id"] for entry in _CAUSE_ENTRIES])
+def test_failures_flag_adds_only_the_failure_record(entry):
+    """`cause --failures` prints the default report plus `ac2b_failures`,
+    outside `timing` and `stats`; the default does no more work."""
+    argv = ["cause", *(arg for m in entry["models"] for arg in ("-m", model_arg(m))), "-q", entry["query"]]
+    if entry.get("options", {}).get("mode") == "preliminary":
+        argv.append("--preliminary")
+    _, [plain] = run_json(*argv)
+    _, [recorded] = run_json(*argv, "--failures")
+    assert isinstance(recorded["result"].pop("ac2b_failures"), list)
+    plain_stats, recorded_stats = plain.pop("stats"), recorded.pop("stats")
+    del plain["timing"], recorded["timing"]
+    assert plain == recorded
+    assert plain_stats["solves"] <= recorded_stats["solves"]
+    assert plain_stats["subset_checks"] <= recorded_stats["subset_checks"]
+
+
 class TestWorkCounters:
     """Golden `stats` of the slowest corpus entries and of queries whose
     counts the shared search changed: the memoised search must solve
@@ -724,17 +788,29 @@ class TestWorkCounters:
             # only solve (1,537 when every contingency was solved first).
             ("five_doctors/other_omission_not_cause", {"solves": 1, "subset_checks": 0}),
             ("five_doctors/fifth_omission_not_cause", {"solves": 1, "subset_checks": 0}),
-            # Only the all-zero world admits A1=0, and it moves no other
-            # variable: one change set, one solve for it (1,521 before).
-            ("five_doctors/assignment_not_cause", {"solves": 2, "subset_checks": 0}),
+            # The outcome cannot reach A1 once the context is folded in, so
+            # the actual world is the only solve (2 while the failure pass
+            # always ran; `test_five_doctors_failure_pass` keeps that count).
+            ("five_doctors/assignment_not_cause", {"solves": 1, "subset_checks": 0}),
         ],
     )
     def test_five_doctors(self, entry_id, stats):
-        entry = next(e for e in load_corpus_entries() if e["id"] == entry_id)
-        code, lines = run_json("cause", "-m", model_arg(entry["models"][0]), "-q", entry["query"])
-        assert code == EXIT_OK
-        assert all(lines[0]["result"][k] == v for k, v in entry["expect"].items())
-        assert lines[0]["stats"] == stats
+        assert corpus_entry_stats(entry_id) == stats
+
+    def test_five_doctors_failure_pass(self):
+        # Only the all-zero world admits A1=0, and it moves no other
+        # variable: one change set, one solve for it (1,521 before).
+        assert corpus_entry_stats("five_doctors/assignment_not_cause", "--failures") == {"solves": 2, "subset_checks": 0}
+
+
+def corpus_entry_stats(entry_id, *flags):
+    """The `stats` of a corpus `cause` entry run with `flags`, once its
+    expectations are checked."""
+    entry = next(e for e in load_corpus_entries() if e["id"] == entry_id)
+    code, lines = run_json("cause", "-m", model_arg(entry["models"][0]), *flags, "-q", entry["query"])
+    assert code == EXIT_OK
+    assert all(lines[0]["result"][k] == v for k, v in entry["expect"].items())
+    return lines[0]["stats"]
 
 
 def test_module_entry_point():

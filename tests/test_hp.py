@@ -12,6 +12,7 @@ from causelab.formula import CausalFormula, atom, disj, holds, valid
 from causelab.hp import (
     CandidateCause,
     CapExceededError,
+    CauseVerdict,
     EngineStats,
     Witness,
     _Search,
@@ -569,18 +570,39 @@ class TestContextFold:
         assert not verdict.is_cause and verdict.failed_condition == "AC2"
         assert stats.solves == 1 and stats.subset_checks == 0  # the actual world only
 
+    def test_folds_are_kept_per_model_and_context(self):
+        # The same query again on the model under its context folds nothing;
+        # another context, or a model from `intervene`, folds afresh.  The
+        # memo plays no part in equality or hashing.
+        model, fresh = forest_fire(), forest_fire()
+        fire = atom("F", 1)
+        with mock.patch("causelab.model.canonical", side_effect=canonical) as spy:
+            def folds(m, u, cause):
+                before = spy.call_count
+                is_actual_cause(ext_of(m), u, CandidateCause.of(cause), fire)
+                return spy.call_count - before
+
+            first = folds(model, u_ff(1, 1, 1), {"L": 1})
+            assert first > 0
+            assert folds(model, u_ff(1, 1, 1), {"L": 1}) == 0
+            assert folds(model, u_ff(1, 1, 2), {"L": 1}) > 0
+            assert folds(model.intervene({}), u_ff(1, 1, 1), {"L": 1}) == first
+        assert model == fresh and hash(model) == hash(fresh)
+
     def test_cause_query_stops_once_its_failures_are_recorded(self, corpus):
-        # The verdict costs the actual world alone; the failure report is a
-        # pass of its own after it, and stops at its 32nd failure.
+        # The verdict costs the actual world alone and records no failures;
+        # the failure report, on request, is a pass of its own after it, and
+        # stops at its 32nd failure.
         model, _ = corpus["models"]["firing_squad"]
         u = Context({"UL": 2})
         cause, death = CandidateCause.of({"M1": 1}), atom("D", 1)
         first, report = EngineStats(), EngineStats()
-        is_actual_cause(ext_of(model), u, cause, death, stats=first, first_witness=True)
-        verdict = is_actual_cause(ext_of(model), u, cause, death, stats=report)
+        default = is_actual_cause(ext_of(model), u, cause, death, stats=first)
+        verdict = is_actual_cause(ext_of(model), u, cause, death, stats=report, record_failures=True)
         with mock.patch.object(_Search, "outcome_reaches_cause", return_value=True):
-            exhaustive = is_actual_cause(ext_of(model), u, cause, death)
+            exhaustive = is_actual_cause(ext_of(model), u, cause, death, record_failures=True)
         assert (first.solves, first.subset_checks) == (1, 0)
+        assert default == CauseVerdict(False, failed_condition="AC2")
         assert len(verdict.ac2b_failures) == 32
         assert verdict == exhaustive
         # 103 solves when the report ran without the classes of

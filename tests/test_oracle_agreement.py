@@ -229,7 +229,7 @@ def test_gun_loading_subset_discrimination():
     agree_on(ext, u, CandidateCause.of({"C": 1}), death)
     agree_on(ext, u, CandidateCause.of({"A": 1}), death)
     assert is_actual_cause(ext, u, CandidateCause.of({"C": 1}), death).is_cause
-    verdict = is_actual_cause(ext, u, CandidateCause.of({"A": 1}), death)
+    verdict = is_actual_cause(ext, u, CandidateCause.of({"A": 1}), death, record_failures=True)
     assert not verdict.is_cause and verdict.failed_condition == "AC2"
     assert any(
         f.w_prime == frozenset({"C"}) or f.z_prime == frozenset({"C"})
@@ -323,9 +323,9 @@ def test_random_scoring_batch_agrees():
 
 def agree_on_ac2b_failures(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome) -> None:
     """A cut-short search reports the AC2(b) failures of the full one."""
-    verdict = is_actual_cause(ext, context, cause, outcome)
+    verdict = is_actual_cause(ext, context, cause, outcome, record_failures=True)
     with mock.patch.object(_Search, "outcome_reaches_cause", return_value=True):
-        full = is_actual_cause(ext, context, cause, outcome)
+        full = is_actual_cause(ext, context, cause, outcome, record_failures=True)
     assert verdict == full, (ext.model.name, cause)
 
 
@@ -458,9 +458,9 @@ def agree_unpruned(ext: ExtendedModel, context: Context, cause: CandidateCause, 
 
     def verdicts(stats: EngineStats):
         return (
-            is_actual_cause(ext, context, cause, outcome, stats=stats),
+            is_actual_cause(ext, context, cause, outcome, stats=stats, record_failures=True),
             is_actual_cause(ext, context, cause, outcome, stats=stats, first_witness=True),
-            is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights),
+            is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights, record_failures=True),
         )
 
     pruned = verdicts(pruned_stats)
@@ -529,9 +529,9 @@ def agree_undecided(ext: ExtendedModel, context: Context, cause: CandidateCause,
 
     def verdicts():
         return (
-            is_actual_cause(ext, context, cause, outcome),
+            is_actual_cause(ext, context, cause, outcome, record_failures=True),
             is_actual_cause(ext, context, cause, outcome, first_witness=True),
-            is_actual_cause(ext, context, cause, outcome, weights=weights),
+            is_actual_cause(ext, context, cause, outcome, weights=weights, record_failures=True),
         )
 
     shared = verdicts()
@@ -659,17 +659,17 @@ def agree_on_block(ext: ExtendedModel, context: Context, cause: CandidateCause, 
     search found a class."""
     stats = EngineStats()
     verdicts = (
-        is_actual_cause(ext, context, cause, outcome, stats=stats),
+        is_actual_cause(ext, context, cause, outcome, stats=stats, record_failures=True),
         is_actual_cause(ext, context, cause, outcome, stats=stats, first_witness=True),
-        is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights),
+        is_actual_cause(ext, context, cause, outcome, stats=stats, weights=weights, record_failures=True),
     )
     ways = ways_fraction(ext, context, cause, outcome, stats=stats)
     direct_stats = EngineStats()
     with mock.patch.object(_Search, "_interchangeable_classes", return_value=()):
         direct = (
-            is_actual_cause(ext, context, cause, outcome, stats=direct_stats),
+            is_actual_cause(ext, context, cause, outcome, stats=direct_stats, record_failures=True),
             is_actual_cause(ext, context, cause, outcome, stats=direct_stats, first_witness=True),
-            is_actual_cause(ext, context, cause, outcome, stats=direct_stats, weights=weights),
+            is_actual_cause(ext, context, cause, outcome, stats=direct_stats, weights=weights, record_failures=True),
         )
         assert ways_fraction(ext, context, cause, outcome, stats=direct_stats) == ways, (ext.model.name, cause)
     assert verdicts == direct, (ext.model.name, cause)

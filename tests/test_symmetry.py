@@ -269,8 +269,8 @@ def check_renaming(rng, ext, context, cause, outcome, weights) -> None:
     cause2 = CandidateCause.of({names[v]: x for v, x in cause.settings.items()})
     outcome2 = atom(names[outcome.event.variable], outcome.event.value)
     weights2 = {names[v]: w for v, w in weights.items()}
-    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS)
-    after = is_actual_cause(image, context2, cause2, outcome2, MAX_VARS)
+    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS, record_failures=True)
+    after = is_actual_cause(image, context2, cause2, outcome2, MAX_VARS, record_failures=True)
     where = (ext.model.name, cause)
     assert (before.is_cause, before.failed_condition, before.measure) == (
         after.is_cause, after.failed_condition, after.measure), where
@@ -423,8 +423,8 @@ def idle_ways(ext, context, cause, outcome, ways: Fraction) -> Fraction:
 
 def check_idle(rng, ext, context, cause, outcome, weights) -> None:
     image = with_idle(rng, ext)
-    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS)
-    after = is_actual_cause(image, context, cause, outcome, MAX_VARS)
+    before = is_actual_cause(ext, context, cause, outcome, MAX_VARS, record_failures=True)
+    after = is_actual_cause(image, context, cause, outcome, MAX_VARS, record_failures=True)
     where = (ext.model.name, cause, image.model.equations[IDLE].body)
     assert (before.is_cause, before.failed_condition, before.measure) == (
         after.is_cause, after.failed_condition, after.measure), where
@@ -517,7 +517,7 @@ def no_classes(search: _Search) -> None:
 
 def check_classes_off(ext, context, cause, outcome, weights) -> None:
     where = (ext.model.name, dict(context), cause)
-    for options in ({}, {"first_witness": True}, {"weights": weights}):
+    for options in ({"record_failures": True}, {"first_witness": True}, {"weights": weights, "record_failures": True}):
         shipped_stats, plain_stats = EngineStats(), EngineStats()
         shipped = is_actual_cause(ext, context, cause, outcome, MAX_VARS, shipped_stats, **options)
         with mock.patch.object(_Search, "_find_classes", no_classes):
