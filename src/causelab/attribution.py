@@ -137,13 +137,14 @@ def degree_of_blame(
     stats = stats if stats is not None else EngineStats()
     cause = CandidateCause(Assignment(action))
     total = Fraction(0)
-    for (ext, context), prob in zip(state.situations, state.probabilities):
+    # Solving every situation first checks every context before the action and outcome.
+    actual = [ext.model.solve(context) for ext, context in state.situations]
+    for (ext, context), prob, pre_world in zip(state.situations, state.probabilities, actual):
         try:
             cause.validate(ext.model)
             outcome.validate(ext.model)
         except ModelError as exc:  # the wrapper keeps the error's class, so its category
             raise type(exc)(f"signature mismatch across situations: {exc}") from exc
-        pre_world = ext.model.solve(context)
         if any(pre_world[v] != x for v, x in action.items()):
             continue
         post = ExtendedModel(ext.model.intervene(action), ext.order)

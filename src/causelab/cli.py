@@ -124,12 +124,6 @@ def _extended(model: CausalModel, order: NormalityOrder | None, options: RunOpti
     return ExtendedModel(model, None if options.mode == "preliminary" else order)
 
 
-def _context(model: CausalModel, assigns) -> Context:
-    ctx = Context(dict(assigns))
-    model.signature.check_context(ctx)
-    return ctx
-
-
 def _witness_dict(w: hp.Witness) -> dict:
     """A witness the search returned, with the world it solved for it."""
     return {
@@ -175,7 +169,7 @@ def _resolve_state(loaded: LoadedSet, name: str, options: RunOptions) -> attribu
                 [_plain_diag("unknown variable", f"state {name!r} references unloaded model {sit.model_name!r}")]
             )
         model, order = loaded.models[sit.model_name]
-        situations.append((_extended(model, order, options), _context(model, sit.context)))
+        situations.append((_extended(model, order, options), Context(sit.context)))
     return attribution.EpistemicState(tuple(situations), tuple(sit.probability for sit in decl.situations))
 
 
@@ -185,14 +179,13 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
     try:
         if isinstance(query, EvalQuery):
             model, _ = loaded.pick_model(options.model_name)
-            context = _context(model, query.context)
-            result = {"kind": "eval", "holds": holds(model, context, query.formula)}
+            result = {"kind": "eval", "holds": holds(model, Context(query.context), query.formula)}
             used = [model.name]
 
         elif isinstance(query, (CauseQuery, RespQuery)):
             model, order = loaded.pick_model(options.model_name)
             ext = _extended(model, order, options)
-            context = _context(model, query.context)
+            context = Context(query.context)
             cause = CandidateCause.of(dict(query.cause))
             if isinstance(query, CauseQuery):
                 verdict = hp.is_actual_cause(
@@ -224,8 +217,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
 
         elif isinstance(query, NessQuery):
             model, _ = loaded.pick_model(options.model_name)
-            context = _context(model, query.context)
-            found = ness.is_ness_cause(model, context, query.event, query.outcome, stats)
+            found = ness.is_ness_cause(model, Context(query.context), query.event, query.outcome, stats)
             result = {
                 "kind": "ness",
                 "verdict": found is not None,
@@ -533,12 +525,11 @@ def main(argv=None, out=None) -> int:
         try:
             model, _order = loaded.pick_model(options.model_name)
             assigns = dsl.parse_context(args.ctx)
-            context = _context(model, assigns)
             start = time.perf_counter()
-            world = model.solve(context)
+            world = model.solve(Context(assigns))
             wall = (time.perf_counter() - start) * 1000.0
             report = _report(
-                f"solve {dsl._render_ctx(assigns)}",
+                f"solve {dsl.print_context(assigns)}",
                 {"kind": "solve", "world": world.as_dict()},
                 EngineStats(),
                 _hashes_for(loaded, [model.name]),

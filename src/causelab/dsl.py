@@ -839,7 +839,7 @@ def _render_event_formula(node: EventFormula, parent: str | None = None) -> str:
     raise ValueError(f"unknown formula node {node!r}")
 
 
-def _render_ctx(context) -> str:
+def print_context(context: tuple[tuple[str, int], ...]) -> str:
     return "ctx(" + ",".join(f"{k}={v}" for k, v in context) + ")"
 
 
@@ -850,12 +850,12 @@ def print_query(query: Query) -> str:
             inner = ",".join(f"{k}<-{v}" for k, v in query.formula.prefix.items())
             prefix = f"[{inner}]"
         matrix = _render_event_formula(query.formula.matrix)
-        return f"eval {prefix}{matrix} in {_render_ctx(query.context)}"
+        return f"eval {prefix}{matrix} in {print_context(query.context)}"
     if isinstance(query, (CauseQuery, RespQuery)):
         cause = " & ".join(f"{k}={v}" for k, v in query.cause)
         return (
             f"{query.kind} {cause} of {_render_event_formula(query.outcome)}"
-            f" in {_render_ctx(query.context)}"
+            f" in {print_context(query.context)}"
         )
     if isinstance(query, BlameQuery):
         action = ",".join(f"{k}<-{v}" for k, v in query.action)
@@ -866,7 +866,7 @@ def print_query(query: Query) -> str:
     if isinstance(query, NessQuery):
         return (
             f"ness {query.event.variable}={query.event.value}"
-            f" of {_render_event_formula(query.outcome)} in {_render_ctx(query.context)}"
+            f" of {_render_event_formula(query.outcome)} in {print_context(query.context)}"
         )
     raise ValueError(f"unknown query {query!r}")
 
@@ -878,7 +878,7 @@ def print_states(states: list[StateDecl]) -> str:
         for sit in state.situations:
             prob = f"{sit.probability.numerator}/{sit.probability.denominator}"
             lines.append(
-                f"  situation model={sit.model_name} {_render_ctx(sit.context)} prob={prob};"
+                f"  situation model={sit.model_name} {print_context(sit.context)} prob={prob};"
             )
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -161,32 +161,36 @@ class CausalFormula:
 
 
 def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula) -> bool:
-    """Truth of a causal formula in (model, context)."""
+    """Truth of a causal formula in (model, context); the context is checked first."""
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
-    f.validate(model)
     sig = model.signature
     sig.check_context(context)
+    f.validate(model)
     values = model.solve_unchecked(sig.context_values(context), sig.pin_values(f.prefix))
     return f.matrix.predicate(sig.endogenous_index)(values)
 
 
 def valid(model: CausalModel, f: CausalFormula | EventFormula, stats: EngineStats | None = None) -> bool:
-    """Truth of a causal formula in every context of the model; stops at the
-    first context that falsifies it.  `stats` counts the solves made.
-
-    Only the exogenous variables the matrix still reads once the prefix is
-    folded into the equations (`model.canonical`, walked by
-    `CausalModel.reads`) are ranged over; the others keep their first value,
-    since the matrix cannot depend on them.
-    """
+    """Truth of a causal formula in every context of the model; checked here, decided by `valid_unchecked`."""
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
+    matrix = f.matrix.predicate(model.signature.endogenous_index)
+    return valid_unchecked(model, f.prefix, matrix, f.matrix.variables(), stats)
+
+
+def valid_unchecked(
+    model: CausalModel, prefix: Mapping[str, int], matrix: Predicate, variables: frozenset[str], stats: EngineStats | None
+) -> bool:
+    """`valid` of `[prefix] matrix`, for a matrix compiled over `variables`;
+    nothing is checked, since callers check both once, at the query boundary.
+    Only the exogenous variables the matrix still reads once the prefix is
+    folded in (`model.canonical`, walked by `CausalModel.reads`) are ranged
+    over; the others keep their first value.  `stats` counts the solves made.
+    """
     sig = model.signature
-    pins = sig.pin_values(f.prefix)
-    matrix = f.matrix.predicate(sig.endogenous_index)
-    read = set(model.reads(f.matrix.variables(), f.prefix))
+    pins, read = sig.pin_values(prefix), set(model.reads(variables, prefix))
     ranges = [values if name in read else values[:1] for name, values in sig.exogenous]
     for u in itertools.product(*ranges):
         if stats is not None:

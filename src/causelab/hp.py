@@ -272,13 +272,13 @@ def _placements(positions: Sequence[int], values: Sequence[int]) -> Iterator[dic
 class _Search:
     """Witness search for one (extended model, context, cause, outcome).
 
-    The cause, outcome and context are validated once, here, since the
-    search solves unchecked; inside it every variable is its endogenous
-    declaration position, pins are tuples with None for "unpinned" and
-    solutions are value tuples.  Names and `World`s appear only in reported
-    results and in the one up-set lookup of a non-flat order, whose patterns
-    are kept by position.  `for_cause` reuses all cause-independent state,
-    the memos and the patterns included.
+    The context, cause and outcome are checked once, here, in that order, for
+    each public entry that searches; the search itself solves unchecked.
+    Inside it every variable is its endogenous declaration position, pins are
+    tuples with None for "unpinned" and solutions are value tuples.  Names and
+    `World`s appear only in reported results and in the one up-set lookup of a
+    non-flat order, whose patterns are kept by position.  `for_cause` reuses
+    all cause-independent state, the memos and the patterns included.
     """
 
     def __init__(
@@ -291,9 +291,9 @@ class _Search:
     ):
         self.model = ext.model
         sig = self.model.signature
+        sig.check_context(context)
         cause.validate(self.model)
         outcome.validate(self.model)
-        sig.check_context(context)
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
         self.outcome_vars = outcome.variables()

@@ -551,7 +551,8 @@ class Signature:
     # -- positional form ----------------------------------------------------
     # Inside a query, contexts and worlds are tuples in declaration order and
     # pins are tuples over the endogenous variables with None for "unpinned".
-    # These conversions do not validate: check at the query boundary first.
+    # These conversions check nothing: the public entry that takes a query's
+    # input checks it first, once (see `_Search`, `formula.valid_unchecked`).
 
     def context_values(self, context: Mapping[str, int]) -> tuple[int, ...]:
         return tuple(context[name] for name in self.exogenous_names)

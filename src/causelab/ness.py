@@ -11,7 +11,7 @@ model-theoretic reading and the one under which the classic counterexamples
 to the test are reproducible.
 
 Candidate sets contain primitive events only, one per variable, so each is an
-`Intervention`.  With finite ranges an event `X = x` already expresses any
+intervention.  With finite ranges an event `X = x` already expresses any
 "negative" event, so no separate treatment is needed for those.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .formula import CausalFormula, EventFormula, PrimitiveEvent, valid
+from .formula import EventFormula, PrimitiveEvent, valid_unchecked
 from .model import CausalModel, Context, Intervention
 
 if TYPE_CHECKING:
@@ -38,25 +38,28 @@ def is_ness_cause(
 
     The search space is every set of primitive events true in the solved
     world that contains the queried event; the set found is returned as an
-    intervention, the queried event first.  `stats` counts the solves made:
-    the actual world's and each validity check's, one per context of the
-    exogenous variables the pinned outcome still reads (see `valid`).
+    intervention, the queried event first.  The context, outcome and event
+    are checked once, here; the sets come from the solved world, so
+    `valid_unchecked` decides each.  `stats` counts the solves made.
     """
+    sig = model.signature
+    sig.check_context(context)
     outcome.validate(model)
-    model.signature.check_endogenous("event variable", event.variable, event.value)
-    world = model.solve(context)
+    sig.check_endogenous("event variable", event.variable, event.value)
+    world = model.solve_unchecked(sig.context_values(context), sig.pin_values(None))
     if stats is not None:
         stats.solves += 1
-    if world[event.variable] != event.value:
+    if world[sig.endogenous_index[event.variable]] != event.value:
         return None  # only actually occurring events qualify
-    others = [(v, world[v]) for v in model.signature.endogenous_names if v != event.variable]
+    others = [(v, x) for v, x in zip(sig.endogenous_names, world) if v != event.variable]
+    matrix, variables = outcome.predicate(sig.endogenous_index), outcome.variables()
 
-    def sufficient(s: Intervention) -> bool:
-        return valid(model, CausalFormula(s, outcome), stats)
+    def sufficient(events: tuple[tuple[str, int], ...]) -> bool:
+        return valid_unchecked(model, dict(events), matrix, variables, stats)
 
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
-            with_event = Intervention(((event.variable, event.value),) + combo)
-            if sufficient(with_event) and not sufficient(Intervention(combo)):
-                return with_event
+            with_event = ((event.variable, event.value), *combo)
+            if sufficient(with_event) and not sufficient(combo):
+                return Intervention(with_event)
     return None

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import os
@@ -6,7 +7,20 @@ import sys
 
 import pytest
 
-from causelab.cli import EXIT_CAP, EXIT_DIAGNOSTICS, EXIT_OK, corpus_dir, load_corpus_entries, main
+from causelab.cli import (
+    EXIT_CAP,
+    EXIT_DIAGNOSTICS,
+    EXIT_OK,
+    LoadedSet,
+    RunOptions,
+    corpus_dir,
+    load_corpus_entries,
+    main,
+    run_query,
+)
+from causelab.dsl import parse_query
+from causelab.formula import CausalFormula
+from causelab.model import Signature
 
 CORPUS = corpus_dir()
 
@@ -464,6 +478,13 @@ DIAGNOSTIC_TABLE = [
      ("unknown variable", 6, 6, "pattern variable 'QQ' is not a declared endogenous variable")),
     ("unknown cause variable", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause NOPE=1 of F=1 in {_FF_CTX}"),
      ("unknown variable", 1, 1, "cause variable 'NOPE' is not endogenous")),
+    ("unknown ness event variable", {},
+     ("ness", "-m", model_arg("forest_fire.cm"), "-q", f"ness NOPE=1 of F=1 in {_FF_CTX}"),
+     ("unknown variable", 1, 1, "event variable 'NOPE' is not endogenous")),
+    # A query with a bad context and a bad cause reports the context.
+    ("bad context and bad cause variable", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-q", "cause NOPE=1 of F=1 in ctx(U1=1,U2=1)"),
+     ("semantic", 1, 1, "context is missing exogenous variable 'U3'")),
     ("unknown state", {}, ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1 of F=1 over state nope"),
      ("unknown variable", 1, 1, "no loaded state named 'nope'")),
     ("blame action missing from a situation's model", {"m.cm": _FOREST2, "s.ce": _TWO_SITUATIONS % "forest2"},
@@ -496,6 +517,10 @@ DIAGNOSTIC_TABLE = [
     ("missing context variable named Uundeclared", {"m.cm": _TWO_EXO % "Uundeclared"},
      ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
      ("semantic", 1, 1, "context is missing exogenous variable 'Uundeclared'")),
+    ("situation context missing a variable",
+     {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1) prob=1;\n}\n"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("semantic", 1, 1, "context is missing exogenous variable 'U3'")),
     ("rank conflict", {"m.cm": _ORDERED % "rank [X=1] = 0;\n    rank [Y=1] = 1;"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("semantic", 7, 5, "world ranked twice with different ranks: World(X=1, Y=1)")),
     ("missing weights", {},
@@ -533,6 +558,40 @@ class TestDiagnosticsTable:
             "syntax", "unknown variable", "range violation", "cycle",
             "non-total equation", "semantic", "resource-cap",
         }
+
+
+class TestEachInputCheckedOnce:
+    """The library call that answers a query checks its context once, and a
+    NESS query checks no formula per candidate set."""
+
+    @pytest.mark.parametrize("model_name, text", [
+        ("forest_fire", f"eval F=1 in {_FF_CTX}"),
+        ("forest_fire", f"cause L=1 of F=1 in {_FF_CTX}"),
+        ("forest_fire", f"resp L=1 of F=1 in {_FF_CTX}"),
+        ("forest_fire_disj", "ness L=1 of F=1 in ctx(U1=1,U2=1)"),
+        ("poisoned_tea", "ness CP=1 of PD=1 in ctx(UC=1,UD=1,UR=1)"),
+    ])
+    def test_checks_per_query(self, corpus, monkeypatch, model_name, text):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[f"{owner.__name__}.{name}"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Signature, "check_context")
+        count(CausalFormula, "validate")
+        loaded = LoadedSet()
+        loaded.add_model(*corpus["models"][model_name])
+        query = parse_query(text)
+        run_query(query, loaded, RunOptions())
+        assert calls["Signature.check_context"] == 1
+        # an `eval` query's formula is the one CausalFormula a query checks
+        assert calls["CausalFormula.validate"] == (1 if query.kind == "eval" else 0)
 
 
 class TestCorpusCommand:

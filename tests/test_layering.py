@@ -23,16 +23,37 @@ PACKAGE = Path(causelab.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def dotted(node: ast.expr) -> str | None:
+    """`a.b.c` for a chain of attribute reads on a name; None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (head := dotted(node.value)):
+        return f"{head}.{node.attr}"
+    return None
+
+
 def private_imports(source: str) -> list[str]:
-    """`module.name` for every `_`-prefixed name imported from causelab."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    """`module.name` for every `_`-prefixed name imported from causelab, or
+    read as an attribute of a causelab module the source imports (dunder
+    attributes such as `__name__` aside)."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "causelab" for alias in node.names if alias.name.split(".")[0] == "causelab"}
         if not isinstance(node, ast.ImportFrom):
             continue
         module = node.module or ""
         if node.level == 0 and module.split(".")[0] != "causelab":
             continue
         found += [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+        if module in ("", "causelab"):  # `from . import hp` or `from causelab import hp`
+            modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            owner = dotted(node.value)
+            if owner is not None and owner.split(".")[0] in modules:
+                found.append(f"{owner}.{node.attr}")
     return found
 
 
@@ -70,6 +91,14 @@ def test_guard_sees_private_imports():
     assert private_imports("from causelab.model import _x\n") == ["causelab.model._x"]
     assert private_imports("from collections import _chain_map\n") == []
     assert private_imports("from . import hp\nimport causelab._private\n") == []
+
+
+def test_guard_sees_private_attributes():
+    assert private_imports("from . import dsl\nx = dsl._render_ctx(c)\n") == ["dsl._render_ctx"]
+    assert private_imports("from causelab import hp as h\nh._Search\n") == ["h._Search"]
+    assert private_imports("import causelab.dsl as d\nd._lex\n") == ["d._lex"]
+    assert private_imports("import causelab.dsl\ncauselab.dsl._lex()\n") == ["causelab.dsl._lex"]
+    assert private_imports("from . import dsl\nself._x\ndsl.__name__\nos._exit(0)\n") == []
 
 
 def test_every_export_resolves_once():

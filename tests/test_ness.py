@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from causelab.dsl import parse_query, print_model
 from causelab.formula import CausalFormula, PrimitiveEvent, atom, valid
 from causelab.hp import CandidateCause, EngineStats, is_actual_cause
-from causelab.model import Context, Intervention
+from causelab.model import Context, Intervention, ModelError, RangeViolationError, UnknownVariableError
 from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel
 from randmodels import (
@@ -93,6 +94,34 @@ class TestNessCause:
         assert is_actual_cause(
             ExtendedModel(units, None), u_switch, CandidateCause.of({"D2": 13}), injury
         ).is_cause
+
+
+class TestNessErrors:
+    """Each faulty input raises from `is_ness_cause`, which checks the
+    context, the outcome and the event once, on entry."""
+
+    U = Context({"U1": 1, "U2": 1})
+
+    def test_event_variable_not_endogenous(self, corpus):
+        model, _ = corpus["models"]["forest_fire_disj"]
+        with pytest.raises(UnknownVariableError, match="event variable 'U1' is not endogenous"):
+            is_ness_cause(model, self.U, PrimitiveEvent("U1", 1), atom("F", 1))
+
+    def test_event_value_out_of_range(self, corpus):
+        model, _ = corpus["models"]["forest_fire_disj"]
+        with pytest.raises(RangeViolationError, match="value 2 outside the range of 'L'"):
+            is_ness_cause(model, self.U, PrimitiveEvent("L", 2), atom("F", 1))
+
+    def test_outcome_over_unknown_variable(self, corpus):
+        model, _ = corpus["models"]["forest_fire_disj"]
+        with pytest.raises(UnknownVariableError, match="formula variable 'NOPE' is not endogenous"):
+            is_ness_cause(model, self.U, PrimitiveEvent("L", 1), atom("NOPE", 1))
+
+    def test_context_missing_an_exogenous_variable(self, corpus):
+        model, _ = corpus["models"]["forest_fire_disj"]
+        with pytest.raises(ModelError, match="context is missing exogenous variable 'U2'") as info:
+            is_ness_cause(model, Context({"U1": 1}), PrimitiveEvent("L", 1), atom("F", 1))
+        assert info.value.category == "semantic"
 
 
 # Solves per corpus `ness` query: the actual world's, then one per context
