@@ -32,7 +32,8 @@ from .hp import (
 from .model import Assignment, Context, Intervention, ModelError
 from .normality import ExtendedModel
 
-_KINDS = ("reciprocal", "exponential", "weighted", "ways")
+# The `ScoringStrategy` kinds; public for the CLI, not exported.
+STRATEGY_KINDS = ("reciprocal", "exponential", "weighted", "ways")
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class ScoringStrategy:
     weights: tuple[tuple[str, Fraction], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown scoring strategy {self.kind!r}")
         if self.kind == "weighted":
             if not self.weights:

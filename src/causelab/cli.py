@@ -59,9 +59,6 @@ class RunError(Exception):
         self.exit_code = exit_code
 
 
-_STRATEGIES = ("reciprocal", "exponential", "weighted", "ways")
-
-
 @dataclass
 class RunOptions:
     mode: str = "extended"  # or "preliminary"
@@ -74,7 +71,7 @@ class RunOptions:
     def scoring(self) -> attribution.ScoringStrategy:
         if self.strategy == "weighted":
             return attribution.ScoringStrategy.weighted(self.weights)
-        return attribution.ScoringStrategy(self.strategy)
+        return attribution.ScoringStrategy(self.strategy, tuple(self.weights.items()) or None)
 
     def as_report_dict(self) -> dict:
         out = {
@@ -347,7 +344,7 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
     )
     if options.mode not in ("extended", "preliminary"):
         raise RunError([_plain_diag("semantic", f"unknown mode {options.mode!r}")])
-    if options.strategy not in _STRATEGIES:
+    if options.strategy not in attribution.STRATEGY_KINDS:
         raise RunError([_plain_diag("semantic", f"unknown strategy {options.strategy!r}")])
     query = parse_query(entry["query"], origin=entry["id"])
     if loaded.models and not isinstance(query, BlameQuery):
@@ -458,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--preliminary", action="store_true", help="ignore normality declarations")
     mode.add_argument("--extended", action="store_true", help="use normality declarations (default)")
-    common.add_argument("--strategy", choices=_STRATEGIES, default="reciprocal")
+    common.add_argument("--strategy", choices=attribution.STRATEGY_KINDS, default="reciprocal")
     common.add_argument("--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted")
     # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
     max_vars = os.environ.get("CAUSELAB_MAX_VARS") or hp.DEFAULT_MAX_VARS

@@ -81,13 +81,14 @@ failures are those of the plain enumeration.  Only the work counters
   (`ac2b`) decides it.  This is the search's only AC2(b) test.
 - Each orbit of interchangeable variables is decided once.  Two variables
   outside the cause and the outcome are interchangeable when they share
-  their range and actual value, have equal keys in the equations folded
-  under the context, which makes swapping them map those equations onto
-  themselves (`CausalModel.interchangeable`), and the swap also maps the
-  actual world's up-set patterns onto themselves.  Weights play no part:
-  each member is enumerated at its own measure.  Such a swap maps every
-  solution, AC2 verdict and witness onto its image, so the solve and AC2(b)
-  memos are keyed by the representative of the orbit of their pins
+  their range, their actual value and their value in each of the actual
+  world's up-set patterns, which makes swapping them map each pattern onto
+  itself, and have equal keys in the equations folded under the context,
+  which makes it map those equations onto themselves
+  (`CausalModel.interchangeable`).  Weights play no part: each member is
+  enumerated at its own measure.  Such a swap maps every solution, AC2
+  verdict and witness onto its image, so the solve and AC2(b) memos are
+  keyed by the representative of the orbit of their pins
   (`_Search._canonical`).  Without weights the search walks orbits, not
   their members (`_Search._levels`): per class a count and a sorted
   multiset of values, in the order of each orbit's first member, which sets
@@ -95,20 +96,21 @@ failures are those of the plain enumeration.  Only the work counters
   maps its decision to every member: with no witness the orbit is skipped
   whole; with one, every member has one under the same x'.  When that
   witness has E empty, which every order tries first, each member's witness
-  is its image, and its world pins the member's change variables and gives
-  a class's other members their common unpinned value, without a solve.
-  Otherwise which E comes first depends on the positions, so each member is
-  decided on its own.  A full search then sorts the level's witnesses back
-  into search order, and an `existence_only` search stops at the first
-  orbit with a witness, where the member walk stopped.  So no solve moves.
-  The same enumerator walks members one by one where their orders differ:
-  the weighted order, whose members have measures of their own, and the
-  failure pass below.  Such a walk keeps the decisions it can share by orbit
-  (`_Search._orbit`, `_Search._decided`).  Classes are found when the
-  enumeration first goes past the empty change set; without a class every
-  variable is an orbit's block of its own, and the orbit walk is the member
-  walk.  `ways_fraction` evaluates each orbit of side settings once,
-  weighted by its multinomial size.
+  is its image (`_Search._orbit_witnesses`), whose world pins the member's
+  change variables and gives a class's other members their common unpinned
+  value, without a solve.  Otherwise which E comes first depends on the
+  positions, so each member is decided on its own.  A full search then
+  sorts the level's witnesses back into search order, and an
+  `existence_only` search stops at the first orbit with a witness, where
+  the member walk stopped.  So no solve moves.  Where the members' orders
+  differ, in the weighted order, whose members have measures of their own,
+  and in the failure pass below, the walk takes the members one by one as
+  `_Search._change_sets` orders them, and skips only the orbits that no
+  contingency reaches (`_Search._orbit`, `_Search._unreached`).  Classes
+  are found when the enumeration first goes past the empty change set;
+  without a class the orbit walk is the member walk.  `ways_fraction`
+  evaluates each orbit of side settings once, weighted by its multinomial
+  size.
 
 AC2(b) failures explain a verdict and do not decide it, so they are not the
 search's work, and they are recorded only on request
@@ -223,11 +225,6 @@ _AC2B_FAILURE_CAP = 32
 # variables, or fails otherwise.
 _HOLDS, _FAILS_BARE, _FAILS = "holds", "fails bare", "fails"
 
-# Decisions of a change assignment that hold for its whole orbit (see
-# `_Search._first_witness_for`): no contingency reached AC2(b), or the one
-# with E empty, which every order tries first, is a witness.
-_UNREACHED, _AT_EMPTY_E = "unreached", "witness at empty E"
-
 
 def _orbit_size(values: tuple[int, ...]) -> int:
     """The number of arrangements of the sorted `values`: a multinomial."""
@@ -318,7 +315,7 @@ class _Search:
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
         self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
-        self._decided: dict[tuple, str] = {}  # (x', `_orbit` key) -> decision for the orbit
+        self._unreached: set[tuple] = set()  # (x', `_orbit` key) of each orbit no contingency reaches
 
     def for_cause(self, cause: CandidateCause) -> _Search:
         """This search aimed at another cause; the shallow copy shares the
@@ -353,32 +350,21 @@ class _Search:
         return tuple(sorted(zip(map(self._lead.__getitem__, c_vars), c)))
 
     def _interchangeable_classes(self) -> tuple[tuple[int, ...], ...]:
-        # Exchangeable variables share their range and actual value, and
-        # exchanging them maps the actual world's up-set patterns onto
-        # themselves: at once when the two take the same value in each.
+        # Exchangeable variables share their range, their actual value and
+        # their value (or absence) in each of the actual world's up-set
+        # patterns, so that exchanging them maps each pattern onto itself.
         ranges = self.model.signature.ranges
         groups: dict[tuple, list[str]] = {}
         for i in self.others:
             v = self.names[i]
             if v not in self.outcome_vars:
-                groups.setdefault((ranges[v], self.actual[i]), []).append(v)
+                key = (ranges[v], self.actual[i], tuple(p.get(i) for p in self._patterns or ()))
+                groups.setdefault(key, []).append(v)
         groups = [group for group in groups.values() if len(group) > 1]
         if not groups:
             return ()
         index = self.model.signature.endogenous_index
-        fixes = None
-        if self._patterns is not None:
-            patterns = {frozenset(p.items()) for p in self._patterns}
-
-            def fixes(a: str, b: str) -> bool:
-                a, b = index[a], index[b]
-                swap = {a: b, b: a}
-                return all(
-                    p.get(a) == p.get(b) or frozenset((swap.get(i, i), v) for i, v in p.items()) in patterns
-                    for p in self._patterns
-                )
-
-        classes = self.model.interchangeable(groups, self._exogenous, self._folded, fixes)
+        classes = self.model.interchangeable(groups, self._exogenous, self._folded)
         return tuple(tuple(sorted(index[v] for v in cls)) for cls in classes)
 
     def _canonical(self, pins: tuple[int | None, ...]) -> tuple[int | None, ...]:
@@ -652,13 +638,13 @@ class _Search:
             self._find_classes()
         ranges = self.model.signature.ranges
         offs = {i: [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in movable}
-        if weights is not None:
+        if weights is not None or members:
             for measure, group in itertools.groupby(changes, key=operator.itemgetter(0)):
                 yield measure, (), self._orbits((c_vars for _, c_vars in group), offs, {}, x_alts)
             return
         # A class lies inside `movable` or outside it: a swap that maps the
         # up-set patterns onto themselves maps an admitted pin to another.
-        classes = () if members else tuple(cls for cls in self.classes if cls[0] in offs)
+        classes = tuple(cls for cls in self.classes if cls[0] in offs)
         in_class = {i for cls in classes for i in cls}
         singles = [i for i in movable if i not in in_class]
         # The class member before each member whose class has two or more
@@ -698,21 +684,21 @@ class _Search:
 
     def _alternatives(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_alts: list[tuple[int, ...]]):
         """(x', orbit) for each x' of `x_alts`, in position order, that some
-        normal world takes with C set to c, except those of an orbit that
-        reaches no contingency.  `orbit` keys `_decided`, and is None while
-        there are no classes."""
+        normal world takes with C set to c, except those of an orbit in
+        `_unreached`.  `orbit` (`_orbit`, under x') is None while there are
+        no classes."""
         for x_prime in x_alts:
             if self._patterns is not None and not self._admits((*zip(self.x_vars, x_prime), *zip(c_vars, c))):
                 continue  # no normal world takes these pins
             orbit = (x_prime, self._orbit(c_vars, c)) if self.classes else None
-            if orbit is None or self._decided.get(orbit) is not _UNREACHED:
+            if orbit not in self._unreached:
                 yield x_prime, orbit
 
     def _reached(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_prime: tuple[int, ...], orbit):
         """(W's setting, solved values) for each contingency of a change
         assignment and x' that passes AC2(a) and the normality gate: W is C
         plus E, the variables pinned at their actual values, smallest E
-        first (`_pin_sets`).  When there is none, the orbit is `_UNREACHED`."""
+        first (`_pin_sets`).  When there is none, the orbit joins `_unreached`."""
         base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         reached = False
         for e_sub, pins in self._pin_sets(base, [i for i in self.others if i not in c_vars]):
@@ -725,7 +711,7 @@ class _Search:
                 w_setting[i] = self.actual[i]
             yield w_setting, values
         if orbit is not None and not reached:
-            self._decided[orbit] = _UNREACHED
+            self._unreached.add(orbit)
 
     def find_minimal_witnesses(
         self,
@@ -777,7 +763,7 @@ class _Search:
         moved = [cls for cls in classes if cls[0] in first]
         in_class = {i for cls in moved for i in cls}
         fixed = {i: v for i, v in first.items() if i not in in_class}
-        at_empty_e = self._decided.get(orbit) is _AT_EMPTY_E
+        at_empty_e = len(witness.w_set) == len(c_vars)
         if at_empty_e:
             # The witness's world with each moved class at its unpinned value,
             # which its last member takes unless the whole class is pinned.
@@ -822,18 +808,12 @@ class _Search:
     ) -> Witness | None:
         """Smallest-W witness for a fixed change assignment and x', or None.
         AC2(b) is the shared decision of (C, c)."""
-        if orbit is not None and self._decided.get(orbit) is _AT_EMPTY_E:
-            values = self._solve(tuple(self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))))
-            contingency = self._named_contingency(dict(zip(c_vars, c)), x_prime)
-            return Witness(*contingency, len(c_vars), self.model.signature.world(values))
         pins = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
         if self._ac2b_states.get(self._canonical(pins) if self.classes else pins, _HOLDS) is not _HOLDS:
             return None  # AC2(b) fails for every W with this change assignment
         for w_setting, values in self._reached(c_vars, c, x_prime, orbit):
             if self._ac2b_state(pins, c_vars) is not _HOLDS:
                 return None  # the same verdict for every W
-            if orbit is not None and len(w_setting) == len(c_vars):
-                self._decided[orbit] = _AT_EMPTY_E  # the witness has E empty
             contingency = self._named_contingency(w_setting, x_prime)
             return Witness(*contingency, len(c_vars), self.model.signature.world(values))
         return None

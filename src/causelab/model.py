@@ -801,12 +801,12 @@ class CausalModel:
         groups: Iterable[list[str]],
         known: Mapping[str, int],
         memo: dict[str, tuple[tuple, frozenset[str]]],
-        also: Callable[[str, str], bool] | None = None,
-    ) -> list[tuple[str, ...]]:
+    ) -> list[list[str]]:
         """Split each group of endogenous variables into classes of two or
         more, any two of which can be exchanged: swapping them maps the
-        equations, with the `known` values folded in, onto themselves, and
-        passes the test `also`, which must itself be an equivalence.
+        equations, with the `known` values folded in, onto themselves.  The
+        classes are the parts of two or more that the keys leave, in order
+        of first member.
 
         Variables are split by equal keys, cheapest first, all read from the
         folded equations in `memo` (`_folded`, shared with `reads`): their
@@ -840,15 +840,7 @@ class CausalModel:
         parts = list(groups)  # each key is computed only where a pair is left
         for key in (refs, readers, form, places):
             parts = _split(parts, key)
-        classes = []
-        for members in parts:
-            while len(members) > 1:
-                first, rest = members[0], members[1:]
-                cls = [first] + [v for v in rest if also is None or also(first, v)]
-                if len(cls) > 1:
-                    classes.append(tuple(cls))
-                members = [v for v in rest if v not in cls]
-        return classes
+        return parts
 
     def intervene(self, iv: Mapping[str, int]) -> CausalModel:
         """Replace each targeted variable's equation by the assigned constant."""

@@ -127,6 +127,8 @@ class TestStrategies:
             ScoringStrategy("weighted")
         with pytest.raises(ValueError):
             ScoringStrategy.weighted({"V": Fraction(-1)})
+        with pytest.raises(ValueError, match="strategy 'reciprocal' takes no weights"):
+            ScoringStrategy("reciprocal", (("V", Fraction(1)),))
 
 
 class TestEpistemicState:
@@ -134,8 +136,12 @@ class TestEpistemicState:
         u = ctx({"U1": 1, "U2": 1, "U3": 1})
         with pytest.raises(ValueError):
             EpistemicState(((ff_ext, u),), (Fraction(1, 2),))
-        with pytest.raises(ValueError):
-            EpistemicState(((ff_ext, u),), (Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+            EpistemicState(((ff_ext, u), (ff_ext, u)), (Fraction(3, 2), Fraction(-1, 2)))
+
+    def test_at_least_one_situation(self):
+        with pytest.raises(ValueError, match="epistemic state must contain at least one situation"):
+            EpistemicState((), ())
 
     def test_situation_probability_pairing(self, ff_ext):
         u = ctx({"U1": 1, "U2": 1, "U3": 1})

@@ -487,6 +487,17 @@ DIAGNOSTIC_TABLE = [
      ("semantic", 1, 1, "context is missing exogenous variable 'U3'")),
     ("unknown state", {}, ("blame", "-m", model_arg("forest_fire.cm"), "-q", "blame action L<-1 of F=1 over state nope"),
      ("unknown variable", 1, 1, "no loaded state named 'nope'")),
+    ("state naming an unloaded model", {"s.ce": "state s {\n  situation model=ghost ctx(U1=1,U2=1,U3=1) prob=1;\n}\n"},
+     ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
+     ("unknown variable", 1, 1, "state 's' references unloaded model 'ghost'")),
+    ("no model loaded", {}, ("cause", "-q", f"cause L=1 of F=1 in {_FF_CTX}"),
+     ("syntax", 1, 1, "no model loaded; pass -m <file>")),
+    ("two models and no model name", {"m.cm": _FOREST2},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-q", f"cause L=1 of F=1 in {_FF_CTX}"),
+     ("syntax", 1, 1, "several models loaded; pick one with --model-name")),
+    ("unknown model name", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "--model-name", "nope", "-q", f"cause L=1 of F=1 in {_FF_CTX}"),
+     ("unknown variable", 1, 1, "no loaded model named 'nope'")),
     ("blame action missing from a situation's model", {"m.cm": _FOREST2, "s.ce": _TWO_SITUATIONS % "forest2"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-m", "@m.cm", "-s", "@s.ce",
       "-q", "blame action L<-1 of F=1 over state s"),
@@ -511,6 +522,9 @@ DIAGNOSTIC_TABLE = [
      ("non-total equation", 3, 14, "equation for 'X' yields 2 outside its range at U=1")),
     ("missing context variable", {"m.cm": _TWO_EXO % "U"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
      ("semantic", 1, 1, "context is missing exogenous variable 'U'")),
+    ("context assigning an endogenous variable", {},
+     ("eval", "-m", model_arg("forest_fire.cm"), "-q", "eval F=1 in ctx(U1=1,U2=1,U3=1,L=1)"),
+     ("semantic", 1, 1, "context assigns non-exogenous variable 'L'")),
     # The variable's name must not change the category.
     ("missing context variable named Urange", {"m.cm": _TWO_EXO % "Urange"}, ("cause", "-m", "@m.cm", *_CAUSE_X_BY_V),
      ("semantic", 1, 1, "context is missing exogenous variable 'Urange'")),
@@ -527,6 +541,10 @@ DIAGNOSTIC_TABLE = [
      ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1=1",
       "-q", f"resp V1=1 of W=0 in {_V11_CTX}"),
      ("semantic", 1, 1, "missing weights for ['V2', 'V3', 'V4', 'V5', 'V6', 'V7', 'V8', 'V9', 'V10', 'V11', 'W']")),
+    # Weights are read only by the weighted strategy; any other refuses them.
+    ("weights without the weighted strategy", {},
+     ("resp", "-m", model_arg("forest_fire.cm"), "--weights", "L=1", "-q", f"resp L=1 of F=1 in {_FF_CTX}"),
+     ("semantic", 1, 1, "strategy 'reciprocal' takes no weights")),
     ("probabilities not summing to 1",
      {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/2;\n}\n"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),

@@ -161,6 +161,13 @@ class TestValidation:
         with pytest.raises(UnknownVariableError):
             CausalModel(sig, [Equation("X", Var("Z"))])
 
+    def test_equations_must_match_the_endogenous_variables(self):
+        sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
+        with pytest.raises(ModelError, match=r"missing equation for \['Y'\]"):
+            CausalModel(sig, [Equation("X", Var("U"))])
+        with pytest.raises(ModelError, match=r"equation for non-endogenous variable \['U'\]"):
+            CausalModel(sig, [Equation("X", Var("U")), Equation("Y", Var("U")), Equation("U", Lit(0))])
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ModelError):
             Signature(exogenous=(("U", (0, 1)),), endogenous=(("U", (0, 1)),))

@@ -40,6 +40,7 @@ from causelab.model import (
     canonical,
 )
 from causelab.normality import ExtendedModel, NormalityOrder
+from causelab.oracle import oracle_cause, oracle_ways_fraction
 from randmodels import (
     random_block_model,
     random_context,
@@ -168,6 +169,64 @@ class TestInterchangeable:
         # An order that treats the voters alike keeps them together.
         alike = NormalityOrder(model.signature, ranks=tuple((Assignment({v: 1}), 1) for v in ("V2", "V3", "V4", "V5")))
         assert classes_of(ExtendedModel(model, alike), ZEROS, {"V1": 0}, atom("W", 0)) == [{"V2", "V3", "V4", "V5"}]
+
+    # Each order lets V2 and V3 leave 0 alike, so swapping them maps the
+    # all-zero world's up-set onto itself; but one pattern has V2 alone at 1
+    # and another V3 alone, so their keys differ and they join no class.  The
+    # last two orders also let V1 and W rise together, which makes V1 a cause,
+    # or, with V2 and V3 never both at 1, a non-cause with AC2(b) failures.
+    @pytest.mark.parametrize(
+        "pairs, v1_is_cause, v1_failures",
+        [
+            ((({"V2": 1}, {"V2": 0}), ({"V3": 1}, {"V3": 0})), False, 0),
+            ((({"V2": 1}, {"V2": 0}), ({"V3": 1}, {"V3": 0}), ({"V1": 1, "W": 1}, {"V1": 0, "W": 0})), True, 0),
+            (
+                (({"V2": 1, "V3": 0}, {"V2": 0, "V3": 0}), ({"V3": 1, "V2": 0}, {"V3": 0, "V2": 0}),
+                 ({"V1": 1, "W": 1}, {"V1": 0, "W": 0})),
+                False,
+                3,
+            ),
+        ],
+        ids=["flips", "flips-and-V1-W", "either-flip-and-V1-W"],
+    )
+    def test_swapped_patterns_with_unequal_values_split(self, pairs, v1_is_cause, v1_failures):
+        model = vote_model()
+        order = NormalityOrder(model.signature, pairs=tuple((Assignment(a), Assignment(b)) for a, b in pairs))
+        ext = ExtendedModel(model, order)
+        outcome = atom("W", 0)
+        assert classes_of(ext, ZEROS, {"V1": 0}, outcome) == [{"V4", "V5"}]
+        weights = {v: Fraction(i) for i, v in enumerate(model.signature.endogenous_names, start=1)}
+        actual = model.solve(ZEROS)
+        for v in ("V1", "V2", "V4"):
+            cause = CandidateCause.of({v: 0})
+
+            def answers():
+                return (
+                    is_actual_cause(ext, ZEROS, cause, outcome, record_failures=True),
+                    is_actual_cause(ext, ZEROS, cause, outcome, weights=weights, record_failures=True),
+                    ways_fraction(ext, ZEROS, cause, outcome),
+                )
+
+            found = answers()
+            with mock.patch.object(_Search, "_interchangeable_classes", return_value=()):
+                direct = answers()
+            assert found == direct, v
+            assert [[w.world for w in verdict.witnesses] for verdict in found[:2]] == [
+                [w.world for w in verdict.witnesses] for verdict in direct[:2]
+            ], v
+            oracle = oracle_cause(ext, ZEROS, cause, outcome, max_vars=6)
+            assert found[0].is_cause == oracle.is_cause, v
+            if oracle.is_cause:
+                assert found[0].measure == oracle.min_changes, v
+
+                def changed(pairs):
+                    return frozenset((u, x) for u, x in pairs if x != actual[u])
+
+                minimal = {changed(wt.w_setting) for wt in oracle.witnesses if wt.changes == oracle.min_changes}
+                assert {changed(w.w_setting.items_sorted()) for w in found[0].witnesses} == minimal, v
+            assert found[2] == oracle_ways_fraction(ext, ZEROS, cause, outcome, max_vars=6), v
+            if v == "V1":
+                assert (found[0].is_cause, len(found[0].ac2b_failures)) == (v1_is_cause, v1_failures)
 
     def test_equations_must_map_onto_themselves(self):
         # V2 also reads V3, and W subtracts V4: neither can be exchanged.
