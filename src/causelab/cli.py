@@ -455,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--preliminary", action="store_true", help="ignore normality declarations")
     mode.add_argument("--extended", action="store_true", help="use normality declarations (default)")
-    common.add_argument("--strategy", choices=attribution.STRATEGY_KINDS, default="reciprocal")
-    common.add_argument("--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted")
     # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
     max_vars = os.environ.get("CAUSELAB_MAX_VARS") or hp.DEFAULT_MAX_VARS
     common.add_argument("--max-vars", type=int, default=max_vars, help="endogenous variable cap")
@@ -479,6 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
             command.add_argument(
                 "--failures", action="store_true", help="name the AC2(b) failures of a non-cause (a pass of its own)"
             )
+        if name in ("resp", "blame"):  # the commands that score
+            command.add_argument("--strategy", choices=attribution.STRATEGY_KINDS, default="reciprocal")
+            command.add_argument(
+                "--weights", type=_parse_weights, default={}, help="per-variable weights for --strategy weighted"
+            )
 
     solve = sub.add_parser("solve", parents=[common], help="solve the equations in a context")
     solve.add_argument("--ctx", required=True, help="context like 'U1=1,U2=0'")
@@ -492,8 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _options_from_args(args) -> RunOptions:
     return RunOptions(
         mode="preliminary" if args.preliminary else "extended",
-        strategy=args.strategy,
-        weights=dict(args.weights),
+        strategy=getattr(args, "strategy", "reciprocal"),  # only `resp` and `blame` have the flags
+        weights=dict(getattr(args, "weights", {})),
         max_vars=args.max_vars,
         model_name=args.model_name,
         failures=getattr(args, "failures", False),  # only `cause` has the flag

@@ -21,18 +21,21 @@ ranked twice) is checked by the model layer as it builds the signature, the
 model and the order.  Its error names what it is about, and the parser turns
 it into one diagnostic placed at that token.
 
-The lexer is one compiled regular expression with an alternative per token
-class.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`) and integer literals
-are ASCII digits; a non-ASCII letter or digit is a syntax error at that
-character.  A syntax error ends parsing at once, and a variable assigned
-twice in a context, an intervention prefix, a blame action or a normality
-pattern, or twice with different values in a conjunction, is reported at its
-second assignment.  So every document reports one diagnostic, for its first
-fault, with a 1-based line and column and the category its error carries:
-syntax, unknown variable, range violation, cycle, non-total equation, or
-semantic for conflicting ranks.  A query file's diagnostics carry the file's
-line and column.  `#` starts a line comment; whitespace is insignificant, and
-a tab or a carriage return is one column.
+The parser reads token texts, which one `findall` gives; a text's first
+character gives its kind.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`)
+and integer literals are ASCII digits.  A character in no token class, such
+as 'é', '²' or a lone '>', is a syntax error there, reported before any
+grammar fault.  Lines and columns are worked out only to place a diagnostic,
+by a lexer built from the same token classes.  A syntax error ends parsing
+at once, and a variable assigned twice in a context, an intervention prefix,
+a blame action or a normality pattern, or twice with different values in a
+conjunction, is reported at its second assignment.  So every document
+reports one diagnostic, for its first fault, with a 1-based line and column
+and the category its error carries: syntax, unknown variable, range
+violation, cycle, non-total equation, or semantic for conflicting ranks.  A
+query file's diagnostics carry the file's line and column.  `#` starts a
+line comment; whitespace is insignificant, and a tab or a carriage return
+is one column.
 """
 
 from __future__ import annotations
@@ -107,15 +110,29 @@ class DslError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One alternative per token class, tried in this order at each position.
-# Classes are ASCII: `[0-9]` rejects '²' and '٣', which str.isdigit accepts,
-# and `[A-Za-z_]` rejects 'é'.  Punctuation is listed longest first, so '<='
-# is one token; a lone '>' falls through to `other`.
-_TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
-    r"|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct><=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|])"
-    r"|(?P<other>.)"
+# The token classes, each with first characters of its own.  They are ASCII:
+# `[0-9]` rejects '²' and '٣', which str.isdigit accepts, and `[A-Za-z_]`
+# rejects 'é'.  Punctuation is listed longest first, so '<=' is one token; a
+# lone '>' is in no class.
+_CLASSES = {
+    "int": r"[0-9]+",
+    "ident": r"[A-Za-z_][A-Za-z0-9_]*",
+    "punct": r"<=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|]",
+}
+_TOKEN_RE = re.compile("|".join(_CLASSES.values()))
+
+# The parser's reader: each token's text, after the blanks and comments
+# before it, then "" for the end of input.  The skip is greedy and the group
+# always matches, so nothing backtracks.  A character outside the classes
+# takes the rest of the input as its text, the last before the end.
+_TEXTS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(" + _TOKEN_RE.pattern + r"|(?s:.+)|\Z)")
+
+# The placer, `_lex`: the same classes, so its tokens are the parser's
+# texts, index for index, with a line and column each.
+_PLACED_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|"
+    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _CLASSES.items())
+    + r"|(?P<other>.)"
 )
 
 
@@ -126,17 +143,14 @@ class Token(NamedTuple):
     col: int
 
 
-# Assignments as written: each variable's name and value tokens, in order.
-_Assigns = dict[str, tuple[Token, Token]]
-
-
 def _lex(text: str, origin: str) -> list[Token]:
+    """The tokens of `text`, placed; raises at its first character in no class."""
     tokens: list[Token] = []
     line, line_start = 1, 0
     m = None
-    for m in _TOKEN_RE.finditer(text):
+    for m in _PLACED_RE.finditer(text):
         kind = m.lastgroup
-        if kind in ("ident", "punct", "int"):
+        if kind in _CLASSES:
             tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
         elif kind == "newline":
             line += 1
@@ -158,66 +172,59 @@ def _lex(text: str, origin: str) -> list[Token]:
 
 
 class _Parser:
+    """Reads the token texts of one document; `pos` indexes the next one.
+
+    A text is stepped past only once matched, and the end "" matches
+    nothing, so `pos` never passes it.  `_lex` places a fault at its index.
+    """
+
     def __init__(self, text: str, origin: str):
-        self.origin = origin
-        self.tokens = _lex(text, origin)
+        self.text, self.origin = text, origin
+        self.toks = toks = _TEXTS_RE.findall(text)
+        if len(toks) > 1 and not toks[-2]:
+            toks.pop()  # blanks before the end: matched with it, and the end again
+        if len(toks) > 1 and not _TOKEN_RE.fullmatch(toks[-2]):
+            _lex(text, origin)  # raises at the character outside the classes
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, at: int, category: str, message: str) -> DslError:
+        tok = _lex(self.text, self.origin)[at]
+        return DslError([Diagnostic(category, message, tok.line, tok.col, self.origin)])
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        """A syntax error at token `at`, by default the next one."""
+        raise self.error(self.pos if at is None else at, "syntax", message)
 
-    def fail(self, tok: Token, message: str) -> NoReturn:
-        raise DslError([Diagnostic("syntax", message, tok.line, tok.col, self.origin)])
+    def expected(self, what: str) -> NoReturn:
+        self.fail(f"expected {what}, found {self.toks[self.pos] or 'end of input'!r}")
 
     def sep_by(self, item: Callable[[], T], sep: str = ",") -> list[T]:
         """`item (sep item)*`: one or more items, separated by `sep`."""
         items = [item()]
-        while self.at_punct(sep):
-            self.advance()
+        while self.toks[self.pos] == sep:
+            self.pos += 1
             items.append(item())
         return items
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.fail(tok, f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        """Step past `text`, a keyword or punctuation."""
+        if self.toks[self.pos] != text:
+            self.expected(repr(text))
+        self.pos += 1
 
-    def expect_int(self) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(tok, f"expected an integer, found {tok.text or 'end of input'!r}")
-        self.advance()
-        return int(tok.text), tok
+    def expect_int(self) -> int:
+        tok = self.toks[self.pos]
+        if not tok.isdigit():
+            self.expected("an integer")
+        self.pos += 1
+        return int(tok)
 
-    def expect_ident(self, what: str = "an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(tok, f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+    def expect_ident(self, what: str = "an identifier") -> str:
+        tok = self.toks[self.pos]
+        if not tok.isidentifier():  # every text is ASCII here
+            self.expected(what)
+        self.pos += 1
+        return tok
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,7 @@ MAX_BODY_DEPTH = 100
 
 
 class _ExprParser:
-    """Equation-body grammar; records variable references with positions.
+    """Equation-body grammar; records each variable reference's token index.
 
     Rejects a body whose tree is deeper than `MAX_BODY_DEPTH`, at the token
     of the first node that crosses the bound: an operator of a long chain,
@@ -241,109 +248,103 @@ class _ExprParser:
 
     def __init__(self, parser: _Parser):
         self.p = parser
-        self.refs: list[Token] = []
+        self.refs: list[int] = []
         self.depths: dict[int, int] = {}  # id of an inner node -> its depth
         self.nesting = 0  # enclosing nodes of the one being parsed
 
-    def node(self, tok: Token, node: Expr | Cond, *children: Expr | Cond) -> Expr | Cond:
-        """`node`, built at `tok` over `children`, once its depth is checked."""
+    def node(self, at: int, node: Expr | Cond, *children: Expr | Cond) -> Expr | Cond:
+        """`node`, built at token `at` over `children`, once its depth is checked."""
         depth = 1 + max(self.depths.get(id(child), 1) for child in children)
         if depth > MAX_BODY_DEPTH:
-            self.p.fail(tok, f"expression nested deeper than {MAX_BODY_DEPTH} levels")
+            self.p.fail(f"expression nested deeper than {MAX_BODY_DEPTH} levels", at)
         self.depths[id(node)] = depth
         return node
 
-    def descend(self, tok: Token) -> None:
-        """Enter a node opened at `tok`: its tree has at least one level more."""
+    def descend(self, at: int) -> None:
+        """Step past token `at`, which opens a node: its tree has at least one
+        level more."""
+        self.p.pos = at + 1
         self.nesting += 1
         if self.nesting >= MAX_BODY_DEPTH:
-            self.p.fail(tok, f"expression nested deeper than {MAX_BODY_DEPTH} levels")
+            self.p.fail(f"expression nested deeper than {MAX_BODY_DEPTH} levels", at)
+
+    def chain(self, operand: Callable[[], Expr | Cond], ops: tuple[str, ...], make) -> Expr | Cond:
+        """`operand (op operand)*` for any `op` of `ops`, folded leftward."""
+        p = self.p
+        node = operand()
+        while (op := p.toks[p.pos]) in ops:
+            at = p.pos
+            p.pos += 1
+            right = operand()
+            node = self.node(at, make(op, node, right), node, right)
+        return node
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.p.at_punct("+") or self.p.at_punct("-"):
-            tok = self.p.advance()
-            right = self.parse_term()
-            node = self.node(tok, Arith(tok.text, node, right), node, right)
-        return node
+        return self.chain(self.parse_term, ("+", "-"), Arith)
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.p.at_punct("*"):
-            tok = self.p.advance()
-            right = self.parse_factor()
-            node = self.node(tok, Arith("*", node, right), node, right)
-        return node
+        return self.chain(self.parse_factor, ("*",), Arith)
 
     def parse_factor(self) -> Expr:
-        tok = self.p.peek()
-        if tok.kind == "int":
-            self.p.advance()
-            return Lit(int(tok.text))
-        if tok.kind == "ident" and tok.text in ("min", "max"):
-            self.p.advance()
-            self.descend(tok)
-            self.p.expect_punct("(")
+        p = self.p
+        at = p.pos
+        tok = p.toks[at]
+        if tok.isdigit():
+            p.pos += 1
+            return Lit(int(tok))
+        if tok == "min" or tok == "max":
+            self.descend(at)
+            p.expect("(")
             left = self.parse_expr()
-            self.p.expect_punct(",")
+            p.expect(",")
             right = self.parse_expr()
-            self.p.expect_punct(")")
+            p.expect(")")
             self.nesting -= 1
-            return self.node(tok, MinMax(tok.text, left, right), left, right)
-        if tok.kind == "ident" and tok.text == "if":
-            self.p.advance()
-            self.descend(tok)
+            return self.node(at, MinMax(tok, left, right), left, right)
+        if tok == "if":
+            self.descend(at)
             cond = self.parse_cond()
-            self.p.expect_keyword("then")
+            p.expect("then")
             then = self.parse_expr()
-            self.p.expect_keyword("else")
+            p.expect("else")
             other = self.parse_expr()
             self.nesting -= 1
-            return self.node(tok, If(cond, then, other), cond, then, other)
-        if tok.kind == "ident":
-            self.p.advance()
-            self.refs.append(tok)
-            return Var(tok.text)
-        self.p.fail(tok, f"expected an expression, found {tok.text or 'end of input'!r}")
+            return self.node(at, If(cond, then, other), cond, then, other)
+        if tok.isidentifier():
+            p.pos += 1
+            self.refs.append(at)
+            return Var(tok)
+        p.expected("an expression")
 
     def parse_cond(self) -> Cond:
-        node = self.parse_cond_and()
-        while self.p.at_punct("||"):
-            tok = self.p.advance()
-            right = self.parse_cond_and()
-            node = self.node(tok, BoolOp("||", node, right), node, right)
-        return node
+        return self.chain(self.parse_cond_and, ("||",), BoolOp)
 
     def parse_cond_and(self) -> Cond:
-        node = self.parse_cond_not()
-        while self.p.at_punct("&&"):
-            tok = self.p.advance()
-            right = self.parse_cond_not()
-            node = self.node(tok, BoolOp("&&", node, right), node, right)
-        return node
+        return self.chain(self.parse_cond_not, ("&&",), BoolOp)
 
     def parse_cond_not(self) -> Cond:
-        tok = self.p.peek()
-        if self.p.at_punct("!"):
-            self.p.advance()
-            self.descend(tok)
+        p = self.p
+        at = p.pos
+        tok = p.toks[at]
+        if tok == "!":
+            self.descend(at)
             inner = self.parse_cond_not()
             self.nesting -= 1
-            return self.node(tok, Not(inner), inner)
-        if self.p.at_punct("("):
-            self.p.advance()
-            self.descend(tok)
+            return self.node(at, Not(inner), inner)
+        if tok == "(":
+            self.descend(at)
             node = self.parse_cond()
-            self.p.expect_punct(")")
+            p.expect(")")
             self.nesting -= 1
             return node
         left = self.parse_expr()
-        tok = self.p.peek()
-        if tok.kind != "punct" or tok.text not in ("==", "!=", "<", "<="):
-            self.p.fail(tok, f"expected a comparison operator, found {tok.text or 'end of input'!r}")
-        self.p.advance()
+        at = p.pos
+        op = p.toks[at]
+        if op not in ("==", "!=", "<", "<="):
+            p.expected("a comparison operator")
+        p.pos += 1
         right = self.parse_expr()
-        return self.node(tok, Cmp(tok.text, left, right), left, right)
+        return self.node(at, Cmp(op, left, right), left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -351,96 +352,98 @@ class _ExprParser:
 # ---------------------------------------------------------------------------
 
 
+# Assignments as written: each variable's name token index and value, in
+# order.  The value's token is two on, past the '=' or '<-'.
+_Assigns = dict[str, tuple[int, int]]
+
+
 @dataclass
 class _RawModel:
     name: str
-    exo: list[tuple[Token, tuple[int, ...]]] = field(default_factory=list)
-    endo: list[tuple[Token, tuple[int, ...], Expr, list[Token]]] = field(default_factory=list)
+    # Declarations, each by the token index of its variable's name.
+    exo: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    endo: list[tuple[int, tuple[int, ...], Expr, list[int]]] = field(default_factory=list)
     # Shaped like `NormalityOrder.pairs` and `NormalityOrder.ranks`, so that
     # `ModelError.pattern` is a path into them too.
     pairs: list[tuple[_Assigns, _Assigns]] = field(default_factory=list)
-    ranks: list[tuple[_Assigns, int, Token]] = field(default_factory=list)
+    ranks: list[tuple[_Assigns, int, int]] = field(default_factory=list)  # and the index of `rank`
     ordered: bool = False  # a normality block was declared, even an empty one
 
 
 def _parse_range(p: _Parser) -> tuple[int, ...]:
-    p.expect_punct("{")
-    values = p.sep_by(lambda: p.expect_int()[0])
-    p.expect_punct("}")
+    p.expect("{")
+    values = p.sep_by(p.expect_int)
+    p.expect("}")
     return tuple(sorted(set(values)))
 
 
 def _parse_world_pattern(p: _Parser) -> _Assigns:
-    p.expect_punct("[")
+    p.expect("[")
     entries = _parse_assigns(p, "=", "pattern")
-    p.expect_punct("]")
+    p.expect("]")
     return entries
 
 
 def _parse_raw_model(p: _Parser) -> _RawModel:
-    p.expect_keyword("model")
-    name = p.expect_ident("a model name").text
-    p.expect_punct("{")
-    raw = _RawModel(name)
-    while not p.at_punct("}"):
-        tok = p.peek()
-        if p.at_keyword("exogenous"):
-            p.advance()
-            name_tok = p.expect_ident("a variable name")
-            p.expect_punct(":")
+    toks = p.toks
+    p.expect("model")
+    raw = _RawModel(p.expect_ident("a model name"))
+    p.expect("{")
+    while (tok := toks[p.pos]) != "}":
+        if tok == "exogenous" or tok == "endogenous":
+            p.pos += 1
+            at = p.pos
+            p.expect_ident("a variable name")
+            p.expect(":")
             values = _parse_range(p)
-            p.expect_punct(";")
-            raw.exo.append((name_tok, values))
-        elif p.at_keyword("endogenous"):
-            p.advance()
-            name_tok = p.expect_ident("a variable name")
-            p.expect_punct(":")
-            values = _parse_range(p)
-            p.expect_punct("=")
-            ep = _ExprParser(p)
-            body = ep.parse_expr()
-            p.expect_punct(";")
-            raw.endo.append((name_tok, values, body, ep.refs))
-        elif p.at_keyword("normality"):
-            p.advance()
-            p.expect_punct("{")
+            if tok == "exogenous":
+                raw.exo.append((at, values))
+            else:
+                p.expect("=")
+                ep = _ExprParser(p)
+                raw.endo.append((at, values, ep.parse_expr(), ep.refs))
+            p.expect(";")
+        elif tok == "normality":
+            p.pos += 1
+            p.expect("{")
             raw.ordered = True
-            while not p.at_punct("}"):
-                if p.at_keyword("rank"):
-                    rank_tok = p.advance()
+            while (tok := toks[p.pos]) != "}":
+                if tok == "rank":
+                    at = p.pos
+                    p.pos += 1
                     patt = _parse_world_pattern(p)
-                    p.expect_punct("=")
-                    rank, _ = p.expect_int()
-                    p.expect_punct(";")
-                    raw.ranks.append((patt, rank, rank_tok))
-                elif p.at_punct("["):
+                    p.expect("=")
+                    rank = p.expect_int()
+                    p.expect(";")
+                    raw.ranks.append((patt, rank, at))
+                elif tok == "[":
                     left = _parse_world_pattern(p)
-                    p.expect_punct(">=")
+                    p.expect(">=")
                     right = _parse_world_pattern(p)
-                    p.expect_punct(";")
+                    p.expect(";")
                     raw.pairs.append((left, right))
                 else:
-                    p.fail(p.peek(), "expected a rank or pair declaration")
-            p.expect_punct("}")
+                    p.fail("expected a rank or pair declaration")
+            p.expect("}")
         else:
-            p.fail(tok, "expected 'exogenous', 'endogenous', or 'normality'")
-    p.expect_punct("}")
+            p.fail("expected 'exogenous', 'endogenous', or 'normality'")
+    p.expect("}")
     return raw
 
 
-def _error_token(raw: _RawModel, exc: ModelError) -> Token:
-    """The token a model-layer error is about, found from its typed fields."""
+def _error_token(raw: _RawModel, toks: list[str], exc: ModelError) -> int:
+    """The index of the token a model-layer error is about, from its typed fields."""
     if isinstance(exc, RankConflictError):
         return raw.ranks[exc.index][2]
     if exc.pattern is not None:
         kind, i, side = exc.pattern
-        name_tok, value_tok = getattr(raw, kind)[i][side][exc.variable]
-        return value_tok if isinstance(exc, RangeViolationError) else name_tok
+        at, _ = getattr(raw, kind)[i][side][exc.variable]
+        return at + 2 if isinstance(exc, RangeViolationError) else at
     if isinstance(exc, DuplicateVariableError):  # its second declaration
-        return [tok for tok, *_ in raw.exo + raw.endo if tok.text == exc.variable][1]
+        return [at for at, *_ in raw.exo + raw.endo if toks[at] == exc.variable][1]
     if isinstance(exc, UnknownVariableError):  # its first reference
-        return next(tok for *_, refs in raw.endo for tok in refs if tok.text == exc.variable)
-    return next(tok for tok, *_ in raw.endo if tok.text == exc.variable)  # the equation's target
+        return next(at for *_, refs in raw.endo for at in refs if toks[at] == exc.variable)
+    return next(at for at, *_ in raw.endo if toks[at] == exc.variable)  # the equation's target
 
 
 def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, NormalityOrder | None]:
@@ -455,14 +458,15 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
     """
     p = _Parser(text, origin)
     raw = _parse_raw_model(p)
-    if not p.at_end():
-        p.fail(p.peek(), "trailing input after the model block")
+    toks = p.toks
+    if toks[p.pos]:
+        p.fail("trailing input after the model block")
     try:
         signature = Signature(
-            exogenous=tuple((tok.text, values) for tok, values in raw.exo),
-            endogenous=tuple((tok.text, values) for tok, values, _, _ in raw.endo),
+            exogenous=tuple((toks[at], values) for at, values in raw.exo),
+            endogenous=tuple((toks[at], values) for at, values, _, _ in raw.endo),
         )
-        model = CausalModel(signature, [Equation(tok.text, body) for tok, _, body, _ in raw.endo], name=raw.name)
+        model = CausalModel(signature, [Equation(toks[at], body) for at, _, body, _ in raw.endo], name=raw.name)
         if not raw.ordered:
             return model, None
         return model, NormalityOrder(
@@ -471,8 +475,7 @@ def parse_model(text: str, origin: str = "<model>") -> tuple[CausalModel, Normal
             tuple((Assignment(_values(patt)), rank) for patt, rank, _ in raw.ranks),
         )
     except ModelError as exc:
-        tok = _error_token(raw, exc)
-        raise DslError([Diagnostic(exc.category, str(exc), tok.line, tok.col, origin)]) from None
+        raise p.error(_error_token(raw, toks, exc), exc.category, str(exc)) from None
 
 
 def parse_model_file(path) -> tuple[CausalModel, NormalityOrder | None]:
@@ -528,10 +531,9 @@ Query = EvalQuery | CauseQuery | RespQuery | BlameQuery | NessQuery
 
 
 def _parse_primitive(p: _Parser) -> PrimitiveEvent:
-    name = p.expect_ident("a variable name").text
-    p.expect_punct("=")
-    value, _ = p.expect_int()
-    return PrimitiveEvent(name, value)
+    name = p.expect_ident("a variable name")
+    p.expect("=")
+    return PrimitiveEvent(name, p.expect_int())
 
 
 def _parse_event_formula(p: _Parser) -> EventFormula:
@@ -543,38 +545,41 @@ def _parse_event_formula(p: _Parser) -> EventFormula:
         return conj(*p.sep_by(parse_not, "&"))
 
     def parse_not() -> EventFormula:
-        if p.at_punct("!"):
-            p.advance()
+        tok = p.toks[p.pos]
+        if tok == "!":
+            p.pos += 1
             return NotF(parse_not())
-        if p.at_punct("("):
-            p.advance()
+        if tok == "(":
+            p.pos += 1
             node = parse_or()
-            p.expect_punct(")")
+            p.expect(")")
             return node
         return Atom(_parse_primitive(p))
 
     return parse_or()
 
 
-def _parse_assign(p: _Parser, sep: str) -> tuple[Token, Token]:
-    name_tok = p.expect_ident("a variable name")
-    p.expect_punct(sep)
-    return name_tok, p.expect_int()[1]
+def _parse_assign(p: _Parser, sep: str) -> tuple[int, int]:
+    at = p.pos
+    p.expect_ident("a variable name")
+    p.expect(sep)
+    return at, p.expect_int()
 
 
 def _parse_assigns(p: _Parser, sep: str, what: str) -> _Assigns:
-    """Comma-separated assignments, in order, as name and value tokens; a
-    repeated variable is reported there as `what` assigning it twice."""
+    """Comma-separated assignments, in order; a repeated variable is
+    reported there as `what` assigning it twice."""
     assigns: _Assigns = {}
-    for name_tok, value_tok in p.sep_by(lambda: _parse_assign(p, sep)):
-        if name_tok.text in assigns:
-            p.fail(name_tok, f"{what} assigns {name_tok.text!r} twice")
-        assigns[name_tok.text] = (name_tok, value_tok)
+    for at, value in p.sep_by(lambda: _parse_assign(p, sep)):
+        name = p.toks[at]
+        if name in assigns:
+            p.fail(f"{what} assigns {name!r} twice", at)
+        assigns[name] = (at, value)
     return assigns
 
 
 def _values(assigns: _Assigns) -> dict[str, int]:
-    return {name: int(value_tok.text) for name, (_, value_tok) in assigns.items()}
+    return {name: value for name, (_, value) in assigns.items()}
 
 
 def _parse_context_items(p: _Parser) -> tuple[tuple[str, int], ...]:
@@ -582,10 +587,10 @@ def _parse_context_items(p: _Parser) -> tuple[tuple[str, int], ...]:
 
 
 def _parse_ctx(p: _Parser) -> tuple[tuple[str, int], ...]:
-    p.expect_keyword("ctx")
-    p.expect_punct("(")
-    assigns = () if p.at_punct(")") else _parse_context_items(p)
-    p.expect_punct(")")
+    p.expect("ctx")
+    p.expect("(")
+    assigns = () if p.toks[p.pos] == ")" else _parse_context_items(p)
+    p.expect(")")
     return assigns
 
 
@@ -593,27 +598,27 @@ def parse_context(text: str, origin: str = "<context>") -> tuple[tuple[str, int]
     """Parse what `ctx(...)` holds, as `solve --ctx` takes it: assignments
     such as `U1=1,U2=0`, or nothing.  Raises DslError on failure."""
     p = _Parser(text, origin)
-    assigns = () if p.at_end() else _parse_context_items(p)
-    if not p.at_end():
-        p.fail(p.peek(), "trailing input after the context")
+    assigns = _parse_context_items(p) if p.toks[0] else ()
+    if p.toks[p.pos]:
+        p.fail("trailing input after the context")
     return assigns
 
 
 def _parse_conj(p: _Parser) -> tuple[tuple[str, int], ...]:
-    events = p.sep_by(lambda: (p.peek(), _parse_primitive(p)), "&")
+    events = p.sep_by(lambda: (p.pos, _parse_primitive(p)), "&")
     seen: dict[str, int] = {}
-    for tok, ev in events:
+    for at, ev in events:
         if seen.setdefault(ev.variable, ev.value) != ev.value:
-            p.fail(tok, f"conjunction assigns {ev.variable!r} twice")
+            p.fail(f"conjunction assigns {ev.variable!r} twice", at)
     return tuple((ev.variable, ev.value) for _, ev in events)
 
 
 def _parse_causal_formula(p: _Parser) -> CausalFormula:
     prefix: dict[str, int] = {}
-    if p.at_punct("["):
-        p.advance()
+    if p.toks[p.pos] == "[":
+        p.pos += 1
         prefix = _values(_parse_assigns(p, "<-", "prefix"))
-        p.expect_punct("]")
+        p.expect("]")
     matrix = _parse_event_formula(p)
     return CausalFormula(Intervention(prefix), matrix)
 
@@ -621,44 +626,38 @@ def _parse_causal_formula(p: _Parser) -> CausalFormula:
 def parse_query(text: str, origin: str = "<query>") -> Query:
     """Parse one query; raises DslError on failure."""
     p = _Parser(text, origin)
-    tok = p.peek()
-    if p.at_keyword("eval"):
-        p.advance()
+    kind = p.toks[0]
+    if kind not in ("eval", "cause", "resp", "blame", "ness"):
+        p.fail("expected one of: eval, cause, resp, blame, ness")
+    p.pos = 1
+    if kind == "eval":
         formula = _parse_causal_formula(p)
-        p.expect_keyword("in")
-        ctx = _parse_ctx(p)
-        query: Query = EvalQuery(formula, ctx)
-    elif p.at_keyword("cause") or p.at_keyword("resp"):
-        kind = p.advance().text
+        p.expect("in")
+        query: Query = EvalQuery(formula, _parse_ctx(p))
+    elif kind == "cause" or kind == "resp":
         cause = _parse_conj(p)
-        p.expect_keyword("of")
+        p.expect("of")
         outcome = _parse_event_formula(p)
-        p.expect_keyword("in")
-        ctx = _parse_ctx(p)
-        query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, ctx)
-    elif p.at_keyword("blame"):
-        p.advance()
-        p.expect_keyword("action")
+        p.expect("in")
+        query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, _parse_ctx(p))
+    elif kind == "blame":
+        p.expect("action")
         action = tuple(_values(_parse_assigns(p, "<-", "action")).items())
-        p.expect_keyword("of")
+        p.expect("of")
         outcome = _parse_event_formula(p)
-        p.expect_keyword("over")
-        p.expect_keyword("state")
-        state_name = p.expect_ident("a state name").text
-        query = BlameQuery(action, outcome, state_name)
-    elif p.at_keyword("ness"):
-        p.advance()
-        event = _parse_primitive(p)
-        p.expect_keyword("of")
-        outcome = _parse_event_formula(p)
-        p.expect_keyword("in")
-        ctx = _parse_ctx(p)
-        query = NessQuery(event, outcome, ctx)
+        p.expect("over")
+        p.expect("state")
+        query = BlameQuery(action, outcome, p.expect_ident("a state name"))
     else:
-        p.fail(tok, "expected one of: eval, cause, resp, blame, ness")
-    if not p.at_end():
-        p.fail(p.peek(), "trailing input after the query")
+        event = _parse_primitive(p)
+        p.expect("of")
+        outcome = _parse_event_formula(p)
+        p.expect("in")
+        query = NessQuery(event, outcome, _parse_ctx(p))
+    if p.toks[p.pos]:
+        p.fail("trailing input after the query")
     return query
+
 
 
 def parse_query_file(path) -> list[Query]:
@@ -696,39 +695,40 @@ class StateDecl:
 
 
 def _parse_rational(p: _Parser) -> Fraction:
-    num, tok = p.expect_int()
-    if p.at_punct("/"):
-        p.advance()
-        den, den_tok = p.expect_int()
-        if den == 0:
-            p.fail(den_tok, "zero denominator")
-        return Fraction(num, den)
-    return Fraction(num)
+    num = p.expect_int()
+    if p.toks[p.pos] != "/":
+        return Fraction(num)
+    p.pos += 1
+    at = p.pos
+    den = p.expect_int()
+    if den == 0:
+        p.fail("zero denominator", at)
+    return Fraction(num, den)
 
 
 def parse_states(text: str, origin: str = "<state>") -> list[StateDecl]:
     """Parse a .ce document holding one or more state blocks."""
     p = _Parser(text, origin)
     states: list[StateDecl] = []
-    while not p.at_end():
-        p.expect_keyword("state")
-        name = p.expect_ident("a state name").text
-        p.expect_punct("{")
+    while p.toks[p.pos]:
+        p.expect("state")
+        name = p.expect_ident("a state name")
+        p.expect("{")
         situations: list[SituationDecl] = []
-        while not p.at_punct("}"):
-            p.expect_keyword("situation")
-            p.expect_keyword("model")
-            p.expect_punct("=")
-            model_name = p.expect_ident("a model name").text
+        while p.toks[p.pos] != "}":
+            p.expect("situation")
+            p.expect("model")
+            p.expect("=")
+            model_name = p.expect_ident("a model name")
             ctx = _parse_ctx(p)
-            p.expect_keyword("prob")
-            p.expect_punct("=")
+            p.expect("prob")
+            p.expect("=")
             prob = _parse_rational(p)
-            p.expect_punct(";")
+            p.expect(";")
             situations.append(SituationDecl(model_name, ctx, prob))
-        p.expect_punct("}")
+        p.expect("}")
         if not situations:
-            p.fail(p.peek(), "state must declare at least one situation")
+            p.fail("state must declare at least one situation")
         states.append(StateDecl(name, tuple(situations)))
     return states
 

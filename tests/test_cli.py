@@ -322,6 +322,24 @@ class TestExitCodes:
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --failures" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [("--strategy", "ways"), ("--weights", "L=1")])
+    @pytest.mark.parametrize("argv", [
+        ("cause", "-q", "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)"),
+        ("solve", "--ctx", "U1=1,U2=1,U3=1"),
+    ])
+    def test_scoring_flags_are_for_resp_and_blame_only(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(argv[0], "-m", model_arg("forest_fire.cm"), *flag, *argv[1:])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_resp_weights_without_the_weighted_strategy_stay_a_diagnostic(self):
+        code, [payload] = run_json("resp", "-m", model_arg("forest_fire.cm"), "--weights", "L=1",
+                                   "-q", "resp L=1 of F=1 in ctx(U1=1,U2=1,U3=1)")
+        assert code == EXIT_DIAGNOSTICS
+        [diag] = payload["diagnostics"]
+        assert (diag["category"], diag["message"]) == ("semantic", "strategy 'reciprocal' takes no weights")
+
     @pytest.mark.parametrize("flag", [("--sampled",), ("--seed", "3"), ("--samples", "10")])
     def test_sampling_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -386,6 +404,12 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 3, 15, "unexpected character '²'")),
     ("accented letter as an identifier", {"m.cm": _NAMED_X % "é"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 3, 14, "unexpected character 'é'")),
+    # A character in no token class is reported before any grammar fault,
+    # even one written before it.
+    ("grammar fault before a bad character",
+     {"m.cm": "model m {\n  exogenous U : {0,1;\n  endogenous X : {0,1} = U é;\n}\n"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 28, "unexpected character 'é'")),
     # End of input after a trailing comment is placed at the comment's '#'.
     ("end of a model after a trailing comment", {"m.cm": "model m {\n  exogenous U : {0,1};  # no close"},
      ("cause", "-m", "@m.cm", *_CAUSE_X),
@@ -400,6 +424,10 @@ DIAGNOSTIC_TABLE = [
     # A query file's diagnostics are placed in the file, indentation included.
     ("query file line", {"q.cq": _QUERY_FILE}, ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@q.cq"),
      ("syntax", 3, 44, "unexpected character '>'")),
+    ("query file line ending in a trailing comment",
+     {"q.cq": "# header\ncause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)\n  cause L=1 of   # trailing\n"},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-Q", "@q.cq"),
+     ("syntax", 3, 18, "expected a variable name, found 'end of input'")),
     ("CRLF line endings", {"m.cm": (_ONE_X % "Z").replace("\n", "\r\n")}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
     # A repeated assignment is reported at the repeated variable.
@@ -474,6 +502,10 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 2, 58, "zero denominator")),
     ("undeclared reference", {"m.cm": _ONE_X % "Z"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("unknown variable", 3, 26, "equation for 'X' references undeclared variable 'Z'")),
+    ("undeclared reference after a comment and a tab",
+     {"m.cm": "model m {\n  exogenous U : {0,1};  # the only input\n\tendogenous X : {0,1} = Z;\n}\n"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("unknown variable", 3, 25, "equation for 'X' references undeclared variable 'Z'")),
     ("unknown pattern variable", {"m.cm": _ORDERED % "[QQ=1] >= [X=0];"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("unknown variable", 6, 6, "pattern variable 'QQ' is not a declared endogenous variable")),
     ("unknown cause variable", {}, ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause NOPE=1 of F=1 in {_FF_CTX}"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causelab import dsl
 from causelab.cli import corpus_dir
 from causelab.dsl import (
     BlameQuery,
@@ -20,6 +21,7 @@ from causelab.dsl import (
     NessQuery,
     RespQuery,
     _lex,
+    _Parser,
     _render_expr,
     parse_model,
     parse_query,
@@ -28,10 +30,16 @@ from causelab.dsl import (
     print_query,
     print_states,
 )
-from causelab.formula import AndF, Atom, NotF, OrF
-from causelab.model import Assignment, CausalModel, Cond, Equation, Expr, Lit, ModelError, Signature, Var
+from causelab.formula import AndF, Atom, CausalFormula, NotF, OrF
+from causelab.model import Assignment, CausalModel, Cond, Equation, Expr, Intervention, Lit, ModelError, Signature, Var
 from causelab.normality import NormalityOrder
-from randmodels import random_doctors_model, random_model, random_pattern_order
+from randmodels import (
+    random_context,
+    random_doctors_model,
+    random_event_formula,
+    random_model,
+    random_pattern_order,
+)
 
 GOOD_MODEL = """
 model demo {
@@ -528,3 +536,42 @@ def test_lexer_tokens_are_the_source_without_blanks(text):
     for tok in tokens[:-1]:
         assert lines[tok.line - 1][tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text
     assert "".join(tok.text for tok in tokens) == re.sub(r"#[^\n]*|[ \t\r\n]", "", text)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(text=_SOURCES)
+def test_the_parser_reads_the_texts_of_the_placed_tokens(text):
+    assert _Parser(text, "<t>").toks == [tok.text for tok in _lex(text, "<t>")]
+
+
+def test_parsing_without_a_fault_places_no_token(monkeypatch):
+    # Tokens are placed only for a diagnostic: every document below parses
+    # with the placer out of reach.
+    rng = random.Random(2310)
+    models = [random_model(rng, allow_ternary=True, name=f"p{i}") for i in range(30)]
+    texts = [print_model(model, random_pattern_order(rng, model)) for model in models]
+    texts += [print_model(*random_doctors_model(rng, name=f"d{i}")) for i in range(5)]
+    queries = [
+        print_query(EvalQuery(
+            CausalFormula(Intervention({}), random_event_formula(rng, model)),
+            tuple(random_context(rng, model).items()),
+        ))
+        for model in models
+    ]
+
+    def no_placing(text, origin):
+        raise AssertionError(f"tokens placed for {origin}, which parses")
+
+    monkeypatch.setattr(dsl, "_lex", no_placing)
+    base = corpus_dir()
+    for path in sorted(base.iterdir()):
+        if path.suffix == ".cm":
+            dsl.parse_model_file(path)
+        elif path.suffix == ".ce":
+            dsl.parse_state_file(path)
+        elif path.suffix == ".cq":
+            assert dsl.parse_query_file(path)
+    for text in texts:
+        parse_model(text)
+    for text in queries:
+        parse_query(text)
