@@ -27,7 +27,7 @@ from .hp import (
     EngineStats,
     Witness,
     is_actual_cause,
-    ways_fraction,
+    ways_verdict,
 )
 from .model import Assignment, Context, Intervention, ModelError
 from .normality import ExtendedModel
@@ -103,16 +103,19 @@ def degree_of_responsibility(
     """Score the cause by its minimal admissible contingency; for the weighted
     strategy that is the one of least summed weight, not of fewest changes."""
     stats = stats if stats is not None else EngineStats()
-    verdict = is_actual_cause(
-        ext, context, cause, outcome, max_vars, stats, strategy.weight_map(), first_witness=True
-    )
+    if strategy.kind == "ways":  # the score reads the verdict's search
+        verdict, ways = ways_verdict(ext, context, cause, outcome, max_vars, stats)
+    else:
+        verdict = is_actual_cause(
+            ext, context, cause, outcome, max_vars, stats, strategy.weight_map(), first_witness=True
+        )
     if not verdict.is_cause:
         return Responsibility(Fraction(0))
     best = verdict.witnesses[0]
     if strategy.kind == "exponential":
         value = Fraction(1, 2**best.changes)
     elif strategy.kind == "ways":
-        value = ways_fraction(ext, context, cause, outcome, max_vars, stats)
+        value = ways
     else:  # reciprocal: the measure counts changes; weighted: it sums weights
         value = Fraction(1) / (1 + verdict.measure)
     return Responsibility(value, best)

@@ -122,13 +122,16 @@ def _extended(model: CausalModel, order: NormalityOrder | None, options: RunOpti
 
 
 def _witness_dict(w: hp.Witness) -> dict:
-    """A witness the search returned, with the world it solved for it."""
+    """A witness the search returned, with the world it solved for it,
+    formatted from its positions (`hp.Witness.settings`); W is the keys of
+    its setting."""
+    w_setting, x_prime, world = w.settings()
     return {
-        "w_set": sorted(w.w_set),
-        "w_setting": w.w_setting.as_dict(),
-        "x_prime": w.x_prime.as_dict(),
+        "w_set": sorted(w_setting),
+        "w_setting": w_setting,
+        "x_prime": x_prime,
         "changes": w.changes,
-        "witness_world": w.world.as_dict(),
+        "witness_world": world,
     }
 
 
@@ -347,6 +350,8 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
     if options.strategy not in attribution.STRATEGY_KINDS:
         raise RunError([_plain_diag("semantic", f"unknown strategy {options.strategy!r}")])
     query = parse_query(entry["query"], origin=entry["id"])
+    if "strategy" in opts and not isinstance(query, (RespQuery, BlameQuery)):
+        raise RunError([_plain_diag("semantic", f"unknown option 'strategy' for a {query.kind} query")])
     if loaded.models and not isinstance(query, BlameQuery):
         # entries list the target model first
         options.model_name = next(iter(loaded.models))

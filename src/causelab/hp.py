@@ -98,8 +98,12 @@ failures are those of the plain enumeration.  Only the work counters
   witness has E empty, which every order tries first, each member's witness
   is its image (`_Search._orbit_witnesses`), whose world pins the member's
   change variables and gives a class's other members their common unpinned
-  value, without a solve.  Otherwise which E comes first depends on the
-  positions, so each member is decided on its own.  A full search then
+  value, without a solve.  Like every witness inside the search, an image
+  is positional: its W positions and its world's value tuple, read off the
+  first member's solved tuple, with no name, `Assignment` or `World` built
+  (a `Witness` names them when its fields are first read).  Otherwise which
+  E comes first depends on the positions, so each member is decided on its
+  own.  A full search then
   sorts the level's witnesses back into search order, and an
   `existence_only` search stops at the first orbit with a witness, where
   the member walk stopped.  So no solve moves.  Where the members' orders
@@ -110,7 +114,8 @@ failures are those of the plain enumeration.  Only the work counters
   are found when the enumeration first goes past the empty change set;
   without a class the orbit walk is the member walk.  `ways_fraction`
   evaluates each orbit of side settings once, weighted by its multinomial
-  size.
+  size.  A ways responsibility reads the verdict's search, and with it its
+  solve memo (`ways_verdict`).
 
 AC2(b) failures explain a verdict and do not decide it, so they are not the
 search's work, and they are recorded only on request
@@ -132,11 +137,12 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .formula import EventFormula, atom, conj
-from .model import Assignment, CausalModel, Context, ModelError, World
+from .model import Assignment, CausalModel, Context, ModelError, Signature, World
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -185,17 +191,89 @@ class CandidateCause:
                 yield CandidateCause(Assignment(dict(combo)))
 
 
-@dataclass(frozen=True)
 class Witness:
-    """A contingency certifying AC2 for a candidate cause."""
+    """A contingency certifying AC2 for a candidate cause: the set W, its
+    setting, the cause's alternative setting x' and `changes`, the number of
+    W variables set off their actual values.
 
-    w_set: frozenset[str]
-    w_setting: Assignment
-    x_prime: Assignment
-    changes: int
-    # The world the contingency determines, as the search solved it; None on a
-    # hand-built witness (`witness_world` solves it then).
-    world: World | None = field(default=None, compare=False, repr=False)
+    `world` is the world the contingency determines, as the search solved
+    it; None on a hand-built witness (`witness_world` solves it then).  A
+    witness the search found is kept by position over the model's
+    signature: W in the order the search set it, the cause's variables, and
+    the solved world's values, which hold W's setting and x' since both are
+    pinned.  Its named fields are built when first read, and `settings`
+    formats plain dicts from the positions without building them.
+    Witnesses compare and hash by W, its setting, x' and `changes`, so a
+    found witness equals the hand-built witness with the same fields.
+    """
+
+    def __init__(
+        self,
+        w_set: frozenset[str],
+        w_setting: Assignment,
+        x_prime: Assignment,
+        changes: int,
+        world: World | None = None,
+    ):
+        vars(self).update(w_set=w_set, w_setting=w_setting, x_prime=x_prime, changes=changes, world=world)
+
+    @classmethod
+    def _found(cls, sig: Signature, w: tuple[int, ...], x: tuple[int, ...], changes: int, values: tuple[int, ...]):
+        """The witness that pins the positions `w` and then the cause's
+        positions `x` to their `values`, the solved world."""
+        witness = cls.__new__(cls)
+        vars(witness).update(changes=changes, _sig=sig, _w=w, _x=x, _values=values)
+        return witness
+
+    @cached_property
+    def w_set(self) -> frozenset[str]:
+        names = self._sig.endogenous_names
+        return frozenset([names[i] for i in self._w])
+
+    @cached_property
+    def w_setting(self) -> Assignment:
+        return Assignment(self.settings()[0])
+
+    @cached_property
+    def x_prime(self) -> Assignment:
+        return Assignment(self.settings()[1])
+
+    @cached_property
+    def world(self) -> World:
+        return self._sig.world(self._values)
+
+    def settings(self) -> tuple[dict[str, int], dict[str, int], dict[str, int] | None]:
+        """W's setting, x' and `world` as new plain dicts; on a found
+        witness, straight from its positions, with W in the order the search
+        set it and the world in declaration order."""
+        if "_values" not in vars(self):
+            world = None if self.world is None else self.world.as_dict()
+            return self.w_setting.as_dict(), self.x_prime.as_dict(), world
+        names, values = self._sig.endogenous_names, self._values
+        return {names[i]: values[i] for i in self._w}, {names[i]: values[i] for i in self._x}, dict(zip(names, values))
+
+    def _key(self) -> tuple:
+        return self.w_set, self.w_setting, self.x_prime, self.changes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Witness(w_set={self.w_set!r}, w_setting={self.w_setting!r},"
+            f" x_prime={self.x_prime!r}, changes={self.changes!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -254,16 +332,17 @@ def _prefixes(classes: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int,
 
 
 def _placements(positions: Sequence[int], values: Sequence[int]) -> Iterator[dict[int, int]]:
-    """Each way to give the sorted `values` to distinct `positions`, once
-    per distinct arrangement, as {position: value} maps."""
-    if not values:
-        yield {}
-        return
+    """Each way to give the sorted, nonempty `values` to distinct
+    `positions`, once per distinct arrangement, as {position: value} maps."""
     run = values.count(values[0])  # sorted, so the first value's run
     for chosen in itertools.combinations(positions, run):
-        rest = [i for i in positions if i not in chosen]
-        for placed in _placements(rest, values[run:]):
-            yield {**dict.fromkeys(chosen, values[0]), **placed}
+        placed = dict.fromkeys(chosen, values[0])
+        if run == len(values):
+            yield placed
+        else:
+            rest = [i for i in positions if i not in chosen]
+            for more in _placements(rest, values[run:]):
+                yield {**placed, **more}
 
 
 class _Search:
@@ -272,10 +351,13 @@ class _Search:
     The context, cause and outcome are checked once, here, in that order, for
     each public entry that searches; the search itself solves unchecked.
     Inside it every variable is its endogenous declaration position, pins are
-    tuples with None for "unpinned" and solutions are value tuples.  Names and
-    `World`s appear only in reported results and in the one up-set lookup of a
-    non-flat order, whose patterns are kept by position.  `for_cause` reuses
-    all cause-independent state, the memos and the patterns included.
+    tuples with None for "unpinned" and solutions are value tuples.  A witness
+    is (W, values): the positions of C then E, and the solved world, which
+    holds W's setting and x'.  The `Witness` that reports it builds its named
+    fields when they are first read.  Names and `World`s appear only there, in
+    the reported AC2(b) failures and in the one up-set lookup of a non-flat
+    order, whose patterns are kept by position.  `for_cause` reuses all
+    cause-independent state, the memos and the patterns included.
     """
 
     def __init__(
@@ -311,7 +393,7 @@ class _Search:
 
     def _aim(self, cause: CandidateCause) -> None:
         cause_ix = {self.model.signature.endogenous_index[v] for v in cause.variables()}
-        self.x_vars = sorted(cause_ix)
+        self.x_vars = tuple(sorted(cause_ix))
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
         self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
@@ -695,10 +777,11 @@ class _Search:
                 yield x_prime, orbit
 
     def _reached(self, c_vars: tuple[int, ...], c: tuple[int, ...], x_prime: tuple[int, ...], orbit):
-        """(W's setting, solved values) for each contingency of a change
-        assignment and x' that passes AC2(a) and the normality gate: W is C
-        plus E, the variables pinned at their actual values, smallest E
-        first (`_pin_sets`).  When there is none, the orbit joins `_unreached`."""
+        """(W, solved values) for each contingency of a change assignment
+        and x' that passes AC2(a) and the normality gate: W is C plus E, the
+        variables pinned at their actual values, smallest E first
+        (`_pin_sets`), and the values hold W's setting.  When there is none,
+        the orbit joins `_unreached`."""
         base = self._pins(zip(self.x_vars, x_prime), zip(c_vars, c))
         reached = False
         for e_sub, pins in self._pin_sets(base, [i for i in self.others if i not in c_vars]):
@@ -706,10 +789,7 @@ class _Search:
             if self.holds(values) or not self._normal(values):
                 continue  # AC2(a) fails for this W, or its world is inadmissible
             reached = True
-            w_setting = dict(zip(c_vars, c))
-            for i in e_sub:
-                w_setting[i] = self.actual[i]
-            yield w_setting, values
+            yield c_vars + e_sub, values
         if orbit is not None and not reached:
             self._unreached.add(orbit)
 
@@ -728,29 +808,35 @@ class _Search:
         if not self.outcome_reaches_cause():
             return None, ()  # no witness exists (see the module docstring)
         for measure, classes, level in self._levels(weights):
-            found: list[tuple] = []  # ((C, c), witness)
+            found: list[tuple] = []  # ((C, c), W, values)
             for c_vars, c, alternatives in level:
                 for x_prime, orbit in alternatives:
                     witness = self._first_witness_for(c_vars, c, x_prime, orbit)
                     if witness is not None:
                         if existence_only:
-                            return measure, (witness,)
+                            return measure, (self._witness(c_vars, *witness),)
                         if classes:
                             found += self._orbit_witnesses(classes, c_vars, c, x_prime, orbit, witness)
                         else:
-                            found.append(((c_vars, c), witness))
+                            found.append(((c_vars, c), *witness))
                         break  # one canonical witness per change assignment
             if found:
                 if classes:
                     # The members of orbits back into search order: (C, c)
                     # order within one change count.
                     found.sort(key=operator.itemgetter(0))
-                return measure, tuple(witness for _, witness in found)
+                return measure, tuple(self._witness(c_vars, w, values) for (c_vars, _), w, values in found)
         return None, ()
 
-    def _orbit_witnesses(self, classes, c_vars, c, x_prime, orbit, witness: Witness) -> list[tuple]:
-        """((C, c), witness) for each member of the orbit of `classes` whose
-        first member sets `c_vars` to `c` and has `witness` under x'.
+    def _witness(self, c_vars: tuple[int, ...], w: tuple[int, ...], values: tuple[int, ...]) -> Witness:
+        """The witness that sets the change variables `c_vars`, with W and
+        solved values as `_reached` gives them."""
+        return Witness._found(self.model.signature, w, self.x_vars, len(c_vars), values)
+
+    def _orbit_witnesses(self, classes, c_vars, c, x_prime, orbit, witness: tuple) -> list[tuple]:
+        """((C, c), W, values) for each member of the orbit of `classes`
+        whose first member sets `c_vars` to `c` and has `witness`, a (W,
+        values) pair, under x'.
 
         Every member has a witness under x' and none under an earlier
         alternative.  When the witness has E empty, so has each member's: it
@@ -763,11 +849,12 @@ class _Search:
         moved = [cls for cls in classes if cls[0] in first]
         in_class = {i for cls in moved for i in cls}
         fixed = {i: v for i, v in first.items() if i not in in_class}
-        at_empty_e = len(witness.w_set) == len(c_vars)
+        w, values = witness
+        at_empty_e = len(w) == len(c_vars)
         if at_empty_e:
             # The witness's world with each moved class at its unpinned value,
             # which its last member takes unless the whole class is pinned.
-            unpinned = [witness.world[v] for v in self.names]
+            unpinned = list(values)
             for cls in moved:
                 for i in cls:
                     unpinned[i] = unpinned[cls[-1]]
@@ -784,12 +871,10 @@ class _Search:
                 world = unpinned.copy()
                 for i, value in setting.items():
                     world[i] = value
-                w_set = frozenset(self.names[i] for i in m_vars)
-                member = Witness(w_set, self._named(setting.items()), witness.x_prime, len(c_vars),
-                                 self.model.signature.world(world))
+                member = tuple(setting), tuple(world)
             else:
                 member = self._first_witness_for(m_vars, m_c, x_prime, orbit)
-            found.append(((m_vars, m_c), member))
+            found.append(((m_vars, m_c), *member))
         return found
 
     def _movable(self, x_alts: list[tuple[int, ...]]) -> list[int]:
@@ -805,17 +890,17 @@ class _Search:
 
     def _first_witness_for(
         self, c_vars: tuple[int, ...], c: tuple[int, ...], x_prime: tuple[int, ...], orbit
-    ) -> Witness | None:
-        """Smallest-W witness for a fixed change assignment and x', or None.
-        AC2(b) is the shared decision of (C, c)."""
+    ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Smallest-W witness for a fixed change assignment and x', as (W,
+        solved values) (`_reached`), or None.  AC2(b) is the shared decision
+        of (C, c)."""
         pins = tuple(self._pins(zip(self.x_vars, self.x_actual), zip(c_vars, c)))
         if self._ac2b_states.get(self._canonical(pins) if self.classes else pins, _HOLDS) is not _HOLDS:
             return None  # AC2(b) fails for every W with this change assignment
-        for w_setting, values in self._reached(c_vars, c, x_prime, orbit):
+        for witness in self._reached(c_vars, c, x_prime, orbit):
             if self._ac2b_state(pins, c_vars) is not _HOLDS:
                 return None  # the same verdict for every W
-            contingency = self._named_contingency(w_setting, x_prime)
-            return Witness(*contingency, len(c_vars), self.model.signature.world(values))
+            return witness
         return None
 
     def find_ac2b_failures(self, weights: Mapping[str, Fraction] | None) -> tuple[Ac2bFailure, ...]:
@@ -828,8 +913,9 @@ class _Search:
         for _, _, level in self._levels(weights, members=True):
             for c_vars, c, alternatives in level:
                 for x_prime, orbit in alternatives:
-                    for w_setting, _ in self._reached(c_vars, c, x_prime, orbit):
-                        w_prime, z_prime = self.ac2b(sorted(w_setting), w_setting)
+                    for w, values in self._reached(c_vars, c, x_prime, orbit):
+                        w_setting = {i: values[i] for i in w}
+                        w_prime, z_prime = self.ac2b(sorted(w), w_setting)
                         failures.append(
                             Ac2bFailure(
                                 *self._named_contingency(w_setting, x_prime),
@@ -840,6 +926,37 @@ class _Search:
                         if len(failures) == _AC2B_FAILURE_CAP:
                             return tuple(failures)
         return tuple(failures)
+
+    def ways_fraction(self) -> Fraction:
+        """`ways_fraction` for this search's cause and outcome."""
+        if self.classes is None:
+            self._find_classes()
+        side = [i for i in self.others if self.names[i] not in self.outcome_vars]
+        ranges = self.model.signature.ranges
+        total = math.prod(len(ranges[self.names[i]]) for i in side) - 1
+        if not total:
+            return Fraction(1)
+        # A class of interchangeable side variables takes each multiset of values
+        # once, standing for the settings in its orbit; every other side variable
+        # is a block of one.  The actual setting is its own orbit.
+        in_class = {i for cls in self.classes for i in cls}
+        blocks = [*self.classes, *((i,) for i in side if i not in in_class)]
+        positions = [i for block in blocks for i in block]
+        actual = tuple(self.actual[i] for i in positions)
+
+        def holds_with(combo: tuple[int, ...], x: tuple[int, ...]) -> bool:
+            return self.holds(self._solve(tuple(self._pins(zip(positions, combo), zip(self.x_vars, x)))))
+
+        x_alts = self._x_alternatives()
+        multisets = [
+            itertools.combinations_with_replacement(ranges[self.names[block[0]]], len(block)) for block in blocks
+        ]
+        critical = 0
+        for choice in itertools.product(*multisets):
+            combo = sum(choice, ())
+            if combo != actual and holds_with(combo, self.x_actual) and not all(holds_with(combo, x) for x in x_alts):
+                critical += math.prod(map(_orbit_size, choice))
+        return Fraction(critical, total)
 
 
 # ---------------------------------------------------------------------------
@@ -953,34 +1070,24 @@ def ways_fraction(
     """
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
     search.check_cap(max_vars)
-    search._find_classes()
-    side = [i for i in search.others if search.names[i] not in outcome.variables()]
-    ranges = ext.model.signature.ranges
-    total = math.prod(len(ranges[search.names[i]]) for i in side) - 1
-    if not total:
-        return Fraction(1)
-    # A class of interchangeable side variables takes each multiset of values
-    # once, standing for the settings in its orbit; every other side variable
-    # is a block of one.  The actual setting is its own orbit.
-    in_class = {i for cls in search.classes for i in cls}
-    blocks = [*search.classes, *((i,) for i in side if i not in in_class)]
-    positions = [i for block in blocks for i in block]
-    actual = tuple(search.actual[i] for i in positions)
+    return search.ways_fraction()
 
-    def holds_with(combo: tuple[int, ...], x: tuple[int, ...]) -> bool:
-        pins = search._pins(zip(positions, combo), zip(search.x_vars, x))
-        return search.holds(search._solve(tuple(pins)))
 
-    x_alts = search._x_alternatives()
-    multisets = [
-        itertools.combinations_with_replacement(ranges[search.names[block[0]]], len(block)) for block in blocks
-    ]
-    critical = 0
-    for choice in itertools.product(*multisets):
-        combo = sum(choice, ())
-        if combo != actual and holds_with(combo, search.x_actual) and not all(holds_with(combo, x) for x in x_alts):
-            critical += math.prod(map(_orbit_size, choice))
-    return Fraction(critical, total)
+def ways_verdict(
+    ext: ExtendedModel,
+    context: Context,
+    cause: CandidateCause,
+    outcome: EventFormula,
+    max_vars: int = DEFAULT_MAX_VARS,
+    stats: EngineStats | None = None,
+) -> tuple[CauseVerdict, Fraction | None]:
+    """`is_actual_cause` with `first_witness`, and for a cause its
+    `ways_fraction` (None otherwise), from one search: the inputs are
+    checked and the actual world solved once, and the fraction reads the
+    verdict's solve memo."""
+    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    verdict = _verdict(search, cause, max_vars, first_witness=True)
+    return verdict, search.ways_fraction() if verdict.is_cause else None
 
 
 def find_all_causes(

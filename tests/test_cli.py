@@ -709,6 +709,25 @@ class TestCorpusCommand:
             "0/1 corpus expectations hold",
         ]
 
+    @pytest.mark.parametrize("query", [
+        "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)",
+        "eval [ML<-0]F=1 in ctx(U1=1,U2=1,U3=1)",
+        "ness L=1 of F=1 in ctx(U1=1,U2=1,U3=1)",
+    ])
+    def test_corpus_strategy_on_a_query_that_does_not_score_fails(self, tmp_path, query):
+        (tmp_path / "forest_fire.cm").write_text((CORPUS / "forest_fire.cm").read_text())
+        (tmp_path / "expected.json").write_text(
+            f'[{{"id": "unscored", "models": ["forest_fire.cm"], "query": "{query}",'
+            ' "expect": {}, "options": {"strategy": "ways"}}]'
+        )
+        code, text = run_cli("corpus", "run", "--dir", str(tmp_path))
+        assert code == EXIT_DIAGNOSTICS
+        kind = query.split()[0]
+        assert text.splitlines() == [
+            f"FAIL unscored  [0.0 ms]  (<run>:1:1: semantic: unknown option 'strategy' for a {kind} query)",
+            "0/1 corpus expectations hold",
+        ]
+
 
     @pytest.mark.parametrize("key, options", [
         # `weights` would be needed by a `weighted` entry, which cannot pass

@@ -54,6 +54,7 @@ from randmodels import (
     random_threshold_model,
 )
 from test_model import forest_fire
+from test_symmetry import vote_n
 
 
 def ext_of(model) -> ExtendedModel:
@@ -441,6 +442,50 @@ class TestWitnessWorld:
         built = Witness(found.w_set, found.w_setting, found.x_prime, found.changes)
         assert built.world is None and built == found and hash(built) == hash(found)
         assert witness_world(ext, u, cause, built) == found.world
+
+    def test_found_and_hand_built_reprs(self):
+        [found] = is_actual_cause(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1)).witnesses
+        built = Witness(frozenset({"ML"}), Assignment({"ML": 0}), Assignment({"L": 0}), 1)
+        text = "Witness(w_set=frozenset({'ML'}), w_setting=Assignment(ML=0), x_prime=Assignment(L=0), changes=1)"
+        assert repr(found) == repr(built) == text
+
+    def test_found_witness_with_e_equals_its_hand_built_twin(self, corpus):
+        # Suzy's throw is a cause once Billy's hit is pinned at its actual 0:
+        # W = E = {BH}, with no change.
+        model, _ = corpus["models"]["suzy_billy"]
+        context, cause = Context({"US": 1, "UB": 1}), CandidateCause.of({"ST": 1})
+        [found] = is_actual_cause(ext_of(model), context, cause, atom("BS", 1)).witnesses
+        built = Witness(frozenset({"BH"}), Assignment({"BH": 0}), Assignment({"ST": 0}), 0)
+        assert found == built and built == found and hash(found) == hash(built)
+        assert found != Witness(built.w_set, built.w_setting, built.x_prime, 1)
+        assert found.world == witness_world(ext_of(model), context, cause, built)
+
+    def test_orbit_images_equal_their_hand_built_twins(self):
+        # The 20 witnesses of one vote in a 7-0 landslide are the images of
+        # the first, which sets V2, V3 and V4.
+        ext = vote_n(7)
+        context = Context({f"UV{i}": 0 for i in range(1, 8)})
+        cause = CandidateCause.of({"V1": 0})
+        found = is_actual_cause(ext, context, cause, atom("W", 0)).witnesses
+        built = [
+            Witness(frozenset(names), Assignment(dict.fromkeys(names, 1)), Assignment({"V1": 1}), 3)
+            for names in itertools.combinations([f"V{i}" for i in range(2, 8)], 3)
+        ]
+        assert list(found) == built and list(map(hash, found)) == list(map(hash, built))
+        assert len(set(found) | set(built)) == 20
+        for w in found:
+            assert w.world == witness_world(ext, context, cause, w)
+
+    def test_vote11_landslide_witness_worlds(self, corpus):
+        model, order = corpus["models"]["vote11"]
+        ext = ExtendedModel(model, order)
+        context = Context({f"UV{i}": 0 for i in range(1, 12)})
+        cause = CandidateCause.of({"V1": 0})
+        verdict = is_actual_cause(ext, context, cause, atom("W", 0))
+        assert verdict.is_cause and verdict.measure == 5 and len(verdict.witnesses) == 252
+        assert len(set(verdict.witnesses)) == 252
+        for w in verdict.witnesses:
+            assert w.changes == 5 and w.world == witness_world(ext, context, cause, w)
 
     def test_corpus_verdicts(self, corpus):
         checked = 0
