@@ -4,15 +4,19 @@ Subcommands: solve, eval, cause, resp, blame, ness, corpus.  Each query is
 answered with a single machine-readable JSON object on stdout (a readable
 table with --pretty); wall-clock timings live in a dedicated "timing" field
 so that the rest of the output is byte-reproducible.  Errors are reported as
-structured diagnostics, never stack traces.
+structured diagnostics, never stack traces: every failure, whether found
+while loading, parsing or answering a query, is one `dsl.DslError`, and a
+library error gets the category its class carries.
 
 A `cause` result carries the AC2(b) failures of a non-cause
 (`ac2b_failures`) only with `cause --failures`: naming them takes a pass of
 its own, and without the flag the key is absent, for causes and non-causes
 alike.
 
-Exit codes: 0 the query was answered (whatever the verdict), 1 diagnostics
-were produced, 2 a usage error (argparse), 3 the variable cap was hit.
+Exit codes: 0 the query was answered (whatever the verdict), 2 a usage error
+(argparse); otherwise the code follows the diagnostic's category, 3 for
+`resource-cap` (the variable cap was hit) and 1 for any other.  A `-Q` batch
+exits with the highest code of its lines.
 """
 
 from __future__ import annotations
@@ -44,19 +48,12 @@ from .dsl import (
 )
 from .formula import holds
 from .hp import CandidateCause, CapExceededError, EngineStats
-from .model import CausalModel, Context, Intervention, ModelError
+from .model import CausalModel, Context, Intervention
 from .normality import ExtendedModel, NormalityOrder
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_CAP = 3
-
-
-class RunError(Exception):
-    def __init__(self, diagnostics: list[Diagnostic], exit_code: int = EXIT_DIAGNOSTICS):
-        super().__init__("; ".join(str(d) for d in diagnostics))
-        self.diagnostics = diagnostics
-        self.exit_code = exit_code
 
 
 @dataclass
@@ -96,15 +93,13 @@ class LoadedSet:
 
     def pick_model(self, name: str | None) -> tuple[CausalModel, NormalityOrder | None]:
         if not self.models:
-            raise RunError([_plain_diag("syntax", "no model loaded; pass -m <file>")])
+            raise DslError([_plain_diag("syntax", "no model loaded; pass -m <file>")])
         if name is None:
             if len(self.models) > 1:
-                raise RunError(
-                    [_plain_diag("syntax", "several models loaded; pick one with --model-name")]
-                )
+                raise DslError([_plain_diag("syntax", "several models loaded; pick one with --model-name")])
             return next(iter(self.models.values()))
         if name not in self.models:
-            raise RunError([_plain_diag("unknown variable", f"no loaded model named {name!r}")])
+            raise DslError([_plain_diag("unknown variable", f"no loaded model named {name!r}")])
         return self.models[name]
 
 
@@ -112,9 +107,10 @@ def _plain_diag(category: str, message: str) -> Diagnostic:
     return Diagnostic(category, message, 1, 1, "<run>")
 
 
-def _error_diag(exc: ValueError) -> Diagnostic:
-    """A model error carries its category; any other ValueError is semantic."""
-    return _plain_diag(exc.category if isinstance(exc, ModelError) else "semantic", str(exc))
+def _error_diag(exc: CapExceededError | ValueError) -> Diagnostic:
+    """A library error carries its category (`ModelError.category`,
+    `CapExceededError.category`); any other ValueError is semantic."""
+    return _plain_diag(getattr(exc, "category", "semantic"), str(exc))
 
 
 def _extended(model: CausalModel, order: NormalityOrder | None, options: RunOptions) -> ExtendedModel:
@@ -160,12 +156,12 @@ def _cause_result(verdict: hp.CauseVerdict, failures: bool) -> dict:
 
 def _resolve_state(loaded: LoadedSet, name: str, options: RunOptions) -> attribution.EpistemicState:
     if name not in loaded.states:
-        raise RunError([_plain_diag("unknown variable", f"no loaded state named {name!r}")])
+        raise DslError([_plain_diag("unknown variable", f"no loaded state named {name!r}")])
     decl = loaded.states[name]
     situations = []
     for sit in decl.situations:
         if sit.model_name not in loaded.models:
-            raise RunError(
+            raise DslError(
                 [_plain_diag("unknown variable", f"state {name!r} references unloaded model {sit.model_name!r}")]
             )
         model, order = loaded.models[sit.model_name]
@@ -226,11 +222,9 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
             used = [model.name]
 
         else:
-            raise RunError([_plain_diag("syntax", f"unsupported query {query!r}")])
-    except CapExceededError as exc:
-        raise RunError([_plain_diag("resource-cap", str(exc))], EXIT_CAP) from None
-    except ValueError as exc:
-        raise RunError([_error_diag(exc)]) from None
+            raise DslError([_plain_diag("syntax", f"unsupported query {query!r}")])
+    except (CapExceededError, ValueError) as exc:
+        raise DslError([_error_diag(exc)]) from None
     return result, stats, used
 
 
@@ -273,7 +267,9 @@ def _emit(report: dict, pretty: bool, out) -> None:
     print(f"stats        {report['stats']}  timing {report['timing']}", file=out)
 
 
-def _emit_diagnostics(diags: list[Diagnostic], pretty: bool, out) -> None:
+def _emit_diagnostics(diags: list[Diagnostic], pretty: bool, out) -> int:
+    """Print the diagnostics; returns the exit code, which follows their
+    category: 3 for `resource-cap`, 1 for any other."""
     payload = {
         "diagnostics": [
             {
@@ -291,6 +287,7 @@ def _emit_diagnostics(diags: list[Diagnostic], pretty: bool, out) -> None:
             print(str(d), file=out)
     else:
         print(json.dumps(payload, sort_keys=True), file=out)
+    return EXIT_CAP if any(d.category == "resource-cap" for d in diags) else EXIT_DIAGNOSTICS
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +310,12 @@ def _file_diag(path, exc: OSError | ValueError) -> Diagnostic:
 
 
 def _read(parse, path):
-    """`parse(path)`, raising a `RunError` when the file cannot be read or is
+    """`parse(path)`, raising a `DslError` when the file cannot be read or is
     not UTF-8."""
     try:
         return parse(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise RunError([_file_diag(path, exc)]) from None
+        raise DslError([_file_diag(path, exc)]) from None
 
 
 def _load_files(model_files, state_files) -> LoadedSet:
@@ -340,18 +337,18 @@ def run_corpus_entry(entry: dict, base) -> tuple[bool, str, dict, float]:
     opts = entry.get("options", {})
     for key in opts:
         if key not in ("mode", "strategy"):
-            raise RunError([_plain_diag("semantic", f"unknown option {key!r}")])
+            raise DslError([_plain_diag("semantic", f"unknown option {key!r}")])
     options = RunOptions(
         mode=opts.get("mode", "extended"),
         strategy=opts.get("strategy", "reciprocal"),
     )
     if options.mode not in ("extended", "preliminary"):
-        raise RunError([_plain_diag("semantic", f"unknown mode {options.mode!r}")])
+        raise DslError([_plain_diag("semantic", f"unknown mode {options.mode!r}")])
     if options.strategy not in attribution.STRATEGY_KINDS:
-        raise RunError([_plain_diag("semantic", f"unknown strategy {options.strategy!r}")])
+        raise DslError([_plain_diag("semantic", f"unknown strategy {options.strategy!r}")])
     query = parse_query(entry["query"], origin=entry["id"])
     if "strategy" in opts and not isinstance(query, (RespQuery, BlameQuery)):
-        raise RunError([_plain_diag("semantic", f"unknown option 'strategy' for a {query.kind} query")])
+        raise DslError([_plain_diag("semantic", f"unknown option 'strategy' for a {query.kind} query")])
     if loaded.models and not isinstance(query, BlameQuery):
         # entries list the target model first
         options.model_name = next(iter(loaded.models))
@@ -405,8 +402,7 @@ def _cmd_corpus(args, out) -> int:
     try:
         entries = load_corpus_entries(base)
     except (OSError, ValueError) as exc:  # missing, not UTF-8, not JSON, or misshapen
-        _emit_diagnostics([_file_diag(base / "expected.json", exc)], False, out)
-        return EXIT_DIAGNOSTICS
+        return _emit_diagnostics([_file_diag(base / "expected.json", exc)], False, out)
     if args.action == "list":
         for entry in entries:
             print(entry["id"], file=out)
@@ -415,7 +411,7 @@ def _cmd_corpus(args, out) -> int:
     for entry in entries:
         try:
             ok, message, _result, wall_ms = run_corpus_entry(entry, base)
-        except (RunError, DslError) as exc:
+        except DslError as exc:
             ok, message, wall_ms = False, str(exc), 0.0
         status = "PASS" if ok else "FAIL"
         suffix = "" if ok else f"  ({message})"
@@ -519,68 +515,40 @@ def main(argv=None, out=None) -> int:
     if args.command == "corpus":
         return _cmd_corpus(args, out)
 
-    try:
+    try:  # set-up: files, options, the `solve` subcommand, the queries
         loaded = _load_files(args.models, args.states)
-    except (DslError, RunError) as exc:
-        _emit_diagnostics(exc.diagnostics, args.pretty, out)
-        return EXIT_DIAGNOSTICS
-    options = _options_from_args(args)
-
-    if args.command == "solve":
-        try:
+        options = _options_from_args(args)
+        if args.command == "solve":
             model, _order = loaded.pick_model(options.model_name)
             assigns = dsl.parse_context(args.ctx)
             start = time.perf_counter()
             world = model.solve(Context(assigns))
             wall = (time.perf_counter() - start) * 1000.0
-            report = _report(
-                f"solve {dsl.print_context(assigns)}",
-                {"kind": "solve", "world": world.as_dict()},
-                EngineStats(),
-                _hashes_for(loaded, [model.name]),
-                options,
-                wall,
-            )
+            result = {"kind": "solve", "world": world.as_dict()}
+            hashes = _hashes_for(loaded, [model.name])
+            report = _report(f"solve {dsl.print_context(assigns)}", result, EngineStats(), hashes, options, wall)
             _emit(report, args.pretty, out)
             return EXIT_OK
-        except (DslError, RunError) as exc:
-            _emit_diagnostics(exc.diagnostics, args.pretty, out)
-            return EXIT_DIAGNOSTICS
-        except ValueError as exc:
-            _emit_diagnostics([_error_diag(exc)], args.pretty, out)
-            return EXIT_DIAGNOSTICS
-
-    # query-bearing subcommands
-    try:
         if args.query is not None:
             queries = [parse_query(args.query)]
         else:
             queries = _read(dsl.parse_query_file, args.query_file)
-    except (DslError, RunError) as exc:
-        _emit_diagnostics(exc.diagnostics, args.pretty, out)
-        return EXIT_DIAGNOSTICS
+    except (DslError, ValueError) as exc:
+        diags = exc.diagnostics if isinstance(exc, DslError) else [_error_diag(exc)]
+        return _emit_diagnostics(diags, args.pretty, out)
 
     exit_code = EXIT_OK
     for query in queries:
-        if query.kind != args.command:
-            _emit_diagnostics(
-                [_plain_diag("syntax", f"subcommand {args.command!r} got a {query.kind!r} query")],
-                args.pretty,
-                out,
-            )
-            exit_code = max(exit_code, EXIT_DIAGNOSTICS)
-            continue
         try:
+            if query.kind != args.command:
+                raise DslError([_plain_diag("syntax", f"subcommand {args.command!r} got a {query.kind!r} query")])
             start = time.perf_counter()
             result, stats, used = run_query(query, loaded, options)
             wall = (time.perf_counter() - start) * 1000.0
-            report = _report(
-                dsl.print_query(query), result, stats, _hashes_for(loaded, used), options, wall
-            )
+            report = _report(dsl.print_query(query), result, stats, _hashes_for(loaded, used), options, wall)
             _emit(report, args.pretty, out)
-        except RunError as exc:
-            _emit_diagnostics(exc.diagnostics, args.pretty, out)
-            exit_code = max(exit_code, exc.exit_code)
+        except DslError as exc:
+            exit_code = max(exit_code, _emit_diagnostics(exc.diagnostics, args.pretty, out))
     return exit_code
 
 

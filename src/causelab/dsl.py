@@ -86,8 +86,9 @@ T = TypeVar("T")
 @dataclass(frozen=True)
 class Diagnostic:
     # syntax | unknown variable | range violation | cycle | non-total equation, or
-    # semantic for conflicting ranks, from the parsers; the CLI adds semantic and
-    # resource-cap for query-time errors
+    # semantic for conflicting ranks, from the parsers; at query time the CLI
+    # takes the category of the library error (semantic for a plain ValueError,
+    # resource-cap for the variable cap)
     category: str
     message: str
     line: int
@@ -99,7 +100,9 @@ class Diagnostic:
 
 
 class DslError(Exception):
-    """Parse or validation failure carrying structured diagnostics."""
+    """A failure carrying structured diagnostics: a parse or validation
+    failure of model, query or state text, and, in the CLI, any failure to
+    load a file or answer a query."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__("; ".join(str(d) for d in diagnostics))

@@ -151,6 +151,8 @@ DEFAULT_MAX_VARS = 12
 class CapExceededError(RuntimeError):
     """Raised when a model exceeds the variable cap."""
 
+    category = "resource-cap"
+
 
 @dataclass
 class EngineStats:
@@ -964,6 +966,19 @@ class _Search:
 # ---------------------------------------------------------------------------
 
 
+def _witness_pins(cause: CandidateCause, witness: Witness) -> dict[str, int]:
+    """The pins of a witness, x' and W's setting, after checking its shape
+    against the cause: W does not overlap the cause, the setting sets exactly
+    W, and x' sets exactly the cause variables."""
+    if witness.w_set & cause.variables():
+        raise ValueError("witness W set overlaps the candidate cause")
+    if set(witness.w_setting) != witness.w_set:
+        raise ValueError("witness setting must set exactly its W set")
+    if set(witness.x_prime) != cause.variables():
+        raise ValueError("witness x' must set exactly the cause variables")
+    return {**witness.x_prime, **witness.w_setting}
+
+
 def check_ac2(
     ext: ExtendedModel,
     context: Context,
@@ -973,15 +988,8 @@ def check_ac2(
     stats: EngineStats | None = None,
 ) -> bool:
     """Re-verify AC2 (both clauses plus the normality gate) for a witness."""
-    if witness.w_set & cause.variables():
-        raise ValueError("witness W set overlaps the candidate cause")
-    if not witness.w_set <= set(witness.w_setting):
-        raise ValueError("witness setting must cover its W set")
-    if set(witness.x_prime) != cause.variables():
-        raise ValueError("witness x' must set exactly the cause variables")
+    pins = _witness_pins(cause, witness)
     search = _Search(ext, context, cause, outcome, stats or EngineStats())
-    pins = witness.x_prime.as_dict()
-    pins.update({v: witness.w_setting[v] for v in witness.w_set})
     ext.model.signature.check_intervention(pins)  # the search solves unchecked
     w_set = sorted(ext.model.signature.endogenous_index[v] for v in witness.w_set)
     ok, _ = search.check_witness(
@@ -1107,8 +1115,8 @@ def find_all_causes(
     """
     if max_conjuncts < 1:
         raise ValueError("max_conjuncts must be at least 1")
-    outcome.validate(ext.model)
     world = ext.model.solve(context)
+    outcome.validate(ext.model)
     skip = outcome.variables()
     events = [
         (v, world[v])
@@ -1131,7 +1139,6 @@ def find_all_causes(
 def witness_world(
     ext: ExtendedModel, context: Context, cause: CandidateCause, witness: Witness
 ) -> World:
-    """The world the witness contingency determines."""
-    pins = witness.x_prime.as_dict()
-    pins.update(witness.w_setting.as_dict())
-    return ext.model.solve_pinned(context, pins)
+    """The world the witness contingency determines; the witness is checked
+    against the cause as `check_ac2` checks it."""
+    return ext.model.solve_pinned(context, _witness_pins(cause, witness))

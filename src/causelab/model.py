@@ -423,16 +423,6 @@ class Assignment(Mapping):
         object.__setattr__(self, "_items", tuple(sorted(d.items())))
         object.__setattr__(self, "_hash", hash((type(self).__name__, self._items)))
 
-    @classmethod
-    def _sorted(cls, data: dict[str, int], items: tuple[tuple[str, int], ...]):
-        """The assignment `data`, whose items sorted by name are `items`:
-        `__init__` without the sort."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", hash((cls.__name__, items)))
-        return self
-
     def __getitem__(self, key: str) -> int:
         return self._data[key]
 
@@ -572,16 +562,8 @@ class Signature:
             return (None,) * len(self.endogenous)
         return tuple(pins.get(name) for name in self.endogenous_names)
 
-    @cached_property
-    def _sorted_endogenous(self) -> tuple[tuple[str, int], ...]:
-        """(name, position) of each endogenous variable, sorted by name, as
-        a `World` keeps its items."""
-        return tuple(sorted((name, i) for i, name in enumerate(self.endogenous_names)))
-
     def world(self, values: Iterable[int]) -> World:
-        values = tuple(values)
-        items = tuple([(name, values[i]) for name, i in self._sorted_endogenous])
-        return World._sorted(dict(zip(self.endogenous_names, values)), items)
+        return World(zip(self.endogenous_names, values))
 
     def check_world(self, world: Mapping[str, int]) -> None:
         for name in self.endogenous_names:

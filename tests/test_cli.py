@@ -13,14 +13,25 @@ from causelab.cli import (
     EXIT_OK,
     LoadedSet,
     RunOptions,
+    _error_diag,
     corpus_dir,
     load_corpus_entries,
     main,
     run_query,
 )
-from causelab.dsl import parse_query
+from causelab.dsl import Diagnostic, parse_query
 from causelab.formula import CausalFormula
-from causelab.model import Signature
+from causelab.hp import CapExceededError
+from causelab.model import (
+    CycleError,
+    DuplicateVariableError,
+    ModelError,
+    RangeViolationError,
+    Signature,
+    TotalityError,
+    UnknownVariableError,
+)
+from causelab.normality import RankConflictError
 
 CORPUS = corpus_dir()
 
@@ -256,6 +267,24 @@ class TestExitCodes:
             "-q", "resp L=1 of F=1 in ctx(U1=1,U2=1,U3=1)",
         )
         assert code == EXIT_DIAGNOSTICS
+
+    def test_mixed_batch_reports_each_line_and_exits_with_the_worst(self, tmp_path):
+        # Each line's exit code follows its diagnostic's category: the cap
+        # line makes the batch exit 3, and without it the others exit 1.
+        cap = f"cause V1=0 of W=0 in {_V11_CTX}"
+        others = [f"cause Q=1 of W=0 in {_V11_CTX}", f"resp V1=0 of W=0 in {_V11_CTX}"]
+        expected = {
+            cap: ("resource-cap", "model has 12 endogenous variables, above the variable cap of 5; raise --max-vars"),
+            others[0]: ("unknown variable", "cause variable 'Q' is not endogenous"),
+            others[1]: ("syntax", "subcommand 'cause' got a 'resp' query"),
+        }
+        for lines, want_code in (([others[0], cap, others[1]], EXIT_CAP), (others, EXIT_DIAGNOSTICS)):
+            qfile = tmp_path / "batch.cq"
+            qfile.write_text("\n".join(lines) + "\n")
+            code, payloads = run_json("cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-Q", str(qfile))
+            assert code == want_code
+            got = [(d["category"], d["message"]) for [d] in (p["diagnostics"] for p in payloads)]
+            assert got == [expected[line] for line in lines]
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("CAUSELAB_MAX_VARS", "5")
@@ -608,6 +637,33 @@ class TestDiagnosticsTable:
             "syntax", "unknown variable", "range violation", "cycle",
             "non-total equation", "semantic", "resource-cap",
         }
+
+
+_ERROR_CATEGORIES = [
+    (ModelError("m"), "semantic"),
+    (DuplicateVariableError("m"), "syntax"),
+    (UnknownVariableError("m"), "unknown variable"),
+    (RangeViolationError("m"), "range violation"),
+    (CycleError("m", ("X", "Y")), "cycle"),
+    (TotalityError("m"), "non-total equation"),
+    (RankConflictError("m", 1), "semantic"),
+    (CapExceededError("m"), "resource-cap"),
+    (ValueError("m"), "semantic"),
+]
+
+
+class TestErrorDiagnostic:
+    """A library error becomes the diagnostic its class's category names."""
+
+    @pytest.mark.parametrize("exc, category", _ERROR_CATEGORIES, ids=[type(e).__name__ for e, _ in _ERROR_CATEGORIES])
+    def test_category_follows_the_error_class(self, exc, category):
+        assert _error_diag(exc) == Diagnostic(category, "m", 1, 1, "<run>")
+
+    def test_every_model_error_class_is_listed(self):
+        def with_subclasses(cls):
+            return {cls}.union(*map(with_subclasses, cls.__subclasses__()))
+
+        assert with_subclasses(ModelError) <= {type(e) for e, _ in _ERROR_CATEGORIES}
 
 
 class TestEachInputCheckedOnce:

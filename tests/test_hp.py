@@ -346,6 +346,13 @@ class TestFindAllCauses:
         with pytest.raises(ValueError):
             find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 1), atom("F", 1), 0)
 
+    def test_checks_the_context_before_the_outcome(self):
+        # As every other entry does: a bad context is reported over a bad outcome.
+        with pytest.raises(RangeViolationError, match="value 7 outside the range of 'U3'"):
+            find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 7), atom("U1", 1))
+        with pytest.raises(UnknownVariableError, match="not endogenous"):
+            find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 1), atom("U1", 1))
+
     def test_candidates_share_one_search(self):
         # Seven voters, four for G: each of the four is a cause of G's win
         # and no pair is.  One search serves every candidate, so verdicts are
@@ -442,6 +449,25 @@ class TestWitnessWorld:
         built = Witness(found.w_set, found.w_setting, found.x_prime, found.changes)
         assert built.world is None and built == found and hash(built) == hash(found)
         assert witness_world(ext, u, cause, built) == found.world
+
+    @pytest.mark.parametrize("witness, message", [
+        # A setting beyond W used to fail `check_ac2`, which pinned W only,
+        # while `witness_world` pinned it and solved the W = {ML} world.
+        (Witness(frozenset(), Assignment({"ML": 0}), Assignment({"L": 0}), 0), "setting must set exactly its W set"),
+        (Witness(frozenset({"ML"}), Assignment({}), Assignment({"L": 0}), 1), "setting must set exactly its W set"),
+        (Witness(frozenset({"L"}), Assignment({"L": 0}), Assignment({"L": 0}), 1), "W set overlaps the candidate cause"),
+        (Witness(frozenset(), Assignment({}), Assignment({"ML": 0}), 0), "x' must set exactly the cause variables"),
+    ], ids=["setting beyond W", "W unset", "W overlapping the cause", "x' off the cause"])
+    def test_both_entries_check_a_hand_built_witness_alike(self, witness, message):
+        ext, u = ext_of(forest_fire()), u_ff(1, 1, 1)
+        cause = CandidateCause.of({"L": 1})
+        for check in (
+            lambda: check_ac2(ext, u, cause, atom("F", 1), witness),
+            lambda: witness_world(ext, u, cause, witness),
+        ):
+            with pytest.raises(ValueError, match=message) as exc_info:
+                check()
+            assert type(exc_info.value) is ValueError
 
     def test_found_and_hand_built_reprs(self):
         [found] = is_actual_cause(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1)).witnesses
