@@ -235,9 +235,9 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-# The deepest expression tree an equation body may have.  Evaluation,
-# folding and compilation recurse over the tree, and Python's compiler
-# accepts at most 200 nested parentheses.
+# The deepest expression tree an equation body may have.  Folding a body,
+# building its closures and calling them each recurse once per level, so the
+# bound keeps every such walk far inside Python's recursion limit.
 MAX_BODY_DEPTH = 100
 
 

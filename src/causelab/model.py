@@ -366,33 +366,69 @@ def _covers(values: tuple[int, ...], lo: int, hi: int) -> bool:
     return j < len(values) and values[i] == lo and values[j] == hi
 
 
-def _emit(node: Expr | Cond, key) -> str:
-    """Render a node as a Python expression over an environment `e`.
+# Closures for the inner nodes of a body (Feeley and Lapalme, "Using closures
+# for code generation", Computer Languages 12(1), 1987).  A node reads each
+# leaf operand in place, as a key into the environment `e` ("v") or as a
+# constant ("#"), and calls the closure of any other operand ("f").  Operands
+# are bound as default arguments: closure cells would be further objects for
+# the garbage collector to track in every model kept.
+_PAIR_STEPS = {
+    ("v", "v"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(e[l], e[r]),
+    ("v", "#"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(e[l], r),
+    ("v", "f"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(e[l], r(e)),
+    ("#", "v"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l, e[r]),
+    ("#", "#"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l, r),
+    ("#", "f"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l, r(e)),
+    ("f", "v"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l(e), e[r]),
+    ("f", "#"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l(e), r),
+    ("f", "f"): lambda f, l, r: lambda e, f=f, l=l, r=r: f(l(e), r(e)),
+}
+_IF_STEPS = {
+    ("v", "v"): lambda c, t, o: lambda e, c=c, t=t, o=o: e[t] if c(e) else e[o],
+    ("v", "#"): lambda c, t, o: lambda e, c=c, t=t, o=o: e[t] if c(e) else o,
+    ("v", "f"): lambda c, t, o: lambda e, c=c, t=t, o=o: e[t] if c(e) else o(e),
+    ("#", "v"): lambda c, t, o: lambda e, c=c, t=t, o=o: t if c(e) else e[o],
+    ("#", "#"): lambda c, t, o: lambda e, c=c, t=t, o=o: t if c(e) else o,
+    ("#", "f"): lambda c, t, o: lambda e, c=c, t=t, o=o: t if c(e) else o(e),
+    ("f", "v"): lambda c, t, o: lambda e, c=c, t=t, o=o: t(e) if c(e) else e[o],
+    ("f", "#"): lambda c, t, o: lambda e, c=c, t=t, o=o: t(e) if c(e) else o,
+    ("f", "f"): lambda c, t, o: lambda e, c=c, t=t, o=o: t(e) if c(e) else o(e),
+}
 
-    `key` maps a variable name to its key in `e`.
-    """
-    if isinstance(node, Lit):
-        return repr(node.value)
+
+def _operand(node: Expr | Cond, key) -> tuple[str, object]:
+    """How a parent reads `node`: ("v", its key in `e`) for a variable,
+    ("#", its value) for a literal, ("f", its closure) for any other node."""
     if isinstance(node, Var):
-        return f"e[{key(node.name)!r}]"
-    if isinstance(node, Arith):
-        return f"({_emit(node.left, key)} {node.op} {_emit(node.right, key)})"
-    if isinstance(node, MinMax):
-        return f"{node.which}({_emit(node.left, key)}, {_emit(node.right, key)})"
+        return "v", key(node.name)
+    if isinstance(node, Lit):
+        return "#", node.value
+    return "f", _closure(node, key)
+
+
+def _closure(node: Expr | Cond, key):
+    """The closure env -> value of an inner node; `key` maps a variable
+    name to its key in the environment."""
     if isinstance(node, If):
-        return f"({_emit(node.then, key)} if {_emit(node.cond, key)} else {_emit(node.other, key)})"
-    if isinstance(node, Cmp):
-        return f"({_emit(node.left, key)} {node.op} {_emit(node.right, key)})"
+        (tk, then), (ok, other) = _operand(node.then, key), _operand(node.other, key)
+        return _IF_STEPS[tk, ok](_closure(node.cond, key), then, other)
     if isinstance(node, BoolOp):
-        py = "and" if node.op == "&&" else "or"
-        return f"({_emit(node.left, key)} {py} {_emit(node.right, key)})"
+        left, right = _closure(node.left, key), _closure(node.right, key)
+        if node.op == "&&":
+            return lambda e, l=left, r=right: l(e) and r(e)
+        return lambda e, l=left, r=right: l(e) or r(e)
     if isinstance(node, Not):
-        return f"(not {_emit(node.inner, key)})"
+        return lambda e, c=_closure(node.inner, key): not c(e)
+    if isinstance(node, (Arith, MinMax, Cmp)):
+        (lk, left), (rk, right) = _operand(node.left, key), _operand(node.right, key)
+        op = node.which if isinstance(node, MinMax) else node.op
+        return _PAIR_STEPS[lk, rk](_BINARY[op], left, right)
     raise ModelError(f"unknown expression node {node!r}")
 
 
 def compile_body(body: Expr, positions: Mapping[str, int] | None = None):
-    """Compile an expression tree to a fast callable env -> int.
+    """Build an expression tree into a callable env -> int, once: a closure
+    per inner node, each reading its leaf operands in place.
 
     Without `positions` the environment is a dict keyed by variable name;
     with it, a sequence indexed by `positions[name]`.
@@ -403,8 +439,7 @@ def compile_body(body: Expr, positions: Mapping[str, int] | None = None):
         return lambda e: value
     if isinstance(body, Var):
         return itemgetter(key(body.name))
-    source = f"lambda e: {_emit(body, key)}"
-    return eval(source, {"__builtins__": {}, "min": min, "max": max})
+    return _closure(body, key)
 
 
 # ---------------------------------------------------------------------------

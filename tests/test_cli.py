@@ -421,6 +421,20 @@ DIAGNOSTIC_TABLE = [
      ("syntax", 1, 29, "expected ')', found 'end of input'")),
     ("model syntax", {"m.cm": "model m {\n  exogenous U : {0,1;\n}\n"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 2, 21, "expected '}', found ';'")),
+    # Input left over after a whole model, context or query, and a statement
+    # that starts none of the forms its block allows.
+    ("trailing input after a model", {"m.cm": _ONE_X % "U" + "extra\n"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 5, 1, "trailing input after the model block")),
+    ("trailing input after a solve context", {"m.cm": _ONE_X % "U"}, ("solve", "-m", "@m.cm", "--ctx", "U=1 V"),
+     ("syntax", 1, 5, "trailing input after the context")),
+    ("trailing input after a query", {"m.cm": _ONE_X % "U"},
+     ("cause", "-m", "@m.cm", "-q", "cause X=1 of X=1 in ctx(U=1) extra"),
+     ("syntax", 1, 30, "trailing input after the query")),
+    ("unknown query kind", {"m.cm": _ONE_X % "U"}, ("cause", "-m", "@m.cm", "-q", "because X=1 of X=1 in ctx(U=1)"),
+     ("syntax", 1, 1, "expected one of: eval, cause, resp, blame, ness")),
+    ("normality statement that is neither a rank nor a pair", {"m.cm": _ORDERED % "X=1;"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 6, 5, "expected a rank or pair declaration")),
     # Digits are ASCII only: '²' and '①' are not numbers, and '٣' is not 3.
     ("superscript two as a digit", {"m.cm": _DIGIT % "²"}, ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 2, 20, "unexpected character '²'")),
@@ -612,30 +626,45 @@ DIAGNOSTIC_TABLE = [
      ("semantic", 1, 1, "probabilities must sum exactly to 1")),
     ("variable cap", {}, ("cause", "-m", model_arg("vote11.cm"), "--max-vars", "5", "-q", f"cause V1=0 of W=0 in {_V11_CTX}"),
      ("resource-cap", 1, 1, "model has 12 endogenous variables, above the variable cap of 5; raise --max-vars")),
+    # A usage error is argparse's: no diagnostic and no position, only the
+    # message on standard error.
+    ("weights in the wrong format", {},
+     ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1",
+      "-q", f"resp V1=0 of W=0 in {_V11_CTX}"),
+     ("usage", None, None, "argument --weights: weights look like 'V1=1/2,V2=3'")),
 ]
+# The exit code follows the category.
+_EXIT_CODES = {"resource-cap": EXIT_CAP, "usage": 2}
 
 
 class TestDiagnosticsTable:
     @pytest.mark.parametrize("files, argv, expected", [row[1:] for row in DIAGNOSTIC_TABLE],
                              ids=[row[0] for row in DIAGNOSTIC_TABLE])
-    def test_category_and_position(self, tmp_path, files, argv, expected):
+    def test_category_and_position(self, tmp_path, capsys, files, argv, expected):
         for name, text in files.items():
             if isinstance(text, bytes):
                 (tmp_path / name).write_bytes(text)
             else:
                 (tmp_path / name).write_text(text)
         argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
-        code, [payload] = run_json(*argv)
-        [diag] = payload["diagnostics"]
         category, line, col, message = expected
         expected = (category, line, col, message.replace("{dir}", str(tmp_path)))
+        want_code = _EXIT_CODES.get(category, EXIT_DIAGNOSTICS)
+        if category == "usage":
+            with pytest.raises(SystemExit) as exc_info:
+                run_cli(*argv)
+            assert exc_info.value.code == want_code
+            assert f"error: {expected[3]}\n" in capsys.readouterr().err
+            return
+        code, [payload] = run_json(*argv)
+        [diag] = payload["diagnostics"]
         assert (diag["category"], diag["line"], diag["col"], diag["message"]) == expected
-        assert code == (EXIT_CAP if expected[0] == "resource-cap" else EXIT_DIAGNOSTICS)
+        assert code == want_code
 
     def test_every_category_is_covered(self):
         assert {row[-1][0] for row in DIAGNOSTIC_TABLE} == {
             "syntax", "unknown variable", "range violation", "cycle",
-            "non-total equation", "semantic", "resource-cap",
+            "non-total equation", "semantic", "resource-cap", "usage",
         }
 
 

@@ -17,6 +17,7 @@ from causelab.formula import (
     valid,
 )
 from causelab.model import Context, Intervention
+from bodyeval import evaluate
 from randmodels import random_context, random_event_formula, random_model
 from test_model import forest_fire
 
@@ -125,14 +126,12 @@ class TestSemanticsFactoring:
                 v: rng.choice(model.signature.ranges[v]) for v in endo if rng.random() < 0.5
             }
             matrix = random_event_formula(rng, model)
-            from causelab.model import compile_body
-
             env = dict(u)
             for var in model._topo_order:
                 if var in pins:
                     env[var] = pins[var]
                 else:
-                    env[var] = compile_body(model.equations[var].body)(env)
+                    env[var] = evaluate(model.equations[var].body, env)
             expected = matrix.satisfied_by(
                 type(model.solve(u))({v: env[v] for v in endo})
             )

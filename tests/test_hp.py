@@ -42,9 +42,9 @@ from causelab.model import (
     Var,
     _variables,
     canonical,
-    compile_body,
 )
 from causelab.normality import ExtendedModel
+from bodyeval import evaluate
 from randmodels import (
     random_context,
     random_dangling_model,
@@ -720,10 +720,11 @@ def test_fold_soundness_batch():
 
 
 def run_equation_fold_soundness(n_models: int = 150, seed: int = 67) -> tuple[int, int]:
-    """Each equation folded under a context (`canonical`) against its
-    name-keyed body: a constant form is the body's value under every setting
-    of the endogenous variables, and any other form's references are all the
-    body reads, so changing another endogenous variable never changes it.
+    """Each equation folded under a context (`canonical`) against the
+    body's values (`bodyeval.evaluate`): a constant form is the body's value
+    under every setting of the endogenous variables, and any other form's
+    references are all the body reads, so changing another endogenous
+    variable never changes it.
     Returns the number of (constant, non-constant) forms checked."""
     rng = random.Random(seed)
     counts = [0, 0]
@@ -741,19 +742,18 @@ def run_equation_fold_soundness(n_models: int = 150, seed: int = 67) -> tuple[in
             result = folded(eq.body, u)
             live = isinstance(result, frozenset)
             counts[live] += 1
-            body = compile_body(eq.body)
             endo = sorted(r for r in eq.references() if r not in u)
             assert not live or result <= set(endo), (model.name, v, result)
             for combo in itertools.product(*(ranges[r] for r in endo)):
                 env = {**u, **dict(zip(endo, combo))}
-                value = body(env)
+                value = evaluate(eq.body, env)
                 if not live:
                     assert value == result, (model.name, v, env, result)
                     continue
                 for r in endo:
                     if r not in result:
                         for other in ranges[r]:
-                            assert body({**env, r: other}) == value, (model.name, v, env, r, result)
+                            assert evaluate(eq.body, {**env, r: other}) == value, (model.name, v, env, r, result)
     return counts[0], counts[1]
 
 

@@ -4,6 +4,8 @@ Each module of causelab uses the others through their public names only,
 so a private helper can change without reaching past its own module.  The
 brute-force oracle is a referee for the tests: nothing in the package
 imports it or exports it, so it can move out of the package unchanged.
+No module calls the Python compiler (`eval`, `exec`, `compile`), so no
+model text, which comes from users, can reach it.
 A backticked dotted name in the package's docstrings and comments, or in
 the README from its layout section on, names something that exists.
 """
@@ -124,6 +126,36 @@ def test_guard_sees_oracle_imports():
     assert imported_modules("from causelab import oracle\n") == {"oracle"}
     assert imported_modules("from causelab.oracle import x\n") == {"oracle"}
     assert imported_modules("import oracle\nfrom elsewhere import oracle\n") == set()
+
+
+# -- no Python compiler ------------------------------------------------------
+
+
+def compiler_calls(source: str) -> list[str]:
+    """`name:line` for every call of the builtin `eval`, `exec` or `compile`;
+    an attribute call such as `re.compile` is not one."""
+    return [
+        f"{node.func.id}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("eval", "exec", "compile")
+    ]
+
+
+def test_no_module_calls_the_python_compiler():
+    offenders = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (calls := compiler_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_compiler_calls():
+    assert compiler_calls("fn = eval(source, {})\n") == ["eval:1"]
+    assert compiler_calls("x = 1\nexec(code)\ncompile(text, 'f', 'eval')\n") == ["exec:2", "compile:3"]
+    assert compiler_calls("re.compile(p)\nself.eval(x)\nevaluate(y)\neval\n") == []
 
 
 # -- documented names --------------------------------------------------------

@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from causelab.dsl import MAX_BODY_DEPTH, parse_model, print_model
 from causelab.model import (
     Arith,
+    BoolOp,
     CausalModel,
+    Cond,
     Context,
     CycleError,
     Equation,
+    Expr,
     If,
     Cmp,
     Intervention,
     Lit,
     MinMax,
     ModelError,
+    Not,
     RangeViolationError,
     Signature,
     TotalityError,
@@ -27,6 +32,7 @@ from causelab.model import (
     _covers,
     compile_body,
 )
+from bodyeval import evaluate
 from randmodels import (
     random_context,
     random_dangling_model,
@@ -230,9 +236,8 @@ _DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadl
 def _assert_bounds_sound(body, ranges):
     lo, hi = _bounds(body, ranges)
     refs = sorted(body.references())
-    fn = compile_body(body)
     for combo in itertools.product(*(ranges[r] for r in refs)):
-        assert lo <= fn(dict(zip(refs, combo))) <= hi, combo
+        assert lo <= evaluate(body, dict(zip(refs, combo))) <= hi, combo
 
 
 @_DERANDOMIZED
@@ -265,6 +270,70 @@ def test_bounds_hold_every_value_of_arbitrary_bodies(body):
     _assert_bounds_sound(body, _BOUND_RANGES)
 
 
+def _assert_compiled_as_evaluated(body, ranges, positions):
+    """`compile_body`, name-keyed and positional, agrees with the tree walk
+    on every binding of the body's references.  Slots the body does not
+    read hold None, so reading a wrong slot fails."""
+    refs = sorted(body.references())
+    by_name, by_slot = compile_body(body), compile_body(body, positions)
+    env = [None] * len(positions)
+    for combo in itertools.product(*(ranges[r] for r in refs)):
+        binding = dict(zip(refs, combo))
+        for r, value in binding.items():
+            env[positions[r]] = value
+        expected = evaluate(body, binding)
+        assert by_name(binding) == expected and by_slot(env) == expected, (body, binding)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_compiled_bodies_of_generated_models_match_the_evaluator(family):
+    rng = random.Random(f"compiled:{family}")
+    for _ in range(40):
+        model = _FAMILIES[family](rng)
+        sig = model.signature
+        for eq in model.equations.values():
+            _assert_compiled_as_evaluated(eq.body, sig.ranges, sig.positions)
+
+
+@_DERANDOMIZED
+@given(body=_EXPRS)
+def test_compiled_arbitrary_bodies_match_the_evaluator(body):
+    positions = {name: i for i, name in enumerate(reversed(sorted(_BOUND_RANGES)))}
+    _assert_compiled_as_evaluated(body, _BOUND_RANGES, positions)
+
+
+def _depth(node) -> int:
+    children = [c for c in vars(node).values() if isinstance(c, (Expr, Cond))]
+    return 1 + max(map(_depth, children), default=0)
+
+
+def test_compiled_body_at_the_depth_bound_matches_the_evaluator():
+    # Every node kind, each wrapped once around the body built so far, until
+    # the tree is exactly as deep as the parser accepts.
+    u, v = Var("U"), Var("V")
+    wraps = [  # each adds 1, 2, 2, 4, 2 or 1 levels; printed, each reparses as built
+        lambda e: MinMax("max", Lit(0), e),
+        lambda e: Arith("-", MinMax("min", e, u), v),
+        lambda e: If(Cmp("<", e, Lit(2)), v, Lit(1)),
+        lambda e: If(Not(BoolOp("&&", Cmp("==", u, Lit(1)), Cmp("<=", e, v))), Lit(2), u),
+        lambda e: Arith("*", MinMax("max", e, v), Lit(2)),
+        lambda e: If(BoolOp("||", Cmp("!=", v, Lit(0)), Cmp("<", u, v)), e, u),
+    ]
+    body, i = u, 0
+    while _depth(body) + 5 <= MAX_BODY_DEPTH:  # leaves room for a last max(0, _)
+        body, i = wraps[i % len(wraps)](body), i + 1
+    while _depth(body) < MAX_BODY_DEPTH:
+        body = wraps[0](body)
+    assert _depth(body) == MAX_BODY_DEPTH
+    ranges = {"U": (0, 1, 2), "V": (0, 1, 3)}
+    values = {evaluate(body, dict(zip(ranges, combo))) for combo in itertools.product(*ranges.values())}
+    sig = Signature(exogenous=tuple(ranges.items()), endogenous=(("X", tuple(sorted(values))),))
+    model = CausalModel(sig, [Equation("X", body)], name="deep")
+    reparsed, _order = parse_model(print_model(model))  # within the parser's bound
+    assert reparsed == model
+    _assert_compiled_as_evaluated(body, ranges, sig.positions)
+
+
 class TestErrorClasses:
     """Each raise site picks the class, and so the diagnostic category."""
 
@@ -295,7 +364,7 @@ class TestInvariants:
         env = dict(context)
         env.update(world)
         for var, eq in model.equations.items():
-            assert compile_body(eq.body)(env) == world[var]
+            assert evaluate(eq.body, env) == world[var]
 
     def test_fixed_point_forest_fire(self):
         model = forest_fire()

@@ -11,8 +11,9 @@ from causelab.attribution import EpistemicState, degree_of_blame, degree_of_resp
 from causelab.dsl import parse_model, print_model
 from causelab.formula import NotF, atom, holds
 from causelab.hp import CandidateCause, Witness, check_ac2, is_actual_cause
-from causelab.model import Assignment, Context, Intervention, compile_body
+from causelab.model import Assignment, Context, Intervention
 from causelab.normality import ExtendedModel, NormalityOrder
+from bodyeval import evaluate
 from randmodels import random_context, random_event_formula, random_model
 
 
@@ -27,7 +28,7 @@ def run_fixed_point_suite(n: int = 200, seed: int = 11) -> int:
             env = dict(context)
             env.update(world)
             for var, eq in model.equations.items():
-                assert compile_body(eq.body)(env) == world[var]
+                assert evaluate(eq.body, env) == world[var]
                 checks += 1
     return checks
 
