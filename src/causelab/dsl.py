@@ -26,25 +26,26 @@ character gives its kind.  Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_]*`)
 and integer literals are ASCII digits.  A character in no token class, such
 as 'é', '²' or a lone '>', is a syntax error there, reported before any
 grammar fault.  Lines and columns are worked out only to place a diagnostic,
-by a lexer built from the same token classes.  A syntax error ends parsing
-at once, and a variable assigned twice in a context, an intervention prefix,
-a blame action or a normality pattern, or twice with different values in a
-conjunction, is reported at its second assignment.  So every document
-reports one diagnostic, for its first fault, with a 1-based line and column
-and the category its error carries: syntax, unknown variable, range
-violation, cycle, non-total equation, or semantic for conflicting ranks.  A
-query file's diagnostics carry the file's line and column.  `#` starts a
+from the reader's own match of the token it is about.  A syntax error ends
+parsing at once, and a variable assigned twice in a context, an intervention
+prefix, a blame action or a normality pattern, or twice with different
+values in a conjunction, is reported at its second assignment.  So every
+document reports one diagnostic, for its first fault, with a 1-based line
+and column and the category its error carries: syntax, unknown variable,
+range violation, cycle, non-total equation, or semantic for conflicting
+ranks.  A query file's diagnostics carry the file's line and column.  `#` starts a
 line comment; whitespace is insignificant, and a tab or a carriage return
 is one column.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple, NoReturn, TypeVar
+from typing import NoReturn, TypeVar
 
 from .formula import (
     AndF,
@@ -113,60 +114,18 @@ class DslError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# The token classes, each with first characters of its own.  They are ASCII:
-# `[0-9]` rejects '²' and '٣', which str.isdigit accepts, and `[A-Za-z_]`
-# rejects 'é'.  Punctuation is listed longest first, so '<=' is one token; a
-# lone '>' is in no class.
-_CLASSES = {
-    "int": r"[0-9]+",
-    "ident": r"[A-Za-z_][A-Za-z0-9_]*",
-    "punct": r"<=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|]",
-}
-_TOKEN_RE = re.compile("|".join(_CLASSES.values()))
+# The token classes, integers, identifiers and punctuation, each with first
+# characters of its own.  They are ASCII: `[0-9]` rejects '²' and '٣', which
+# str.isdigit accepts, and `[A-Za-z_]` rejects 'é'.  Punctuation is listed
+# longest first, so '<=' is one token; a lone '>' is in no class.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|<=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|]")
 
 # The parser's reader: each token's text, after the blanks and comments
 # before it, then "" for the end of input.  The skip is greedy and the group
 # always matches, so nothing backtracks.  A character outside the classes
-# takes the rest of the input as its text, the last before the end.
+# takes the rest of the input as its text, the last before the end.  The
+# start of a match's group is where its token stands in the text.
 _TEXTS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(" + _TOKEN_RE.pattern + r"|(?s:.+)|\Z)")
-
-# The placer, `_lex`: the same classes, so its tokens are the parser's
-# texts, index for index, with a line and column each.
-_PLACED_RE = re.compile(
-    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|"
-    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _CLASSES.items())
-    + r"|(?P<other>.)"
-)
-
-
-class Token(NamedTuple):
-    kind: str  # ident | int | punct | eof
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str, origin: str) -> list[Token]:
-    """The tokens of `text`, placed; raises at its first character in no class."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    m = None
-    for m in _PLACED_RE.finditer(text):
-        kind = m.lastgroup
-        if kind in _CLASSES:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "other":
-            raise DslError([Diagnostic(
-                "syntax", f"unexpected character {m.group()!r}", line, m.start() - line_start + 1, origin
-            )])
-    # A trailing comment does not advance the column: end of input is
-    # reported at its '#'.
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +137,8 @@ class _Parser:
     """Reads the token texts of one document; `pos` indexes the next one.
 
     A text is stepped past only once matched, and the end "" matches
-    nothing, so `pos` never passes it.  `_lex` places a fault at its index.
+    nothing, so `pos` never passes it.  A fault is placed at its index by
+    `error`, which reads the text again only then.
     """
 
     def __init__(self, text: str, origin: str):
@@ -187,12 +147,22 @@ class _Parser:
         if len(toks) > 1 and not toks[-2]:
             toks.pop()  # blanks before the end: matched with it, and the end again
         if len(toks) > 1 and not _TOKEN_RE.fullmatch(toks[-2]):
-            _lex(text, origin)  # raises at the character outside the classes
+            # the rest of the input, from its first character in no class
+            raise self.error(len(toks) - 2, "syntax", f"unexpected character {toks[-2][0]!r}")
         self.pos = 0
 
     def error(self, at: int, category: str, message: str) -> DslError:
-        tok = _lex(self.text, self.origin)[at]
-        return DslError([Diagnostic(category, message, tok.line, tok.col, self.origin)])
+        """A diagnostic at token `at`: the start of the reader's `at`-th
+        match, with the lines before it counted.  The end of input after a
+        trailing comment is placed at the comment's '#'."""
+        text = self.text
+        m = next(itertools.islice(_TEXTS_RE.finditer(text), at, None))
+        start = m.start(1)
+        line_start = text.rfind("\n", 0, start) + 1
+        if not m.group(1) and (comment := text.find("#", max(m.start(), line_start), start)) >= 0:
+            start = comment
+        line = text.count("\n", 0, start) + 1
+        return DslError([Diagnostic(category, message, line, start - line_start + 1, self.origin)])
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
         """A syntax error at token `at`, by default the next one."""
@@ -794,6 +764,8 @@ def _render_cond(node: Cond) -> str:
 
 
 def _render_range(values: tuple[int, ...]) -> str:
+    if values[0] < 0:  # ranges are sorted
+        raise ValueError("negative range values are not expressible in the surface syntax")
     return "{" + ",".join(str(v) for v in values) + "}"
 
 

@@ -359,21 +359,24 @@ class _Search:
     fields when they are first read.  Names and `World`s appear only there, in
     the reported AC2(b) failures and in the one up-set lookup of a non-flat
     order, whose patterns are kept by position.  `for_cause` reuses all
-    cause-independent state, the memos and the patterns included.
+    cause-independent state, the memos and the patterns included.  A search
+    made without a cause only solves the actual world, and is aimed at each
+    cause by `for_cause`.
     """
 
     def __init__(
         self,
         ext: ExtendedModel,
         context: Context,
-        cause: CandidateCause,
+        cause: CandidateCause | None,
         outcome: EventFormula,
         stats: EngineStats,
     ):
         self.model = ext.model
         sig = self.model.signature
         sig.check_context(context)
-        cause.validate(self.model)
+        if cause is not None:
+            cause.validate(self.model)
         outcome.validate(self.model)
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
@@ -385,20 +388,22 @@ class _Search:
         self._exogenous = dict(zip(sig.exogenous_names, self.context))
         self._folded = self.model.folds(self.context)
         self._ac2b_states: dict[tuple[int | None, ...], str] = {}  # change assignment pins -> state
-        self._aim(cause)
+        self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
         self.actual = self._solve((None,) * self.n)
         # The actual world's up-set as {position: value} patterns; None when flat.
         self._patterns = None if ext.is_flat else tuple(
             {sig.endogenous_index[v]: value for v, value in pattern.items()}
             for pattern in ext.order.up_set(sig.world(self.actual))
         )
+        if cause is not None:
+            self._aim(cause)
 
     def _aim(self, cause: CandidateCause) -> None:
         cause_ix = {self.model.signature.endogenous_index[v] for v in cause.variables()}
         self.x_vars = tuple(sorted(cause_ix))
         self.others = [i for i in range(self.n) if i not in cause_ix]
         self.x_actual = tuple(cause.settings[self.names[i]] for i in self.x_vars)
-        self.classes: tuple[tuple[int, ...], ...] | None = None  # set by `_find_classes`
+        self.classes = None
         self._unreached: set[tuple] = set()  # (x', `_orbit` key) of each orbit no contingency reaches
 
     def for_cause(self, cause: CandidateCause) -> _Search:
@@ -1111,27 +1116,17 @@ def find_all_causes(
     Candidates sharing a variable with the outcome are skipped: with finite
     ranges any true event trivially certifies itself, which the sweep is not
     meant to report.  All candidates share one search, and with it the solve
-    and AC2(b) memos.
+    and AC2(b) memos; the candidates are read off its actual world.
     """
     if max_conjuncts < 1:
         raise ValueError("max_conjuncts must be at least 1")
-    world = ext.model.solve(context)
-    outcome.validate(ext.model)
-    skip = outcome.variables()
-    events = [
-        (v, world[v])
-        for v in ext.model.signature.endogenous_names
-        if v not in skip
-    ]
+    search = _Search(ext, context, None, outcome, stats or EngineStats())
+    events = [(v, x) for v, x in zip(search.names, search.actual) if v not in search.outcome_vars]
     results: list[tuple[CandidateCause, CauseVerdict]] = []
-    search = None
     for r in range(1, max_conjuncts + 1):
         for combo in itertools.combinations(events, r):
             cand = CandidateCause(Assignment(dict(combo)))
-            if search is None:
-                search = _Search(ext, context, cand, outcome, stats or EngineStats())
-            else:
-                search = search.for_cause(cand)
+            search = search.for_cause(cand)
             results.append((cand, _verdict(search, cand, max_vars)))
     return results
 

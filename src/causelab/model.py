@@ -368,7 +368,7 @@ def _covers(values: tuple[int, ...], lo: int, hi: int) -> bool:
 
 # Closures for the inner nodes of a body (Feeley and Lapalme, "Using closures
 # for code generation", Computer Languages 12(1), 1987).  A node reads each
-# leaf operand in place, as a key into the environment `e` ("v") or as a
+# leaf operand in place, as a position in the environment `e` ("v") or as a
 # constant ("#"), and calls the closure of any other operand ("f").  Operands
 # are bound as default arguments: closure cells would be further objects for
 # the garbage collector to track in every model kept.
@@ -396,50 +396,47 @@ _IF_STEPS = {
 }
 
 
-def _operand(node: Expr | Cond, key) -> tuple[str, object]:
-    """How a parent reads `node`: ("v", its key in `e`) for a variable,
+def _operand(node: Expr | Cond, positions: Mapping[str, int]) -> tuple[str, object]:
+    """How a parent reads `node`: ("v", its position in `e`) for a variable,
     ("#", its value) for a literal, ("f", its closure) for any other node."""
     if isinstance(node, Var):
-        return "v", key(node.name)
+        return "v", positions[node.name]
     if isinstance(node, Lit):
         return "#", node.value
-    return "f", _closure(node, key)
+    return "f", _closure(node, positions)
 
 
-def _closure(node: Expr | Cond, key):
-    """The closure env -> value of an inner node; `key` maps a variable
-    name to its key in the environment."""
+def _closure(node: Expr | Cond, positions: Mapping[str, int]):
+    """The closure env -> value of an inner node, reading each variable at
+    its position in the environment."""
     if isinstance(node, If):
-        (tk, then), (ok, other) = _operand(node.then, key), _operand(node.other, key)
-        return _IF_STEPS[tk, ok](_closure(node.cond, key), then, other)
+        (tk, then), (ok, other) = _operand(node.then, positions), _operand(node.other, positions)
+        return _IF_STEPS[tk, ok](_closure(node.cond, positions), then, other)
     if isinstance(node, BoolOp):
-        left, right = _closure(node.left, key), _closure(node.right, key)
+        left, right = _closure(node.left, positions), _closure(node.right, positions)
         if node.op == "&&":
             return lambda e, l=left, r=right: l(e) and r(e)
         return lambda e, l=left, r=right: l(e) or r(e)
     if isinstance(node, Not):
-        return lambda e, c=_closure(node.inner, key): not c(e)
+        return lambda e, c=_closure(node.inner, positions): not c(e)
     if isinstance(node, (Arith, MinMax, Cmp)):
-        (lk, left), (rk, right) = _operand(node.left, key), _operand(node.right, key)
+        (lk, left), (rk, right) = _operand(node.left, positions), _operand(node.right, positions)
         op = node.which if isinstance(node, MinMax) else node.op
         return _PAIR_STEPS[lk, rk](_BINARY[op], left, right)
     raise ModelError(f"unknown expression node {node!r}")
 
 
-def compile_body(body: Expr, positions: Mapping[str, int] | None = None):
+def compile_body(body: Expr, positions: Mapping[str, int]):
     """Build an expression tree into a callable env -> int, once: a closure
-    per inner node, each reading its leaf operands in place.
-
-    Without `positions` the environment is a dict keyed by variable name;
-    with it, a sequence indexed by `positions[name]`.
+    per inner node, each reading its leaf operands in place.  The
+    environment is a sequence, indexed by `positions[name]`.
     """
-    key = (lambda name: name) if positions is None else positions.__getitem__
     if isinstance(body, Lit):
         value = body.value
         return lambda e: value
     if isinstance(body, Var):
-        return itemgetter(key(body.name))
-    return _closure(body, key)
+        return itemgetter(positions[body.name])
+    return _closure(body, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +891,7 @@ class CausalModel:
         out._readers = self._readers  # a superset: constants read nothing
         out._folds = {}  # the bodies differ, so their folds do
         out._steps = tuple(
-            (pos, compile_body(Lit(iv[v])) if v in iv else fn)
+            (pos, compile_body(Lit(iv[v]), self.signature.positions) if v in iv else fn)
             for v, (pos, fn) in zip(self._topo_order, self._steps)
         )
         return out

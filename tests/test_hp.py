@@ -353,6 +353,16 @@ class TestFindAllCauses:
         with pytest.raises(UnknownVariableError, match="not endogenous"):
             find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 1), atom("U1", 1))
 
+    def test_solves_the_actual_world_once(self, monkeypatch):
+        # The candidates come from the search's own actual world: no second
+        # solve of it through the checked entry.
+        def no_solve(self, context):
+            raise AssertionError("the actual world solved apart from the search")
+
+        monkeypatch.setattr(CausalModel, "solve", no_solve)
+        results = find_all_causes(ext_of(forest_fire()), u_ff(1, 1, 1), atom("F", 1), 2)
+        assert [c.settings.as_dict() for c, v in results if v.is_cause] == [{"L": 1}, {"ML": 1}]
+
     def test_candidates_share_one_search(self):
         # Seven voters, four for G: each of the four is a cause of G's win
         # and no pair is.  One search serves every candidate, so verdicts are

@@ -271,18 +271,17 @@ def test_bounds_hold_every_value_of_arbitrary_bodies(body):
 
 
 def _assert_compiled_as_evaluated(body, ranges, positions):
-    """`compile_body`, name-keyed and positional, agrees with the tree walk
-    on every binding of the body's references.  Slots the body does not
-    read hold None, so reading a wrong slot fails."""
+    """`compile_body` agrees with the tree walk on every binding of the
+    body's references.  Slots the body does not read hold None, so reading
+    a wrong slot fails."""
     refs = sorted(body.references())
-    by_name, by_slot = compile_body(body), compile_body(body, positions)
+    compiled = compile_body(body, positions)
     env = [None] * len(positions)
     for combo in itertools.product(*(ranges[r] for r in refs)):
         binding = dict(zip(refs, combo))
         for r, value in binding.items():
             env[positions[r]] = value
-        expected = evaluate(body, binding)
-        assert by_name(binding) == expected and by_slot(env) == expected, (body, binding)
+        assert compiled(env) == evaluate(body, binding), (body, binding)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
