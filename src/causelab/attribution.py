@@ -137,10 +137,15 @@ def degree_of_blame(
     zero (performing the action there cannot make it retroactively culpable,
     and this is what keeps the expectation consistent with the per-situation
     scores the definition is meant to average).
+
+    The post-action model is built once for each (model, order) pair of the
+    state, told apart by identity, and shared by the situations over that
+    pair: a state of n contexts over one model intervenes once, not n times.
     """
     stats = stats if stats is not None else EngineStats()
     cause = CandidateCause(Assignment(action))
     total = Fraction(0)
+    posts: dict[tuple[int, int], ExtendedModel] = {}  # by the ids of (model, order)
     # Solving every situation first checks every context before the action and outcome.
     actual = [ext.model.solve(context) for ext, context in state.situations]
     for (ext, context), prob, pre_world in zip(state.situations, state.probabilities, actual):
@@ -151,7 +156,10 @@ def degree_of_blame(
             raise type(exc)(f"signature mismatch across situations: {exc}") from exc
         if any(pre_world[v] != x for v, x in action.items()):
             continue
-        post = ExtendedModel(ext.model.intervene(action), ext.order)
+        key = (id(ext.model), id(ext.order))
+        post = posts.get(key)
+        if post is None:
+            post = posts[key] = ExtendedModel(ext.model.intervene(action), ext.order)
         resp = degree_of_responsibility(
             post, context, cause, outcome, strategy, max_vars, stats
         )

@@ -185,14 +185,24 @@ def valid_unchecked(
 ) -> bool:
     """`valid` of `[prefix] matrix`, for a matrix compiled over `variables`;
     nothing is checked, since callers check both once, at the query boundary.
-    Only the exogenous variables the matrix still reads once the prefix is
+    The first context, every exogenous variable at its first value, is
+    solved first: a set that fails there is decided without folding.  Else
+    only the exogenous variables the matrix still reads once the prefix is
     folded in (`model.canonical`, walked by `CausalModel.reads`) are ranged
-    over; the others keep their first value.  `stats` counts the solves made.
+    over, and the others keep their first value.  The first context leads
+    that product too, so it is not solved again.  `stats` counts the solves
+    made.
     """
     sig = model.signature
-    pins, read = sig.pin_values(prefix), set(model.reads(variables, prefix))
+    pins = sig.pin_values(prefix)
+    first = tuple(values[0] for _, values in sig.exogenous)
+    if stats is not None:
+        stats.solves += 1
+    if not matrix(model.solve_unchecked(first, pins)):
+        return False
+    read = set(model.reads(variables, prefix))
     ranges = [values if name in read else values[:1] for name, values in sig.exogenous]
-    for u in itertools.product(*ranges):
+    for u in itertools.islice(itertools.product(*ranges), 1, None):
         if stats is not None:
             stats.solves += 1
         if not matrix(model.solve_unchecked(u, pins)):

@@ -235,29 +235,53 @@ def canonical(node: Expr | Cond, known: Mapping[str, int]) -> tuple:
     nested uses of the same operator, and those operators' operands and the
     two of `==` and `!=` are sorted.  Equal forms denote equal functions, so
     comparing forms can miss an equivalence but never invents one.
+
+    Each node class has its fold function in `_FOLDS`, and each fold
+    function folds the node's operands through the same table.
     """
-    if isinstance(node, Lit):
-        return ("#", node.value)
-    if isinstance(node, Var):
-        value = known.get(node.name)
-        return ("v", node.name) if value is None else ("#", value)
-    if isinstance(node, If):
-        cond = canonical(node.cond, known)
-        if cond[0] == "#":
-            return canonical(node.then if cond[1] else node.other, known)
-        return ("if", cond, canonical(node.then, known), canonical(node.other, known))
-    if isinstance(node, Not):
-        inner = canonical(node.inner, known)
-        return ("#", not inner[1]) if inner[0] == "#" else ("!", inner)
-    op = node.which if isinstance(node, MinMax) else node.op
-    left, right = canonical(node.left, known), canonical(node.right, known)
-    if isinstance(node, BoolOp):
-        absorbing = op == "||"  # true decides ||, false decides &&
-        for side, other in ((left, right), (right, left)):
-            if side[0] == "#":
-                return ("#", absorbing) if side[1] == absorbing else other
-    elif left[0] == "#" and right[0] == "#":
+    return _FOLDS[node.__class__](node, known)
+
+
+def _fold_var(node: Var, known: Mapping[str, int]) -> tuple:
+    value = known.get(node.name)
+    return ("v", node.name) if value is None else ("#", value)
+
+
+def _fold_if(node: If, known: Mapping[str, int]) -> tuple:
+    cond = _FOLDS[node.cond.__class__](node.cond, known)
+    if cond[0] == "#":
+        branch = node.then if cond[1] else node.other
+        return _FOLDS[branch.__class__](branch, known)
+    then, other = node.then, node.other
+    return ("if", cond, _FOLDS[then.__class__](then, known), _FOLDS[other.__class__](other, known))
+
+
+def _fold_not(node: Not, known: Mapping[str, int]) -> tuple:
+    inner = _FOLDS[node.inner.__class__](node.inner, known)
+    return ("#", not inner[1]) if inner[0] == "#" else ("!", inner)
+
+
+def _fold_bool(node: BoolOp, known: Mapping[str, int]) -> tuple:
+    left, right = node.left, node.right
+    left, right = _FOLDS[left.__class__](left, known), _FOLDS[right.__class__](right, known)
+    absorbing = node.op == "||"  # true decides ||, false decides &&
+    for side, other in ((left, right), (right, left)):
+        if side[0] == "#":
+            return ("#", absorbing) if side[1] == absorbing else other
+    return _combine(node.op, left, right)
+
+
+def _fold_pair(node: Arith | MinMax | Cmp, known: Mapping[str, int]) -> tuple:
+    op = node.which if node.__class__ is MinMax else node.op
+    left, right = node.left, node.right
+    left, right = _FOLDS[left.__class__](left, known), _FOLDS[right.__class__](right, known)
+    if left[0] == "#" and right[0] == "#":
         return ("#", _BINARY[op](left[1], right[1]))
+    return _combine(op, left, right)
+
+
+def _combine(op: str, left: tuple, right: tuple) -> tuple:
+    """The form of `op` over the forms `left` and `right`, not both constant."""
     if op not in _COMMUTATIVE:
         return (op, left, right)
     operands: list[tuple] = []
@@ -267,6 +291,19 @@ def canonical(node: Expr | Cond, known: Mapping[str, int]) -> tuple:
         else:
             operands.append(side)
     return (op, *sorted(operands))
+
+
+# The fold function of each node class (`canonical`).
+_FOLDS: dict[type, Callable[[Expr | Cond, Mapping[str, int]], tuple]] = {
+    Lit: lambda node, known: ("#", node.value),
+    Var: _fold_var,
+    If: _fold_if,
+    Not: _fold_not,
+    BoolOp: _fold_bool,
+    Arith: _fold_pair,
+    Cmp: _fold_pair,
+    MinMax: _fold_pair,
+}
 
 
 def _variables(form: tuple) -> frozenset[str]:
@@ -457,6 +494,13 @@ class Assignment(Mapping):
 
     def __getitem__(self, key: str) -> int:
         return self._data[key]
+
+    # Faster than `Mapping`'s `in` and `get`, which call `__getitem__` under try/except.
+    def __contains__(self, key: object) -> bool:
+        return key in self._data
+
+    def get(self, key: str, default: int | None = None) -> int | None:
+        return self._data.get(key, default)
 
     def __iter__(self) -> Iterator[str]:
         return (name for name, _ in self._items)

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -8,9 +10,11 @@ from causelab.attribution import (
     degree_of_blame,
     degree_of_responsibility,
 )
+from causelab.cli import corpus_dir, run_corpus_entry
+from causelab.dsl import parse_model, print_model
 from causelab.formula import atom
 from causelab.hp import CandidateCause
-from causelab.model import Context, Intervention, UnknownVariableError
+from causelab.model import CausalModel, Context, Intervention, UnknownVariableError
 from causelab.normality import ExtendedModel
 from test_model import forest_fire
 
@@ -202,6 +206,28 @@ class TestBlame:
             ((ff_ext, ctx({"U1": 1, "U2": 0, "U3": 1})),), (Fraction(1),)
         )
         assert degree_of_blame(state, Intervention({"ML": 1}), atom("F", 1)) == 0
+
+    def test_one_intervention_per_model(self):
+        # The corpus state gives each of its ten situations its own extended
+        # model over one parsed model, so blame intervenes once.
+        entry = next(e for e in json.loads((corpus_dir() / "expected.json").read_text())
+                     if e["id"] == "firing_squad/blame_tenth")
+        with mock.patch.object(CausalModel, "intervene", autospec=True, side_effect=CausalModel.intervene) as spy:
+            ok, message, result, _ = run_corpus_entry(entry, corpus_dir())
+        assert ok, message
+        assert result["score"] == "1/10" and spy.call_count == 1
+
+    def test_two_models_intervene_twice_and_add_their_situations(self, corpus):
+        squad, _ = corpus["models"]["firing_squad"]
+        twin, _ = parse_model(print_model(squad, None))  # equal, but another object
+        situations = [(ExtendedModel(m, None), ctx({"UL": i})) for m in (squad, twin) for i in (1, 2, 3)]
+        probs = [Fraction(k, 21) for k in range(1, 7)]
+        action, death = Intervention({"M1": 1}), atom("D", 1)
+        with mock.patch.object(CausalModel, "intervene", autospec=True, side_effect=CausalModel.intervene) as spy:
+            total = degree_of_blame(EpistemicState(tuple(situations), tuple(probs)), action, death)
+        assert spy.call_count == 2
+        alone = [degree_of_blame(EpistemicState((sit,), (Fraction(1),)), action, death) for sit in situations]
+        assert total == sum(p * b for p, b in zip(probs, alone)) == Fraction(1 + 4, 21)
 
     def test_signature_mismatch_rejected(self, ff_ext, corpus):
         model, _ = corpus["models"]["doctors"]

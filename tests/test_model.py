@@ -118,6 +118,29 @@ class TestIntervene:
             model.intervene({"U1": 0})  # exogenous targets are rejected
 
 
+class TestAssignmentMapping:
+    """`in` and `get` on each kind of assignment, as a read-only mapping."""
+
+    @pytest.mark.parametrize("kind", [Context, World, Intervention])
+    def test_membership_and_get(self, kind):
+        a = kind({"X": 1, "Y": 0})
+        assert "X" in a and "Y" in a
+        assert "Z" not in a and 1 not in a
+        assert a.get("X") == 1 and a.get("Y", 7) == 0
+        assert a.get("Z") is None and a.get("Z", 7) == 7
+        assert "X" not in kind()
+
+    @pytest.mark.parametrize("kind", [Context, World, Intervention])
+    def test_unhashable_key_raises(self, kind):
+        a = kind({"X": 1})
+        with pytest.raises(TypeError):
+            [] in a  # noqa: B015
+        with pytest.raises(TypeError):
+            a.get([])
+        with pytest.raises(TypeError):
+            a.get({}, 0)
+
+
 class TestEnumerateContexts:
     def test_forest_fire_has_twelve(self):
         contexts = list(forest_fire().enumerate_contexts())

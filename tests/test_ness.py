@@ -1,14 +1,16 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from causelab.dsl import parse_query, print_model
+from causelab.dsl import parse_model, parse_query, print_model
 from causelab.formula import CausalFormula, PrimitiveEvent, atom, valid
 from causelab.hp import CandidateCause, EngineStats, is_actual_cause
-from causelab.model import Context, Intervention, ModelError, RangeViolationError, UnknownVariableError
+from causelab.model import CausalModel, Context, Intervention, ModelError, RangeViolationError, UnknownVariableError
 from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel
 from randmodels import (
@@ -206,6 +208,34 @@ def check_cut(rng: random.Random, model) -> int:
     outcome = atom(names[-1], world[names[-1]])
     assert is_ness_cause(model, u, event, outcome) == brute_ness(model, u, event, outcome), (model.name, event)
     return dropped
+
+
+def fire_model(n: int):
+    """Conjunctive fire: F = min(L1, ..., Ln), each Li = Ui."""
+    sources = "".join(f"exogenous U{i} : {{0,1}}; endogenous L{i} : {{0,1}} = U{i};" for i in range(1, n + 1))
+    body = functools.reduce(lambda acc, i: f"min(L{i}, {acc})", range(n - 1, 0, -1), f"L{n}")
+    return parse_model(f"model fire{n} {{ {sources} endogenous F : {{0,1}} = {body}; }}")[0]
+
+
+def test_a_set_failing_the_first_context_folds_nothing():
+    # The first context sets every source to 0, so a set that leaves one
+    # source unpinned fails there, before any equation is walked.
+    model, fire = fire_model(4), atom("F", 1)
+    partial = CausalFormula(Intervention({"L1": 1, "L3": 1}), fire)
+    stats = EngineStats()
+    with mock.patch.object(CausalModel, "reads", side_effect=AssertionError("walked an equation")):
+        assert valid(model, partial, stats) is False
+    assert stats.solves == 1
+    # A set that passes there folds once, then ranges over what F still reads.
+    full, stats = CausalFormula(Intervention({f"L{i}": 1 for i in range(1, 5)}), fire), EngineStats()
+    with mock.patch.object(CausalModel, "reads", autospec=True, side_effect=CausalModel.reads) as spy:
+        assert valid(model, full, stats) is True
+    assert spy.call_count == 1 and stats.solves == 1
+    # `F = 0` holds at the first context with one source pinned, and fails
+    # only where every other source is 1: the 8th context of U2, U3, U4.
+    stats = EngineStats()
+    assert valid(model, CausalFormula(Intervention({"L1": 1}), atom("F", 0)), stats) is False
+    assert stats.solves == 8
 
 
 def test_cut_batch_matches_the_full_product():

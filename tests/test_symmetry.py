@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 
 from causelab import hp
+from causelab import model as model_module
 from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
 from causelab.dsl import parse_model, print_model
 from causelab.formula import atom
@@ -52,6 +53,94 @@ from randmodels import (
 )
 
 A, B, C = Var("A"), Var("B"), Var("C")
+
+# Operands for the normal-form table: true and false constant conditions and
+# three conditions over the variables A, B and C.
+_TRUE, _FALSE = Cmp("==", Lit(1), Lit(1)), Cmp("==", Lit(1), Lit(0))
+_CA, _CB, _CC = Cmp("==", A, Lit(1)), Cmp("<", B, Lit(2)), Cmp("<=", C, Lit(0))
+_FA, _FB, _FC = ("==", ("#", 1), ("v", "A")), ("<", ("v", "B"), ("#", 2)), ("<=", ("v", "C"), ("#", 0))
+
+
+def _chains(make, op: str, one_two: int) -> list:
+    """Left- and right-nested chains of one flattened operator, with
+    constants at different depths; `one_two` is the operator over 1 and 2."""
+    v = ("v", "A")
+    return [
+        (make(make(A, Lit(1)), Lit(2)), {}, (op, ("#", 1), ("#", 2), v)),  # (x+1)+2
+        (make(make(Lit(1), Lit(2)), A), {}, (op, ("#", one_two), v)),  # (1+2)+x
+        (make(Lit(1), make(A, Lit(2))), {}, (op, ("#", 1), ("#", 2), v)),  # 1+(x+2)
+        (make(make(C, B), A), {}, (op, v, ("v", "B"), ("v", "C"))),
+        (make(C, make(B, A)), {}, (op, v, ("v", "B"), ("v", "C"))),
+    ]
+
+
+def _bool_chains(op: str) -> list:
+    """`&&` or `||` chains, and a constant on each side that decides the
+    operator (absorbing) or drops out (non-absorbing)."""
+    make = lambda l, r: BoolOp(op, l, r)  # noqa: E731
+    decides, drops = (_TRUE, _FALSE) if op == "||" else (_FALSE, _TRUE)
+    decided = ("#", op == "||")
+    return [
+        (make(make(_CA, _CB), _CC), {}, (op, _FB, _FC, _FA)),
+        (make(_CA, make(_CB, _CC)), {}, (op, _FB, _FC, _FA)),
+        (make(make(_CA, drops), _CB), {}, (op, _FB, _FA)),
+        (make(_CA, make(decides, _CB)), {}, decided),
+        (make(decides, _CA), {}, decided),
+        (make(_CA, decides), {}, decided),
+        (make(drops, _CA), {}, _FA),
+        (make(_CA, drops), {}, _FA),
+    ]
+
+
+# (node, known values, normal form) for every node class.
+NORMAL_FORMS = [
+    (Lit(3), {}, ("#", 3)),
+    (A, {}, ("v", "A")),
+    (A, {"A": 2}, ("#", 2)),
+    (Arith("-", A, Lit(1)), {}, ("-", ("v", "A"), ("#", 1))),
+    (Arith("-", A, B), {"A": 5, "B": 2}, ("#", 3)),
+    (Arith("+", A, Lit(3)), {"A": 4}, ("#", 7)),
+    (MinMax("min", A, Lit(3)), {"A": 4}, ("#", 3)),
+    (Cmp("<", Lit(2), A), {}, ("<", ("#", 2), ("v", "A"))),
+    (Cmp("<=", A, B), {"A": 1}, ("<=", ("#", 1), ("v", "B"))),
+    (Cmp("<", A, Lit(1)), {"A": 0}, ("#", True)),
+    *_chains(lambda l, r: Arith("+", l, r), "+", 3),
+    *_chains(lambda l, r: Arith("*", l, r), "*", 2),
+    *_chains(lambda l, r: MinMax("min", l, r), "min", 1),
+    *_chains(lambda l, r: MinMax("max", l, r), "max", 2),
+    *_bool_chains("&&"),
+    *_bool_chains("||"),
+    (If(_TRUE, A, B), {}, ("v", "A")),
+    (If(_FALSE, A, B), {}, ("v", "B")),
+    (If(_CA, A, Lit(0)), {}, ("if", _FA, ("v", "A"), ("#", 0))),
+    (If(_CA, A, Lit(0)), {"A": 1}, ("#", 1)),
+    (If(_CA, B, Lit(0)), {"A": 2}, ("#", 0)),
+    (Not(_TRUE), {}, ("#", False)),
+    (Not(_FALSE), {}, ("#", True)),
+    (Not(_CA), {}, ("!", _FA)),
+    (Not(_CA), {"A": 1}, ("#", False)),
+    (Cmp("==", B, A), {}, ("==", ("v", "A"), ("v", "B"))),
+    (Cmp("!=", B, A), {}, ("!=", ("v", "A"), ("v", "B"))),
+    (Cmp("==", A, Lit(1)), {}, ("==", ("#", 1), ("v", "A"))),
+    (Cmp("!=", Lit(1), A), {}, ("!=", ("#", 1), ("v", "A"))),
+    (Cmp("==", B, A), {"B": 1}, ("==", ("#", 1), ("v", "A"))),
+]
+
+
+@pytest.mark.parametrize("node, known, form", NORMAL_FORMS)
+def test_normal_form(node, known, form):
+    # repr tells a folded truth value (True) from the integer 1.
+    assert repr(canonical(node, known)) == repr(form)
+
+
+def test_normal_forms_and_the_fold_table_cover_every_node_class():
+    nodes = {
+        cls for cls in vars(model_module).values()
+        if isinstance(cls, type) and issubclass(cls, (Expr, Cond)) and cls not in (Expr, Cond)
+    }
+    assert nodes == {Lit, Var, Arith, MinMax, If, Cmp, BoolOp, Not}
+    assert {type(node) for node, _, _ in NORMAL_FORMS} == nodes
+    assert set(model_module._FOLDS) == nodes
 
 
 class TestCanonical:
