@@ -18,6 +18,7 @@ from .formula import (
     AndF,
     Atom,
     CausalFormula,
+    EngineStats,
     EventFormula,
     NotF,
     OrF,
@@ -32,7 +33,6 @@ from .hp import (
     CandidateCause,
     CapExceededError,
     CauseVerdict,
-    EngineStats,
     Witness,
     check_ac2,
     find_all_causes,

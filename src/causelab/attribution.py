@@ -102,7 +102,6 @@ def degree_of_responsibility(
 ) -> Responsibility:
     """Score the cause by its minimal admissible contingency; for the weighted
     strategy that is the one of least summed weight, not of fewest changes."""
-    stats = stats if stats is not None else EngineStats()
     if strategy.kind == "ways":  # the score reads the verdict's search
         verdict, ways = ways_verdict(ext, context, cause, outcome, max_vars, stats)
     else:
@@ -142,7 +141,6 @@ def degree_of_blame(
     state, told apart by identity, and shared by the situations over that
     pair: a state of n contexts over one model intervenes once, not n times.
     """
-    stats = stats if stats is not None else EngineStats()
     cause = CandidateCause(Assignment(action))
     total = Fraction(0)
     posts: dict[tuple[int, int], ExtendedModel] = {}  # by the ids of (model, order)

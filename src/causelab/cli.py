@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -46,8 +46,8 @@ from .dsl import (
     parse_query,
     print_model,
 )
-from .formula import holds
-from .hp import CandidateCause, CapExceededError, EngineStats
+from .formula import EngineStats, holds
+from .hp import CandidateCause, CapExceededError
 from .model import CausalModel, Context, Intervention
 from .normality import ExtendedModel, NormalityOrder
 
@@ -243,7 +243,7 @@ def _report(query_text: str, result: dict, stats: EngineStats, hashes: dict[str,
         "models": hashes,
         "options": options.as_report_dict(),
         "result": result,
-        "stats": {"solves": stats.solves, "subset_checks": stats.subset_checks},
+        "stats": asdict(stats),
         "timing": {"wall_ms": round(wall_ms, 3)},
     }
 
@@ -433,13 +433,28 @@ def _parse_weights(text: str) -> dict[str, Fraction]:
         if not part:
             continue
         name, _, value = part.partition("=")
+        name = name.strip()
         if not name or not value:
             raise argparse.ArgumentTypeError("weights look like 'V1=1/2,V2=3'")
+        if name in out:
+            raise argparse.ArgumentTypeError(f"weight for {name!r} given twice")
         try:
-            out[name.strip()] = Fraction(value.strip())
+            out[name] = Fraction(value.strip())
         except ZeroDivisionError:
             raise argparse.ArgumentTypeError(f"weight {part!r} divides by zero") from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"weight {part!r} is not a number") from None
     return out
+
+
+def _parse_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"the variable cap must be 0 or more, not {cap}")
+    return cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -458,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--extended", action="store_true", help="use normality declarations (default)")
     # argparse converts a string default with `type`, so a bad value fails as `--max-vars` would
     max_vars = os.environ.get("CAUSELAB_MAX_VARS") or hp.DEFAULT_MAX_VARS
-    common.add_argument("--max-vars", type=int, default=max_vars, help="endogenous variable cap")
+    common.add_argument("--max-vars", type=_parse_cap, default=max_vars, help="endogenous variable cap")
     common.add_argument("--pretty", action="store_true", help="human-readable output")
 
     query_like = argparse.ArgumentParser(add_help=False, parents=[common])

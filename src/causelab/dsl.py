@@ -726,7 +726,7 @@ def _render_expr(node: Expr) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, MinMax):
-        return f"{node.which}({_render_expr(node.left)}, {_render_expr(node.right)})"
+        return f"{node.op}({_render_expr(node.left)}, {_render_expr(node.right)})"
     if isinstance(node, If):
         return (
             f"if {_render_cond(node.cond)} then {_render_expr(node.then)}"

@@ -3,6 +3,9 @@
 A causal formula is a Boolean combination of primitive events (`X = x` over
 endogenous variables), optionally under an intervention prefix; `holds`
 evaluates it in a model and context by solving the intervened model.
+
+`EngineStats`, a query's work counters, lives here, next to
+`valid_unchecked`, the lowest function that counts into it.
 """
 
 from __future__ import annotations
@@ -11,16 +14,21 @@ import itertools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
 
 from .model import CausalModel, Context, Intervention, World
-
-if TYPE_CHECKING:
-    from .hp import EngineStats
 
 # A formula compiled against a model's endogenous declaration order: it reads
 # a tuple of endogenous values, as `CausalModel.solve_unchecked` returns.
 Predicate = Callable[[tuple[int, ...]], bool]
+
+
+@dataclass
+class EngineStats:
+    """Work counters for one query; wall time is tracked by callers.  The
+    CLI's `stats` report is these fields, by name."""
+
+    solves: int = 0
+    subset_checks: int = 0
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class EventFormula:
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
-        raise NotImplementedError
+        return frozenset(a.variable for a in self.atoms())
 
     def validate(self, model: CausalModel) -> None:
         for atom in self.atoms():
@@ -68,9 +76,6 @@ class Atom(EventFormula):
         i, value = index[self.event.variable], self.event.value
         return lambda values: values[i] == value
 
-    def variables(self) -> frozenset[str]:
-        return frozenset((self.event.variable,))
-
     def atoms(self) -> tuple[PrimitiveEvent, ...]:
         return (self.event,)
 
@@ -85,9 +90,6 @@ class NotF(EventFormula):
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         child = self.child.predicate(index)
         return lambda values: not child(values)
-
-    def variables(self) -> frozenset[str]:
-        return self.child.variables()
 
     def atoms(self) -> tuple[PrimitiveEvent, ...]:
         return self.child.atoms()
@@ -105,9 +107,6 @@ class AndF(EventFormula):
         left, right = self.left.predicate(index), self.right.predicate(index)
         return lambda values: left(values) and right(values)
 
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
-
     def atoms(self) -> tuple[PrimitiveEvent, ...]:
         return self.left.atoms() + self.right.atoms()
 
@@ -123,9 +122,6 @@ class OrF(EventFormula):
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         left, right = self.left.predicate(index), self.right.predicate(index)
         return lambda values: left(values) or right(values)
-
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
 
     def atoms(self) -> tuple[PrimitiveEvent, ...]:
         return self.left.atoms() + self.right.atoms()
@@ -171,17 +167,17 @@ def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula)
     return f.matrix.predicate(sig.endogenous_index)(values)
 
 
-def valid(model: CausalModel, f: CausalFormula | EventFormula, stats: EngineStats | None = None) -> bool:
+def valid(model: CausalModel, f: CausalFormula | EventFormula) -> bool:
     """Truth of a causal formula in every context of the model; checked here, decided by `valid_unchecked`."""
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
     f.validate(model)
     matrix = f.matrix.predicate(model.signature.endogenous_index)
-    return valid_unchecked(model, f.prefix, matrix, f.matrix.variables(), stats)
+    return valid_unchecked(model, f.prefix, matrix, f.matrix.variables(), EngineStats())
 
 
 def valid_unchecked(
-    model: CausalModel, prefix: Mapping[str, int], matrix: Predicate, variables: frozenset[str], stats: EngineStats | None
+    model: CausalModel, prefix: Mapping[str, int], matrix: Predicate, variables: frozenset[str], stats: EngineStats
 ) -> bool:
     """`valid` of `[prefix] matrix`, for a matrix compiled over `variables`;
     nothing is checked, since callers check both once, at the query boundary.
@@ -190,21 +186,19 @@ def valid_unchecked(
     only the exogenous variables the matrix still reads once the prefix is
     folded in (`model.canonical`, walked by `CausalModel.reads`) are ranged
     over, and the others keep their first value.  The first context leads
-    that product too, so it is not solved again.  `stats` counts the solves
-    made.
+    that product too, so it is not solved again.  Every solve made is
+    counted in `stats`.
     """
     sig = model.signature
     pins = sig.pin_values(prefix)
     first = tuple(values[0] for _, values in sig.exogenous)
-    if stats is not None:
-        stats.solves += 1
+    stats.solves += 1
     if not matrix(model.solve_unchecked(first, pins)):
         return False
     read = set(model.reads(variables, prefix))
     ranges = [values if name in read else values[:1] for name, values in sig.exogenous]
     for u in itertools.islice(itertools.product(*ranges), 1, None):
-        if stats is not None:
-            stats.solves += 1
+        stats.solves += 1
         if not matrix(model.solve_unchecked(u, pins)):
             return False
     return True

@@ -141,8 +141,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .formula import EventFormula, atom, conj
-from .model import Assignment, CausalModel, Context, ModelError, Signature, World
+from .formula import EngineStats, EventFormula, atom, conj
+from .model import Assignment, CausalModel, Context, ModelError, Signature, UnknownVariableError, World
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -152,14 +152,6 @@ class CapExceededError(RuntimeError):
     """Raised when a model exceeds the variable cap."""
 
     category = "resource-cap"
-
-
-@dataclass
-class EngineStats:
-    """Work counters for one query; wall time is tracked by callers."""
-
-    solves: int = 0
-    subset_checks: int = 0
 
 
 @dataclass(frozen=True)
@@ -361,7 +353,9 @@ class _Search:
     order, whose patterns are kept by position.  `for_cause` reuses all
     cause-independent state, the memos and the patterns included.  A search
     made without a cause only solves the actual world, and is aimed at each
-    cause by `for_cause`.
+    cause by `for_cause`.  Every solve and AC2(b) instance is counted in
+    `stats`, the caller's `EngineStats` or a fresh one: the public entries
+    pass theirs through, and `for_cause` copies share it.
     """
 
     def __init__(
@@ -370,7 +364,7 @@ class _Search:
         context: Context,
         cause: CandidateCause | None,
         outcome: EventFormula,
-        stats: EngineStats,
+        stats: EngineStats | None = None,
     ):
         self.model = ext.model
         sig = self.model.signature
@@ -381,7 +375,7 @@ class _Search:
         self.context = sig.context_values(context)
         self.holds = outcome.predicate(sig.endogenous_index)
         self.outcome_vars = outcome.variables()
-        self.stats = stats
+        self.stats = stats if stats is not None else EngineStats()
         self.names = sig.endogenous_names
         self.n = len(self.names)
         self._cache: dict[tuple[int | None, ...], tuple[int, ...]] = {}
@@ -994,7 +988,7 @@ def check_ac2(
 ) -> bool:
     """Re-verify AC2 (both clauses plus the normality gate) for a witness."""
     pins = _witness_pins(cause, witness)
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    search = _Search(ext, context, cause, outcome, stats)
     ext.model.signature.check_intervention(pins)  # the search solves unchecked
     w_set = sorted(ext.model.signature.endogenous_index[v] for v in witness.w_set)
     ok, _ = search.check_witness(
@@ -1019,14 +1013,17 @@ def is_actual_cause(
     """Decide actual causation, reporting minimal-measure witnesses.
 
     The measure is the change count, or with `weights` (one positive weight
-    per endogenous variable) the summed weights of the changed contingency
-    variables.  With `first_witness`, a cause reports only its first minimal
-    witness: all that scoring reads.  With `record_failures`, an AC2
-    non-cause names up to `_AC2B_FAILURE_CAP` AC2(b) failures; otherwise
-    `ac2b_failures` is empty.
+    per endogenous variable, and none for any other name) the summed weights
+    of the changed contingency variables.  With `first_witness`, a cause
+    reports only its first minimal witness: all that scoring reads.  With
+    `record_failures`, an AC2 non-cause names up to `_AC2B_FAILURE_CAP`
+    AC2(b) failures; otherwise `ac2b_failures` is empty.
     """
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    search = _Search(ext, context, cause, outcome, stats)
     if weights is not None:
+        for v in weights:
+            if not search.model.signature.is_endogenous(v):
+                raise UnknownVariableError(f"weight variable {v!r} is not endogenous")
         if missing := [v for v in search.names if v not in weights]:
             raise ValueError(f"missing weights for {missing}")
         for v in search.names:
@@ -1081,7 +1078,7 @@ def ways_fraction(
     the outcome; the actual setting itself is not counted as a change.  Above
     the variable cap it raises `CapExceededError`, as `is_actual_cause` does.
     """
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    search = _Search(ext, context, cause, outcome, stats)
     search.check_cap(max_vars)
     return search.ways_fraction()
 
@@ -1098,7 +1095,7 @@ def ways_verdict(
     `ways_fraction` (None otherwise), from one search: the inputs are
     checked and the actual world solved once, and the fraction reads the
     verdict's solve memo."""
-    search = _Search(ext, context, cause, outcome, stats or EngineStats())
+    search = _Search(ext, context, cause, outcome, stats)
     verdict = _verdict(search, cause, max_vars, first_witness=True)
     return verdict, search.ways_fraction() if verdict.is_cause else None
 
@@ -1120,7 +1117,7 @@ def find_all_causes(
     """
     if max_conjuncts < 1:
         raise ValueError("max_conjuncts must be at least 1")
-    search = _Search(ext, context, None, outcome, stats or EngineStats())
+    search = _Search(ext, context, None, outcome, stats)
     events = [(v, x) for v, x in zip(search.names, search.actual) if v not in search.outcome_vars]
     results: list[tuple[CandidateCause, CauseVerdict]] = []
     for r in range(1, max_conjuncts + 1):

@@ -134,13 +134,13 @@ class Arith(Expr):
 
 @dataclass(frozen=True)
 class MinMax(Expr):
-    which: str  # "min" or "max"
+    op: str  # "min" or "max"
     left: Expr
     right: Expr
 
     def __post_init__(self) -> None:
-        if self.which not in ("min", "max"):
-            raise ModelError(f"unknown function {self.which!r}")
+        if self.op not in ("min", "max"):
+            raise ModelError(f"unknown function {self.op!r}")
 
     def references(self) -> frozenset[str]:
         return self.left.references() | self.right.references()
@@ -272,12 +272,11 @@ def _fold_bool(node: BoolOp, known: Mapping[str, int]) -> tuple:
 
 
 def _fold_pair(node: Arith | MinMax | Cmp, known: Mapping[str, int]) -> tuple:
-    op = node.which if node.__class__ is MinMax else node.op
     left, right = node.left, node.right
     left, right = _FOLDS[left.__class__](left, known), _FOLDS[right.__class__](right, known)
     if left[0] == "#" and right[0] == "#":
-        return ("#", _BINARY[op](left[1], right[1]))
-    return _combine(op, left, right)
+        return ("#", _BINARY[node.op](left[1], right[1]))
+    return _combine(node.op, left, right)
 
 
 def _combine(op: str, left: tuple, right: tuple) -> tuple:
@@ -385,7 +384,7 @@ def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int
         return min(a, c), max(b, d)
     (a, b), (c, d) = _bounds(expr.left, ranges), _bounds(expr.right, ranges)
     if isinstance(expr, MinMax):
-        pick = min if expr.which == "min" else max
+        pick = _BINARY[expr.op]
         return pick(a, c), pick(b, d)
     if expr.op == "+":
         return a + c, b + d
@@ -458,8 +457,7 @@ def _closure(node: Expr | Cond, positions: Mapping[str, int]):
         return lambda e, c=_closure(node.inner, positions): not c(e)
     if isinstance(node, (Arith, MinMax, Cmp)):
         (lk, left), (rk, right) = _operand(node.left, positions), _operand(node.right, positions)
-        op = node.which if isinstance(node, MinMax) else node.op
-        return _PAIR_STEPS[lk, rk](_BINARY[op], left, right)
+        return _PAIR_STEPS[lk, rk](_BINARY[node.op], left, right)
     raise ModelError(f"unknown expression node {node!r}")
 
 

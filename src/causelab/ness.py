@@ -18,13 +18,9 @@ intervention.  With finite ranges an event `X = x` already expresses any
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
-from .formula import EventFormula, PrimitiveEvent, valid_unchecked
+from .formula import EngineStats, EventFormula, PrimitiveEvent, valid_unchecked
 from .model import CausalModel, Context, Intervention
-
-if TYPE_CHECKING:
-    from .hp import EngineStats
 
 
 def is_ness_cause(
@@ -40,15 +36,17 @@ def is_ness_cause(
     world that contains the queried event; the set found is returned as an
     intervention, the queried event first.  The context, outcome and event
     are checked once, here; the sets come from the solved world, so
-    `valid_unchecked` decides each.  `stats` counts the solves made.
+    `valid_unchecked` decides each.  Every solve made, the actual world's
+    and those of each check, is counted in `stats`, or in a fresh
+    `EngineStats` when none is given.
     """
+    stats = stats if stats is not None else EngineStats()
     sig = model.signature
     sig.check_context(context)
     outcome.validate(model)
     sig.check_endogenous("event variable", event.variable, event.value)
     world = model.solve_unchecked(sig.context_values(context), sig.pin_values(None))
-    if stats is not None:
-        stats.solves += 1
+    stats.solves += 1
     if world[sig.endogenous_index[event.variable]] != event.value:
         return None  # only actually occurring events qualify
     others = [(v, x) for v, x in zip(sig.endogenous_names, world) if v != event.variable]

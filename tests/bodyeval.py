@@ -2,7 +2,7 @@
 engine's `compile_body`: the reference the tests check compiled bodies and
 solved worlds against."""
 
-from causelab.model import BoolOp, If, Lit, MinMax, Not, Var
+from causelab.model import BoolOp, If, Lit, Not, Var
 
 _OPS = {
     "+": lambda a, b: a + b,
@@ -33,5 +33,4 @@ def evaluate(node, env):
         if node.op == "&&":
             return left and evaluate(node.right, env)
         return left or evaluate(node.right, env)
-    op = node.which if isinstance(node, MinMax) else node.op
-    return _OPS[op](evaluate(node.left, env), evaluate(node.right, env))
+    return _OPS[node.op](evaluate(node.left, env), evaluate(node.right, env))

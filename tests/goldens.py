@@ -23,7 +23,7 @@ import importlib.util
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from causelab import cli, dsl
@@ -60,7 +60,7 @@ def _workload(workloads, name: str, seed: int):
 
 def _digest(query, loaded: cli.LoadedSet, options: cli.RunOptions) -> str:
     result, stats, _used = cli.run_query(query, loaded, options)
-    payload = {"result": result, "stats": {"solves": stats.solves, "subset_checks": stats.subset_checks}}
+    payload = {"result": result, "stats": asdict(stats)}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import io
 import json
 import os
@@ -14,13 +15,14 @@ from causelab.cli import (
     LoadedSet,
     RunOptions,
     _error_diag,
+    _report,
     corpus_dir,
     load_corpus_entries,
     main,
     run_query,
 )
 from causelab.dsl import Diagnostic, parse_query
-from causelab.formula import CausalFormula
+from causelab.formula import CausalFormula, EngineStats
 from causelab.hp import CapExceededError
 from causelab.model import (
     CycleError,
@@ -316,6 +318,18 @@ class TestExitCodes:
             run_cli(*argv, "--max-vars", "abc")
         assert exc_info.value.code == 2
         assert "argument --max-vars: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_negative_env_cap_is_a_usage_error(self, monkeypatch, capsys):
+        # Fails like `--max-vars -1`, instead of answering every query with
+        # a cap it cannot meet.
+        monkeypatch.setenv("CAUSELAB_MAX_VARS", "-1")
+        argv = ["cause", "-m", model_arg("forest_fire.cm"), "-q", "cause L=1 of F=1 in ctx(U1=1,U2=1,U3=1)"]
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*argv)
+        assert exc_info.value.code == 2
+        assert "argument --max-vars: the variable cap must be 0 or more, not -1" in capsys.readouterr().err
+        code, [report] = run_json(*argv, "--max-vars", "0")  # the flag still wins, and 0 is a cap
+        assert code == EXIT_CAP and report["diagnostics"][0]["category"] == "resource-cap"
 
     def test_blame_above_cap_exits_three(self):
         argv = (
@@ -632,6 +646,23 @@ DIAGNOSTIC_TABLE = [
      ("resp", "-m", model_arg("vote11.cm"), "--strategy", "weighted", "--weights", "V1",
       "-q", f"resp V1=0 of W=0 in {_V11_CTX}"),
      ("usage", None, None, "argument --weights: weights look like 'V1=1/2,V2=3'")),
+    ("weight that is not a number", {},
+     ("resp", "-m", model_arg("forest_fire.cm"), "--strategy", "weighted", "--weights", "L=1,ML=abc,F=1",
+      "-q", f"resp L=1 of F=1 in {_FF_CTX}"),
+     ("usage", None, None, "argument --weights: weight 'ML=abc' is not a number")),
+    ("weight given twice", {},
+     ("resp", "-m", model_arg("forest_fire.cm"), "--strategy", "weighted", "--weights", "L=1,L=2,ML=1,F=1",
+      "-q", f"resp L=1 of F=1 in {_FF_CTX}"),
+     ("usage", None, None, "argument --weights: weight for 'L' given twice")),
+    # Checked before the missing weights, so an unknown name is named even
+    # when the weights miss a variable too.
+    ("weight for a variable that is not endogenous", {},
+     ("resp", "-m", model_arg("forest_fire.cm"), "--strategy", "weighted", "--weights", "L=1,ML=1,Q=1",
+      "-q", f"resp L=1 of F=1 in {_FF_CTX}"),
+     ("unknown variable", 1, 1, "weight variable 'Q' is not endogenous")),
+    ("negative variable cap", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "--max-vars", "-1", "-q", f"cause L=1 of F=1 in {_FF_CTX}"),
+     ("usage", None, None, "argument --max-vars: the variable cap must be 0 or more, not -1")),
 ]
 # The exit code follows the category.
 _EXIT_CODES = {"resource-cap": EXIT_CAP, "usage": 2}
@@ -858,6 +889,18 @@ class TestWorkCounters:
     """Golden `stats` of the slowest corpus entries and of queries whose
     counts the shared search changed: the memoised search must solve
     exactly these distinct pin sets and make these subset checks."""
+
+    def test_the_report_prints_every_counter_field(self):
+        """`stats` is the counter's fields, so a field added to
+        `EngineStats` reaches the report with nothing else to change."""
+
+        @dataclasses.dataclass
+        class MoreStats(EngineStats):
+            memo_hits: int = 0
+
+        stats = MoreStats(solves=3, subset_checks=2, memo_hits=5)
+        report = _report("eval F=1 in ctx(U1=1)", {}, stats, {}, RunOptions(), 0.0)
+        assert report["stats"] == {"solves": 3, "subset_checks": 2, "memo_hits": 5}
 
     def test_vote11_landslide_cause(self):
         ctx = ",".join(f"UV{i}=0" for i in range(1, 12))

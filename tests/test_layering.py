@@ -6,6 +6,7 @@ brute-force oracle is a referee for the tests: nothing in the package
 imports it or exports it, so it can move out of the package unchanged.
 No module calls the Python compiler (`eval`, `exec`, `compile`), so no
 model text, which comes from users, can reach it.
+No work counter is guarded: every engine entry counts into an `EngineStats`.
 A backticked dotted name in the package's docstrings and comments, or in
 the README from its layout section on, names something that exists.
 """
@@ -156,6 +157,41 @@ def test_guard_sees_compiler_calls():
     assert compiler_calls("fn = eval(source, {})\n") == ["eval:1"]
     assert compiler_calls("x = 1\nexec(code)\ncompile(text, 'f', 'eval')\n") == ["exec:2", "compile:3"]
     assert compiler_calls("re.compile(p)\nself.eval(x)\nevaluate(y)\neval\n") == []
+
+
+# -- one counting path --------------------------------------------------------
+
+
+def counter_guards(source: str) -> list[int]:
+    """The lines of `if` statements that test a `stats` name or attribute,
+    or `TYPE_CHECKING`."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If) and any(
+            (isinstance(n, ast.Name) and n.id in ("stats", "TYPE_CHECKING"))
+            or (isinstance(n, ast.Attribute) and n.attr == "stats")
+            for n in ast.walk(node.test)
+        )
+    ]
+
+
+def test_every_counter_counts_unconditionally():
+    """Each engine entry counts into an `EngineStats`, its caller's or a
+    fresh one, so no count waits on a counter being passed, and the class is
+    imported for real."""
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := counter_guards(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_guard_sees_counter_guards():
+    assert counter_guards("if stats is not None:\n    stats.solves += 1\n") == [1]
+    assert counter_guards("x = 1\nif self.stats:\n    pass\n") == [2]
+    assert counter_guards("if TYPE_CHECKING:\n    from .hp import EngineStats\n") == [1]
+    assert counter_guards("stats = stats if stats is not None else EngineStats()\nif solves:\n    pass\n") == []
 
 
 # -- documented names --------------------------------------------------------

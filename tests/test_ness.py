@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from causelab.dsl import parse_model, parse_query, print_model
-from causelab.formula import CausalFormula, PrimitiveEvent, atom, valid
-from causelab.hp import CandidateCause, EngineStats, is_actual_cause
+from causelab.formula import CausalFormula, EngineStats, PrimitiveEvent, atom, valid, valid_unchecked
+from causelab.hp import CandidateCause, is_actual_cause
 from causelab.model import CausalModel, Context, Intervention, ModelError, RangeViolationError, UnknownVariableError
 from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel
@@ -217,24 +217,29 @@ def fire_model(n: int):
     return parse_model(f"model fire{n} {{ {sources} endogenous F : {{0,1}} = {body}; }}")[0]
 
 
+def counted_valid(model, pins: dict, outcome, stats: EngineStats) -> bool:
+    """`valid` of `[pins] outcome`, counting its solves in `stats`."""
+    matrix = outcome.predicate(model.signature.endogenous_index)
+    return valid_unchecked(model, pins, matrix, outcome.variables(), stats)
+
+
 def test_a_set_failing_the_first_context_folds_nothing():
     # The first context sets every source to 0, so a set that leaves one
     # source unpinned fails there, before any equation is walked.
     model, fire = fire_model(4), atom("F", 1)
-    partial = CausalFormula(Intervention({"L1": 1, "L3": 1}), fire)
     stats = EngineStats()
     with mock.patch.object(CausalModel, "reads", side_effect=AssertionError("walked an equation")):
-        assert valid(model, partial, stats) is False
+        assert counted_valid(model, {"L1": 1, "L3": 1}, fire, stats) is False
     assert stats.solves == 1
     # A set that passes there folds once, then ranges over what F still reads.
-    full, stats = CausalFormula(Intervention({f"L{i}": 1 for i in range(1, 5)}), fire), EngineStats()
+    stats = EngineStats()
     with mock.patch.object(CausalModel, "reads", autospec=True, side_effect=CausalModel.reads) as spy:
-        assert valid(model, full, stats) is True
+        assert counted_valid(model, {f"L{i}": 1 for i in range(1, 5)}, fire, stats) is True
     assert spy.call_count == 1 and stats.solves == 1
     # `F = 0` holds at the first context with one source pinned, and fails
     # only where every other source is 1: the 8th context of U2, U3, U4.
     stats = EngineStats()
-    assert valid(model, CausalFormula(Intervention({"L1": 1}), atom("F", 0)), stats) is False
+    assert counted_valid(model, {"L1": 1}, atom("F", 0), stats) is False
     assert stats.solves == 8
 
 

@@ -17,7 +17,7 @@ from causelab import hp
 from causelab import model as model_module
 from causelab.attribution import EpistemicState, ScoringStrategy, degree_of_blame, degree_of_responsibility
 from causelab.dsl import parse_model, print_model
-from causelab.formula import atom
+from causelab.formula import PrimitiveEvent, atom
 from causelab.hp import CandidateCause, EngineStats, _Search, check_ac2, is_actual_cause, ways_fraction
 from causelab.model import (
     Arith,
@@ -40,6 +40,7 @@ from causelab.model import (
     _sites,
     canonical,
 )
+from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel, NormalityOrder
 from causelab.oracle import oracle_cause, oracle_ways_fraction
 from randmodels import (
@@ -879,5 +880,89 @@ def test_reprint_random_families(family):
     checked = 0
     for case in family_cases(rng, family):
         check_reprint(*case)
+        checked += 1
+    assert checked >= 36
+
+
+# -- Equivalent-body relation -------------------------------------------------
+# Replacing a body by an equal function changes no answer: no verdict,
+# witness list, score or NESS set.  Every body is first clamped to its range
+# with `min` and `max`, which it already lies in, so that every model has
+# both; then each `min(a, b)` is written `if a <= b then a else b` and each
+# `max(a, b)` `if a <= b then b else a`.  The work counters are not
+# compared: the forms fold differently, so a search can find other classes.
+
+
+def clamped(ext: ExtendedModel) -> ExtendedModel:
+    model, sig = ext.model, ext.model.signature
+    equations = [
+        Equation(v, MinMax("min", MinMax("max", model.equations[v].body, Lit(values[0])), Lit(values[-1])))
+        for v, values in sig.endogenous
+    ]
+    return ExtendedModel(CausalModel(sig, equations, name=model.name), ext.order)
+
+
+def unfolded_expr(node):
+    """`node` with each `min` and `max` written as an `if`."""
+    if isinstance(node, (Var, Lit)):
+        return node
+    parts = [
+        unfolded_expr(value) if isinstance(value, (Expr, Cond)) else value
+        for value in (getattr(node, f.name) for f in dataclasses.fields(node))
+    ]
+    if isinstance(node, MinMax):
+        _op, a, b = parts
+        return If(Cmp("<=", a, b), a, b) if node.op == "min" else If(Cmp("<=", a, b), b, a)
+    return type(node)(*parts)
+
+
+def unfolded(ext: ExtendedModel) -> ExtendedModel:
+    model = ext.model
+    equations = [Equation(eq.target, unfolded_expr(eq.body)) for eq in model.equations.values()]
+    return ExtendedModel(CausalModel(model.signature, equations, name=model.name), ext.order)
+
+
+def body_answers(ext, context, cause, outcome, weights) -> list:
+    """The `cause` answer and the responsibility scores, with their witness
+    worlds, and for a single-event cause its NESS set."""
+    out: list = [(answer, worlds) for answer, worlds, _work in answers(ext, context, cause, outcome, weights)]
+    if len(cause.settings) == 1:
+        [(v, x)] = cause.settings.items()
+        out.append(is_ness_cause(ext.model, context, PrimitiveEvent(v, x), outcome))
+    return out
+
+
+def check_equivalent_bodies(ext, context, cause, outcome, weights) -> None:
+    image = clamped(ext)
+    want = body_answers(ext, context, cause, outcome, weights)
+    for other in (image, unfolded(image)):
+        assert body_answers(other, context, cause, outcome, weights) == want, (ext.model.name, cause)
+
+
+def test_equivalent_bodies_vote11(corpus):
+    model, order = corpus["models"]["vote11"]
+    ext = ExtendedModel(model, order)
+    weights = {v: Fraction(1 + i % 3) for i, v in enumerate(model.signature.endogenous_names)}
+    for votes in ((0,) * 11, (0,) * 6 + (1,) * 5):
+        context = Context({f"UV{i}": x for i, x in enumerate(votes, start=1)})
+        world = model.solve(context)
+        check_equivalent_bodies(ext, context, CandidateCause.of({"V1": world["V1"]}), atom("W", world["W"]), weights)
+
+
+def test_equivalent_bodies_firing_squad(corpus):
+    rng = random.Random("bodies:firing")
+    model, order = corpus["models"]["firing_squad"]
+    ext = ExtendedModel(model, order)
+    weights = random_weights(rng, model)
+    for live, var in ((1, "M1"), (4, "M1")):  # a cause, and a cut-off rifle
+        check_equivalent_bodies(ext, Context({"UL": live}), CandidateCause.of({var: 1}), atom("D", 1), weights)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_equivalent_bodies_random_families(family):
+    rng = random.Random(f"bodies:{family}")
+    checked = 0
+    for case in family_cases(rng, family):
+        check_equivalent_bodies(*case)
         checked += 1
     assert checked >= 36
