@@ -142,6 +142,7 @@ def degree_of_blame(
     pair: a state of n contexts over one model intervenes once, not n times.
     """
     cause = CandidateCause(Assignment(action))
+    weights = strategy.weight_map()
     total = Fraction(0)
     posts: dict[tuple[int, int], ExtendedModel] = {}  # by the ids of (model, order)
     # Solving every situation first checks every context before the action and outcome.
@@ -152,6 +153,8 @@ def degree_of_blame(
             outcome.validate(ext.model)
         except ModelError as exc:  # the wrapper keeps the error's class, so its category
             raise type(exc)(f"signature mismatch across situations: {exc}") from exc
+        if weights is not None:  # checked here too, since a skipped situation never searches
+            ext.model.signature.check_weights(weights)
         if any(pre_world[v] != x for v, x in action.items()):
             continue
         key = (id(ext.model), id(ext.order))

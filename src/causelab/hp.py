@@ -44,13 +44,14 @@ failures are those of the plain enumeration.  Only the work counters
   first witness found is minimal because the order is by measure, so
   `is_actual_cause(first_witness=True)` stops there.
 - Change sets are generated lazily in the order of (measure, size,
-  positions): for the change count, `_subsets` yields that order directly;
-  for weights, a heap pops them best first.  With no negative weight every
-  successor of a change set comes after it in that order, so the pops are
-  exactly the sorted sequence, and a search that ends at measure m never
-  builds a change set beyond it.  The heap adds integers, the weights scaled
-  by the least common multiple of their denominators: a positive scale keeps
-  every order and tie.
+  positions): for the change count, `_first_members` yields each count's
+  sets in position order, as `itertools.combinations` does without
+  classes; for weights, a heap pops them best first.  With no negative
+  weight every successor of a change set comes after it in that order, so
+  the pops are exactly the sorted sequence, and a search that ends at
+  measure m never builds a change set beyond it.  The heap adds integers,
+  the weights scaled by the least common multiple of their denominators: a
+  positive scale keeps every order and tie.
 - Normality admissibility is decided from the pins, before any solve.  The
   worlds at least as normal as the actual world are exactly those matching
   some pattern of its up-set (`NormalityOrder.up_set`), which always covers
@@ -90,9 +91,12 @@ failures are those of the plain enumeration.  Only the work counters
   verdict and witness onto its image, so the solve and AC2(b) memos are
   keyed by the representative of the orbit of their pins
   (`_Search._canonical`).  Without weights the search walks orbits, not
-  their members (`_Search._levels`): per class a count and a sorted
-  multiset of values, in the order of each orbit's first member, which sets
-  the first members of each class.  It decides the first member, and a swap
+  their members (`_Search._levels`), by one rule over each class in
+  position order: a member is changed only together with the member before
+  it (`_first_members`), and at no smaller value (`_Search._orbits`).  Of
+  each orbit exactly one change assignment passes, its first member: per
+  class a count and a sorted multiset of values, given in increasing order
+  to the class's first members.  It decides the first member, and a swap
   maps its decision to every member: with no witness the orbit is skipped
   whole; with one, every member has one under the same x'.  When that
   witness has E empty, which every order tries first, each member's witness
@@ -108,8 +112,9 @@ failures are those of the plain enumeration.  Only the work counters
   `existence_only` search stops at the first orbit with a witness, where
   the member walk stopped.  So no solve moves.  Where the members' orders
   differ, in the weighted order, whose members have measures of their own,
-  and in the failure pass below, the walk takes the members one by one as
-  `_Search._change_sets` orders them, and skips only the orbits that no
+  the walk takes the members one by one as `_Search._change_sets` orders
+  them; the failure pass below walks the change counts with no classes, so
+  the rule passes every member.  Both skip only the orbits that no
   contingency reaches (`_Search._orbit`, `_Search._unreached`).  Classes
   are found when the enumeration first goes past the empty change set;
   without a class the orbit walk is the member walk.  `ways_fraction`
@@ -122,11 +127,12 @@ search's work, and they are recorded only on request
 (`is_actual_cause(record_failures=True)`, the CLI's `cause --failures`).
 Then, after an AC2 verdict, a pass of their own
 (`_Search.find_ac2b_failures`) walks the contingencies in the search's
-order, through the same enumeration (`_Search._levels`, `_Search._reached`),
-and names the first failing instance (`ac2b`) of each contingency that
-passes AC2(a) and the normality gate, until it has `_AC2B_FAILURE_CAP` of
-them.  Without the request, and in every search that scoring, blame or
-`find_all_causes` runs, no such pass is made.
+order, through the same enumeration (`_Search._levels`, `_Search._reached`)
+with no classes, so over every member of every orbit.  It names the first
+failing instance (`ac2b`) of each contingency that passes AC2(a) and the
+normality gate, until it has `_AC2B_FAILURE_CAP` of them.  Without the
+request, and in every search that scoring, blame or `find_all_causes` runs,
+no such pass is made.
 """
 
 from __future__ import annotations
@@ -142,7 +148,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .formula import EngineStats, EventFormula, atom, conj
-from .model import Assignment, CausalModel, Context, ModelError, Signature, UnknownVariableError, World
+from .model import Assignment, CausalModel, Context, Signature, World
 from .normality import ExtendedModel
 
 DEFAULT_MAX_VARS = 12
@@ -312,17 +318,23 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(items, r)
 
 
-def _prefixes(classes: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
-    """Each way to take n members of `classes` that takes the first ones of
-    each class, as the members taken, class by class."""
-    if not classes:
-        if not n:
-            yield ()
-        return
-    room = sum(map(len, classes[1:]))
-    for m in range(max(0, n - room), min(len(classes[0]), n) + 1):
-        for rest in _prefixes(classes[1:], n - m):
-            yield classes[0][:m] + rest
+def _first_members(movable: Sequence[int], before: Mapping[int, int], k: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of the increasing positions `movable`, in lexicographic
+    order, that take a class member only together with the member `before`
+    it: each class's members taken are its first ones."""
+    if not before:
+        return itertools.combinations(movable, k)
+
+    def grow(taken: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
+        if len(taken) == k:
+            yield taken
+            return
+        for j in range(start, len(movable) - k + len(taken) + 1):
+            i = movable[j]
+            if i not in before or before[i] in taken:
+                yield from grow(taken + (i,), j + 1)
+
+    return grow((), 0)
 
 
 def _placements(positions: Sequence[int], values: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -657,13 +669,10 @@ class _Search:
             if combo != self.x_actual
         ]
 
-    def _change_sets(self, weights: Mapping[str, Fraction] | None, movable: Sequence[int]) -> Iterator[tuple]:
+    def _change_sets(self, weights: Mapping[str, Fraction], movable: Sequence[int]) -> Iterator[tuple]:
         """(measure, C) for every change set C of the `movable` positions,
-        sorted by measure, then size, then position, and generated lazily."""
-        if weights is None:
-            for c_vars in _subsets(movable):
-                yield len(c_vars), c_vars
-            return
+        sorted by summed weight, then size, then position, and generated
+        lazily."""
         # Best first over the variables sorted by (weight, position); a set is
         # the increasing indices it takes from that list, and its successors
         # append the next index or replace its last index by the next one.
@@ -699,9 +708,11 @@ class _Search:
     def _levels(self, weights: Mapping[str, Fraction] | None, members: bool = False) -> Iterator[tuple]:
         """(measure, classes, level) for each measure in increasing order,
         where `level` yields (C, c, alternatives) in search order; its x'
-        come from `_alternatives`.  Without weights and `members`, `level`
-        holds the first member of each orbit of `classes`, the classes inside
-        the movable variables (`_orbits`).  Otherwise it holds every change
+        come from `_alternatives`.  Without weights the measure is the
+        change count, and `level` holds the first member of each orbit of
+        `classes`, the classes inside the movable variables
+        (`_first_members`, `_orbits`); with `members` there are none, so it
+        holds every change assignment.  With weights it holds every change
         assignment, in the order of `_change_sets`, and `classes` is empty."""
         x_alts = self._x_alternatives()
         movable = self.others
@@ -710,8 +721,11 @@ class _Search:
             if not x_alts:
                 return  # every contingency fails the normality gate
             movable = self._movable(x_alts)
-        changes = self._change_sets(weights, movable)
-        measure, _ = next(changes)  # the empty change set, alone at its measure
+        if weights is None:
+            measure = 0
+        else:
+            changes = self._change_sets(weights, movable)
+            measure, _ = next(changes)  # the empty change set, alone at its measure
         yield measure, (), [((), (), self._alternatives((), (), x_alts))]
         if not movable:
             return
@@ -721,31 +735,16 @@ class _Search:
             self._find_classes()
         ranges = self.model.signature.ranges
         offs = {i: [val for val in ranges[self.names[i]] if val != self.actual[i]] for i in movable}
-        if weights is not None or members:
+        if weights is not None:
             for measure, group in itertools.groupby(changes, key=operator.itemgetter(0)):
                 yield measure, (), self._orbits((c_vars for _, c_vars in group), offs, {}, x_alts)
             return
         # A class lies inside `movable` or outside it: a swap that maps the
         # up-set patterns onto themselves maps an admitted pin to another.
-        classes = tuple(cls for cls in self.classes if cls[0] in offs)
-        in_class = {i for cls in classes for i in cls}
-        singles = [i for i in movable if i not in in_class]
-        # The class member before each member whose class has two or more
-        # values off the actual one: its value may not be the larger.
-        before = {b: a for cls in classes if len(offs[cls[0]]) > 1 for a, b in zip(cls, cls[1:])}
+        classes = () if members else tuple(cls for cls in self.classes if cls[0] in offs)
+        before = {b: a for cls in classes for a, b in zip(cls, cls[1:])}  # each member's predecessor
         for k in range(1, len(movable) + 1):
-            # A first member's change set takes the first n members of each
-            # class (a prefix) and k - n variables of `singles`.  The sets of
-            # one prefix come in increasing order, so merging those of every
-            # prefix sorts them; the empty prefix's need no sort.
-            streams = [
-                map(lambda rest, p=prefix: tuple(sorted(p + rest)), itertools.combinations(singles, k - n))
-                if prefix else itertools.combinations(singles, k)
-                for n in range(max(0, k - len(singles)), min(k, len(in_class)) + 1)
-                for prefix in _prefixes(classes, n)
-            ]
-            c_sets = heapq.merge(*streams) if len(streams) > 1 else streams[0]
-            yield k, classes, self._orbits(c_sets, offs, before, x_alts)
+            yield k, classes, self._orbits(_first_members(movable, before, k), offs, before, x_alts)
 
     def _orbits(self, c_sets: Iterable[tuple[int, ...]], offs, before, x_alts):
         """(C, c, alternatives) for each C of `c_sets` and each setting c of
@@ -1021,14 +1020,7 @@ def is_actual_cause(
     """
     search = _Search(ext, context, cause, outcome, stats)
     if weights is not None:
-        for v in weights:
-            if not search.model.signature.is_endogenous(v):
-                raise UnknownVariableError(f"weight variable {v!r} is not endogenous")
-        if missing := [v for v in search.names if v not in weights]:
-            raise ValueError(f"missing weights for {missing}")
-        for v in search.names:
-            if weights[v] <= 0:
-                raise ModelError(f"weight for {v!r} must be positive")
+        search.model.signature.check_weights(weights)
     return _verdict(search, cause, max_vars, weights, first_witness, record_failures)
 
 

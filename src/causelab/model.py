@@ -18,6 +18,7 @@ import operator
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
@@ -611,6 +612,18 @@ class Signature:
     def check_intervention(self, iv: Mapping[str, int]) -> None:
         for name, value in iv.items():
             self.check_endogenous("intervention target", name, value)
+
+    def check_weights(self, weights: Mapping[str, Fraction]) -> None:
+        """Check a weighted measure: one positive weight per endogenous
+        variable, and none for any other name, which is checked first."""
+        for name in weights:
+            if not self.is_endogenous(name):
+                raise UnknownVariableError(f"weight variable {name!r} is not endogenous")
+        if missing := [name for name in self.endogenous_names if name not in weights]:
+            raise ValueError(f"missing weights for {missing}")
+        for name in self.endogenous_names:
+            if weights[name] <= 0:
+                raise ModelError(f"weight for {name!r} must be positive")
 
     def check_context(self, context: Mapping[str, int]) -> None:
         for name in self.exogenous_names:

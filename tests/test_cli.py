@@ -660,6 +660,16 @@ DIAGNOSTIC_TABLE = [
      ("resp", "-m", model_arg("forest_fire.cm"), "--strategy", "weighted", "--weights", "L=1,ML=1,Q=1",
       "-q", f"resp L=1 of F=1 in {_FF_CTX}"),
      ("unknown variable", 1, 1, "weight variable 'Q' is not endogenous")),
+    # A blame checks the weights against every situation, also when the
+    # action holds in none of them and no situation searches.
+    ("blame weight for a variable that is not endogenous, no situation searching", {},
+     ("blame", "-m", model_arg("firing_squad.cm"), "-s", model_arg("firing_squad.ce"), "--strategy", "weighted",
+      "--weights", "Q=1", "-q", "blame action M1<-0 of D=1 over state firing_uniform"),
+     ("unknown variable", 1, 1, "weight variable 'Q' is not endogenous")),
+    ("blame missing weights, no situation searching", {},
+     ("blame", "-m", model_arg("firing_squad.cm"), "-s", model_arg("firing_squad.ce"), "--strategy", "weighted",
+      "--weights", "M1=1", "-q", "blame action M1<-0 of D=1 over state firing_uniform"),
+     ("semantic", 1, 1, "missing weights for ['M2', 'M3', 'M4', 'M5', 'M6', 'M7', 'M8', 'M9', 'M10', 'D']")),
     ("negative variable cap", {},
      ("cause", "-m", model_arg("forest_fire.cm"), "--max-vars", "-1", "-q", f"cause L=1 of F=1 in {_FF_CTX}"),
      ("usage", None, None, "argument --max-vars: the variable cap must be 0 or more, not -1")),

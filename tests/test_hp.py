@@ -15,6 +15,7 @@ from causelab.hp import (
     CauseVerdict,
     EngineStats,
     Witness,
+    _first_members,
     _Search,
     check_ac2,
     find_all_causes,
@@ -586,8 +587,9 @@ class TestWeights:
             assert info.value.category == "semantic"
 
     def test_change_sets_follow_the_sorted_order(self):
-        # The lazy enumeration must equal sorting every change set by
-        # (measure, size, positions), ties in weight included.
+        # The count walk and the lazy weighted enumeration must equal sorting
+        # every change set by (measure, size, positions), ties in weight
+        # included.
         rng = random.Random(5)
         model = random_model(rng, max_endo=7, max_exo=1, min_endo=7, name="order")
         u = random_context(rng, model)
@@ -597,7 +599,8 @@ class TestWeights:
         search = _Search(ext_of(model), u, cause, atom(names[-1], world[names[-1]]), EngineStats())
         subsets = [c for r in range(len(search.others) + 1) for c in itertools.combinations(search.others, r)]
         counted = sorted((len(c), len(c), c) for c in subsets)
-        assert list(search._change_sets(None, search.others)) == [(m, c) for m, _, c in counted]
+        walked = [(k, c) for k in range(len(search.others) + 1) for c in _first_members(search.others, {}, k)]
+        assert walked == [(m, c) for m, _, c in counted]
         for _ in range(20):
             weights = {v: Fraction(rng.randint(1, 3), rng.choice([1, 2])) for v in names}
             keyed = sorted((sum((weights[names[i]] for i in c), Fraction(0)), len(c), c) for c in subsets)

@@ -786,25 +786,64 @@ def pairs_model(n: int) -> ExtendedModel:
 
 def test_many_classes_stop_at_the_first_change_count():
     # Twenty classes of two have 3**20 count vectors.  A search that ends at
-    # one change may ask only for the prefixes of at most one class member.
+    # one change may ask only for the first members' sets of one change.
     ext = pairs_model(20)
     context, cause, outcome = Context({"U": 0, "V": 1}), CandidateCause.of({"X": 1}), atom("O", 1)
     asked = []
-    prefixes = hp._prefixes
+    first_members = hp._first_members
 
-    def spy(classes, n):
-        asked.append((len(classes), n))
-        return prefixes(classes, n)
+    def spy(movable, before, k):
+        asked.append((len(before), k))
+        return first_members(movable, before, k)
 
     for options in ({}, {"first_witness": True}):
         shipped_stats, plain_stats = EngineStats(), EngineStats()
-        with mock.patch.object(hp, "_prefixes", spy):
+        with mock.patch.object(hp, "_first_members", spy):
             shipped = is_actual_cause(ext, context, cause, outcome, 100, shipped_stats, **options)
         with mock.patch.object(_Search, "_find_classes", no_classes):
             plain = is_actual_cause(ext, context, cause, outcome, 100, plain_stats, **options)
         assert shipped == plain and [dict(w.w_setting) for w in shipped.witnesses] == [{"S": 0}], options
         assert shipped_stats.solves <= plain_stats.solves, options
-    assert max(n for size, n in asked if size == 20) == 1
+    assert {k for classes, k in asked if classes == 20} == {1}
+
+
+def class_layouts(rng: random.Random):
+    """(movable, classes) pairs: increasing positions, and classes of two or
+    more of them, as increasing positions, laid out in adjacent runs,
+    interleaved, or not at all."""
+    for _ in range(30):
+        movable = sorted(rng.sample(range(14), rng.randint(0, 9)))
+        yield movable, []
+        runs, start = [], 0
+        while start < len(movable):
+            size = rng.randint(1, 4)
+            runs.append(movable[start:start + size])
+            start += size
+        yield movable, [run for run in runs if len(run) > 1]
+        shuffled = rng.sample(movable, len(movable))
+        interleaved = []
+        while len(shuffled) >= 2 and rng.random() < 0.8:
+            size = rng.randint(2, len(shuffled))
+            interleaved.append(sorted(shuffled[:size]))
+            del shuffled[:size]
+        yield movable, interleaved
+
+
+def test_first_members_take_each_class_as_a_prefix():
+    # For every k, the first members' change sets are the k-subsets of the
+    # movable positions, in lexicographic order, that take of each class
+    # its first members.
+    checked = 0
+    for movable, classes in class_layouts(random.Random("first-members")):
+        before = {b: a for cls in classes for a, b in zip(cls, cls[1:])}
+        for k in range(len(movable) + 1):
+            want = [
+                c for c in itertools.combinations(movable, k)
+                if all(cls[:len(set(cls) & set(c))] == [i for i in cls if i in c] for cls in classes)
+            ]
+            assert list(hp._first_members(movable, before, k)) == want, (movable, classes, k)
+            checked += bool(classes) and 0 < k < len(movable)
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -966,3 +1005,101 @@ def test_equivalent_bodies_random_families(family):
         check_equivalent_bodies(*case)
         checked += 1
     assert checked >= 36
+
+
+# -- Intervention relation ----------------------------------------------------
+# A blame situation's post-action model (`CausalModel.intervene`) shares its
+# parent's solve order and reader lists and starts a fold memo of its own.
+# Queries on it give the same verdicts, witnesses, scores, NESS sets and
+# `stats` as on a model built afresh from the intervened equations, each
+# action variable's body a `Lit`.  The parent answers the same queries first,
+# as in a batch, so that a memo it shared would be full.
+
+
+def rebuilt(model: CausalModel, action: dict[str, int]) -> CausalModel:
+    equations = [Equation(v, Lit(action[v])) if v in action else eq for v, eq in model.equations.items()]
+    return CausalModel(model.signature, equations, name=model.name)
+
+
+def situation_answers(ext, context, outcome_var, weights) -> list:
+    """For each event of the solved world outside the outcome, as a cause of
+    the outcome's solved value: the `cause` answer with its failures and
+    witness worlds, the responsibility scores and, on models of at most six
+    endogenous variables, the NESS set, each with its `stats`.  (A NESS
+    search over firing_squad's eleven takes about 0.1 s.)"""
+    world = ext.model.solve(context)
+    outcome = atom(outcome_var, world[outcome_var])
+    strategies = (ScoringStrategy(), ScoringStrategy("ways"), ScoringStrategy.weighted(weights))
+    out = []
+    for v in ext.model.signature.endogenous_names:
+        if v == outcome_var:
+            continue
+        cause = CandidateCause.of({v: world[v]})
+        calls = [
+            lambda stats: is_actual_cause(ext, context, cause, outcome, MAX_VARS, stats, record_failures=True),
+            *(lambda stats, s=s: degree_of_responsibility(ext, context, cause, outcome, s, MAX_VARS, stats)
+              for s in strategies),
+        ]
+        if len(world) <= 6:
+            calls.append(lambda stats: is_ness_cause(ext.model, context, PrimitiveEvent(v, world[v]), outcome, stats))
+        for call in calls:
+            stats = EngineStats()
+            answer = call(stats)
+            worlds = [w.world for w in getattr(answer, "witnesses", ())]
+            out.append((v, answer, worlds, dataclasses.asdict(stats)))
+    return out
+
+
+def check_intervened(situations, action: dict[str, int], outcome_var: str, weights) -> None:
+    """The relation on each (extended model, context) of `situations`; one
+    post-action model per model, as `degree_of_blame` builds it."""
+    for ext, context in situations:
+        situation_answers(ext, context, outcome_var, weights)
+    posts = {}
+    for ext, context in situations:
+        if id(ext.model) not in posts:
+            posts[id(ext.model)] = (
+                ExtendedModel(ext.model.intervene(action), ext.order),
+                ExtendedModel(rebuilt(ext.model, action), ext.order),
+            )
+        post, fresh = posts[id(ext.model)]
+        assert situation_answers(post, context, outcome_var, weights) == (
+            situation_answers(fresh, context, outcome_var, weights)), (ext.model.name, action, context)
+
+
+def state_situations(corpus, name: str) -> list:
+    models = corpus["models"]
+    exts = {}
+    for decl in corpus["states"][name].situations:
+        if decl.model_name not in exts:
+            exts[decl.model_name] = ExtendedModel(*models[decl.model_name])
+    return [(exts[decl.model_name], Context(dict(decl.context))) for decl in corpus["states"][name].situations]
+
+
+# Firing_uniform's first three situations: the action's rifle live, and two
+# others; its seven more differ from the last two only by the live rifle.
+@pytest.mark.parametrize("state, outcome_var, action_var, count", [
+    ("firing_uniform", "D", "M1", 3),
+    ("suzy_prior_permissive", "BS", "ST", 4),
+    ("suzy_prior_restrictive", "BS", "ST", 4),
+])
+def test_intervened_blame_states(corpus, state, outcome_var, action_var, count):
+    situations = state_situations(corpus, state)[:count]
+    model = situations[0][0].model
+    weights = random_weights(random.Random(f"intervened:{state}"), model)
+    for value in model.signature.ranges[action_var]:
+        check_intervened(situations, {action_var: value}, outcome_var, weights)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_intervened_random_families(family):
+    rng = random.Random(f"intervened:{family}")
+    for i in range(4):
+        model, order = FAMILIES[family](rng, f"{family}{i}")
+        ext = ExtendedModel(model, order)
+        endo = model.signature.endogenous_names
+        outcome_var = endo[-1] if family != "dangling" else next(v for v in endo if v.startswith("X"))
+        targets = rng.sample([v for v in endo if v != outcome_var], 1 + i % 2)
+        action = {v: rng.choice(model.signature.ranges[v]) for v in targets}
+        situations = [(ext, random_context(rng, model)) for _ in range(2)]
+        check_intervened(situations, action, outcome_var, random_weights(rng, model))
