@@ -3,7 +3,9 @@
 For each seed in `SEEDS`, `golden/seed-<seed>.json` maps the id of every
 entry of the benchmark's `normality`, `search` and `small` workloads (all
 corpus entries among them) to the first 16 hex digits of the SHA-256 of the
-entry's result and `stats`, as `cli.run_query` returns them.  Each `cause`
+entry's report outside `timing`: the printed query (`dsl.print_query`), the
+hash of each model the query used (`cli.model_hash`), the options, and the
+result and `stats` that `cli.run_query` returns.  Each `cause`
 entry is also run with `--failures`, under the id `<id> --failures`.  The
 `small` entries are built as the benchmark builds them, without its oracle
 references, which the digests do not need.
@@ -11,8 +13,8 @@ references, which the digests do not need.
     PYTHONPATH=src python tests/goldens.py           # check; exit 1 on a difference
     PYTHONPATH=src python tests/goldens.py --write   # rewrite; print the changed ids
 
-A change that alters answers or `stats` on purpose rewrites the files and
-names the changed ids.
+A change that alters answers, `stats` or the printed query or models on
+purpose rewrites the files and names the changed ids.
 """
 
 from __future__ import annotations
@@ -59,8 +61,14 @@ def _workload(workloads, name: str, seed: int):
 
 
 def _digest(query, loaded: cli.LoadedSet, options: cli.RunOptions) -> str:
-    result, stats, _used = cli.run_query(query, loaded, options)
-    payload = {"result": result, "stats": asdict(stats)}
+    result, stats, used = cli.run_query(query, loaded, options)
+    payload = {
+        "query": dsl.print_query(query),
+        "models": {name: cli.model_hash(*loaded.models[name]) for name in used if name in loaded.models},
+        "options": options.as_report_dict(),
+        "result": result,
+        "stats": asdict(stats),
+    }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
