@@ -55,8 +55,6 @@ from .formula import (
     NotF,
     OrF,
     PrimitiveEvent,
-    conj,
-    disj,
 )
 from .model import (
     Arith,
@@ -201,13 +199,14 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Expression / condition parsing (model equation bodies)
+# Expression / condition parsing (equation bodies and query formulas)
 # ---------------------------------------------------------------------------
 
 
-# The deepest expression tree an equation body may have.  Folding a body,
-# building its closures and calling them each recurse once per level, so the
-# bound keeps every such walk far inside Python's recursion limit.
+# The deepest expression tree an equation body or a query formula may have.
+# Folding a body, building its closures and calling them, and compiling and
+# printing a formula, each recurse once per level, so the bound keeps every
+# such walk far inside Python's recursion limit.
 MAX_BODY_DEPTH = 100
 
 
@@ -217,7 +216,12 @@ class _ExprParser:
     Rejects a body whose tree is deeper than `MAX_BODY_DEPTH`, at the token
     of the first node that crosses the bound: an operator of a long chain,
     or a nested `min`, `max`, `if`, `!` or `(` while it is still descending.
+    The condition rules read their tokens, nodes and leaf from the class, so
+    `_EventParser` parses a query's event formula with them.
     """
+
+    OR, AND, NOT = "||", "&&", Not
+    bool_op = BoolOp  # (op, left, right) -> node
 
     def __init__(self, parser: _Parser):
         self.p = parser
@@ -290,10 +294,10 @@ class _ExprParser:
         p.expected("an expression")
 
     def parse_cond(self) -> Cond:
-        return self.chain(self.parse_cond_and, ("||",), BoolOp)
+        return self.chain(self.parse_cond_and, (self.OR,), self.bool_op)
 
     def parse_cond_and(self) -> Cond:
-        return self.chain(self.parse_cond_not, ("&&",), BoolOp)
+        return self.chain(self.parse_cond_not, (self.AND,), self.bool_op)
 
     def parse_cond_not(self) -> Cond:
         p = self.p
@@ -303,13 +307,17 @@ class _ExprParser:
             self.descend(at)
             inner = self.parse_cond_not()
             self.nesting -= 1
-            return self.node(at, Not(inner), inner)
+            return self.node(at, self.NOT(inner), inner)
         if tok == "(":
             self.descend(at)
             node = self.parse_cond()
             p.expect(")")
             self.nesting -= 1
             return node
+        return self.parse_leaf()
+
+    def parse_leaf(self) -> Cond:  # a comparison
+        p = self.p
         left = self.parse_expr()
         at = p.pos
         op = p.toks[at]
@@ -318,6 +326,17 @@ class _ExprParser:
         p.pos += 1
         right = self.parse_expr()
         return self.node(at, Cmp(op, left, right), left, right)
+
+
+class _EventParser(_ExprParser):
+    """A query's event formula, by the condition rules: `|`, `&` and `!`
+    build `OrF`, `AndF` and `NotF`, and a leaf is a primitive event."""
+
+    OR, AND, NOT = "|", "&", NotF
+    bool_op = staticmethod(lambda op, left, right: (OrF if op == "|" else AndF)(left, right))
+
+    def parse_leaf(self) -> EventFormula:
+        return Atom(_parse_primitive(self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +528,6 @@ def _parse_primitive(p: _Parser) -> PrimitiveEvent:
     return PrimitiveEvent(name, p.expect_int())
 
 
-def _parse_event_formula(p: _Parser) -> EventFormula:
-    # n-ary chains fold rightward: a & b & c parses as a & (b & c)
-    def parse_or() -> EventFormula:
-        return disj(*p.sep_by(parse_and, "|"))
-
-    def parse_and() -> EventFormula:
-        return conj(*p.sep_by(parse_not, "&"))
-
-    def parse_not() -> EventFormula:
-        tok = p.toks[p.pos]
-        if tok == "!":
-            p.pos += 1
-            return NotF(parse_not())
-        if tok == "(":
-            p.pos += 1
-            node = parse_or()
-            p.expect(")")
-            return node
-        return Atom(_parse_primitive(p))
-
-    return parse_or()
-
-
 def _parse_assign(p: _Parser, sep: str) -> tuple[int, int]:
     at = p.pos
     p.expect_ident("a variable name")
@@ -592,7 +588,7 @@ def _parse_causal_formula(p: _Parser) -> CausalFormula:
         p.pos += 1
         prefix = _values(_parse_assigns(p, "<-", "prefix"))
         p.expect("]")
-    matrix = _parse_event_formula(p)
+    matrix = _EventParser(p).parse_cond()
     return CausalFormula(Intervention(prefix), matrix)
 
 
@@ -610,21 +606,21 @@ def parse_query(text: str, origin: str = "<query>") -> Query:
     elif kind == "cause" or kind == "resp":
         cause = _parse_conj(p)
         p.expect("of")
-        outcome = _parse_event_formula(p)
+        outcome = _EventParser(p).parse_cond()
         p.expect("in")
         query = (CauseQuery if kind == "cause" else RespQuery)(cause, outcome, _parse_ctx(p))
     elif kind == "blame":
         p.expect("action")
         action = tuple(_values(_parse_assigns(p, "<-", "action")).items())
         p.expect("of")
-        outcome = _parse_event_formula(p)
+        outcome = _EventParser(p).parse_cond()
         p.expect("over")
         p.expect("state")
         query = BlameQuery(action, outcome, p.expect_ident("a state name"))
     else:
         event = _parse_primitive(p)
         p.expect("of")
-        outcome = _parse_event_formula(p)
+        outcome = _EventParser(p).parse_cond()
         p.expect("in")
         query = NessQuery(event, outcome, _parse_ctx(p))
     if p.toks[p.pos]:
@@ -794,23 +790,22 @@ def print_model(model: CausalModel, order: NormalityOrder | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_event_formula(node: EventFormula, parent: str | None = None) -> str:
+def _render_event_formula(node: EventFormula) -> str:
+    """An `|` under an `&` is wrapped, and so is a right operand of its own
+    kind: the parser's left folds and `conj`/`disj`'s right folds read back."""
     if isinstance(node, Atom):
         return f"{node.event.variable}={node.event.value}"
     if isinstance(node, NotF):
-        inner = _render_event_formula(node.child, "!")
+        inner = _render_event_formula(node.child)
         return f"!({inner})" if isinstance(node.child, (AndF, OrF)) else f"!{inner}"
-    if isinstance(node, AndF):
-        parts = []
-        for child in (node.left, node.right):
-            text = _render_event_formula(child, "&")
-            if isinstance(child, OrF):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
-    if isinstance(node, OrF):
-        text = f"{_render_event_formula(node.left, '|')} | {_render_event_formula(node.right, '|')}"
-        return f"({text})" if parent == "&" else text
+    if isinstance(node, (AndF, OrF)):
+        under_and = isinstance(node, AndF)
+        left, right = _render_event_formula(node.left), _render_event_formula(node.right)
+        if under_and and isinstance(node.left, OrF):
+            left = f"({left})"
+        if under_and and isinstance(node.right, OrF) or isinstance(node.right, type(node)):
+            right = f"({right})"
+        return f"{left} {'&' if under_and else '|'} {right}"
     raise ValueError(f"unknown formula node {node!r}")
 
 

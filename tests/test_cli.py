@@ -553,6 +553,17 @@ DIAGNOSTIC_TABLE = [
     ("equation body summing 1,500 terms", {"m.cm": _ONE_X % " + ".join(["U"] * 1500)},
      ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 3, 424, "expression nested deeper than 100 levels")),
+    # A query formula has the same bound: at the '&' that makes a chain 101
+    # levels deep, or at the 100th nested '!' or '('.
+    ("query outcome of 3,000 '&' terms", {},
+     ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause L=1 of {' & '.join(['F=1'] * 3000)} in {_FF_CTX}"),
+     ("syntax", 1, 612, "expression nested deeper than 100 levels")),
+    ("eval formula under 150 '!'", {},
+     ("eval", "-m", model_arg("forest_fire.cm"), "-q", f"eval {'!' * 150}F=1 in {_FF_CTX}"),
+     ("syntax", 1, 105, "expression nested deeper than 100 levels")),
+    ("ness outcome inside 150 '('", {},
+     ("ness", "-m", model_arg("forest_fire.cm"), "-q", f"ness L=1 of {'(' * 150}F=1{')' * 150} in {_FF_CTX}"),
+     ("syntax", 1, 112, "expression nested deeper than 100 levels")),
     ("zero denominator",
      {"s.ce": "state s {\n  situation model=forest_fire ctx(U1=1,U2=1,U3=1) prob=1/0;\n}\n"},
      ("blame", "-m", model_arg("forest_fire.cm"), "-s", "@s.ce", "-q", "blame action L<-1 of F=1 over state s"),
@@ -701,6 +712,12 @@ class TestDiagnosticsTable:
         [diag] = payload["diagnostics"]
         assert (diag["category"], diag["line"], diag["col"], diag["message"]) == expected
         assert code == want_code
+
+    @pytest.mark.parametrize("formula", ["!" * 99 + "F=1", " & ".join(["F=1"] * 100)])
+    def test_a_formula_100_levels_deep_still_answers(self, formula):
+        code, [report] = run_json("eval", "-m", model_arg("forest_fire.cm"), "-q", f"eval {formula} in {_FF_CTX}")
+        assert code == EXIT_OK
+        assert report["result"] == {"kind": "eval", "holds": formula.startswith("F")}
 
     def test_every_category_is_covered(self):
         assert {row[-1][0] for row in DIAGNOSTIC_TABLE} == {

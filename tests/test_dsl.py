@@ -29,7 +29,7 @@ from causelab.dsl import (
     print_query,
     print_states,
 )
-from causelab.formula import AndF, Atom, CausalFormula, NotF, OrF
+from causelab.formula import AndF, Atom, CausalFormula, NotF, OrF, atom, conj, disj
 from causelab.model import Assignment, CausalModel, Cond, Equation, Expr, Intervention, Lit, ModelError, Signature, Var
 from causelab.normality import NormalityOrder
 from randmodels import (
@@ -517,6 +517,70 @@ class TestParseQuery:
     def test_duplicate_conjunct_rejected(self):
         with pytest.raises(DslError):
             parse_query("cause L=1 & L=0 of F=1 in ctx(U1=1)")
+
+    def test_chains_fold_leftward(self):
+        a, b, c = atom("A", 1), atom("B", 1), atom("C", 1)
+        assert _matrix("eval A=1 & B=1 & C=1 in ctx()") == AndF(AndF(a, b), c)
+        assert _matrix("eval A=1 | B=1 | C=1 in ctx()") == OrF(OrF(a, b), c)
+
+
+def _matrix(text: str):
+    return parse_query(text).formula.matrix
+
+
+def _printed(formula) -> str:
+    return print_query(EvalQuery(CausalFormula(Intervention({}), formula), ()))
+
+
+def _doubled_parentheses(text: str) -> bool:
+    """Whether a pair of parentheses directly encloses another pair, as in
+    `((F=1 | L=1)) & ML=1`.  A `((` alone may be needed: `A=1 & ((B=1 |
+    C=1) & D=1)` is a right-nested `&` whose left operand is an `|`."""
+    opened, pairs = [], {}
+    for i, char in enumerate(text):
+        if char == "(":
+            opened.append(i)
+        elif char == ")":
+            pairs[opened.pop()] = i
+    return any(pairs.get(start + 1) == end - 1 for start, end in pairs.items())
+
+
+# Event formulas as the parser builds them, from texts with explicit
+# parentheses, and as trees built directly, by `conj`/`disj` among others.
+_FORMULA_TEXTS = st.recursive(
+    st.sampled_from(["A=0", "A=1", "B=1", "C=2"]),
+    lambda inner: st.one_of(
+        inner.map(lambda text: f"!{text}"),
+        inner.map(lambda text: f"({text})"),
+        st.tuples(inner, st.sampled_from([" & ", " | "]), inner).map("".join),
+    ),
+    max_leaves=12,
+)
+_FORMULA_TREES = st.recursive(
+    st.builds(atom, st.sampled_from("ABC"), st.integers(0, 2)),
+    lambda inner: st.one_of(
+        st.builds(NotF, inner),
+        st.builds(AndF, inner, inner),
+        st.builds(OrF, inner, inner),
+        st.lists(inner, min_size=2, max_size=4).map(lambda parts: conj(*parts)),
+        st.lists(inner, min_size=2, max_size=4).map(lambda parts: disj(*parts)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(formula=st.one_of(_FORMULA_TEXTS.map(lambda text: _matrix(f"eval {text} in ctx()")), _FORMULA_TREES))
+def test_event_formulas_round_trip_without_doubled_parentheses(formula):
+    text = _printed(formula)
+    assert _matrix(text) == formula
+    assert _printed(_matrix(text)) == text
+    assert not _doubled_parentheses(text)
+
+
+def test_an_or_under_an_and_is_wrapped_once():
+    text = "eval (F=1 | L=1) & ML=1 in ctx()"
+    assert print_query(parse_query(text)) == text
 
 
 class TestParseStates:
