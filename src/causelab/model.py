@@ -13,6 +13,7 @@ All values here are immutable after construction; every operation is pure.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from bisect import bisect_left
@@ -736,31 +737,30 @@ class CausalModel:
     def _toposort(self) -> tuple[tuple[str, ...], dict[str, list[str]]]:
         """Topological order of endogenous variables, declaration order as
         tie-break; and for each one, the endogenous variables whose equations
-        mention it, in declaration order."""
+        mention it, in declaration order.  Kahn's algorithm: a heap keyed by
+        declaration index gives the first-declared variable whose inputs are
+        all placed."""
         names = self.signature.endogenous_names
-        deps = {
-            v: [r for r in sorted(self.equations[v].references()) if r in self.signature.endogenous_index]
-            for v in names
-        }
+        index = self.signature.endogenous_index
+        deps = {v: [r for r in sorted(self.equations[v].references()) if r in index] for v in names}
         readers: dict[str, list[str]] = {v: [] for v in names}
         for v in names:
             for d in deps[v]:
                 readers[d].append(v)
+        unplaced = {v: len(deps[v]) for v in names}  # -> its inputs not yet placed
+        ready = [i for i, v in enumerate(names) if not deps[v]]  # sorted, so a heap
         order: list[str] = []
-        placed: set[str] = set()
-        remaining = list(names)
-        while remaining:
-            progressed = False
-            for v in list(remaining):
-                if all(d in placed for d in deps[v]):
-                    order.append(v)
-                    placed.add(v)
-                    remaining.remove(v)
-                    progressed = True
-                    break
-            if not progressed:
-                cycle = self._find_cycle(deps, remaining)
-                raise CycleError(f"cyclic equations: {' -> '.join(cycle)}", tuple(cycle))
+        while ready:
+            v = names[heapq.heappop(ready)]
+            order.append(v)
+            del unplaced[v]
+            for r in readers[v]:
+                unplaced[r] -= 1
+                if not unplaced[r]:
+                    heapq.heappush(ready, index[r])
+        if unplaced:
+            cycle = self._find_cycle(deps, list(unplaced))
+            raise CycleError(f"cyclic equations: {' -> '.join(cycle)}", tuple(cycle))
         return tuple(order), readers
 
     @staticmethod

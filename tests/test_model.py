@@ -164,6 +164,35 @@ class TestEnumerateContexts:
         assert model.solve(contexts[0])["X"] == 1
 
 
+def _rescan_order(model: CausalModel) -> tuple[str, ...]:
+    """The topological order by rescanning: at each step, the first-declared
+    variable whose inputs are all placed."""
+    names = model.signature.endogenous_names
+    inputs = {v: model.equations[v].references() & set(names) for v in names}
+    order, placed, remaining = [], set(), list(names)
+    while remaining:
+        v = next(v for v in remaining if inputs[v] <= placed)
+        order.append(v)
+        placed.add(v)
+        remaining.remove(v)
+    return tuple(order)
+
+
+def _dag_model(rng: random.Random, n: int) -> CausalModel:
+    """`n` variables, each reading up to three before it in a hidden order,
+    declared in another random order."""
+    hidden = [f"X{i}" for i in range(n)]
+    rng.shuffle(hidden)
+    equations = []
+    for k, v in enumerate(hidden):
+        body: Expr = Var("U")
+        for name in rng.sample(hidden[:k], min(k, rng.randint(0, 3))):
+            body = MinMax("max", body, Var(name))
+        equations.append(Equation(v, body))
+    declared = rng.sample(hidden, n)
+    return CausalModel(Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in declared)), equations)
+
+
 class TestValidation:
     def test_cycle_detected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
@@ -178,6 +207,20 @@ class TestValidation:
             CausalModel(sig, [Equation("X", Var("X"))])
         assert exc_info.value.cycle == ("X", "X")
         assert exc_info.value.variable == "X"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_topological_order_is_the_rescan_order_on_random_dags(self, seed):
+        rng = random.Random(seed)
+        model = _dag_model(rng, rng.randint(1, 30))
+        assert model._topo_order == _rescan_order(model)
+
+    def test_topological_order_of_a_reversed_chain(self):
+        # X1 = X2, ..., X500 = U: the rescan places the last-declared first.
+        n = 500
+        names = [f"X{i}" for i in range(1, n + 1)]
+        sig = Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in names))
+        model = CausalModel(sig, [Equation(v, Var(r)) for v, r in zip(names, names[1:] + ["U"])])
+        assert model._topo_order == _rescan_order(model) == tuple(reversed(names))
 
     def test_non_total_equation_rejected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
