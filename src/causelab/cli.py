@@ -519,8 +519,13 @@ def _options_from_args(args) -> RunOptions:
     )
 
 
-def _hashes_for(loaded: LoadedSet, used: list[str]) -> dict[str, str]:
-    return {name: model_hash(*loaded.models[name]) for name in used if name in loaded.models}
+def _hashes_for(loaded: LoadedSet, used: list[str], memo: dict[str, str]) -> dict[str, str]:
+    """The hash of each loaded model in `used`; `memo` keeps each one made,
+    so a model is hashed once per invocation."""
+    for name in used:
+        if name in loaded.models and name not in memo:
+            memo[name] = model_hash(*loaded.models[name])
+    return {name: memo[name] for name in used if name in memo}
 
 
 def main(argv=None, out=None) -> int:
@@ -540,7 +545,7 @@ def main(argv=None, out=None) -> int:
             world = model.solve(Context(assigns))
             wall = (time.perf_counter() - start) * 1000.0
             result = {"kind": "solve", "world": world.as_dict()}
-            hashes = _hashes_for(loaded, [model.name])
+            hashes = _hashes_for(loaded, [model.name], {})
             report = _report(f"solve {dsl.print_context(assigns)}", result, EngineStats(), hashes, options, wall)
             _emit(report, args.pretty, out)
             return EXIT_OK
@@ -553,6 +558,7 @@ def main(argv=None, out=None) -> int:
         return _emit_diagnostics(diags, args.pretty, out)
 
     exit_code = EXIT_OK
+    memo: dict[str, str] = {}
     for query in queries:
         try:
             if query.kind != args.command:
@@ -560,7 +566,7 @@ def main(argv=None, out=None) -> int:
             start = time.perf_counter()
             result, stats, used = run_query(query, loaded, options)
             wall = (time.perf_counter() - start) * 1000.0
-            report = _report(dsl.print_query(query), result, stats, _hashes_for(loaded, used), options, wall)
+            report = _report(dsl.print_query(query), result, stats, _hashes_for(loaded, used, memo), options, wall)
             _emit(report, args.pretty, out)
         except DslError as exc:
             exit_code = max(exit_code, _emit_diagnostics(exc.diagnostics, args.pretty, out))

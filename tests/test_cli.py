@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from causelab import cli, dsl
 from causelab.cli import (
     EXIT_CAP,
     EXIT_DIAGNOSTICS,
@@ -21,7 +22,7 @@ from causelab.cli import (
     main,
     run_query,
 )
-from causelab.dsl import Diagnostic, parse_query
+from causelab.dsl import Diagnostic, parse_model_file, parse_query
 from causelab.formula import CausalFormula, EngineStats
 from causelab.hp import CapExceededError
 from causelab.model import (
@@ -132,6 +133,23 @@ class TestQueries:
         assert code == EXIT_OK and len(reports) == 2
         assert reports[0]["result"]["verdict"] is True
         assert reports[1]["result"]["failed_condition"] == "AC1"
+
+    def test_query_file_hashes_each_model_once(self, tmp_path, monkeypatch):
+        want = {"forest_fire": cli.model_hash(*parse_model_file(CORPUS / "forest_fire.cm"))}
+        printed = []
+
+        def print_model(model, order=None):
+            printed.append(model.name)
+            return dsl.print_model(model, order)
+
+        monkeypatch.setattr(cli, "print_model", print_model)
+        qfile = tmp_path / "queries.cq"
+        qfile.write_text("".join(f"eval [ML<-{v}]F=1 in ctx(U1=1,U2=1,U3={u})\n" for v in (0, 1) for u in (0, 1, 2)))
+        code, reports = run_json("eval", "-m", model_arg("forest_fire.cm"), "-m", model_arg("suzy_billy.cm"),
+                                 "--model-name", "forest_fire", "-Q", str(qfile))
+        assert code == EXIT_OK and len(reports) == 6
+        assert printed == ["forest_fire"]
+        assert all(report["models"] == want for report in reports)
 
     def test_query_file_records_failures_on_each_line(self, tmp_path):
         # `--failures` applies to every query of a `-Q` batch: each line is
