@@ -539,13 +539,13 @@ def main(argv=None, out=None) -> int:
         loaded = _load_files(args.models, args.states)
         options = _options_from_args(args)
         if args.command == "solve":
-            model, _order = loaded.pick_model(options.model_name)
+            model, order = loaded.pick_model(options.model_name)
             assigns = dsl.parse_context(args.ctx)
             start = time.perf_counter()
             world = model.solve(Context(assigns))
             wall = (time.perf_counter() - start) * 1000.0
             result = {"kind": "solve", "world": world.as_dict()}
-            hashes = _hashes_for(loaded, [model.name], {})
+            hashes = {model.name: model_hash(model, order)}
             report = _report(f"solve {dsl.print_context(assigns)}", result, EngineStats(), hashes, options, wall)
             _emit(report, args.pretty, out)
             return EXIT_OK

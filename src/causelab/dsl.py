@@ -14,6 +14,10 @@ without a block has the flat order, and an empty block declares the order
 that relates each world to itself only, so `print_model` writes every order
 it is given, an empty one included.
 
+A query's event formula is parsed by the condition rules of equation bodies,
+with `|`, `&` and a primitive event `X=x` in place of `||`, `&&` and a
+comparison.  So both fold a chain leftward, and `MAX_BODY_DEPTH` bounds both.
+
 The parser checks only the grammar.  Every rule about what a model file
 declares (no duplicate, every reference declared, no cycle, total equations,
 pattern entries over endogenous variables and inside their ranges, no world
