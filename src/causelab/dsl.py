@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NoReturn, TypeVar
+from typing import NoReturn
 
 from .formula import (
     AndF,
@@ -83,8 +82,6 @@ from .model import (
 )
 from .normality import NormalityOrder, RankConflictError
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -116,18 +113,18 @@ class DslError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-# The token classes, integers, identifiers and punctuation, each with first
-# characters of its own.  They are ASCII: `[0-9]` rejects '²' and '٣', which
-# str.isdigit accepts, and `[A-Za-z_]` rejects 'é'.  Punctuation is listed
-# longest first, so '<=' is one token; a lone '>' is in no class.
-_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|<=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|]")
+# The token classes, identifiers, integers and punctuation, most frequent
+# first, each with first characters of its own.  They are ASCII: `[0-9]`
+# rejects '²' and '٣', which str.isdigit accepts, and `[A-Za-z_]` rejects 'é'.
+# Punctuation is longest first, so '<=' is one token; a lone '>' is in none.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<=|<-|==|!=|>=|&&|\|\||[{}()\[\],;:=<!+\-*/&|]")
 
 # The parser's reader: each token's text, after the blanks and comments
 # before it, then "" for the end of input.  The skip is greedy and the group
 # always matches, so nothing backtracks.  A character outside the classes
 # takes the rest of the input as its text, the last before the end.  The
 # start of a match's group is where its token stands in the text.
-_TEXTS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(" + _TOKEN_RE.pattern + r"|(?s:.+)|\Z)")
+_TEXTS_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(" + _TOKEN_RE.pattern + r"|(?s:.+)|\Z)")
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +167,10 @@ class _Parser:
         """A syntax error at token `at`, by default the next one."""
         raise self.error(self.pos if at is None else at, "syntax", message)
 
-    def expected(self, what: str) -> NoReturn:
-        self.fail(f"expected {what}, found {self.toks[self.pos] or 'end of input'!r}")
-
-    def sep_by(self, item: Callable[[], T], sep: str = ",") -> list[T]:
-        """`item (sep item)*`: one or more items, separated by `sep`."""
-        items = [item()]
-        while self.toks[self.pos] == sep:
-            self.pos += 1
-            items.append(item())
-        return items
+    def expected(self, what: str, at: int | None = None) -> NoReturn:
+        """A syntax error at token `at`, by default the next one, which is not `what`."""
+        at = self.pos if at is None else at
+        self.fail(f"expected {what}, found {self.toks[at] or 'end of input'!r}", at)
 
     def expect(self, text: str) -> None:
         """Step past `text`, a keyword or punctuation."""
@@ -213,18 +204,27 @@ class _Parser:
 # such walk far inside Python's recursion limit.
 MAX_BODY_DEPTH = 100
 
+# Arithmetic precedence, for the parser and the printer: higher binds tighter.
+_PREC = {"+": 1, "-": 1, "*": 2}
+
 
 class _ExprParser:
     """Equation-body grammar; records each variable reference's token index.
 
+    Binary operators are parsed by precedence climbing (Pratt, POPL 1973;
+    Norvell, 1999): one loop per sort over its precedence table, `_PREC` for
+    `+ - *` in `parse_expr` and the class's `CONDS` in `parse_cond`, so an
+    operand costs one call, not one per precedence level.
+
     Rejects a body whose tree is deeper than `MAX_BODY_DEPTH`, at the token
     of the first node that crosses the bound: an operator of a long chain,
     or a nested `min`, `max`, `if`, `!` or `(` while it is still descending.
-    The condition rules read their tokens, nodes and leaf from the class, so
+    The condition rules read their table, nodes and leaf from the class, so
     `_EventParser` parses a query's event formula with them.
     """
 
-    OR, AND, NOT = "||", "&&", Not
+    CONDS = {"||": 1, "&&": 2}  # precedence; a higher one binds tighter
+    NOT = Not
     bool_op = BoolOp  # (op, left, right) -> node
 
     def __init__(self, parser: _Parser):
@@ -235,7 +235,13 @@ class _ExprParser:
 
     def node(self, at: int, node: Expr | Cond, *children: Expr | Cond) -> Expr | Cond:
         """`node`, built at token `at` over `children`, once its depth is checked."""
-        depth = 1 + max(self.depths.get(id(child), 1) for child in children)
+        get = self.depths.get
+        depth = 1
+        for child in children:
+            below = get(id(child), 1)
+            if below > depth:
+                depth = below
+        depth += 1
         if depth > MAX_BODY_DEPTH:
             self.p.fail(f"expression nested deeper than {MAX_BODY_DEPTH} levels", at)
         self.depths[id(node)] = depth
@@ -249,22 +255,22 @@ class _ExprParser:
         if self.nesting >= MAX_BODY_DEPTH:
             self.p.fail(f"expression nested deeper than {MAX_BODY_DEPTH} levels", at)
 
-    def chain(self, operand: Callable[[], Expr | Cond], ops: tuple[str, ...], make) -> Expr | Cond:
-        """`operand (op operand)*` for any `op` of `ops`, folded leftward."""
+    def parse_expr(self, least: int = 1, node: Expr | None = None) -> Expr:
+        """`factor (op factor)*` over the operators of precedence `least` or
+        more, after `node` if given: a chain folds leftward, and an operator's
+        right operand takes in each later operator that binds tighter."""
         p = self.p
-        node = operand()
-        while (op := p.toks[p.pos]) in ops:
+        toks = p.toks
+        if node is None:
+            node = self.parse_factor()
+        while (prec := _PREC.get(op := toks[p.pos], 0)) >= least:
             at = p.pos
-            p.pos += 1
-            right = operand()
-            node = self.node(at, make(op, node, right), node, right)
+            p.pos = at + 1
+            right = self.parse_factor()
+            while _PREC.get(toks[p.pos], 0) > prec:
+                right = self.parse_expr(prec + 1, right)
+            node = self.node(at, Arith(op, node, right), node, right)
         return node
-
-    def parse_expr(self) -> Expr:
-        return self.chain(self.parse_term, ("+", "-"), Arith)
-
-    def parse_term(self) -> Expr:
-        return self.chain(self.parse_factor, ("*",), Arith)
 
     def parse_factor(self) -> Expr:
         p = self.p
@@ -297,11 +303,21 @@ class _ExprParser:
             return Var(tok)
         p.expected("an expression")
 
-    def parse_cond(self) -> Cond:
-        return self.chain(self.parse_cond_and, (self.OR,), self.bool_op)
-
-    def parse_cond_and(self) -> Cond:
-        return self.chain(self.parse_cond_not, (self.AND,), self.bool_op)
+    def parse_cond(self, least: int = 1, node: Cond | None = None) -> Cond:
+        """`parse_expr`'s loop over `CONDS`, with `parse_cond_not` operands."""
+        p = self.p
+        toks = p.toks
+        table = self.CONDS
+        if node is None:
+            node = self.parse_cond_not()
+        while (prec := table.get(op := toks[p.pos], 0)) >= least:
+            at = p.pos
+            p.pos = at + 1
+            right = self.parse_cond_not()
+            while table.get(toks[p.pos], 0) > prec:
+                right = self.parse_cond(prec + 1, right)
+            node = self.node(at, self.bool_op(op, node, right), node, right)
+        return node
 
     def parse_cond_not(self) -> Cond:
         p = self.p
@@ -336,7 +352,8 @@ class _EventParser(_ExprParser):
     """A query's event formula, by the condition rules: `|`, `&` and `!`
     build `OrF`, `AndF` and `NotF`, and a leaf is a primitive event."""
 
-    OR, AND, NOT = "|", "&", NotF
+    CONDS = {"|": 1, "&": 2}
+    NOT = NotF
     bool_op = staticmethod(lambda op, left, right: (OrF if op == "|" else AndF)(left, right))
 
     def parse_leaf(self) -> EventFormula:
@@ -368,7 +385,10 @@ class _RawModel:
 
 def _parse_range(p: _Parser) -> tuple[int, ...]:
     p.expect("{")
-    values = p.sep_by(p.expect_int)
+    values = [p.expect_int()]
+    while p.toks[p.pos] == ",":
+        p.pos += 1
+        values.append(p.expect_int())
     p.expect("}")
     return tuple(sorted(set(values)))
 
@@ -532,19 +552,32 @@ def _parse_primitive(p: _Parser) -> PrimitiveEvent:
     return PrimitiveEvent(name, p.expect_int())
 
 
-def _parse_assign(p: _Parser, sep: str) -> tuple[int, int]:
+def _assign_items(p: _Parser, sep: str, delim: str = ",") -> list[tuple[int, str, int]]:
+    """`name sep int (delim name sep int)*`, read in one loop over the token
+    texts: each item's name index, name and value, in order."""
+    toks = p.toks
     at = p.pos
-    p.expect_ident("a variable name")
-    p.expect(sep)
-    return at, p.expect_int()
+    items = []
+    while True:
+        name = toks[at]
+        if not name.isidentifier():  # every text is ASCII here
+            p.expected("a variable name", at)
+        if toks[at + 1] != sep:
+            p.expected(repr(sep), at + 1)
+        if not (value := toks[at + 2]).isdigit():
+            p.expected("an integer", at + 2)
+        items.append((at, name, int(value)))
+        if toks[at + 3] != delim:
+            p.pos = at + 3
+            return items
+        at += 4
 
 
 def _parse_assigns(p: _Parser, sep: str, what: str) -> _Assigns:
     """Comma-separated assignments, in order; a repeated variable is
-    reported there as `what` assigning it twice."""
+    reported there as `what` assigning it twice, once the list is read."""
     assigns: _Assigns = {}
-    for at, value in p.sep_by(lambda: _parse_assign(p, sep)):
-        name = p.toks[at]
+    for at, name, value in _assign_items(p, sep):
         if name in assigns:
             p.fail(f"{what} assigns {name!r} twice", at)
         assigns[name] = (at, value)
@@ -578,12 +611,12 @@ def parse_context(text: str, origin: str = "<context>") -> tuple[tuple[str, int]
 
 
 def _parse_conj(p: _Parser) -> tuple[tuple[str, int], ...]:
-    events = p.sep_by(lambda: (p.pos, _parse_primitive(p)), "&")
+    events = _assign_items(p, "=", "&")
     seen: dict[str, int] = {}
-    for at, ev in events:
-        if seen.setdefault(ev.variable, ev.value) != ev.value:
-            p.fail(f"conjunction assigns {ev.variable!r} twice", at)
-    return tuple((ev.variable, ev.value) for _, ev in events)
+    for at, name, value in events:
+        if seen.setdefault(name, value) != value:
+            p.fail(f"conjunction assigns {name!r} twice", at)
+    return tuple((name, value) for _, name, value in events)
 
 
 def _parse_causal_formula(p: _Parser) -> CausalFormula:
@@ -714,9 +747,6 @@ def parse_state_file(path) -> list[StateDecl]:
 # ---------------------------------------------------------------------------
 # Printers (canonical form; round-trips through the parsers)
 # ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2}
-
 
 def _render_expr(node: Expr) -> str:
     if isinstance(node, Lit):

@@ -20,7 +20,6 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 
 
@@ -370,30 +369,8 @@ def _split(parts: Iterable[list[str]], key: Callable[[str], object]) -> list[lis
 
 def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int]:
     """An interval `(lo, hi)` holding every value `expr` takes when each
-    variable ranges over its (sorted) range in `ranges`.
-
-    Interval arithmetic (Cousot & Cousot, POPL 1977): `+`, `-` and `*`
-    combine end points, `min` and `max` apply end-wise, and an `If` takes the
-    hull of its branches without reading its condition.  Sound, not exact.
-    """
-    if isinstance(expr, Lit):
-        return expr.value, expr.value
-    if isinstance(expr, Var):
-        values = ranges[expr.name]
-        return values[0], values[-1]
-    if isinstance(expr, If):
-        (a, b), (c, d) = _bounds(expr.then, ranges), _bounds(expr.other, ranges)
-        return min(a, c), max(b, d)
-    (a, b), (c, d) = _bounds(expr.left, ranges), _bounds(expr.right, ranges)
-    if isinstance(expr, MinMax):
-        pick = _BINARY[expr.op]
-        return pick(a, c), pick(b, d)
-    if expr.op == "+":
-        return a + c, b + d
-    if expr.op == "-":
-        return a - d, b - c
-    products = (a * c, a * d, b * c, b * d)
-    return min(products), max(products)
+    variable ranges over its (sorted) range in `ranges` (`_bounded`)."""
+    return _bounded(expr, dict.fromkeys(ranges, 0), ranges)[2:]
 
 
 def _covers(values: tuple[int, ...], lo: int, hi: int) -> bool:
@@ -463,17 +440,60 @@ def _closure(node: Expr | Cond, positions: Mapping[str, int]):
     raise ModelError(f"unknown expression node {node!r}")
 
 
+def _bounded(
+    node: Expr, positions: Mapping[str, int], ranges: Mapping[str, tuple[int, ...]]
+) -> tuple[str, object, int, int]:
+    """How a parent reads the expression `node` (`_operand`), and an interval
+    holding every value it takes when each variable ranges over its (sorted)
+    range in `ranges`, from one walk.
+
+    Interval arithmetic (Cousot & Cousot, POPL 1977): `+`, `-` and `*`
+    combine end points, `min` and `max` apply end-wise, and an `If` takes the
+    hull of its branches without reading its condition.  Sound, not exact.
+    """
+    cls = node.__class__
+    if cls is Var:
+        values = ranges[node.name]
+        return "v", positions[node.name], values[0], values[-1]
+    if cls is Lit:
+        return "#", node.value, node.value, node.value
+    if cls is If:
+        tk, then, a, b = _bounded(node.then, positions, ranges)
+        ok, other, c, d = _bounded(node.other, positions, ranges)
+        return "f", _IF_STEPS[tk, ok](_closure(node.cond, positions), then, other), min(a, c), max(b, d)
+    if cls is not Arith and cls is not MinMax:
+        if isinstance(node, Cond):  # read as 0 or 1
+            return "f", _closure(node, positions), 0, 1
+        raise ModelError(f"unknown expression node {node!r}")
+    lk, left, a, b = _bounded(node.left, positions, ranges)
+    rk, right, c, d = _bounded(node.right, positions, ranges)
+    fn = _PAIR_STEPS[lk, rk](_BINARY[node.op], left, right)
+    if cls is MinMax:
+        pick = _BINARY[node.op]
+        return "f", fn, pick(a, c), pick(b, d)
+    if node.op == "+":
+        return "f", fn, a + c, b + d
+    if node.op == "-":
+        return "f", fn, a - d, b - c
+    products = (a * c, a * d, b * c, b * d)
+    return "f", fn, min(products), max(products)
+
+
+def _step(kind: str, value):
+    """The callable env -> value of an operand read as `kind` (`_operand`)."""
+    if kind == "v":
+        return itemgetter(value)
+    if kind == "#":
+        return lambda e: value
+    return value
+
+
 def compile_body(body: Expr, positions: Mapping[str, int]):
     """Build an expression tree into a callable env -> int, once: a closure
     per inner node, each reading its leaf operands in place.  The
     environment is a sequence, indexed by `positions[name]`.
     """
-    if isinstance(body, Lit):
-        value = body.value
-        return lambda e: value
-    if isinstance(body, Var):
-        return itemgetter(positions[body.name])
-    return _closure(body, positions)
+    return _step(*_operand(body, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -563,36 +583,23 @@ class Signature:
             seen.add(name)
             if not values:
                 raise RangeViolationError(f"variable {name!r} has an empty range")
-            if tuple(sorted(set(values))) != values:
+            if any(map(operator.ge, values, values[1:])):  # not strictly increasing
                 raise RangeViolationError(f"range of {name!r} must be sorted and duplicate-free")
-
-    @cached_property
-    def ranges(self) -> dict[str, tuple[int, ...]]:
-        out = dict(self.exogenous)
-        out.update(self.endogenous)
-        return out
-
-    @cached_property
-    def exogenous_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.exogenous)
-
-    @cached_property
-    def endogenous_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.endogenous)
-
-    @cached_property
-    def _exogenous_set(self) -> frozenset[str]:
-        return frozenset(self.exogenous_names)
-
-    @cached_property
-    def endogenous_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.endogenous_names)}
-
-    @cached_property
-    def positions(self) -> dict[str, int]:
-        """Index of each variable in a solving environment: exogenous
-        variables first, then endogenous ones, each in declaration order."""
-        return {name: i for i, name in enumerate(self.exogenous_names + self.endogenous_names)}
+        # Derived here, once, and not as cached properties: building a model
+        # reads most of them.  `positions` indexes each variable in a solving
+        # environment: exogenous variables first, then endogenous ones, each
+        # in declaration order.
+        exo = tuple(name for name, _ in self.exogenous)
+        endo = tuple(name for name, _ in self.endogenous)
+        ranges = dict(self.exogenous)
+        ranges.update(self.endogenous)
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "ranges", ranges)
+        derive(self, "exogenous_names", exo)
+        derive(self, "endogenous_names", endo)
+        derive(self, "_exogenous_set", frozenset(exo))
+        derive(self, "endogenous_index", {name: i for i, name in enumerate(endo)})
+        derive(self, "positions", {name: i for i, name in enumerate(exo + endo)})
 
     def is_endogenous(self, name: str) -> bool:
         return name in self.endogenous_index
@@ -706,35 +713,40 @@ class CausalModel:
             if missing:
                 raise ModelError(f"missing equation for {sorted(missing)}")
             raise ModelError(f"equation for non-endogenous variable {sorted(extra)}")
-        self._check_references()
-        self._topo_order, self._readers = self._toposort()
+        refs = {v: eq.body.references() for v, eq in self.equations.items()}  # one walk per body
+        self._check_references(refs)
+        self._topo_order, self._readers = self._toposort(refs)
         self._folds: dict[tuple[int, ...], dict[str, tuple[tuple, frozenset[str]]]] = {}  # see `folds`
         # One (environment position, compiled body) step per endogenous
         # variable, in solve order; bodies read the positional environment.
-        positions = signature.positions
-        self._steps = tuple(
-            (positions[v], compile_body(self.equations[v].body, positions)) for v in self._topo_order
-        )
-        self._check_totality()
+        # Each body's interval bounds come from the same walk.
+        positions, ranges = signature.positions, signature.ranges
+        steps, bounds = [], {}
+        for v in self._topo_order:
+            kind, fn, lo, hi = _bounded(self.equations[v].body, positions, ranges)
+            steps.append((positions[v], _step(kind, fn)))
+            bounds[v] = lo, hi
+        self._steps = tuple(steps)
+        self._check_totality(refs, bounds)
 
     # -- validation --------------------------------------------------------
+    # Each takes `refs`, the variables each endogenous variable's equation
+    # references.
 
-    def _check_references(self) -> None:
+    def _check_references(self, refs: Mapping[str, frozenset[str]]) -> None:
         # Every undeclared reference comes before any self-reference; within
         # a body, the first one written is reported.
-        refs = [(eq, eq.references()) for eq in self.equations.values()]
-        for eq, names in refs:
-            undeclared = names.difference(self.signature.ranges)
+        ranges = self.signature.ranges
+        for v, names in refs.items():
+            undeclared = names.difference(ranges)
             if undeclared:
-                ref = next(name for name in _names_in_order(eq.body) if name in undeclared)
-                raise UnknownVariableError(
-                    f"equation for {eq.target!r} references undeclared variable {ref!r}", ref
-                )
-        for eq, names in refs:
-            if eq.target in names:
-                raise CycleError(f"equation for {eq.target!r} references itself", (eq.target, eq.target))
+                ref = next(name for name in _names_in_order(self.equations[v].body) if name in undeclared)
+                raise UnknownVariableError(f"equation for {v!r} references undeclared variable {ref!r}", ref)
+        for v, names in refs.items():
+            if v in names:
+                raise CycleError(f"equation for {v!r} references itself", (v, v))
 
-    def _toposort(self) -> tuple[tuple[str, ...], dict[str, list[str]]]:
+    def _toposort(self, refs: Mapping[str, frozenset[str]]) -> tuple[tuple[str, ...], dict[str, list[str]]]:
         """Topological order of endogenous variables, declaration order as
         tie-break; and for each one, the endogenous variables whose equations
         mention it, in declaration order.  Kahn's algorithm: a heap keyed by
@@ -742,7 +754,7 @@ class CausalModel:
         all placed."""
         names = self.signature.endogenous_names
         index = self.signature.endogenous_index
-        deps = {v: [r for r in sorted(self.equations[v].references()) if r in index] for v in names}
+        deps = {v: [r for r in sorted(refs[v]) if r in index] for v in names}
         readers: dict[str, list[str]] = {v: [] for v in names}
         for v in names:
             for d in deps[v]:
@@ -759,44 +771,45 @@ class CausalModel:
                 if not unplaced[r]:
                     heapq.heappush(ready, index[r])
         if unplaced:
-            cycle = self._find_cycle(deps, list(unplaced))
+            cycle = self._find_cycle(deps, unplaced)
             raise CycleError(f"cyclic equations: {' -> '.join(cycle)}", tuple(cycle))
         return tuple(order), readers
 
     @staticmethod
-    def _find_cycle(deps: Mapping[str, list[str]], remaining: list[str]) -> list[str]:
-        start = remaining[0]
-        seen: list[str] = []
-        v = start
+    def _find_cycle(deps: Mapping[str, list[str]], unplaced: Mapping[str, object]) -> list[str]:
+        """A cycle among the `unplaced` variables, each of which has an
+        unplaced input: from the first one, follow each variable's first
+        unplaced input until a variable comes round again."""
+        seen: dict[str, int] = {}  # -> its index on the walk
+        v = next(iter(unplaced))
         while v not in seen:
-            seen.append(v)
-            v = next(d for d in deps[v] if d in remaining)
-        cycle = seen[seen.index(v):]
-        return cycle + [v]
+            seen[v] = len(seen)
+            v = next(d for d in deps[v] if d in unplaced)
+        return [*itertools.islice(seen, seen[v], None), v]
 
-    def _check_totality(self) -> None:
+    def _check_totality(self, refs: Mapping[str, frozenset[str]], bounds: Mapping[str, tuple[int, int]]) -> None:
         # A body that can step outside its target range is a construction
-        # error, never a runtime surprise.  A body whose interval bounds fit
-        # the range is total; any other is evaluated on the product of its
-        # referenced ranges, so a non-total one is reported at its first bad
-        # binding.
+        # error, never a runtime surprise.  A body whose interval `bounds`
+        # fit the range is total; any other is evaluated on the product of
+        # its referenced ranges, so a non-total one is reported at its first
+        # bad binding.
         ranges = self.signature.ranges
         positions = self.signature.positions
         compiled = {v: fn for v, (_, fn) in zip(self._topo_order, self._steps)}
         env = [0] * len(positions)
         for v, eq in self.equations.items():
             target_range = ranges[v]
-            if _covers(target_range, *_bounds(eq.body, ranges)):
+            if _covers(target_range, *bounds[v]):
                 continue
-            refs = sorted(eq.references())
-            slots = [positions[r] for r in refs]
+            names = sorted(refs[v])
+            slots = [positions[r] for r in names]
             fn = compiled[v]
-            for combo in itertools.product(*(ranges[r] for r in refs)):
+            for combo in itertools.product(*(ranges[r] for r in names)):
                 for slot, ref_value in zip(slots, combo):
                     env[slot] = ref_value
                 value = fn(env)
                 if value not in target_range:
-                    binding = ", ".join(f"{r}={c}" for r, c in zip(refs, combo))
+                    binding = ", ".join(f"{r}={c}" for r, c in zip(names, combo))
                     raise TotalityError(
                         f"equation for {v!r} yields {value} outside its range"
                         f" at {binding or 'the empty binding'}",

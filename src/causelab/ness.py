@@ -36,8 +36,9 @@ def is_ness_cause(
     world that contains the queried event; the set found is returned as an
     intervention, the queried event first.  The context, outcome and event
     are checked once, here; the sets come from the solved world, so
-    `valid_unchecked` decides each.  Every solve made, the actual world's
-    and those of each check, is counted in `stats`, or in a fresh
+    `valid_unchecked` decides each.  An event whose body reads no variable
+    is answered after the actual solve.  Every solve made, the actual
+    world's and those of each check, is counted in `stats`, or in a fresh
     `EngineStats` when none is given.
     """
     stats = stats if stats is not None else EngineStats()
@@ -49,6 +50,11 @@ def is_ness_cause(
     stats.solves += 1
     if world[sig.endogenous_index[event.variable]] != event.value:
         return None  # only actually occurring events qualify
+    if not model.equations[event.variable].body.references():
+        # A body that reads no variable is the event's value in every
+        # context, so pinning the event changes no check: each set is
+        # sufficient exactly when it is without the event.
+        return None
     others = [(v, x) for v, x in zip(sig.endogenous_names, world) if v != event.variable]
     matrix, variables = outcome.predicate(sig.endogenous_index), outcome.variables()
 

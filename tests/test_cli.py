@@ -571,11 +571,23 @@ DIAGNOSTIC_TABLE = [
     ("equation body summing 1,500 terms", {"m.cm": _ONE_X % " + ".join(["U"] * 1500)},
      ("cause", "-m", "@m.cm", *_CAUSE_X),
      ("syntax", 3, 424, "expression nested deeper than 100 levels")),
+    # Mixed chains cross it at the operator that makes the tree 101 levels
+    # deep: a '+' over products, or an '||' over conjunctions.
+    ("equation body of 3,000 terms mixing '+' and '*'", {"m.cm": _ONE_X % " + ".join(["U * U"] * 1500)},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 816, "expression nested deeper than 100 levels")),
+    ("equation body of 3,000 comparisons mixing '||' and '&&'",
+     {"m.cm": _ONE_X % f"if {' || '.join(['U == 1 && U == 0'] * 1500)} then 1 else 0"},
+     ("cause", "-m", "@m.cm", *_CAUSE_X),
+     ("syntax", 3, 1986, "expression nested deeper than 100 levels")),
     # A query formula has the same bound: at the '&' that makes a chain 101
     # levels deep, or at the 100th nested '!' or '('.
     ("query outcome of 3,000 '&' terms", {},
      ("cause", "-m", model_arg("forest_fire.cm"), "-q", f"cause L=1 of {' & '.join(['F=1'] * 3000)} in {_FF_CTX}"),
      ("syntax", 1, 612, "expression nested deeper than 100 levels")),
+    ("eval formula of 3,000 events mixing '|' and '&'", {},
+     ("eval", "-m", model_arg("forest_fire.cm"), "-q", f"eval {' | '.join(['F=1 & L=1'] * 1500)} in {_FF_CTX}"),
+     ("syntax", 1, 1192, "expression nested deeper than 100 levels")),
     ("eval formula under 150 '!'", {},
      ("eval", "-m", model_arg("forest_fire.cm"), "-q", f"eval {'!' * 150}F=1 in {_FF_CTX}"),
      ("syntax", 1, 105, "expression nested deeper than 100 levels")),

@@ -30,7 +30,22 @@ from causelab.dsl import (
     print_states,
 )
 from causelab.formula import AndF, Atom, CausalFormula, NotF, OrF, atom, conj, disj
-from causelab.model import Assignment, CausalModel, Cond, Equation, Expr, Intervention, Lit, ModelError, Signature, Var
+from causelab.model import (
+    Arith,
+    Assignment,
+    BoolOp,
+    CausalModel,
+    Cmp,
+    Cond,
+    Equation,
+    Expr,
+    If,
+    Intervention,
+    Lit,
+    ModelError,
+    Signature,
+    Var,
+)
 from causelab.normality import NormalityOrder
 from randmodels import (
     random_context,
@@ -526,6 +541,44 @@ class TestParseQuery:
 
 def _matrix(text: str):
     return parse_query(text).formula.matrix
+
+
+_U = Var("U")
+_UU = Arith("*", _U, _U)
+
+
+def _eq(name: str) -> Cmp:
+    return Cmp("==", Var(name), Lit(1))
+
+
+def _ev(name: str):
+    return atom(name, 1)
+
+
+# Mixed chains: each operator folds leftward with its own precedence, and
+# a tighter one binds its neighbours first.
+MIXED_CHAINS = [
+    ("body", "U + U * U - U", Arith("-", Arith("+", _U, _UU), _U)),
+    ("body", "U * U + U * U", Arith("+", _UU, _UU)),
+    ("body", "U - U * U * U + U", Arith("+", Arith("-", _U, Arith("*", _UU, _U)), _U)),
+    ("body", "if a == 1 || b == 1 && c == 1 || d == 1 then 1 else 0",
+     If(BoolOp("||", BoolOp("||", _eq("a"), BoolOp("&&", _eq("b"), _eq("c"))), _eq("d")), Lit(1), Lit(0))),
+    ("body", "if a == 1 && b == 1 || c == 1 && d == 1 then 1 else 0",
+     If(BoolOp("||", BoolOp("&&", _eq("a"), _eq("b")), BoolOp("&&", _eq("c"), _eq("d"))), Lit(1), Lit(0))),
+    ("query", "A=1 | B=1 & C=1 | D=1", OrF(OrF(_ev("A"), AndF(_ev("B"), _ev("C"))), _ev("D"))),
+    ("query", "A=1 & B=1 | C=1 & D=1", OrF(AndF(_ev("A"), _ev("B")), AndF(_ev("C"), _ev("D")))),
+    ("query", "A=1 | B=1 & C=1 & D=1", OrF(_ev("A"), AndF(AndF(_ev("B"), _ev("C")), _ev("D")))),
+]
+
+
+@pytest.mark.parametrize("where, text, tree", MIXED_CHAINS, ids=[row[1] for row in MIXED_CHAINS])
+def test_mixed_chains_parse_by_precedence(where, text, tree):
+    if where == "body":
+        p = _Parser(text, "<t>")
+        assert dsl._ExprParser(p).parse_expr() == tree
+        assert not p.toks[p.pos]
+    else:
+        assert _matrix(f"eval {text} in ctx()") == tree
 
 
 def _printed(formula) -> str:

@@ -193,6 +193,39 @@ def _dag_model(rng: random.Random, n: int) -> CausalModel:
     return CausalModel(Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in declared)), equations)
 
 
+def _cyclic_model_equations(rng: random.Random, n: int) -> tuple[Signature, list[Equation]]:
+    """`n` variables, each reading up to three others, never itself; the
+    first- and last-declared ones read each other, so there is a cycle."""
+    names = [f"X{i}" for i in range(n)]
+    rng.shuffle(names)
+    equations = []
+    for k, v in enumerate(names):
+        others = [r for r in names if r != v]
+        body: Expr = Var(names[-1 - k]) if k in (0, n - 1) else Var("U")
+        for name in rng.sample(others, min(len(others), rng.randint(0, 3))):
+            body = MinMax("max", body, Var(name))
+        equations.append(Equation(v, body))
+    return Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in names)), equations
+
+
+def _reference_cycle(names: tuple[str, ...], equations: list[Equation]) -> list[str]:
+    """The cycle a rescan leaves: place the first-declared variable whose
+    inputs are all placed until none is left, then from the first unplaced
+    variable follow each one's first unplaced input, by name, until a
+    variable comes round again."""
+    inputs = {eq.target: sorted(eq.references() & set(names)) for eq in equations}
+    placed, remaining = set(), list(names)
+    while ready := [v for v in remaining if set(inputs[v]) <= placed]:
+        placed.add(ready[0])
+        remaining.remove(ready[0])
+    seen = []
+    v = remaining[0]
+    while v not in seen:
+        seen.append(v)
+        v = next(d for d in inputs[v] if d in remaining)
+    return seen[seen.index(v):] + [v]
+
+
 class TestValidation:
     def test_cycle_detected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
@@ -221,6 +254,16 @@ class TestValidation:
         sig = Signature((("U", (0, 1)),), tuple((v, (0, 1)) for v in names))
         model = CausalModel(sig, [Equation(v, Var(r)) for v, r in zip(names, names[1:] + ["U"])])
         assert model._topo_order == _rescan_order(model) == tuple(reversed(names))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cycle_reported_is_the_rescan_walks_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        sig, equations = _cyclic_model_equations(rng, rng.randint(2, 30))
+        expected = _reference_cycle(sig.endogenous_names, equations)
+        with pytest.raises(CycleError) as exc_info:
+            CausalModel(sig, equations)
+        assert str(exc_info.value) == f"cyclic equations: {' -> '.join(expected)}"
+        assert exc_info.value.cycle == tuple(expected)
 
     def test_non_total_equation_rejected(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))

@@ -261,3 +261,59 @@ def test_shrinking_cut_matches_the_full_product(rng, family):
     model = cut_model(rng, family, "shrink")
     note(print_model(model, None))
     check_cut(rng, model)
+
+
+# -- An event whose body reads no variable ------------------------------------
+# Pinning it changes nothing in any context, so `is_ness_cause` answers None
+# after the actual solve.  The referee is the enumeration that runs without
+# that cut: every set of other actual events, smallest first.
+
+
+def enumerated_ness(model, context, event, outcome) -> Intervention | None:
+    sig = model.signature
+    world = model.solve_unchecked(sig.context_values(context), sig.pin_values(None))
+    if world[sig.endogenous_index[event.variable]] != event.value:
+        return None
+    others = [(v, x) for v, x in zip(sig.endogenous_names, world) if v != event.variable]
+    matrix, variables = outcome.predicate(sig.endogenous_index), outcome.variables()
+
+    def sufficient(events) -> bool:
+        return valid_unchecked(model, dict(events), matrix, variables, EngineStats())
+
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            with_event = ((event.variable, event.value), *combo)
+            if sufficient(with_event) and not sufficient(combo):
+                return Intervention(with_event)
+    return None
+
+
+@pytest.mark.parametrize("i", range(1, 11))
+def test_a_firing_squad_member_is_answered_after_the_actual_solve(corpus, i):
+    model, _ = corpus["models"]["firing_squad"]
+    query = parse_query(f"ness M{i}=1 of D=1 in ctx(UL={i})")
+    context = Context(dict(query.context))
+    stats = EngineStats()
+    got = is_ness_cause(model, context, query.event, query.outcome, stats)
+    assert stats.solves == 1
+    assert got is None and enumerated_ness(model, context, query.event, query.outcome) is None
+
+
+def test_events_whose_bodies_read_nothing_match_the_enumeration():
+    rng = random.Random(3217)
+    checked = 0
+    for i in range(400):
+        model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"k{i}")
+        constant = [v for v, eq in model.equations.items() if not eq.body.references()]
+        if not constant:
+            continue
+        context = random_context(rng, model)
+        world = model.solve(context)
+        outcome = random_event_formula(rng, model)
+        for v in constant:
+            event = PrimitiveEvent(v, world[v])
+            stats = EngineStats()
+            assert is_ness_cause(model, context, event, outcome, stats) == enumerated_ness(model, context, event, outcome)
+            assert stats.solves == 1
+            checked += 1
+    assert checked >= 100
