@@ -14,9 +14,12 @@ without a block has the flat order, and an empty block declares the order
 that relates each world to itself only, so `print_model` writes every order
 it is given, an empty one included.
 
-A query's event formula is parsed by the condition rules of equation bodies,
+Binary operators are parsed by precedence climbing, one loop per sort over
+its own precedence table: `+ - *` in expressions, `|| &&` in conditions.  A
+query's event formula is parsed by the condition rules of equation bodies,
 with `|`, `&` and a primitive event `X=x` in place of `||`, `&&` and a
 comparison.  So both fold a chain leftward, and `MAX_BODY_DEPTH` bounds both.
+Assignment lists and ranges are read in one loop over the token texts.
 
 The parser checks only the grammar.  Every rule about what a model file
 declares (no duplicate, every reference declared, no cycle, total equations,

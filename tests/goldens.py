@@ -24,13 +24,14 @@ query line of the corpus `.cq` files, models and queries drawn from
 `randmodels` at the seed, lists that assign a variable twice, and long and
 deep mixed `+ - *`, `|| &&` and `| &` chains on both sides of
 `dsl.MAX_BODY_DEPTH`.  A mutant is the document cut before one token, with
-one token deleted, or with one token replaced by one of `test_dsl`'s lexer
-pieces.  Each document but the chains gets `MUTANTS` of those, drawn by the
-seed (all of them when it has fewer): every mutant of every corpus document
-takes about 80 s to parse.  An outcome is the diagnostic (category,
-message, line and column), the printed model, states or query when parsing
-succeeds (its repr with the printer's message where the printer refuses
-it), or the type and message of any other exception.
+one token deleted, or with one token replaced by one of the lexer pieces
+(`randmodels.LEXER_PIECES`, `test_dsl`'s `_PIECES`).  Each document but the
+chains gets `MUTANTS` of those, drawn by the seed (all of them when it has
+fewer): every mutant of every corpus document takes about 80 s to parse.
+An outcome is the diagnostic (category, message, line and column), the
+printed model, states or query when parsing succeeds (its repr with the
+printer's message where the printer refuses it), or the type and message
+of any other exception.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from causelab import cli, dsl
 from causelab.formula import CausalFormula, PrimitiveEvent
 from causelab.model import Intervention
 from randmodels import (
+    LEXER_PIECES,
     random_block_model,
     random_context,
     random_doctors_model,
@@ -55,7 +57,6 @@ from randmodels import (
     random_model,
     random_pattern_order,
 )
-from test_dsl import _PIECES
 
 SEEDS = (1, 7919)
 MUTANTS = 96  # mutants digested per document and seed, chains and nests aside
@@ -246,7 +247,7 @@ def diagnostic_digests(seed: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for doc_id, kind, text in _documents(seed):
         spans = [m.span(1) for m in dsl._TEXTS_RE.finditer(text)][:-1]  # every token but the end
-        edits = [(at, edit) for at in range(len(spans)) for edit in range(2 + len(_PIECES))]
+        edits = [(at, edit) for at in range(len(spans)) for edit in range(2 + len(LEXER_PIECES))]
         if doc_id.startswith(("chain/", "nest/")):
             edits = []
         elif len(edits) > MUTANTS:
@@ -255,7 +256,7 @@ def diagnostic_digests(seed: int) -> dict[str, str]:
         for at, edit in edits:
             start, end = spans[at]
             # cut before the token, delete it, or replace it by a piece
-            tail = "" if edit == 0 else text[end:] if edit == 1 else _PIECES[edit - 2] + text[end:]
+            tail = "" if edit == 0 else text[end:] if edit == 1 else LEXER_PIECES[edit - 2] + text[end:]
             outcomes.append([at, edit, _outcome(kind, text[:start] + tail)])
         if doc_id in out:
             raise ValueError(f"document id {doc_id!r} occurs twice")

@@ -31,6 +31,15 @@ from causelab.model import (
 )
 from causelab.normality import NormalityOrder
 
+# Lexable pieces of source text: every token class, blanks and comments.
+# The lexer's property test joins them into sources; the diagnostic goldens
+# put each in place of a token.
+LEXER_PIECES = [
+    "x", "Ab_1", "_", "model", "42", "0", "<=", "<-", "==", "!=", ">=", "&&", "||",
+    "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<", "!", "+", "-", "*", "/", "&", "|",
+    " ", "  ", "\t", "\r", "\n", "# note é > ²\n", "#\n",
+]
+
 
 def _clamp(expr: Expr, lo: int, hi: int) -> Expr:
     return MinMax("min", MinMax("max", expr, Lit(lo)), Lit(hi))

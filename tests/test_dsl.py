@@ -48,6 +48,7 @@ from causelab.model import (
 )
 from causelab.normality import NormalityOrder
 from randmodels import (
+    LEXER_PIECES,
     random_context,
     random_doctors_model,
     random_event_formula,
@@ -652,11 +653,7 @@ class TestParseStates:
 
 # Lexer faithfulness: sources built from lexable pieces, so every run of
 # characters that is not whitespace or a comment is some token's text.
-_PIECES = [
-    "x", "Ab_1", "_", "model", "42", "0", "<=", "<-", "==", "!=", ">=", "&&", "||",
-    "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", "<", "!", "+", "-", "*", "/", "&", "|",
-    " ", "  ", "\t", "\r", "\n", "# note é > ²\n", "#\n",
-]
+_PIECES = LEXER_PIECES
 _SOURCES = st.builds(
     lambda pieces, tail: "".join(pieces) + tail,
     st.lists(st.sampled_from(_PIECES), max_size=40),
