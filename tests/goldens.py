@@ -203,9 +203,10 @@ _REPEATS = [
 ]
 
 
-def _documents(seed: int) -> list[tuple[str, str, str]]:
-    """Each document's id, kind and text at `seed`: the chains and nests
-    last."""
+def fixed_documents() -> list[tuple[str, str, str]]:
+    """The id, kind and text of each document drawn at no seed: every
+    corpus `.cm` and `.ce` file and every query line of the `.cq` files,
+    then the lists that assign a variable twice."""
     docs = []
     for path in sorted(cli.corpus_dir().iterdir()):
         if path.suffix in (".cm", ".ce"):
@@ -214,7 +215,13 @@ def _documents(seed: int) -> list[tuple[str, str, str]]:
             for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
                 if line.strip() and not line.strip().startswith("#"):
                     docs.append((f"corpus/{path.name}:{lineno}", "q", line))
-    docs += [(f"repeat/{k}", kind, text) for k, (kind, text) in enumerate(_REPEATS)]
+    return docs + [(f"repeat/{k}", kind, text) for k, (kind, text) in enumerate(_REPEATS)]
+
+
+def _documents(seed: int) -> list[tuple[str, str, str]]:
+    """Each document's id, kind and text at `seed`: the fixed ones first,
+    the chains and nests last."""
+    docs = fixed_documents()
     rng = random.Random(f"diagnostics:{seed}")
     for k in range(4):
         model = random_model(rng, max_endo=4, allow_ternary=True, name=f"r{k}")
@@ -240,24 +247,37 @@ def _documents(seed: int) -> list[tuple[str, str, str]]:
     return docs
 
 
+EDITS = 2 + len(LEXER_PIECES)  # the mutants of one token: a cut, a deletion, each piece
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """The span of each token of `text`, the end of input aside."""
+    return [m.span(1) for m in dsl._TEXTS_RE.finditer(text)][:-1]
+
+
+def mutant(text: str, span: tuple[int, int], edit: int) -> str:
+    """`text` cut before the token at `span` (`edit` 0), with it deleted
+    (1), or with it replaced by lexer piece `edit - 2`."""
+    start, end = span
+    tail = "" if edit == 0 else text[end:] if edit == 1 else LEXER_PIECES[edit - 2] + text[end:]
+    return text[:start] + tail
+
+
 def diagnostic_digests(seed: int) -> dict[str, str]:
     """Each document's digest at `seed`: its outcome as written, then each
     drawn mutant's edit and outcome.  Chains and nests, up to thousands of
     tokens each, are digested as written only."""
     out: dict[str, str] = {}
     for doc_id, kind, text in _documents(seed):
-        spans = [m.span(1) for m in dsl._TEXTS_RE.finditer(text)][:-1]  # every token but the end
-        edits = [(at, edit) for at in range(len(spans)) for edit in range(2 + len(LEXER_PIECES))]
+        spans = token_spans(text)
+        edits = [(at, edit) for at in range(len(spans)) for edit in range(EDITS)]
         if doc_id.startswith(("chain/", "nest/")):
             edits = []
         elif len(edits) > MUTANTS:
             edits = sorted(random.Random(f"{seed}:{doc_id}").sample(edits, MUTANTS))
         outcomes = [_outcome(kind, text)]
         for at, edit in edits:
-            start, end = spans[at]
-            # cut before the token, delete it, or replace it by a piece
-            tail = "" if edit == 0 else text[end:] if edit == 1 else LEXER_PIECES[edit - 2] + text[end:]
-            outcomes.append([at, edit, _outcome(kind, text[:start] + tail)])
+            outcomes.append([at, edit, _outcome(kind, mutant(text, spans[at], edit))])
         if doc_id in out:
             raise ValueError(f"document id {doc_id!r} occurs twice")
         out[doc_id] = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
