@@ -90,33 +90,21 @@ class Expr:
 
     __slots__ = ()
 
-    def references(self) -> frozenset[str]:
-        raise NotImplementedError
-
 
 class Cond:
     """Boolean-valued expression node (only legal under If or other Conds)."""
 
     __slots__ = ()
 
-    def references(self) -> frozenset[str]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Lit(Expr):
     value: int
 
-    def references(self) -> frozenset[str]:
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-
-    def references(self) -> frozenset[str]:
-        return frozenset((self.name,))
 
 
 @dataclass(frozen=True)
@@ -129,9 +117,6 @@ class Arith(Expr):
         if self.op not in _ARITH_OPS:
             raise ModelError(f"unknown arithmetic operator {self.op!r}")
 
-    def references(self) -> frozenset[str]:
-        return self.left.references() | self.right.references()
-
 
 @dataclass(frozen=True)
 class MinMax(Expr):
@@ -143,18 +128,12 @@ class MinMax(Expr):
         if self.op not in ("min", "max"):
             raise ModelError(f"unknown function {self.op!r}")
 
-    def references(self) -> frozenset[str]:
-        return self.left.references() | self.right.references()
-
 
 @dataclass(frozen=True)
 class If(Expr):
     cond: Cond
     then: Expr
     other: Expr
-
-    def references(self) -> frozenset[str]:
-        return self.cond.references() | self.then.references() | self.other.references()
 
 
 @dataclass(frozen=True)
@@ -167,9 +146,6 @@ class Cmp(Cond):
         if self.op not in _CMP_OPS:
             raise ModelError(f"unknown comparison operator {self.op!r}")
 
-    def references(self) -> frozenset[str]:
-        return self.left.references() | self.right.references()
-
 
 @dataclass(frozen=True)
 class BoolOp(Cond):
@@ -181,27 +157,10 @@ class BoolOp(Cond):
         if self.op not in _BOOL_OPS:
             raise ModelError(f"unknown boolean operator {self.op!r}")
 
-    def references(self) -> frozenset[str]:
-        return self.left.references() | self.right.references()
-
 
 @dataclass(frozen=True)
 class Not(Cond):
     inner: Cond
-
-    def references(self) -> frozenset[str]:
-        return self.inner.references()
-
-
-def _names_in_order(node: Expr | Cond) -> Iterator[str]:
-    """The variables a body reads, repeats included, in the order the
-    surface syntax writes them: each node declares its operands in that
-    order."""
-    if isinstance(node, Var):
-        yield node.name
-    for child in vars(node).values():
-        if isinstance(child, (Expr, Cond)):
-            yield from _names_in_order(child)
 
 
 _BINARY = {
@@ -367,12 +326,6 @@ def _split(parts: Iterable[list[str]], key: Callable[[str], object]) -> list[lis
     return out
 
 
-def _bounds(expr: Expr, ranges: Mapping[str, tuple[int, ...]]) -> tuple[int, int]:
-    """An interval `(lo, hi)` holding every value `expr` takes when each
-    variable ranges over its (sorted) range in `ranges` (`_bounded`)."""
-    return _bounded(expr, dict.fromkeys(ranges, 0), ranges)[2:]
-
-
 def _covers(values: tuple[int, ...], lo: int, hi: int) -> bool:
     """Whether the sorted, duplicate-free `values` hold every integer in
     `[lo, hi]`: ranges may have gaps, so matching end points is not enough."""
@@ -411,63 +364,52 @@ _IF_STEPS = {
 }
 
 
-def _operand(node: Expr | Cond, positions: Mapping[str, int]) -> tuple[str, object]:
-    """How a parent reads `node`: ("v", its position in `e`) for a variable,
-    ("#", its value) for a literal, ("f", its closure) for any other node."""
-    if isinstance(node, Var):
-        return "v", positions[node.name]
-    if isinstance(node, Lit):
-        return "#", node.value
-    return "f", _closure(node, positions)
-
-
-def _closure(node: Expr | Cond, positions: Mapping[str, int]):
-    """The closure env -> value of an inner node, reading each variable at
-    its position in the environment."""
-    if isinstance(node, If):
-        (tk, then), (ok, other) = _operand(node.then, positions), _operand(node.other, positions)
-        return _IF_STEPS[tk, ok](_closure(node.cond, positions), then, other)
-    if isinstance(node, BoolOp):
-        left, right = _closure(node.left, positions), _closure(node.right, positions)
-        if node.op == "&&":
-            return lambda e, l=left, r=right: l(e) and r(e)
-        return lambda e, l=left, r=right: l(e) or r(e)
-    if isinstance(node, Not):
-        return lambda e, c=_closure(node.inner, positions): not c(e)
-    if isinstance(node, (Arith, MinMax, Cmp)):
-        (lk, left), (rk, right) = _operand(node.left, positions), _operand(node.right, positions)
-        return _PAIR_STEPS[lk, rk](_BINARY[node.op], left, right)
-    raise ModelError(f"unknown expression node {node!r}")
-
-
 def _bounded(
-    node: Expr, positions: Mapping[str, int], ranges: Mapping[str, tuple[int, ...]]
+    node: Expr | Cond,
+    positions: Mapping[str, int],
+    ranges: Mapping[str, tuple[int, ...]],
+    read: Callable[[str], object],
 ) -> tuple[str, object, int, int]:
-    """How a parent reads the expression `node` (`_operand`), and an interval
-    holding every value it takes when each variable ranges over its (sorted)
-    range in `ranges`, from one walk.
+    """How a parent reads `node`: ("v", its position in `e`) for a variable,
+    ("#", its value) for a literal, ("f", its closure) for any other node;
+    and an interval holding every value it takes when each variable ranges
+    over its (sorted) range in `ranges`.  One walk, in the order the surface
+    syntax writes the operands (an `If`'s condition before its branches),
+    that also calls `read` with each variable it reads, repeats included.
 
     Interval arithmetic (Cousot & Cousot, POPL 1977): `+`, `-` and `*`
     combine end points, `min` and `max` apply end-wise, and an `If` takes the
-    hull of its branches without reading its condition.  Sound, not exact.
+    hull of its branches whatever its condition.  A condition is read as 0
+    or 1.  Sound, not exact.
     """
     cls = node.__class__
     if cls is Var:
-        values = ranges[node.name]
-        return "v", positions[node.name], values[0], values[-1]
+        name = node.name
+        read(name)
+        values = ranges[name]
+        return "v", positions[name], values[0], values[-1]
     if cls is Lit:
         return "#", node.value, node.value, node.value
     if cls is If:
-        tk, then, a, b = _bounded(node.then, positions, ranges)
-        ok, other, c, d = _bounded(node.other, positions, ranges)
-        return "f", _IF_STEPS[tk, ok](_closure(node.cond, positions), then, other), min(a, c), max(b, d)
-    if cls is not Arith and cls is not MinMax:
-        if isinstance(node, Cond):  # read as 0 or 1
-            return "f", _closure(node, positions), 0, 1
+        cond = _bounded(node.cond, positions, ranges, read)[1]
+        tk, then, a, b = _bounded(node.then, positions, ranges, read)
+        ok, other, c, d = _bounded(node.other, positions, ranges, read)
+        return "f", _IF_STEPS[tk, ok](cond, then, other), min(a, c), max(b, d)
+    if cls is Not:
+        return "f", lambda e, c=_bounded(node.inner, positions, ranges, read)[1]: not c(e), 0, 1
+    if cls is BoolOp:
+        left = _bounded(node.left, positions, ranges, read)[1]
+        right = _bounded(node.right, positions, ranges, read)[1]
+        if node.op == "&&":
+            return "f", lambda e, l=left, r=right: l(e) and r(e), 0, 1
+        return "f", lambda e, l=left, r=right: l(e) or r(e), 0, 1
+    if cls is not Arith and cls is not MinMax and cls is not Cmp:
         raise ModelError(f"unknown expression node {node!r}")
-    lk, left, a, b = _bounded(node.left, positions, ranges)
-    rk, right, c, d = _bounded(node.right, positions, ranges)
+    lk, left, a, b = _bounded(node.left, positions, ranges, read)
+    rk, right, c, d = _bounded(node.right, positions, ranges, read)
     fn = _PAIR_STEPS[lk, rk](_BINARY[node.op], left, right)
+    if cls is Cmp:
+        return "f", fn, 0, 1
     if cls is MinMax:
         pick = _BINARY[node.op]
         return "f", fn, pick(a, c), pick(b, d)
@@ -480,7 +422,7 @@ def _bounded(
 
 
 def _step(kind: str, value):
-    """The callable env -> value of an operand read as `kind` (`_operand`)."""
+    """The callable env -> value of an operand read as `kind` (`_bounded`)."""
     if kind == "v":
         return itemgetter(value)
     if kind == "#":
@@ -488,12 +430,26 @@ def _step(kind: str, value):
     return value
 
 
-def compile_body(body: Expr, positions: Mapping[str, int]):
-    """Build an expression tree into a callable env -> int, once: a closure
+def compile_body(
+    body: Expr, positions: Mapping[str, int], ranges: Mapping[str, tuple[int, ...]]
+) -> tuple[Callable[[list[int]], int], tuple[int, int], list[str]]:
+    """Build an expression tree, once, into a callable env -> int: a closure
     per inner node, each reading its leaf operands in place.  The
-    environment is a sequence, indexed by `positions[name]`.
+    environment is a sequence, indexed by `positions[name]`.  Also returns
+    an interval `(lo, hi)` holding every value the body takes when each
+    variable ranges over its (sorted) range in `ranges`, and the variables
+    the body reads, in the order they are written, repeats included: all
+    from one walk (`_bounded`).
+
+    Raises `UnknownVariableError` for the first variable written that
+    `ranges` or `positions` does not hold.
     """
-    return _step(*_operand(body, positions))
+    reads: list[str] = []
+    try:
+        kind, fn, lo, hi = _bounded(body, positions, ranges, reads.append)
+    except KeyError:  # the last variable read is not declared
+        raise UnknownVariableError(f"undeclared variable {reads[-1]!r}", reads[-1]) from None
+    return _step(kind, fn), (lo, hi), reads
 
 
 # ---------------------------------------------------------------------------
@@ -677,17 +633,19 @@ class Equation:
     target: str
     body: Expr
 
-    def references(self) -> frozenset[str]:
-        return self.body.references()
-
 
 class CausalModel:
-    """A recursive (acyclic) structural causal model over a finite signature."""
+    """A recursive (acyclic) structural causal model over a finite signature.
+
+    `references` maps each endogenous variable to the set of variables its
+    equation reads, as the walk that compiled the body found them.
+    """
 
     __slots__ = (
         "signature",
         "equations",
         "name",
+        "references",
         "_steps",
         "_topo_order",
         "_readers",
@@ -713,40 +671,31 @@ class CausalModel:
             if missing:
                 raise ModelError(f"missing equation for {sorted(missing)}")
             raise ModelError(f"equation for non-endogenous variable {sorted(extra)}")
-        refs = {v: eq.body.references() for v, eq in self.equations.items()}  # one walk per body
-        self._check_references(refs)
-        self._topo_order, self._readers = self._toposort(refs)
+        # One walk per body, in declaration order, compiles it, bounds it
+        # and lists what it reads; the first undeclared variable written in
+        # the first body that has one is reported.
+        positions, ranges = signature.positions, signature.ranges
+        compiled, bounds, self.references = {}, {}, {}
+        for v, eq in self.equations.items():
+            try:
+                compiled[v], bounds[v], reads = compile_body(eq.body, positions, ranges)
+            except UnknownVariableError as exc:
+                ref = exc.variable
+                raise UnknownVariableError(f"equation for {v!r} references undeclared variable {ref!r}", ref) from None
+            self.references[v] = frozenset(reads)
+        for v, names in self.references.items():
+            if v in names:
+                raise CycleError(f"equation for {v!r} references itself", (v, v))
+        self._topo_order, self._readers = self._toposort()
         self._folds: dict[tuple[int, ...], dict[str, tuple[tuple, frozenset[str]]]] = {}  # see `folds`
         # One (environment position, compiled body) step per endogenous
         # variable, in solve order; bodies read the positional environment.
-        # Each body's interval bounds come from the same walk.
-        positions, ranges = signature.positions, signature.ranges
-        steps, bounds = [], {}
-        for v in self._topo_order:
-            kind, fn, lo, hi = _bounded(self.equations[v].body, positions, ranges)
-            steps.append((positions[v], _step(kind, fn)))
-            bounds[v] = lo, hi
-        self._steps = tuple(steps)
-        self._check_totality(refs, bounds)
+        self._steps = tuple((positions[v], compiled[v]) for v in self._topo_order)
+        self._check_totality(compiled, bounds)
 
     # -- validation --------------------------------------------------------
-    # Each takes `refs`, the variables each endogenous variable's equation
-    # references.
 
-    def _check_references(self, refs: Mapping[str, frozenset[str]]) -> None:
-        # Every undeclared reference comes before any self-reference; within
-        # a body, the first one written is reported.
-        ranges = self.signature.ranges
-        for v, names in refs.items():
-            undeclared = names.difference(ranges)
-            if undeclared:
-                ref = next(name for name in _names_in_order(self.equations[v].body) if name in undeclared)
-                raise UnknownVariableError(f"equation for {v!r} references undeclared variable {ref!r}", ref)
-        for v, names in refs.items():
-            if v in names:
-                raise CycleError(f"equation for {v!r} references itself", (v, v))
-
-    def _toposort(self, refs: Mapping[str, frozenset[str]]) -> tuple[tuple[str, ...], dict[str, list[str]]]:
+    def _toposort(self) -> tuple[tuple[str, ...], dict[str, list[str]]]:
         """Topological order of endogenous variables, declaration order as
         tie-break; and for each one, the endogenous variables whose equations
         mention it, in declaration order.  Kahn's algorithm: a heap keyed by
@@ -754,7 +703,7 @@ class CausalModel:
         all placed."""
         names = self.signature.endogenous_names
         index = self.signature.endogenous_index
-        deps = {v: [r for r in sorted(refs[v]) if r in index] for v in names}
+        deps = {v: [r for r in sorted(self.references[v]) if r in index] for v in names}
         readers: dict[str, list[str]] = {v: [] for v in names}
         for v in names:
             for d in deps[v]:
@@ -787,7 +736,9 @@ class CausalModel:
             v = next(d for d in deps[v] if d in unplaced)
         return [*itertools.islice(seen, seen[v], None), v]
 
-    def _check_totality(self, refs: Mapping[str, frozenset[str]], bounds: Mapping[str, tuple[int, int]]) -> None:
+    def _check_totality(
+        self, compiled: Mapping[str, Callable[[list[int]], int]], bounds: Mapping[str, tuple[int, int]]
+    ) -> None:
         # A body that can step outside its target range is a construction
         # error, never a runtime surprise.  A body whose interval `bounds`
         # fit the range is total; any other is evaluated on the product of
@@ -795,13 +746,12 @@ class CausalModel:
         # bad binding.
         ranges = self.signature.ranges
         positions = self.signature.positions
-        compiled = {v: fn for v, (_, fn) in zip(self._topo_order, self._steps)}
         env = [0] * len(positions)
-        for v, eq in self.equations.items():
+        for v in self.equations:
             target_range = ranges[v]
             if _covers(target_range, *bounds[v]):
                 continue
-            names = sorted(refs[v])
+            names = sorted(self.references[v])
             slots = [positions[r] for r in names]
             fn = compiled[v]
             for combo in itertools.product(*(ranges[r] for r in names)):
@@ -955,12 +905,12 @@ class CausalModel:
             for v, eq in self.equations.items()
         }
         out.name = self.name
+        out.references = {**self.references, **dict.fromkeys(iv, frozenset())}  # constants read nothing
         out._topo_order = self._topo_order
-        out._readers = self._readers  # a superset: constants read nothing
+        out._readers = self._readers  # a superset
         out._folds = {}  # the bodies differ, so their folds do
         out._steps = tuple(
-            (pos, compile_body(Lit(iv[v]), self.signature.positions) if v in iv else fn)
-            for v, (pos, fn) in zip(self._topo_order, self._steps)
+            (pos, _step("#", iv[v]) if v in iv else fn) for v, (pos, fn) in zip(self._topo_order, self._steps)
         )
         return out
 

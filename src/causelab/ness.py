@@ -50,7 +50,7 @@ def is_ness_cause(
     stats.solves += 1
     if world[sig.endogenous_index[event.variable]] != event.value:
         return None  # only actually occurring events qualify
-    if not model.equations[event.variable].body.references():
+    if not model.references[event.variable]:
         # A body that reads no variable is the event's value in every
         # context, so pinning the event changes no check: each set is
         # sufficient exactly when it is without the event.

@@ -1,6 +1,7 @@
-"""A tree-walking evaluator of equation bodies, written apart from the
-engine's `compile_body`: the reference the tests check compiled bodies and
-solved worlds against."""
+"""A tree-walking evaluator of equation bodies and a lister of the
+variables they read, written apart from the engine's `compile_body`: the
+references the tests check compiled bodies, their reads and solved worlds
+against."""
 
 from causelab.model import BoolOp, If, Lit, Not, Var
 
@@ -34,3 +35,18 @@ def evaluate(node, env):
             return left and evaluate(node.right, env)
         return left or evaluate(node.right, env)
     return _OPS[node.op](evaluate(node.left, env), evaluate(node.right, env))
+
+
+def references(node):
+    """The variables the body or condition `node` reads, in the order the
+    surface syntax writes them (an `if`'s condition before its branches),
+    repeats included."""
+    if isinstance(node, Lit):
+        return []
+    if isinstance(node, Var):
+        return [node.name]
+    if isinstance(node, If):
+        return references(node.cond) + references(node.then) + references(node.other)
+    if isinstance(node, Not):
+        return references(node.inner)
+    return references(node.left) + references(node.right)

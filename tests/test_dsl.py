@@ -47,6 +47,7 @@ from causelab.model import (
     Var,
 )
 from causelab.normality import NormalityOrder
+from bodyeval import references
 from randmodels import (
     LEXER_PIECES,
     random_context,
@@ -104,6 +105,22 @@ class TestModelDiagnostics:
         assert diag.line == 3
         # points inside the offending token `Z`
         assert text.splitlines()[diag.line - 1][diag.col - 1] == "Z"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "if Z == 0 then W else Q",  # an `if` condition
+            "if Z < W then 1 else 0",  # a comparison's left operand
+            "if !(Z == 1) then W else 0",  # under `!`
+            "min(Z, W)",  # `min`'s first argument
+            "if Z == 1 && W == 1 then 1 else 0",  # the left side of `&&`
+        ],
+    )
+    def test_the_first_undeclared_variable_written_is_named(self, body):
+        text = f"model m {{\n  exogenous U : {{0,1}};\n  endogenous X : {{0,1}} = {body};\n}}"
+        diag = _single_diag(text)
+        assert (diag.category, diag.message) == ("unknown variable", "equation for 'X' references undeclared variable 'Z'")
+        assert (diag.line, diag.col) == (3, 26 + body.index("Z"))
 
     def test_cycle_named(self):
         text = (
@@ -262,7 +279,7 @@ def _inject(rng: random.Random, kind: str, exo, endo, pairs, ranks) -> tuple[str
         i = rng.randrange(len(endo))
         target, vs, body = endo[i]
         new = "ZZ" if kind == "undeclared" else target
-        refs = sorted(body.references())
+        refs = sorted(set(references(body)))
         # A body that reads nothing becomes the reference.
         endo[i] = (target, vs, _rename(body, rng.choice(refs), new) if refs else Var(new))
         return ("first", new, 0) if kind == "undeclared" else ("declaration", target, 0)

@@ -45,7 +45,7 @@ from causelab.model import (
     canonical,
 )
 from causelab.normality import ExtendedModel
-from bodyeval import evaluate
+from bodyeval import evaluate, references
 from randmodels import (
     random_context,
     random_dangling_model,
@@ -755,7 +755,7 @@ def run_equation_fold_soundness(n_models: int = 150, seed: int = 67) -> tuple[in
             result = folded(eq.body, u)
             live = isinstance(result, frozenset)
             counts[live] += 1
-            endo = sorted(r for r in eq.references() if r not in u)
+            endo = sorted(r for r in set(references(eq.body)) if r not in u)
             assert not live or result <= set(endo), (model.name, v, result)
             for combo in itertools.product(*(ranges[r] for r in endo)):
                 env = {**u, **dict(zip(endo, combo))}

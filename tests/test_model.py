@@ -28,11 +28,10 @@ from causelab.model import (
     UnknownVariableError,
     Var,
     World,
-    _bounds,
     _covers,
     compile_body,
 )
-from bodyeval import evaluate
+from bodyeval import evaluate, references
 from randmodels import (
     random_context,
     random_dangling_model,
@@ -168,7 +167,7 @@ def _rescan_order(model: CausalModel) -> tuple[str, ...]:
     """The topological order by rescanning: at each step, the first-declared
     variable whose inputs are all placed."""
     names = model.signature.endogenous_names
-    inputs = {v: model.equations[v].references() & set(names) for v in names}
+    inputs = {v: set(references(model.equations[v].body)) & set(names) for v in names}
     order, placed, remaining = [], set(), list(names)
     while remaining:
         v = next(v for v in remaining if inputs[v] <= placed)
@@ -213,7 +212,7 @@ def _reference_cycle(names: tuple[str, ...], equations: list[Equation]) -> list[
     inputs are all placed until none is left, then from the first unplaced
     variable follow each one's first unplaced input, by name, until a
     variable comes round again."""
-    inputs = {eq.target: sorted(eq.references() & set(names)) for eq in equations}
+    inputs = {eq.target: sorted(set(references(eq.body)) & set(names)) for eq in equations}
     placed, remaining = set(), list(names)
     while ready := [v for v in remaining if set(inputs[v]) <= placed]:
         placed.add(ready[0])
@@ -297,6 +296,11 @@ def _one_body(body, target_range, exo_range=(0, 1)):
     return CausalModel(sig, [Equation("X", body)])
 
 
+def _bounds(body, ranges):
+    """The interval `compile_body` bounds `body` by over `ranges`."""
+    return compile_body(body, dict.fromkeys(ranges, 0), ranges)[1]
+
+
 class TestTotalityPaths:
     """Interval bounds prove a body total without evaluating it; a body they
     do not prove is evaluated on every binding, as before."""
@@ -311,7 +315,7 @@ class TestTotalityPaths:
         assert _bounds(Arith("*", Arith("-", u, n), n), ranges) == (-25, 5)
         assert _bounds(MinMax("min", u, n), ranges) == (0, 2)
         assert _bounds(MinMax("max", u, n), ranges) == (1, 5)
-        # the condition is not read: the hull of both branches
+        # the condition does not narrow it: the hull of both branches
         assert _bounds(If(Cmp("==", u, Lit(0)), Lit(7), n), ranges) == (1, 7)
 
     def test_covers_is_interval_inside_range(self):
@@ -343,8 +347,11 @@ _DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadl
 
 
 def _assert_bounds_sound(body, ranges):
-    lo, hi = _bounds(body, ranges)
-    refs = sorted(body.references())
+    """The bounds `compile_body` gives hold every value of the body, and the
+    variables it lists are the body's, as written."""
+    _, (lo, hi), reads = compile_body(body, {name: i for i, name in enumerate(ranges)}, ranges)
+    assert reads == references(body)
+    refs = sorted(set(reads))
     for combo in itertools.product(*(ranges[r] for r in refs)):
         assert lo <= evaluate(body, dict(zip(refs, combo))) <= hi, combo
 
@@ -381,10 +388,11 @@ def test_bounds_hold_every_value_of_arbitrary_bodies(body):
 
 def _assert_compiled_as_evaluated(body, ranges, positions):
     """`compile_body` agrees with the tree walk on every binding of the
-    body's references.  Slots the body does not read hold None, so reading
-    a wrong slot fails."""
-    refs = sorted(body.references())
-    compiled = compile_body(body, positions)
+    body's references, and lists them as written.  Slots the body does not
+    read hold None, so reading a wrong slot fails."""
+    compiled, _, reads = compile_body(body, positions, ranges)
+    assert reads == references(body)
+    refs = sorted(set(reads))
     env = [None] * len(positions)
     for combo in itertools.product(*(ranges[r] for r in refs)):
         binding = dict(zip(refs, combo))
@@ -401,6 +409,22 @@ def test_compiled_bodies_of_generated_models_match_the_evaluator(family):
         sig = model.signature
         for eq in model.equations.values():
             _assert_compiled_as_evaluated(eq.body, sig.ranges, sig.positions)
+
+
+def test_model_references_are_what_each_body_reads(corpus):
+    """`CausalModel.references` on the corpus, the generated families and
+    models with some equations intervened on, which read nothing."""
+    rng = random.Random("references")
+    models = [model for model, _ in corpus["models"].values()]
+    models += [_FAMILIES[family](rng) for family in sorted(_FAMILIES) for _ in range(20)]
+    for model in list(models):
+        names = model.signature.endogenous_names
+        world = model.solve(next(model.enumerate_contexts()))
+        models.append(model.intervene({v: world[v] for v in rng.sample(names, rng.randint(1, len(names)))}))
+    for model in models:
+        expected = {v: frozenset(references(eq.body)) for v, eq in model.equations.items()}
+        assert model.references == expected, model.name
+    assert any(not refs for refs in model.references.values())
 
 
 @_DERANDOMIZED

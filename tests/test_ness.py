@@ -13,6 +13,7 @@ from causelab.hp import CandidateCause, is_actual_cause
 from causelab.model import CausalModel, Context, Intervention, ModelError, RangeViolationError, UnknownVariableError
 from causelab.ness import is_ness_cause
 from causelab.normality import ExtendedModel
+from bodyeval import references
 from randmodels import (
     random_context,
     random_event_formula,
@@ -304,7 +305,7 @@ def test_events_whose_bodies_read_nothing_match_the_enumeration():
     checked = 0
     for i in range(400):
         model = random_model(rng, max_endo=4, max_exo=2, allow_ternary=True, name=f"k{i}")
-        constant = [v for v, eq in model.equations.items() if not eq.body.references()]
+        constant = [v for v, eq in model.equations.items() if not references(eq.body)]
         if not constant:
             continue
         context = random_context(rng, model)
