@@ -751,7 +751,9 @@ def parse_state_file(path) -> list[StateDecl]:
 # Printers (canonical form; round-trips through the parsers)
 # ---------------------------------------------------------------------------
 
-def _render_expr(node: Expr) -> str:
+def _render_expr(node: Expr, tail: bool = False) -> str:
+    """`node` as the parser reads it back; `tail` says whether a `+ - *`
+    follows it."""
     if isinstance(node, Lit):
         if node.value < 0:
             raise ValueError("negative literals are not expressible in the surface syntax")
@@ -767,15 +769,17 @@ def _render_expr(node: Expr) -> str:
         )
     if isinstance(node, Arith):
         # The surface grammar has no expression parentheses, so only trees
-        # whose shape survives left-associative reparsing are printable.
+        # whose shape survives reparsing are printable: a right operand that
+        # binds tighter than its parent, and an `if` (whose `else` branch
+        # takes in every `+ - *` after it) only where none follows.
         left, right = node.left, node.right
-        if isinstance(right, (Arith, If)):
+        if isinstance(right, Arith) and _PREC[right.op] <= _PREC[node.op] or isinstance(right, If) and tail:
             raise ValueError("arithmetic right operand would reassociate; restructure the tree")
         if isinstance(left, Arith) and _PREC[left.op] < _PREC[node.op]:
             raise ValueError("arithmetic left operand would reassociate; restructure the tree")
         if isinstance(left, If):
             raise ValueError("conditional under arithmetic is not printable; restructure the tree")
-        return f"{_render_expr(left)} {node.op} {_render_expr(right)}"
+        return f"{_render_expr(left, True)} {node.op} {_render_expr(right, tail)}"
     raise ValueError(f"unknown expression node {node!r}")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -42,6 +43,7 @@ from causelab.model import (
     If,
     Intervention,
     Lit,
+    MinMax,
     ModelError,
     Signature,
     Var,
@@ -50,11 +52,15 @@ from causelab.normality import NormalityOrder
 from bodyeval import references
 from randmodels import (
     LEXER_PIECES,
+    random_block_model,
     random_context,
+    random_dangling_model,
     random_doctors_model,
     random_event_formula,
     random_model,
     random_pattern_order,
+    random_selector_model,
+    random_threshold_model,
 )
 
 GOOD_MODEL = """
@@ -119,8 +125,8 @@ class TestModelDiagnostics:
     def test_the_first_undeclared_variable_written_is_named(self, body):
         text = f"model m {{\n  exogenous U : {{0,1}};\n  endogenous X : {{0,1}} = {body};\n}}"
         diag = _single_diag(text)
-        assert (diag.category, diag.message) == ("unknown variable", "equation for 'X' references undeclared variable 'Z'")
-        assert (diag.line, diag.col) == (3, 26 + body.index("Z"))
+        assert (diag.category, diag.line, diag.col) == ("unknown variable", 3, 26 + body.index("Z"))
+        assert diag.message == "equation for 'X' references undeclared variable 'Z'"
 
     def test_cycle_named(self):
         text = (
@@ -432,6 +438,19 @@ _FAULT_MESSAGES = [
 ]
 
 
+# Bodies over U and V, printable or not: arithmetic on either side of
+# arithmetic and of an `if`.
+_TREES = st.recursive(
+    st.one_of(st.builds(Lit, st.integers(0, 3)), st.builds(Var, st.sampled_from(["U", "V"]))),
+    lambda sub: st.one_of(
+        st.builds(Arith, st.sampled_from(["+", "-", "*"]), sub, sub),
+        st.builds(MinMax, st.sampled_from(["min", "max"]), sub, sub),
+        st.builds(If, st.builds(Cmp, st.sampled_from(["==", "<"]), sub, sub), sub, sub),
+    ),
+    max_leaves=10,
+)
+
+
 class TestRoundTrip:
     def test_corpus_files_round_trip(self, corpus):
         for name, (model, order) in corpus["models"].items():
@@ -468,6 +487,66 @@ class TestRoundTrip:
             model2, _ = parse_model(printed)
             assert model2 == model
             assert print_model(model2) == printed
+
+    @pytest.mark.parametrize("last", ["U", "if U == 1 then U else 0"])
+    def test_mixed_chains_print_as_parsed(self, last):
+        # Every chain of up to four `+ - *`, its last factor a variable or
+        # an `if`, whose `else` branch takes in nothing after it.
+        for n in range(1, 5):
+            for ops in itertools.product("+-*", repeat=n):
+                body = "".join(f"U {op} " for op in ops) + last
+                for text in (body, f"if {body} == 1 then 1 else 0", f"min(max({body}, 0), 1)"):
+                    source = f"model c {{ exogenous U : {{0,1}}; endogenous X : {{0,1}} = min(max({text}, 0), 1); }}"
+                    model, _ = parse_model(source)
+                    printed = print_model(model)
+                    assert f"= min(max({text}, 0), 1);" in printed
+                    assert parse_model(printed) == (model, None)
+
+    def test_generated_families_round_trip(self):
+        rng = random.Random("families")
+        for i in range(40):
+            for model, order in [
+                (random_threshold_model(rng, name=f"t{i}"), None),
+                (random_selector_model(rng, name=f"s{i}"), None),
+                (random_dangling_model(rng, name=f"g{i}"), None),
+                random_doctors_model(rng, name=f"d{i}"),
+                random_block_model(rng, name=f"b{i}"),
+            ]:
+                printed = print_model(model, order)
+                model2, order2 = parse_model(printed)
+                assert model2 == model
+                assert print_model(model2, order2) == printed
+
+    @staticmethod
+    def _assert_printed_as_itself_or_not_at_all(body):
+        clamped = MinMax("min", MinMax("max", body, Lit(0)), Lit(1))
+        model = CausalModel(Signature((("U", (0, 1)), ("V", (0, 2))), (("X", (0, 1)),)), [Equation("X", clamped)])
+        try:
+            printed = print_model(model)
+        except ValueError as exc:
+            assert "restructure the tree" in str(exc)
+            return
+        assert parse_model(printed) == (model, None), printed
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(body=_TREES)
+    def test_a_tree_prints_as_itself_or_not_at_all(self, body):
+        self._assert_printed_as_itself_or_not_at_all(body)
+
+    def test_every_small_tree_prints_as_itself_or_not_at_all(self):
+        # Every tree of up to three `+ - *` or `if` nodes over U and 1.
+        trees = [[Var("U"), Lit(1)]]
+        cond = Cmp("==", Var("U"), Lit(0))
+        for n in range(1, 4):
+            trees.append([
+                node
+                for k in range(n)
+                for left, right in itertools.product(trees[k], trees[n - 1 - k])
+                for node in (*(Arith(op, left, right) for op in "+-*"), If(cond, left, right))
+            ])
+        for body in itertools.chain(*trees):
+            self._assert_printed_as_itself_or_not_at_all(body)
+        assert sum(map(len, trees)) == 5394
 
     def test_query_round_trip(self):
         texts = [
