@@ -274,6 +274,10 @@ class TestValidation:
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)),))
         with pytest.raises(UnknownVariableError):
             CausalModel(sig, [Equation("X", Var("Z"))])
+        # compile_body names the first one written, the condition's first
+        with pytest.raises(UnknownVariableError, match="^undeclared variable 'Z'$") as exc_info:
+            compile_body(If(Cmp("==", Var("Z"), Var("U")), Var("W"), Lit(0)), sig.positions, sig.ranges)
+        assert exc_info.value.variable == "Z"
 
     def test_equations_must_match_the_endogenous_variables(self):
         sig = Signature(exogenous=(("U", (0, 1)),), endogenous=(("X", (0, 1)), ("Y", (0, 1))))
@@ -417,14 +421,14 @@ def test_model_references_are_what_each_body_reads(corpus):
     rng = random.Random("references")
     models = [model for model, _ in corpus["models"].values()]
     models += [_FAMILIES[family](rng) for family in sorted(_FAMILIES) for _ in range(20)]
-    for model in list(models):
+    for model in models:
         names = model.signature.endogenous_names
         world = model.solve(next(model.enumerate_contexts()))
-        models.append(model.intervene({v: world[v] for v in rng.sample(names, rng.randint(1, len(names)))}))
-    for model in models:
-        expected = {v: frozenset(references(eq.body)) for v, eq in model.equations.items()}
-        assert model.references == expected, model.name
-    assert any(not refs for refs in model.references.values())
+        iv = {v: world[v] for v in rng.sample(names, rng.randint(1, len(names)))}
+        intervened = model.intervene(iv)
+        for m in (model, intervened):
+            assert m.references == {v: frozenset(references(eq.body)) for v, eq in m.equations.items()}, m.name
+        assert all(intervened.references[v] == frozenset() for v in iv)
 
 
 @_DERANDOMIZED
