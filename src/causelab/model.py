@@ -396,7 +396,8 @@ def _bounded(
         ok, other, c, d = _bounded(node.other, positions, ranges, read)
         return "f", _IF_STEPS[tk, ok](cond, then, other), min(a, c), max(b, d)
     if cls is Not:
-        return "f", lambda e, c=_bounded(node.inner, positions, ranges, read)[1]: not c(e), 0, 1
+        inner = _bounded(node.inner, positions, ranges, read)[1]
+        return "f", lambda e, c=inner: not c(e), 0, 1
     if cls is BoolOp:
         left = _bounded(node.left, positions, ranges, read)[1]
         right = _bounded(node.right, positions, ranges, read)[1]

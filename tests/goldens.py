@@ -27,7 +27,8 @@ deep mixed `+ - *`, `|| &&` and `| &` chains on both sides of
 one token deleted, or with one token replaced by one of the lexer pieces
 (`randmodels.LEXER_PIECES`, `test_dsl`'s `_PIECES`).  Each document but the
 chains gets `MUTANTS` of those, drawn by the seed (all of them when it has
-fewer): every mutant of every corpus document takes about 80 s to parse.
+fewer): every mutant of every corpus document takes over a minute to
+parse, so `diagnostic_sweep.py` makes them all, outside the test suite.
 An outcome is the diagnostic (category, message, line and column), the
 printed model, states or query when parsing succeeds (its repr with the
 printer's message where the printer refuses it), or the type and message
