@@ -38,7 +38,6 @@ from .hp import (
     find_all_causes,
     is_actual_cause,
     ways_fraction,
-    witness_world,
 )
 from .model import (
     Assignment,
@@ -101,5 +100,4 @@ __all__ = [
     "is_ness_cause",
     "valid",
     "ways_fraction",
-    "witness_world",
 ]

@@ -15,7 +15,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 
-from .model import CausalModel, Context, Intervention, World
+from .model import CausalModel, Context, Intervention
 
 # A formula compiled against a model's endogenous declaration order: it reads
 # a tuple of endogenous values, as `CausalModel.solve_unchecked` returns.
@@ -47,11 +47,9 @@ class EventFormula:
 
     __slots__ = ()
 
-    def satisfied_by(self, world: World) -> bool:
-        raise NotImplementedError
-
     def predicate(self, index: Mapping[str, int]) -> Predicate:
-        """`satisfied_by` over value tuples; `index` maps names to positions."""
+        """The formula's truth over value tuples, as `CausalModel.solve_unchecked`
+        returns them; `index` maps names to positions."""
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
@@ -69,9 +67,6 @@ class EventFormula:
 class Atom(EventFormula):
     event: PrimitiveEvent
 
-    def satisfied_by(self, world: World) -> bool:
-        return world[self.event.variable] == self.event.value
-
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         i, value = index[self.event.variable], self.event.value
         return lambda values: values[i] == value
@@ -83,9 +78,6 @@ class Atom(EventFormula):
 @dataclass(frozen=True)
 class NotF(EventFormula):
     child: EventFormula
-
-    def satisfied_by(self, world: World) -> bool:
-        return not self.child.satisfied_by(world)
 
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         child = self.child.predicate(index)
@@ -100,9 +92,6 @@ class AndF(EventFormula):
     left: EventFormula
     right: EventFormula
 
-    def satisfied_by(self, world: World) -> bool:
-        return self.left.satisfied_by(world) and self.right.satisfied_by(world)
-
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         left, right = self.left.predicate(index), self.right.predicate(index)
         return lambda values: left(values) and right(values)
@@ -115,9 +104,6 @@ class AndF(EventFormula):
 class OrF(EventFormula):
     left: EventFormula
     right: EventFormula
-
-    def satisfied_by(self, world: World) -> bool:
-        return self.left.satisfied_by(world) or self.right.satisfied_by(world)
 
     def predicate(self, index: Mapping[str, int]) -> Predicate:
         left, right = self.left.predicate(index), self.right.predicate(index)

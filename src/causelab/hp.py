@@ -192,38 +192,23 @@ class CandidateCause:
 
 
 class Witness:
-    """A contingency certifying AC2 for a candidate cause: the set W, its
-    setting, the cause's alternative setting x' and `changes`, the number of
-    W variables set off their actual values.
+    """A contingency the search found certifying AC2 for a candidate cause:
+    the set W, its setting, the cause's alternative setting x' and
+    `changes`, the number of W variables set off their actual values, with
+    `world`, the world the search solved for it.
 
-    `world` is the world the contingency determines, as the search solved
-    it; None on a hand-built witness (`witness_world` solves it then).  A
-    witness the search found is kept by position over the model's
-    signature: W in the order the search set it, the cause's variables, and
-    the solved world's values, which hold W's setting and x' since both are
-    pinned.  Its named fields are built when first read, and `settings`
-    formats plain dicts from the positions without building them.
-    Witnesses compare and hash by W, its setting, x' and `changes`, so a
-    found witness equals the hand-built witness with the same fields.
+    It is kept by position over the model's signature: W in the order the
+    search set it, the cause's variables, and the solved world's values,
+    which hold W's setting and x' since both are pinned.  Its named fields
+    are built when first read, and `settings` formats plain dicts from the
+    positions without building them.  Witnesses compare and hash by W, its
+    setting, x' and `changes`.
     """
 
-    def __init__(
-        self,
-        w_set: frozenset[str],
-        w_setting: Assignment,
-        x_prime: Assignment,
-        changes: int,
-        world: World | None = None,
-    ):
-        vars(self).update(w_set=w_set, w_setting=w_setting, x_prime=x_prime, changes=changes, world=world)
-
-    @classmethod
-    def _found(cls, sig: Signature, w: tuple[int, ...], x: tuple[int, ...], changes: int, values: tuple[int, ...]):
+    def __init__(self, sig: Signature, w: tuple[int, ...], x: tuple[int, ...], changes: int, values: tuple[int, ...]):
         """The witness that pins the positions `w` and then the cause's
         positions `x` to their `values`, the solved world."""
-        witness = cls.__new__(cls)
-        vars(witness).update(changes=changes, _sig=sig, _w=w, _x=x, _values=values)
-        return witness
+        vars(self).update(changes=changes, _sig=sig, _w=w, _x=x, _values=values)
 
     @cached_property
     def w_set(self) -> frozenset[str]:
@@ -242,13 +227,10 @@ class Witness:
     def world(self) -> World:
         return self._sig.world(self._values)
 
-    def settings(self) -> tuple[dict[str, int], dict[str, int], dict[str, int] | None]:
-        """W's setting, x' and `world` as new plain dicts; on a found
-        witness, straight from its positions, with W in the order the search
-        set it and the world in declaration order."""
-        if "_values" not in vars(self):
-            world = None if self.world is None else self.world.as_dict()
-            return self.w_setting.as_dict(), self.x_prime.as_dict(), world
+    def settings(self) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+        """W's setting, x' and `world` as new plain dicts, straight from the
+        positions, with W in the order the search set it and the world in
+        declaration order."""
         names, values = self._sig.endogenous_names, self._values
         return {names[i]: values[i] for i in self._w}, {names[i]: values[i] for i in self._x}, dict(zip(names, values))
 
@@ -831,7 +813,7 @@ class _Search:
     def _witness(self, c_vars: tuple[int, ...], w: tuple[int, ...], values: tuple[int, ...]) -> Witness:
         """The witness that sets the change variables `c_vars`, with W and
         solved values as `_reached` gives them."""
-        return Witness._found(self.model.signature, w, self.x_vars, len(c_vars), values)
+        return Witness(self.model.signature, w, self.x_vars, len(c_vars), values)
 
     def _orbit_witnesses(self, classes, c_vars, c, x_prime, orbit, witness: tuple) -> list[tuple]:
         """((C, c), W, values) for each member of the orbit of `classes`
@@ -964,36 +946,32 @@ class _Search:
 # ---------------------------------------------------------------------------
 
 
-def _witness_pins(cause: CandidateCause, witness: Witness) -> dict[str, int]:
-    """The pins of a witness, x' and W's setting, after checking its shape
-    against the cause: W does not overlap the cause, the setting sets exactly
-    W, and x' sets exactly the cause variables."""
-    if witness.w_set & cause.variables():
-        raise ValueError("witness W set overlaps the candidate cause")
-    if set(witness.w_setting) != witness.w_set:
-        raise ValueError("witness setting must set exactly its W set")
-    if set(witness.x_prime) != cause.variables():
-        raise ValueError("witness x' must set exactly the cause variables")
-    return {**witness.x_prime, **witness.w_setting}
-
-
 def check_ac2(
     ext: ExtendedModel,
     context: Context,
     cause: CandidateCause,
     outcome: EventFormula,
-    witness: Witness,
+    w_setting: Mapping[str, int],
+    x_prime: Mapping[str, int],
     stats: EngineStats | None = None,
 ) -> bool:
-    """Re-verify AC2 (both clauses plus the normality gate) for a witness."""
-    pins = _witness_pins(cause, witness)
+    """Re-verify AC2 (both clauses plus the normality gate) for the
+    contingency that sets W, the keys of `w_setting`, to its values and the
+    cause's variables to `x_prime`.  Its shape is checked against the cause
+    first, since that reads no model: W does not overlap the cause, and x'
+    sets exactly the cause variables."""
+    if cause.variables().intersection(w_setting):
+        raise ValueError("witness W set overlaps the candidate cause")
+    if set(x_prime) != cause.variables():
+        raise ValueError("witness x' must set exactly the cause variables")
     search = _Search(ext, context, cause, outcome, stats)
-    ext.model.signature.check_intervention(pins)  # the search solves unchecked
-    w_set = sorted(ext.model.signature.endogenous_index[v] for v in witness.w_set)
+    sig = ext.model.signature
+    sig.check_intervention({**x_prime, **w_setting})  # the search solves unchecked
+    w_set = sorted(sig.endogenous_index[v] for v in w_setting)
     ok, _ = search.check_witness(
         w_set,
-        {i: witness.w_setting[search.names[i]] for i in w_set},
-        tuple(witness.x_prime[search.names[i]] for i in search.x_vars),
+        {i: w_setting[search.names[i]] for i in w_set},
+        tuple(x_prime[search.names[i]] for i in search.x_vars),
     )
     return ok
 
@@ -1118,11 +1096,3 @@ def find_all_causes(
             search = search.for_cause(cand)
             results.append((cand, _verdict(search, cand, max_vars)))
     return results
-
-
-def witness_world(
-    ext: ExtendedModel, context: Context, cause: CandidateCause, witness: Witness
-) -> World:
-    """The world the witness contingency determines; the witness is checked
-    against the cause as `check_ac2` checks it."""
-    return ext.model.solve_pinned(context, _witness_pins(cause, witness))

@@ -769,12 +769,9 @@ class CausalModel:
 
     # -- core operations ----------------------------------------------------
 
-    def solve(self, context: Context) -> World:
-        """Unique solution of all equations in the given context."""
-        return self.solve_pinned(context, None)
-
-    def solve_pinned(self, context: Mapping[str, int], pins: Mapping[str, int] | None) -> World:
-        """Solve with some endogenous variables pinned to constants.
+    def solve(self, context: Mapping[str, int], pins: Mapping[str, int] | None = None) -> World:
+        """Unique solution of all equations in the given context, with the
+        endogenous variables in `pins` fixed to their values.
 
         Equivalent to intervening with `pins` and solving, without building
         the intervened model.

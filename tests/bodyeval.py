@@ -1,8 +1,10 @@
-"""A tree-walking evaluator of equation bodies and a lister of the
-variables they read, written apart from the engine's `compile_body`: the
-references the tests check compiled bodies, their reads and solved worlds
+"""A tree-walking evaluator of equation bodies, a lister of the variables
+they read and an evaluator of event formulas over worlds, written apart from
+the engine's `compile_body` and `EventFormula.predicate`: the references the
+tests check compiled bodies, their reads, solved worlds and formula truth
 against."""
 
+from causelab.formula import AndF, Atom, NotF
 from causelab.model import BoolOp, If, Lit, Not, Var
 
 _OPS = {
@@ -50,3 +52,15 @@ def references(node):
     if isinstance(node, Not):
         return references(node.inner)
     return references(node.left) + references(node.right)
+
+
+def satisfies(world, formula):
+    """Whether the event formula `formula` holds in `world`, a mapping of
+    each endogenous variable to its value."""
+    if isinstance(formula, Atom):
+        return world[formula.event.variable] == formula.event.value
+    if isinstance(formula, NotF):
+        return not satisfies(world, formula.child)
+    if isinstance(formula, AndF):
+        return satisfies(world, formula.left) and satisfies(world, formula.right)
+    return satisfies(world, formula.left) or satisfies(world, formula.right)

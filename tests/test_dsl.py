@@ -83,7 +83,7 @@ class TestParseModel:
         model, order = parse_model(GOOD_MODEL)
         assert model.name == "demo"
         assert order is None
-        assert model.solve_pinned({"U": 1}, None).as_dict() == {"X": 1, "Y": 2}
+        assert model.solve({"U": 1}).as_dict() == {"X": 1, "Y": 2}
 
     def test_normality_block_parsed(self, corpus):
         _, order = corpus["models"]["assassin"]

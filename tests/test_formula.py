@@ -17,7 +17,7 @@ from causelab.formula import (
     valid,
 )
 from causelab.model import Context, Intervention
-from bodyeval import evaluate
+from bodyeval import evaluate, satisfies
 from randmodels import random_context, random_event_formula, random_model
 from test_model import forest_fire
 
@@ -95,9 +95,9 @@ class TestBooleanLaws:
             f = random_event_formula(rng, model)
             g = random_event_formula(rng, model)
             world = model.solve(u)
-            assert NotF(NotF(f)).satisfied_by(world) == f.satisfied_by(world)
-            assert NotF(AndF(f, g)).satisfied_by(world) == OrF(NotF(f), NotF(g)).satisfied_by(world)
-            assert NotF(OrF(f, g)).satisfied_by(world) == AndF(NotF(f), NotF(g)).satisfied_by(world)
+            assert holds(model, u, NotF(NotF(f))) == holds(model, u, f) == satisfies(world, f)
+            assert holds(model, u, NotF(AndF(f, g))) == holds(model, u, OrF(NotF(f), NotF(g)))
+            assert holds(model, u, NotF(OrF(f, g))) == holds(model, u, AndF(NotF(f), NotF(g)))
 
     def test_negated_primitive_equals_value_disjunction(self):
         rng = random.Random(99)
@@ -110,7 +110,7 @@ class TestBooleanLaws:
             negated = NotF(atom(name, value))
             others = [atom(name, v) for v in values if v != value]
             if others:
-                assert negated.satisfied_by(world) == disj(*others).satisfied_by(world)
+                assert holds(model, u, negated) == holds(model, u, disj(*others)) == satisfies(world, negated)
 
 
 class TestSemanticsFactoring:
@@ -132,9 +132,7 @@ class TestSemanticsFactoring:
                     env[var] = pins[var]
                 else:
                     env[var] = evaluate(model.equations[var].body, env)
-            expected = matrix.satisfied_by(
-                type(model.solve(u))({v: env[v] for v in endo})
-            )
+            expected = satisfies({v: env[v] for v in endo}, matrix)
             assert holds(model, u, cf(pins, matrix)) == expected
 
 

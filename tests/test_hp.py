@@ -21,7 +21,6 @@ from causelab.hp import (
     find_all_causes,
     is_actual_cause,
     ways_fraction,
-    witness_world,
 )
 from causelab.model import (
     Arith,
@@ -83,108 +82,73 @@ class TestAc1:
 
 class TestCheckAc2:
     def test_forest_fire_witness(self):
-        witness = Witness(
-            w_set=frozenset({"ML"}),
-            w_setting=Assignment({"ML": 0}),
-            x_prime=Assignment({"L": 0}),
-            changes=1,
-        )
         ok = check_ac2(
-            ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness
+            ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), {"ML": 0}, {"L": 0}
         )
         assert ok
 
     def test_suzy_billy_symmetric_witness_fails_ac2b(self, corpus):
         model, _ = corpus["models"]["suzy_billy"]
-        witness = Witness(
-            w_set=frozenset({"ST"}),
-            w_setting=Assignment({"ST": 0}),
-            x_prime=Assignment({"BT": 0}),
-            changes=1,
-        )
         ok = check_ac2(
             ext_of(model),
             Context({"US": 1, "UB": 1}),
             CandidateCause.of({"BT": 1}),
             atom("BS", 1),
-            witness,
+            Assignment({"ST": 0}),
+            Assignment({"BT": 0}),
         )
         assert not ok
 
     def test_flat_order_never_blocks_normality(self):
         # Any witness admissible under a nontrivial order stays admissible
         # under the flat one; spot-check with the assassin pair.
-        witness = Witness(
-            w_set=frozenset({"ML"}),
-            w_setting=Assignment({"ML": 1}),
-            x_prime=Assignment({"L": 0}),
-            changes=0,
-        )
         assert check_ac2(
-            ext_of(forest_fire()), u_ff(1, 1, 2), CandidateCause.of({"L": 1}), atom("F", 1), witness
+            ext_of(forest_fire()), u_ff(1, 1, 2), CandidateCause.of({"L": 1}), atom("F", 1), {"ML": 1}, {"L": 0}
         )
 
     def test_overlapping_witness_rejected(self):
-        witness = Witness(
-            w_set=frozenset({"L"}),
-            w_setting=Assignment({"L": 0}),
-            x_prime=Assignment({"L": 0}),
-            changes=1,
-        )
         with pytest.raises(ValueError):
             check_ac2(
-                ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness
+                ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), {"L": 0}, {"L": 0}
             )
+
+    @pytest.mark.parametrize("cause, w_setting, x_prime, message", [
+        ({"L": 1}, {"L": 0}, {"L": 0}, "W set overlaps the candidate cause"),
+        ({"L": 1}, {}, {"ML": 0}, "x' must set exactly the cause variables"),
+        ({"L": 1, "ML": 1}, {}, {"L": 0}, "x' must set exactly the cause variables"),
+    ], ids=["W overlapping the cause", "x' off the cause", "x' short of the cause"])
+    def test_contingency_off_the_cause_rejected(self, cause, w_setting, x_prime, message):
+        # The shape is checked before the context, since it reads no model.
+        ext, bad_context = ext_of(forest_fire()), u_ff(1, 1, 7)
+        with pytest.raises(ValueError, match=message) as exc_info:
+            check_ac2(ext, bad_context, CandidateCause.of(cause), atom("F", 1), w_setting, x_prime)
+        assert type(exc_info.value) is ValueError
 
 
 class TestBoundaryValidation:
     """The search solves without checks, so bad input must fail at entry."""
 
-    def _check(self, witness: Witness) -> bool:
+    def _check(self, w_setting: dict[str, int], x_prime: dict[str, int]) -> bool:
         return check_ac2(
-            ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness
+            ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), w_setting, x_prime
         )
 
     def test_out_of_range_w_setting_rejected(self):
-        witness = Witness(
-            w_set=frozenset({"ML"}),
-            w_setting=Assignment({"ML": 5}),
-            x_prime=Assignment({"L": 0}),
-            changes=1,
-        )
         with pytest.raises(RangeViolationError, match="outside the range"):
-            self._check(witness)
+            self._check({"ML": 5}, {"L": 0})
 
     def test_non_endogenous_w_variable_rejected(self):
-        witness = Witness(
-            w_set=frozenset({"U1"}),
-            w_setting=Assignment({"U1": 0}),
-            x_prime=Assignment({"L": 0}),
-            changes=1,
-        )
         with pytest.raises(UnknownVariableError, match="not endogenous"):
-            self._check(witness)
+            self._check({"U1": 0}, {"L": 0})
 
     def test_out_of_range_x_prime_rejected(self):
-        witness = Witness(
-            w_set=frozenset({"ML"}),
-            w_setting=Assignment({"ML": 0}),
-            x_prime=Assignment({"L": 2}),
-            changes=1,
-        )
         with pytest.raises(RangeViolationError, match="outside the range"):
-            self._check(witness)
+            self._check({"ML": 0}, {"L": 2})
 
     def test_non_endogenous_outcome_rejected(self):
-        witness = Witness(
-            w_set=frozenset({"ML"}),
-            w_setting=Assignment({"ML": 0}),
-            x_prime=Assignment({"L": 0}),
-            changes=1,
-        )
         with pytest.raises(UnknownVariableError, match="not endogenous"):
             check_ac2(
-                ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("U1", 1), witness
+                ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("U1", 1), {"ML": 0}, {"L": 0}
             )
 
     def test_out_of_range_prefix_rejected_by_holds_and_valid(self):
@@ -220,9 +184,8 @@ class TestErrorClasses:
         with pytest.raises(ValueError, match="missing weights") as exc_info:
             self._cause({"L": 1}, atom("F", 1), weights={"L": 1})
         assert not isinstance(exc_info.value, ModelError)
-        witness = Witness(frozenset({"L"}), Assignment({"L": 0}), Assignment({"L": 0}), 1)
         with pytest.raises(ValueError, match="overlaps") as exc_info:
-            check_ac2(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), witness)
+            check_ac2(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1), {"L": 0}, {"L": 0})
         assert not isinstance(exc_info.value, ModelError)
 
 
@@ -277,7 +240,7 @@ class TestIsActualCause:
         assert verdict.is_cause and verdict.witnesses
         assert {w.changes for w in verdict.witnesses} == {5}
         for witness in verdict.witnesses[:5]:
-            assert check_ac2(ext, u, cause, atom("W", 0), witness)
+            assert check_ac2(ext, u, cause, atom("W", 0), witness.w_setting, witness.x_prime)
 
 
 class TestMultiConjunct:
@@ -425,9 +388,9 @@ class TestCap:
         ext = ext_of(forest_fire())
         u = u_ff(1, 1, 1)
         cause = CandidateCause.of({"L": 1})
-        verdict = is_actual_cause(ext, u, cause, atom("F", 1))
-        world = witness_world(ext, u, cause, verdict.witnesses[0])
-        assert world["F"] == 0 and world["L"] == 0 and world["ML"] == 0
+        witness = is_actual_cause(ext, u, cause, atom("F", 1)).witnesses[0]
+        world = ext.model.solve(u, {**witness.x_prime, **witness.w_setting})
+        assert world == witness.world and world["F"] == 0 and world["L"] == 0 and world["ML"] == 0
 
     def test_ways_fraction_raises_above_cap_after_the_actual_world(self, corpus):
         model, _ = corpus["models"]["vote11"]
@@ -442,49 +405,26 @@ class TestCap:
 
 def check_witness_worlds(ext: ExtendedModel, context: Context, cause: CandidateCause, outcome) -> int:
     """Every witness of a `cause` and of a first-witness query carries the
-    world `witness_world` solves afresh; returns how many were checked."""
+    world that solving under its x' and W's setting gives afresh; returns how
+    many were checked."""
     checked = 0
     for first in (False, True):
         for w in is_actual_cause(ext, context, cause, outcome, first_witness=first).witnesses:
-            assert w.world is not None
-            assert w.world == witness_world(ext, context, cause, w), (ext.model.name, cause, w)
+            assert w.world == ext.model.solve(context, {**w.x_prime, **w.w_setting}), (ext.model.name, cause, w)
             checked += 1
     return checked
 
 
+def fields(w: Witness) -> tuple:
+    """A witness's named fields, as a hand-written twin gives them."""
+    return w.w_set, w.w_setting, w.x_prime, w.changes
+
+
 class TestWitnessWorld:
-    def test_hand_built_witness_needs_no_world(self):
-        ext, u = ext_of(forest_fire()), u_ff(1, 1, 1)
-        cause = CandidateCause.of({"L": 1})
-        [found] = is_actual_cause(ext, u, cause, atom("F", 1)).witnesses
-        built = Witness(found.w_set, found.w_setting, found.x_prime, found.changes)
-        assert built.world is None and built == found and hash(built) == hash(found)
-        assert witness_world(ext, u, cause, built) == found.world
-
-    @pytest.mark.parametrize("witness, message", [
-        # A setting beyond W used to fail `check_ac2`, which pinned W only,
-        # while `witness_world` pinned it and solved the W = {ML} world.
-        (Witness(frozenset(), Assignment({"ML": 0}), Assignment({"L": 0}), 0), "setting must set exactly its W set"),
-        (Witness(frozenset({"ML"}), Assignment({}), Assignment({"L": 0}), 1), "setting must set exactly its W set"),
-        (Witness(frozenset({"L"}), Assignment({"L": 0}), Assignment({"L": 0}), 1), "W set overlaps the candidate cause"),
-        (Witness(frozenset(), Assignment({}), Assignment({"ML": 0}), 0), "x' must set exactly the cause variables"),
-    ], ids=["setting beyond W", "W unset", "W overlapping the cause", "x' off the cause"])
-    def test_both_entries_check_a_hand_built_witness_alike(self, witness, message):
-        ext, u = ext_of(forest_fire()), u_ff(1, 1, 1)
-        cause = CandidateCause.of({"L": 1})
-        for check in (
-            lambda: check_ac2(ext, u, cause, atom("F", 1), witness),
-            lambda: witness_world(ext, u, cause, witness),
-        ):
-            with pytest.raises(ValueError, match=message) as exc_info:
-                check()
-            assert type(exc_info.value) is ValueError
-
     def test_found_and_hand_built_reprs(self):
         [found] = is_actual_cause(ext_of(forest_fire()), u_ff(1, 1, 1), CandidateCause.of({"L": 1}), atom("F", 1)).witnesses
-        built = Witness(frozenset({"ML"}), Assignment({"ML": 0}), Assignment({"L": 0}), 1)
         text = "Witness(w_set=frozenset({'ML'}), w_setting=Assignment(ML=0), x_prime=Assignment(L=0), changes=1)"
-        assert repr(found) == repr(built) == text
+        assert repr(found) == text
 
     def test_found_witness_with_e_equals_its_hand_built_twin(self, corpus):
         # Suzy's throw is a cause once Billy's hit is pinned at its actual 0:
@@ -492,10 +432,9 @@ class TestWitnessWorld:
         model, _ = corpus["models"]["suzy_billy"]
         context, cause = Context({"US": 1, "UB": 1}), CandidateCause.of({"ST": 1})
         [found] = is_actual_cause(ext_of(model), context, cause, atom("BS", 1)).witnesses
-        built = Witness(frozenset({"BH"}), Assignment({"BH": 0}), Assignment({"ST": 0}), 0)
-        assert found == built and built == found and hash(found) == hash(built)
-        assert found != Witness(built.w_set, built.w_setting, built.x_prime, 1)
-        assert found.world == witness_world(ext_of(model), context, cause, built)
+        twin = (frozenset({"BH"}), Assignment({"BH": 0}), Assignment({"ST": 0}), 0)
+        assert fields(found) == twin and hash(found) == hash(twin)
+        assert found.world == model.solve(context, {"BH": 0, "ST": 0})
 
     def test_orbit_images_equal_their_hand_built_twins(self):
         # The 20 witnesses of one vote in a 7-0 landslide are the images of
@@ -505,13 +444,13 @@ class TestWitnessWorld:
         cause = CandidateCause.of({"V1": 0})
         found = is_actual_cause(ext, context, cause, atom("W", 0)).witnesses
         built = [
-            Witness(frozenset(names), Assignment(dict.fromkeys(names, 1)), Assignment({"V1": 1}), 3)
+            (frozenset(names), Assignment(dict.fromkeys(names, 1)), Assignment({"V1": 1}), 3)
             for names in itertools.combinations([f"V{i}" for i in range(2, 8)], 3)
         ]
-        assert list(found) == built and list(map(hash, found)) == list(map(hash, built))
-        assert len(set(found) | set(built)) == 20
+        assert list(map(fields, found)) == built and list(map(hash, found)) == list(map(hash, built))
+        assert len(set(found)) == 20
         for w in found:
-            assert w.world == witness_world(ext, context, cause, w)
+            assert w.world == ext.model.solve(context, {**w.x_prime, **w.w_setting})
 
     def test_vote11_landslide_witness_worlds(self, corpus):
         model, order = corpus["models"]["vote11"]
@@ -522,7 +461,7 @@ class TestWitnessWorld:
         assert verdict.is_cause and verdict.measure == 5 and len(verdict.witnesses) == 252
         assert len(set(verdict.witnesses)) == 252
         for w in verdict.witnesses:
-            assert w.changes == 5 and w.world == witness_world(ext, context, cause, w)
+            assert w.changes == 5 and w.world == model.solve(context, {**w.x_prime, **w.w_setting})
 
     def test_corpus_verdicts(self, corpus):
         checked = 0
@@ -721,9 +660,9 @@ def run_fold_soundness(n_models: int = 150, seed: int = 61) -> int:
             for _ in range(4):
                 pins = {w: rng.choice(sig.ranges[w]) for w in names if w != v and rng.random() < 0.4}
                 seen = {
-                    model.solve_pinned(u, {**pins, v: value})[outcome_var] for value in sig.ranges[v]
+                    model.solve(u, {**pins, v: value})[outcome_var] for value in sig.ranges[v]
                 }
-                seen.add(model.solve_pinned(u, pins)[outcome_var])
+                seen.add(model.solve(u, pins)[outcome_var])
                 assert len(seen) == 1, (model.name, v, pins)
     return unreached
 

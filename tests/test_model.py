@@ -536,7 +536,7 @@ class TestInvariants:
                 for v in endo
                 if rng.random() < 0.4
             }
-            assert model.solve_pinned(u, pins) == model.intervene(pins).solve(u)
+            assert model.solve(u, pins) == model.intervene(pins).solve(u)
 
 
 class TestPositionalSolve:
@@ -561,7 +561,7 @@ class TestPositionalSolve:
                 inner = model.intervene(inner_pins)
                 pins = self._random_pins(rng, model, 0.4)
                 values = inner.solve_unchecked(ctx, sig.pin_values(pins))
-                world = inner.solve_pinned(u, pins)
+                world = inner.solve(u, pins)
                 assert values == tuple(world[v] for v in endo)
                 assert sig.world(values) == world
                 assert world == inner.intervene(pins).solve(u)

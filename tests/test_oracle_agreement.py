@@ -687,7 +687,7 @@ def agree_on_block(ext: ExtendedModel, context: Context, cause: CandidateCause, 
         minimal = [wt.w_setting for wt in oracle.witnesses if wt.changes == oracle.min_changes]
         reported = [w.w_setting.items_sorted() for w in verdicts[0].witnesses]
         assert change_assignments(reported, actual) == change_assignments(minimal, actual), (ext.model.name, cause)
-        assert all(check_ac2(ext, context, cause, outcome, w) for w in verdicts[0].witnesses)
+        assert all(check_ac2(ext, context, cause, outcome, w.w_setting, w.x_prime) for w in verdicts[0].witnesses)
         least = min(
             sum((weights[v] for v, x in wt.w_setting if x != actual[v]), Fraction(0)) for wt in oracle.witnesses
         )

@@ -426,8 +426,8 @@ def check_renaming(rng, ext, context, cause, outcome, weights) -> None:
         after.is_cause, after.failed_condition, after.measure), where
     actual, actual2 = ext.model.solve(context), image.model.solve(context2)
     assert witnessed(before, actual, names) == witnessed(after, actual2), where
-    assert all(check_ac2(image, context2, cause2, outcome2, w) for w in after.witnesses), where
-    assert all(w.world == image.model.solve_pinned(context2, {**w.x_prime, **w.w_setting}) for w in after.witnesses)
+    assert all(check_ac2(image, context2, cause2, outcome2, w.w_setting, w.x_prime) for w in after.witnesses), where
+    assert all(w.world == image.model.solve(context2, {**w.x_prime, **w.w_setting}) for w in after.witnesses)
     if not before.is_cause:  # a cause records no failures; a non-cause names them in position order
         assert bool(before.ac2b_failures) == bool(after.ac2b_failures), where
     for strategy, strategy2 in (
@@ -562,7 +562,7 @@ def idle_ways(ext, context, cause, outcome, ways: Fraction) -> Fraction:
     actual = model.solve(context)
 
     def holds_with(x) -> bool:
-        world = model.solve_pinned(context, {**{v: actual[v] for v in side}, **x})
+        world = model.solve(context, {**{v: actual[v] for v in side}, **x})
         return world[outcome.event.variable] == outcome.event.value
 
     names, x = sorted(cause.settings), dict(cause.settings)
@@ -580,7 +580,7 @@ def check_idle(rng, ext, context, cause, outcome, weights) -> None:
         after.is_cause, after.failed_condition, after.measure), where
     assert witnessed(before, ext.model.solve(context)) == witnessed(after, image.model.solve(context)), where
     for w in after.witnesses:
-        assert w.world == image.model.solve_pinned(context, {**w.x_prime, **w.w_setting}), where
+        assert w.world == image.model.solve(context, {**w.x_prime, **w.w_setting}), where
     if not before.is_cause:
         assert bool(before.ac2b_failures) == bool(after.ac2b_failures), where
     weights2 = {**weights, IDLE: Fraction(rng.randint(1, 4))}
