@@ -140,13 +140,17 @@ def degree_of_blame(
     The post-action model is built once for each (model, order) pair of the
     state, told apart by identity, and shared by the situations over that
     pair: a state of n contexts over one model intervenes once, not n times.
+    Every solve, each situation's pre-action one included, is counted in
+    `stats`, or in a fresh counter.
     """
+    stats = stats if stats is not None else EngineStats()
     cause = CandidateCause(Assignment(action))
     weights = strategy.weight_map()
     total = Fraction(0)
     posts: dict[tuple[int, int], ExtendedModel] = {}  # by the ids of (model, order)
     # Solving every situation first checks every context before the action and outcome.
     actual = [ext.model.solve(context) for ext, context in state.situations]
+    stats.solves += len(actual)
     for (ext, context), prob, pre_world in zip(state.situations, state.probabilities, actual):
         try:
             cause.validate(ext.model)

@@ -175,7 +175,7 @@ def run_query(query: Query, loaded: LoadedSet, options: RunOptions) -> tuple[dic
     try:
         if isinstance(query, EvalQuery):
             model, _ = loaded.pick_model(options.model_name)
-            result = {"kind": "eval", "holds": holds(model, Context(query.context), query.formula)}
+            result = {"kind": "eval", "holds": holds(model, Context(query.context), query.formula, stats)}
             used = [model.name]
 
         elif isinstance(query, (CauseQuery, RespQuery)):
@@ -546,7 +546,7 @@ def main(argv=None, out=None) -> int:
             wall = (time.perf_counter() - start) * 1000.0
             result = {"kind": "solve", "world": world.as_dict()}
             hashes = {model.name: model_hash(model, order)}
-            report = _report(f"solve {dsl.print_context(assigns)}", result, EngineStats(), hashes, options, wall)
+            report = _report(f"solve {dsl.print_context(assigns)}", result, EngineStats(solves=1), hashes, options, wall)
             _emit(report, args.pretty, out)
             return EXIT_OK
         if args.query is not None:

@@ -142,13 +142,18 @@ class CausalFormula:
         self.matrix.validate(model)
 
 
-def holds(model: CausalModel, context: Context, f: CausalFormula | EventFormula) -> bool:
-    """Truth of a causal formula in (model, context); the context is checked first."""
+def holds(
+    model: CausalModel, context: Context, f: CausalFormula | EventFormula, stats: EngineStats | None = None
+) -> bool:
+    """Truth of a causal formula in (model, context); the context is checked
+    first.  Its one solve is counted in `stats`, or in a fresh counter."""
     if isinstance(f, EventFormula):
         f = CausalFormula(Intervention(), f)
+    stats = stats if stats is not None else EngineStats()
     sig = model.signature
     sig.check_context(context)
     f.validate(model)
+    stats.solves += 1
     values = model.solve_unchecked(sig.context_values(context), sig.pin_values(f.prefix))
     return f.matrix.predicate(sig.endogenous_index)(values)
 

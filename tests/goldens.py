@@ -7,7 +7,9 @@ corpus entries among them) to the first 16 hex digits of the SHA-256 of the
 entry's report outside `timing`: the printed query (`dsl.print_query`), the
 hash of each model the query used (`cli.model_hash`), the options, and the
 result and `stats` that `cli.run_query` returns.  Each `cause`
-entry is also run with `--failures`, under the id `<id> --failures`.  The
+entry is also run with `--failures`, under the id `<id> --failures`.  Every
+run must count each solve it makes: its `stats.solves` must equal its calls
+of `CausalModel.solve_unchecked` (`SolveCounter`), or the run fails.  The
 `small` entries are built as the benchmark builds them, without its oracle
 references, which the digests do not need.
 
@@ -47,8 +49,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from causelab import cli, dsl
-from causelab.formula import CausalFormula, PrimitiveEvent
-from causelab.model import Intervention
+from causelab.formula import CausalFormula, EngineStats, PrimitiveEvent
+from causelab.model import CausalModel, Intervention
 from randmodels import (
     LEXER_PIECES,
     random_block_model,
@@ -90,8 +92,37 @@ def _workload(workloads, name: str, seed: int):
     return wl
 
 
-def _digest(query, loaded: cli.LoadedSet, options: cli.RunOptions) -> str:
-    result, stats, used = cli.run_query(query, loaded, options)
+class SolveCounter:
+    """Counts the `CausalModel.solve_unchecked` calls made inside a `with`
+    block, in `calls`."""
+
+    def __enter__(self) -> SolveCounter:
+        self.calls = 0
+        self._solve = solve = CausalModel.solve_unchecked
+
+        def counted(model, context, pins):
+            self.calls += 1
+            return solve(model, context, pins)
+
+        CausalModel.solve_unchecked = counted
+        return self
+
+    def __exit__(self, *exc) -> None:
+        CausalModel.solve_unchecked = self._solve
+
+
+def counted_run(query, loaded: cli.LoadedSet, options: cli.RunOptions) -> tuple[dict, EngineStats, list[str], int]:
+    """`cli.run_query`'s result, stats and models used, and the number of
+    solves the query made."""
+    with SolveCounter() as counter:
+        result, stats, used = cli.run_query(query, loaded, options)
+    return result, stats, used, counter.calls
+
+
+def _digest(key: str, query, loaded: cli.LoadedSet, options: cli.RunOptions) -> str:
+    result, stats, used, solves = counted_run(query, loaded, options)
+    if stats.solves != solves:
+        raise AssertionError(f"{key}: counts {stats.solves} solves and makes {solves}")
     payload = {
         "query": dsl.print_query(query),
         "models": {name: cli.model_hash(*loaded.models[name]) for name in used if name in loaded.models},
@@ -130,7 +161,7 @@ def digests(seed: int) -> dict[str, str]:
             for key, run_options in runs.items():
                 if key in out:
                     raise ValueError(f"entry id {key!r} occurs twice")
-                out[key] = _digest(query, loaded, run_options)
+                out[key] = _digest(key, query, loaded, run_options)
     return out
 
 

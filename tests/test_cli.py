@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import goldens
 from causelab import cli, dsl
 from causelab.cli import (
     EXIT_CAP,
@@ -98,10 +99,12 @@ class TestQueries:
             "-q", "eval [ML<-0]F=1 in ctx(U1=1,U2=1,U3=1)",
         )
         assert code == EXIT_OK and report["result"]["holds"] is True
+        assert report["stats"] == {"solves": 1, "subset_checks": 0}
         code, [report] = run_json(
             "solve", "-m", model_arg("forest_fire.cm"), "--ctx", "U1=1,U2=0,U3=2"
         )
         assert code == EXIT_OK and report["result"]["world"] == {"F": 0, "L": 1, "ML": 0}
+        assert report["stats"] == {"solves": 1, "subset_checks": 0}
 
     def test_solve_with_an_empty_context(self, tmp_path):
         # `--ctx ''` is `ctx()`: a model without exogenous variables solves,
@@ -947,6 +950,28 @@ class TestWorkCounters:
     counts the shared search changed: the memoised search must solve
     exactly these distinct pin sets and make these subset checks."""
 
+    def test_every_solve_is_counted(self):
+        """A query's `stats.solves` is the number of solves it makes, on every
+        corpus entry run with its options and every `cause` entry also run
+        with `--failures`."""
+        uncounted = {}
+        for entry in load_corpus_entries():
+            loaded = cli._load_files(
+                [CORPUS / m for m in entry.get("models", [])], [CORPUS / s for s in entry.get("states", [])]
+            )
+            query = parse_query(entry["query"])
+            options = RunOptions(**entry.get("options", {}))
+            if not isinstance(query, dsl.BlameQuery):
+                options.model_name = next(iter(loaded.models))  # the target model is listed first
+            runs = {entry["id"]: options}
+            if isinstance(query, dsl.CauseQuery):
+                runs[f"{entry['id']} --failures"] = dataclasses.replace(options, failures=True)
+            for key, run_options in runs.items():
+                _result, stats, _used, solves = goldens.counted_run(query, loaded, run_options)
+                if stats.solves != solves:
+                    uncounted[key] = (stats.solves, solves)
+        assert uncounted == {}
+
     def test_the_report_prints_every_counter_field(self):
         """`stats` is the counter's fields, so a field added to
         `EngineStats` reaches the report with nothing else to change."""
@@ -983,7 +1008,9 @@ class TestWorkCounters:
         assert lines[0]["result"]["score"] == "1/10"
         # 11,641 solves and 32,257 subset checks when each of the nine
         # situations with a blank rifle 1 searched its whole contingency space.
-        assert lines[0]["stats"] == {"solves": 13, "subset_checks": 1}
+        # Ten of the solves are the situations' pre-action worlds, which went
+        # uncounted while the report read 13.
+        assert lines[0]["stats"] == {"solves": 23, "subset_checks": 1}
 
     def test_vote11_weighted_resp_is_one_search(self):
         # One search whose measure is the weight sum, stopped at its first
