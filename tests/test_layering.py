@@ -8,7 +8,8 @@ No module calls the Python compiler (`eval`, `exec`, `compile`), so no
 model text, which comes from users, can reach it.
 No work counter is guarded: every engine entry counts into an `EngineStats`.
 A backticked dotted name in the package's docstrings and comments, or in
-the README from its layout section on, names something that exists.
+the README from its layout section on, names something that exists, and
+the README's library examples run.
 """
 
 import ast
@@ -266,6 +267,23 @@ def resolves(dotted: str, roots: dict[str, object]) -> bool | None:
 def test_documented_names_resolve():
     roots = package_roots()
     assert sorted((where, name) for where, name in documented_names() if resolves(name, roots) is False) == []
+
+
+def library_examples(readme: str) -> list[str]:
+    """The ```python blocks of a README's "Library use" section, in order."""
+    section = readme[readme.index("## Library use"):readme.index("\n## ", readme.index("## Library use") + 1)]
+    return re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+
+
+def test_readme_library_examples_run(monkeypatch):
+    # The blocks share one namespace, as a reader typing them in order
+    # would, and open the corpus by its path from the repository root.
+    blocks = library_examples(README.read_text(encoding="utf-8"))
+    assert len(blocks) == 3
+    monkeypatch.chdir(README.parent)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_guard_sees_stale_names():
